@@ -24,7 +24,6 @@ fixed, configuration-derived number of word transfers.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import (
@@ -227,10 +226,11 @@ class VnvHeap:
         self._nvm_alloc = FirstFitAllocator(self.layout.object_offset, self.layout.object_bytes)
         self._metas: dict[int, ObjectMeta] = {}
         self._residents: dict[int, ObjectMeta] = {}  # insertion order = cache arrival
-        self._live_slots: set[int] = set()
         self._dirty = HEADER_CHARGE_BYTES
         self._quarantine: list[tuple[int, int]] = []
         self._next_id = 1
+        # Set when a power failure cuts a transfer: volatile bookkeeping is then
+        # out of step with the device, and only restore() from the image helps.
         self._poisoned = False
         self.tables = CheckpointTables(device, self.layout)
         if _adopt_layout is None:
@@ -293,7 +293,7 @@ class VnvHeap:
             raise DirtyBudgetUnsatisfiableError(
                 f"{size} B object cannot fit the modified-state limit"
             )
-        slot = self.tables.free_slot(self._live_slots)
+        slot = self.tables.free_slot()
         if slot is None:
             raise OutOfNvmError("metadata table is full")
         nvm_offset = self._nvm_alloc.alloc(size)
@@ -315,10 +315,12 @@ class VnvHeap:
         self._next_id += 1
         # Entry identity never changes, so it is written to both tables now;
         # persist() then only ever touches pin flags and deferred clears.
-        self._live_slots.add(slot)
-        with self._poison_on_power_failure():
+        try:
             self.tables.record_alloc(slot, pack_entry(handle_id, nvm_offset, size, False, 0))
-            self.tables.drain(self._live_slots, 2)
+            self.tables.drain(2)
+        except PowerFailureInjected:
+            self._poisoned = True
+            raise
 
         meta = ObjectMeta(handle_id, slot, nvm_offset, size, resident=True,
                           modified=True, cache_offset=cache_offset)
@@ -342,11 +344,13 @@ class VnvHeap:
             if meta.modified:
                 self._dirty -= meta.size_bytes
         del self._metas[meta.handle_id]
-        self._live_slots.discard(meta.entry_slot)
         self._quarantine.append((meta.nvm_offset, meta.size_bytes))
-        with self._poison_on_power_failure():
+        try:
             self.tables.record_dealloc(meta.entry_slot)
-            self.tables.drain(self._live_slots, 2)
+            self.tables.drain(2)
+        except PowerFailureInjected:
+            self._poisoned = True
+            raise
 
     # -- access -------------------------------------------------------------
 
@@ -403,8 +407,11 @@ class VnvHeap:
         if not meta.resident or not meta.modified:
             raise PreconditionError("sync requires a modified, resident object")
         self._sync(meta)
-        with self._poison_on_power_failure():
-            self.tables.drain(self._live_slots, 2)
+        try:
+            self.tables.drain(2)
+        except PowerFailureInjected:
+            self._poisoned = True
+            raise
 
     def unload(self, handle: ObjectHandle) -> None:
         """Drop a clean, unpinned object from the cache. No transfers."""
@@ -460,16 +467,6 @@ class VnvHeap:
         if self._poisoned:
             raise HeapPoisonedError("heap is unusable after an interrupted persist")
 
-    @contextmanager
-    def _poison_on_power_failure(self):
-        # Any interrupted transfer leaves volatile bookkeeping out of step with
-        # the device; the only way forward is restore() from the image.
-        try:
-            yield
-        except PowerFailureInjected:
-            self._poisoned = True
-            raise
-
     def _resolve(self, handle: ObjectHandle) -> ObjectMeta:
         if handle._heap is not self:
             raise StaleHandleError("handle belongs to a different heap")
@@ -484,8 +481,11 @@ class VnvHeap:
         # Residency itself charges 3 bytes of metadata to the dirty budget.
         self._make_dirty_room(META_CHARGE_BYTES)
         offset = self._make_cache_room(meta.block_bytes)
-        with self._poison_on_power_failure():
+        try:
             payload = self.device.read(meta.nvm_offset, meta.size_bytes)
+        except PowerFailureInjected:
+            self._poisoned = True
+            raise
         self._cache[offset : offset + meta.size_bytes] = payload
         meta.resident = True
         meta.cache_offset = offset
@@ -527,14 +527,14 @@ class VnvHeap:
             self._sync(victim)
 
     def _sync(self, meta: ObjectMeta) -> None:
-        self._write_payload(meta)
+        start = meta.cache_offset
+        try:
+            self.device.write(meta.nvm_offset, self._cache[start : start + meta.size_bytes])
+        except PowerFailureInjected:
+            self._poisoned = True
+            raise
         meta.modified = False
         self._dirty -= meta.size_bytes
-
-    def _write_payload(self, meta: ObjectMeta) -> None:
-        start = meta.cache_offset
-        with self._poison_on_power_failure():
-            self.device.write(meta.nvm_offset, self._cache[start : start + meta.size_bytes])
 
     def _unload(self, meta: ObjectMeta) -> None:
         self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
@@ -542,20 +542,6 @@ class VnvHeap:
         meta.resident = False
         meta.cache_offset = -1
         self._dirty -= META_CHARGE_BYTES
-
-    def _entry_truth(self) -> dict[int, bytes]:
-        """Current table content as it must appear in a committed slot."""
-        truth: dict[int, bytes] = {}
-        for meta in self._metas.values():
-            pinned = meta.pinned
-            truth[meta.entry_slot] = pack_entry(
-                meta.handle_id,
-                meta.nvm_offset,
-                meta.size_bytes,
-                pinned,
-                meta.cache_offset if pinned else 0,
-            )
-        return truth
 
 
 def init(

@@ -20,11 +20,19 @@ Commit protocol: version, active-slot and commit-flag share the superblock's
 second word, so a single atomic word write publishes a new checkpoint. The
 slot being committed must be fully written before that word; the other slot
 ("staging") is where all between-checkpoint entry writes go, keeping the
-committed table untouched until the next flip.
+committed table untouched until the next flip. Births are the exception:
+they are written to both slots at allocation.
+
+Before a commit, the staging slot is brought up to date by a delta flush
+that visits only the entries that can differ from the live objects: those
+pinned now, those staged with a pin flag that must be cleared, and dead
+entries still occupied in staging (deferred clears). See
+:class:`CheckpointTables`.
 """
 
 from __future__ import annotations
 
+import heapq
 import struct
 from dataclasses import dataclass
 
@@ -38,6 +46,9 @@ COMMIT_WORD_OFFSET = 4  # version u16 | active u8 | commit u8, one word
 ENTRY_BYTES = 20
 ENTRY_WORDS = ENTRY_BYTES // WORD_BYTES
 FLAG_PINNED = 0x01
+IDENTITY_BYTES = 12  # handle id | nvm offset | size: fixed for an entry's life
+ZERO_WORD = bytes(WORD_BYTES)
+UNPINNED_TAIL = bytes(ENTRY_BYTES - IDENTITY_BYTES)  # flags word | cache offset
 
 _SB = struct.Struct("<4sHBBIIII")
 _ENTRY = struct.Struct("<IIIB3xI")
@@ -116,10 +127,23 @@ class CheckpointTables:
     """Owns the two metadata slots and the commit word.
 
     Volatile mirrors of both slots let every NVM table write be a minimal
-    word-granular delta. Entry identity fields never change after allocation,
-    so steady-state persists write almost nothing here: pin flags, cache
-    offsets of pinned objects, and any deferred clears for objects whose
-    deallocation predates the previous commit.
+    word-granular delta. Entry identity fields never change after allocation
+    and births are written to both tables, so a live entry's identity words
+    already match the truth in either table. Between two commits a staging
+    slot can differ from the truth for only three reasons, and
+    :meth:`flush_delta` visits exactly the slots with one of them:
+
+    * the object is pinned now: the caller passes its pinned entry;
+    * the staged entry still carries a pin flag or cache offset
+      (``_flagged``), which must go back to the unpinned form;
+    * the object is dead but its staged id word is still set (``_dead``):
+      a deferred clear.
+
+    Every slot outside these sets already matches the truth, so a flush costs
+    O(changed entries), not O(live objects). The per-table sets, the
+    occupancy sets and the min-heap of free slots are all derived from the
+    raw tables plus the rule that live entries are occupied in both;
+    :meth:`format` and :meth:`adopt` rebuild them from scratch.
     """
 
     def __init__(self, device: StorageDevice, layout: ImageLayout) -> None:
@@ -127,10 +151,31 @@ class CheckpointTables:
         self.layout = layout
         self.staging = 0
         self.committed: int | None = None
-        self._mirror = [bytearray(layout.table_bytes), bytearray(layout.table_bytes)]
+        self.metadata_bytes_written = 0  # cumulative, callers diff it
+        self._rebuild([bytearray(layout.table_bytes), bytearray(layout.table_bytes)], 0)
+
+    def _rebuild(self, mirrors: list[bytearray], committed: int) -> None:
+        """Derive every per-slot set from raw table bytes. Each entry occupied
+        in table ``committed`` counts as live; any other occupied entry is dead."""
+        self._mirror = mirrors
         # Slots with a nonzero id word, per table.
         self._occupied: list[set[int]] = [set(), set()]
-        self.metadata_bytes_written = 0  # cumulative, callers diff it
+        # Occupied slots whose flags word or cache-offset word is nonzero.
+        self._flagged: list[set[int]] = [set(), set()]
+        for t, raw in enumerate(mirrors):
+            words = memoryview(raw).cast("I")
+            ids, flags, offsets = words[0::ENTRY_WORDS], words[3::ENTRY_WORDS], words[4::ENTRY_WORDS]
+            self._occupied[t] = {slot for slot, v in enumerate(ids) if v}
+            self._flagged[t] = {s for s in self._occupied[t] if flags[s] or offsets[s]}
+        # Occupied slots whose object is dead (deferred clears), per table.
+        live = self._occupied[committed]
+        self._dead: list[set[int]] = [occ - live for occ in self._occupied]
+        # Slots free in both tables (so not live either). Lazily cleaned:
+        # stale members are popped once they reach the top.
+        self._free = [
+            slot for slot in range(self.layout.max_objects)
+            if slot not in self._occupied[0] and slot not in self._occupied[1]
+        ]
 
     # -- formatting / adoption ---------------------------------------------
 
@@ -148,22 +193,21 @@ class CheckpointTables:
         self.device.write(lay.table_b_offset, zeros)
         self.staging = 0
         self.committed = None
-        self._mirror = [bytearray(lay.table_bytes), bytearray(lay.table_bytes)]
-        self._occupied = [set(), set()]
+        self._rebuild([bytearray(lay.table_bytes), bytearray(lay.table_bytes)], 0)
 
     def adopt(self, superblock: Superblock) -> None:
-        """Load mirrors from a device that already holds a committed image."""
+        """Load mirrors from a device that already holds a committed image.
+
+        Restore brings back every committed entry, so those count as live;
+        entries only in the staging table are dead. The caller must then
+        flush the truth of every live slot (see :meth:`flush_delta`), since
+        the staging slot may predate the committed one.
+        """
         lay = self.layout
-        for t in (0, 1):
-            raw = self.device.read(lay.table_offset(t), lay.table_bytes)
-            self._mirror[t] = bytearray(raw)
-            occ = set()
-            for slot in range(lay.max_objects):
-                if raw[slot * ENTRY_BYTES : slot * ENTRY_BYTES + 4] != b"\x00\x00\x00\x00":
-                    occ.add(slot)
-            self._occupied[t] = occ
+        mirrors = [bytearray(self.device.read(lay.table_offset(t), lay.table_bytes)) for t in (0, 1)]
         self.committed = superblock.active_slot
         self.staging = 1 - superblock.active_slot
+        self._rebuild(mirrors, self.committed)
 
     # -- entry access -------------------------------------------------------
 
@@ -175,24 +219,23 @@ class CheckpointTables:
             out.append((slot, bytes(table[slot * ENTRY_BYTES : (slot + 1) * ENTRY_BYTES])))
         return out
 
-    def free_slot(self, live_slots: set[int]) -> int | None:
-        """Lowest slot that is free in truth and in both tables."""
-        for slot in range(self.layout.max_objects):
-            if slot in live_slots:
-                continue
-            if slot in self._occupied[0] or slot in self._occupied[1]:
-                continue
-            return slot
-        return None
+    def free_slot(self) -> int | None:
+        """Lowest slot free in both tables, hence not live either."""
+        free = self._free
+        occ_a, occ_b = self._occupied
+        while free and (free[0] in occ_a or free[0] in occ_b):
+            heapq.heappop(free)
+        return free[0] if free else None
 
     # -- writes (all word-granular, metered by the device) ------------------
 
     def _write_entry(self, table: int, slot: int, entry: bytes) -> None:
+        """Bring one slot of ``table`` to the live ``entry``, word by word."""
         lay = self.layout
         base = slot * ENTRY_BYTES
         mirror = self._mirror[table]
         order = list(range(ENTRY_WORDS))
-        if bytes(mirror[base : base + 4]) == b"\x00\x00\x00\x00":
+        if mirror[base : base + 4] == ZERO_WORD:
             # Birth of an entry: the id word goes last, so a power failure in
             # the middle leaves the slot reading as free, never as a torn
             # half-written object.
@@ -200,14 +243,15 @@ class CheckpointTables:
         for w in order:
             lo = base + w * WORD_BYTES
             want = entry[w * WORD_BYTES : (w + 1) * WORD_BYTES]
-            if bytes(mirror[lo : lo + WORD_BYTES]) != want:
+            if mirror[lo : lo + WORD_BYTES] != want:
                 self.device.write(lay.table_offset(table) + lo, want)
                 mirror[lo : lo + WORD_BYTES] = want
                 self.metadata_bytes_written += WORD_BYTES
-        if entry[:4] == b"\x00\x00\x00\x00":
-            self._occupied[table].discard(slot)
+        self._occupied[table].add(slot)
+        if entry[IDENTITY_BYTES:] == UNPINNED_TAIL:
+            self._flagged[table].discard(slot)
         else:
-            self._occupied[table].add(slot)
+            self._flagged[table].add(slot)
 
     def record_alloc(self, slot: int, entry: bytes) -> None:
         """Write a new object's entry into both tables (birth is eager)."""
@@ -215,43 +259,67 @@ class CheckpointTables:
         self._write_entry(1, slot, entry)
 
     def record_dealloc(self, slot: int) -> None:
-        """Clear the staging id word; the committed table keeps the entry
-        until the next flip so a fallback restore still sees the object."""
+        """Clear the staging id word; the other table keeps the entry (a
+        deferred clear) until it is staging again, so a fallback restore
+        still sees the object."""
         self._clear_id(self.staging, slot)
+        other = 1 - self.staging
+        if slot in self._occupied[other]:
+            self._dead[other].add(slot)
 
     def _clear_id(self, table: int, slot: int) -> None:
-        lay = self.layout
+        occupied = self._occupied[table]
+        if slot not in occupied:
+            return
         lo = slot * ENTRY_BYTES
-        mirror = self._mirror[table]
-        if bytes(mirror[lo : lo + 4]) != b"\x00\x00\x00\x00":
-            self.device.write(lay.table_offset(table) + lo, b"\x00\x00\x00\x00")
-            mirror[lo : lo + 4] = b"\x00\x00\x00\x00"
-            self.metadata_bytes_written += WORD_BYTES
-        self._occupied[table].discard(slot)
+        self.device.write(self.layout.table_offset(table) + lo, ZERO_WORD)
+        self._mirror[table][lo : lo + 4] = ZERO_WORD
+        self.metadata_bytes_written += WORD_BYTES
+        occupied.discard(slot)
+        self._flagged[table].discard(slot)
+        self._dead[table].discard(slot)
+        if slot not in self._occupied[1 - table]:
+            heapq.heappush(self._free, slot)
 
-    def drain(self, live_slots: set[int], max_slots: int) -> int:
-        """Clear up to ``max_slots`` stale dead entries in the staging table.
+    def drain(self, max_slots: int) -> int:
+        """Clear up to ``max_slots`` stale dead entries in the staging table,
+        lowest slot first.
 
         Called from operations that already transfer words, so the deferred
         clears left behind by a slot flip never pile up for persist to pay.
         """
-        cleared = 0
-        for slot in sorted(self._occupied[self.staging] - live_slots):
-            if cleared >= max_slots:
-                break
+        dead = self._dead[self.staging]
+        if not dead:
+            return 0
+        slots = heapq.nsmallest(max_slots, dead)
+        for slot in slots:
             self._clear_id(self.staging, slot)
-            cleared += 1
-        return cleared
+        return len(slots)
 
-    def flush_truth(self, truth: dict[int, bytes]) -> None:
-        """Make the staging table byte-identical to ``truth`` (live entries)
-        for every slot that could differ. Dead slots only need a zero id."""
+    def flush_delta(self, entries: dict[int, bytes]) -> None:
+        """Make the staging table match the truth, visiting only the slots
+        that can differ from it, in ascending order.
+
+        ``entries`` maps slot to live entry for every slot pinned now (at
+        persist) or for every live slot (at restore, where the staging table
+        may hold anything). The other candidates are the staged pin flags
+        and the deferred clears. A slot outside them needs no write, so the
+        device sees the same writes as a comparison of every live entry.
+        """
         staging = self.staging
-        for slot in sorted(set(truth) | (self._occupied[staging] - set(truth))):
-            if slot in truth:
-                self._write_entry(staging, slot, truth[slot])
-            else:
+        dead = self._dead[staging]
+        mirror = self._mirror[staging]
+        for slot in sorted(entries.keys() | self._flagged[staging] | dead):
+            entry = entries.get(slot)
+            if entry is not None:
+                self._write_entry(staging, slot, entry)
+            elif slot in dead:
                 self._clear_id(staging, slot)
+            else:
+                # Live and no longer pinned: keep the identity words, reset
+                # the flag and cache-offset words.
+                base = slot * ENTRY_BYTES
+                self._write_entry(staging, slot, bytes(mirror[base : base + IDENTITY_BYTES]) + UNPINNED_TAIL)
 
     def commit(self) -> None:
         """Atomically publish the staging table and flip the roles."""

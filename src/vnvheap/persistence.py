@@ -2,18 +2,26 @@
 power cycle, and bound/estimate the cost of doing so.
 
 persist() writes, in order: every modified payload (in cache-arrival order),
-the word-granular metadata deltas for the staging table (pin flags, cache
-offsets of pinned objects, deferred clears), and finally one commit word that
-atomically publishes the staging table. Because object identity entries were
-already written when the objects were allocated, the transfer count is capped
-by the modified-state budget: ``persist_bound()`` words, independent of cache
-size. A power failure anywhere in the sequence leaves the previous committed
-checkpoint readable.
+the word-granular metadata deltas for the staging table, and finally one
+commit word that atomically publishes the staging table. Because object
+identity entries were already written when the objects were allocated, the
+transfer count is capped by the modified-state budget: ``persist_bound()``
+words, independent of cache size. A power failure anywhere in the sequence
+leaves the previous committed checkpoint readable.
+
+The metadata step is a delta flush (``CheckpointTables.flush_delta``) that
+visits only the staging slots that can differ from the truth: objects pinned
+now (collected by the same pass over the residents that finds modified
+payloads, since every pinned object is resident), entries still staged with a
+pin flag, and deferred clears of dead objects. Its host cost follows what
+changed, not how many objects are live.
 
 restore() rebuilds a heap from the committed table: objects that were pinned
 when the checkpoint was taken come back resident at their recorded cache
 offsets (so outstanding accesses stay meaningful); everything else starts
-swapped out and loads lazily on first access.
+swapped out and loads lazily on first access. It then runs the same delta
+flush with every live entry as a candidate, because the staging table may
+predate the committed one.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import NoValidCheckpointError, PowerFailureInjected
 from .heap import HEADER_CHARGE_BYTES, META_CHARGE_BYTES, HeapConfig, ObjectHandle, ObjectMeta, VnvHeap
-from .layout import ENTRY_BYTES, ImageLayout, read_superblock, unpack_entry
+from .layout import ENTRY_BYTES, ImageLayout, pack_entry, read_superblock, unpack_entry
 from .storage import StorageDevice, WORD_BYTES, words_for
 
 
@@ -52,27 +60,40 @@ def wcec_millijoules(words: int, model: EnergyModel = EnergyModel()) -> float:
     return words * model.word_transfer_seconds * model.power_milliwatts
 
 
+def _table_entry(meta: ObjectMeta) -> bytes:
+    """``meta`` as its entry must appear in a committed table."""
+    pinned = meta.pinned
+    return pack_entry(meta.handle_id, meta.nvm_offset, meta.size_bytes,
+                      pinned, meta.cache_offset if pinned else 0)
+
+
 def persist(heap: VnvHeap) -> PersistReport:
     """Checkpoint the heap. The heap stays usable afterwards: guards stay
     live, residents stay resident, and only the modified flags of objects
     without a live write guard are cleared."""
     heap._check_usable()
-    meter = heap.device.cost_meter
+    device = heap.device
+    cache = heap._cache
+    meter = device.cost_meter
     written_before = meter.words_written
     metadata_before = heap.tables.metadata_bytes_written
     synced = 0
+    pinned: dict[int, bytes] = {}
     try:
-        for meta in list(heap._residents.values()):
+        for meta in heap._residents.values():
+            if meta.pin_count:
+                pinned[meta.entry_slot] = _table_entry(meta)
             if not meta.modified:
                 continue
-            heap._write_payload(meta)
+            start = meta.cache_offset
+            device.write(meta.nvm_offset, cache[start : start + meta.size_bytes])
             synced += 1
             if not meta.write_guarded:
                 # A live write guard keeps the object charged as modified:
                 # its holder can keep writing after we return.
                 meta.modified = False
                 heap._dirty -= meta.size_bytes
-        heap.tables.flush_truth(heap._entry_truth())
+        heap.tables.flush_delta(pinned)
         heap.tables.commit()
     except PowerFailureInjected:
         heap._poisoned = True
@@ -124,7 +145,6 @@ def restore(
         meta = ObjectMeta(handle_id, slot, nvm_offset, size)
         heap._nvm_alloc.allocate_at(nvm_offset, size)
         heap._metas[handle_id] = meta
-        heap._live_slots.add(slot)
         heap._next_id = max(heap._next_id, handle_id + 1)
         if flags & 0x01:
             pinned.append((cache_offset, meta))
@@ -144,7 +164,7 @@ def restore(
 
     # Bring the staging table up to date now so the next persist stays a
     # minimal delta (the staging slot may predate this checkpoint).
-    heap.tables.flush_truth(heap._entry_truth())
+    heap.tables.flush_delta({meta.entry_slot: _table_entry(meta) for meta in heap._metas.values()})
 
     handles = {
         handle_id: ObjectHandle(handle_id, meta.size_bytes, heap)

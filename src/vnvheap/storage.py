@@ -88,47 +88,43 @@ class StorageDevice:
 
     def read(self, offset: int, length: int) -> bytes:
         self._check_range(offset, length)
-        if length == 0:
-            return b""
-        if self._budget_words is None:
-            self.cost_meter.words_read += words_for(length)
-            return self._read_raw(offset, length)
-        # Armed: transfer word by word so the failure lands on a word boundary.
-        out = bytearray()
-        pos = offset
-        end = offset + length
-        while pos < end:
-            step = min(WORD_BYTES, end - pos)
-            if self._budget_words == 0:
-                raise PowerFailureInjected(
-                    f"transfer budget exhausted reading [{pos}, {pos + step})"
-                )
-            self._budget_words -= 1
-            self.cost_meter.words_read += 1
-            out += self._read_raw(pos, step)
-            pos += step
-        return bytes(out)
+        words = words_for(length)
+        budget = self._budget_words
+        if budget is not None:
+            if budget < words:
+                # The first ``budget`` words were read before the power died;
+                # their bytes go nowhere, so only the meter sees them.
+                self.cost_meter.words_read += budget
+                raise self._exhausted("reading", offset, length)
+            self._budget_words = budget - words
+        self.cost_meter.words_read += words
+        return self._read_raw(offset, length) if length else b""
 
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
         data = bytes(data)
-        self._check_range(offset, len(data))
-        if not data:
-            return
-        if self._budget_words is None:
-            self.cost_meter.words_written += words_for(len(data))
+        length = len(data)
+        self._check_range(offset, length)
+        words = words_for(length)
+        budget = self._budget_words
+        if budget is not None:
+            if budget < words:
+                # The durable prefix lands whole; the failing word and every
+                # word after it stay untouched.
+                if budget:
+                    self._write_raw(offset, data[: budget * WORD_BYTES])
+                self.cost_meter.words_written += budget
+                raise self._exhausted("writing", offset, length)
+            self._budget_words = budget - words
+        self.cost_meter.words_written += words
+        if length:
             self._write_raw(offset, data)
-            return
-        pos = 0
-        while pos < len(data):
-            step = min(WORD_BYTES, len(data) - pos)
-            if self._budget_words == 0:
-                raise PowerFailureInjected(
-                    f"transfer budget exhausted writing [{offset + pos}, {offset + pos + step})"
-                )
-            self._budget_words -= 1
-            self.cost_meter.words_written += 1
-            self._write_raw(offset + pos, data[pos : pos + step])
-            pos += step
+
+    def _exhausted(self, verb: str, offset: int, length: int) -> PowerFailureInjected:
+        """Spend the rest of the budget and name the word that failed."""
+        pos = offset + self._budget_words * WORD_BYTES
+        self._budget_words = 0
+        end = min(pos + WORD_BYTES, offset + length)
+        return PowerFailureInjected(f"transfer budget exhausted {verb} [{pos}, {end})")
 
     # -- backing store hooks ------------------------------------------------
 

@@ -122,6 +122,35 @@ class TestPowerFailureInjection:
         assert not dev.armed
         assert dev.remaining_budget_words is None
 
+    def test_armed_unaligned_transfers_move_exactly_the_budget(self):
+        """Words count from the transfer's own offset, not from word-aligned
+        addresses; the durable prefix is the first ``budget`` of them."""
+        data = b"ABCDEFGHIJKLMN"  # 14 B at offset 5: 4 words, the last partial
+        for budget in range(6):
+            dev = SimulatedNvm(64)
+            dev.write(0, b"." * 64)
+            dev.arm_power_failure(budget)
+            if budget < 4:
+                with pytest.raises(PowerFailureInjected):
+                    dev.write(5, data)
+            else:
+                dev.write(5, data)
+            assert dev.remaining_budget_words == max(budget - 4, 0)
+            assert dev.cost_meter.words_written == 16 + min(budget, 4)
+            kept = data[: budget * WORD_BYTES]
+            dev.disarm_power_failure()
+            assert dev.read(0, 64) == b"." * 5 + kept + b"." * (59 - len(kept))
+
+            dev.cost_meter.reset()
+            dev.arm_power_failure(budget)
+            if budget < 4:
+                with pytest.raises(PowerFailureInjected):
+                    dev.read(5, len(data))
+            else:
+                assert dev.read(5, len(data)) == data
+            assert dev.remaining_budget_words == max(budget - 4, 0)
+            assert dev.cost_meter.words_read == min(budget, 4)
+
     def test_metering_stops_at_the_failure(self):
         dev = SimulatedNvm(1024)
         dev.arm_power_failure(2)

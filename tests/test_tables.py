@@ -1,0 +1,223 @@
+"""Checkpoint tables: the delta flush against an O(live) reference.
+
+The reference flush is the original algorithm: compare every live entry with
+the staging table word by word, then clear every other occupied slot. The
+delta flush must issue exactly the same table writes, and after every persist
+both tables, their volatile mirrors and the derived slot sets must agree with
+a fresh recomputation from the live objects.
+"""
+
+import random
+
+from traceutil import EXPECTED_PRESSURE_ERRORS, TraceMachine
+from vnvheap import SimulatedNvm, VnvHeap, persist, restore
+from vnvheap.layout import ENTRY_BYTES, ENTRY_WORDS, IDENTITY_BYTES, pack_entry
+from vnvheap.storage import WORD_BYTES
+
+ZERO_WORD = bytes(WORD_BYTES)
+
+
+def truth_of(heap):
+    """Slot -> entry of every live object, recomputed from its metadata."""
+    return {
+        m.entry_slot: pack_entry(m.handle_id, m.nvm_offset, m.size_bytes,
+                                 m.pinned, m.cache_offset if m.pinned else 0)
+        for m in heap._metas.values()
+    }
+
+
+def reference_flush(staging, truth):
+    """Table-relative writes of the O(live) flush of ``truth`` into ``staging``."""
+    table = bytearray(staging)
+    writes = []
+
+    def put(lo, word):
+        if table[lo : lo + WORD_BYTES] != word:
+            writes.append((lo, word))
+            table[lo : lo + WORD_BYTES] = word
+
+    occupied = {s for s in range(len(table) // ENTRY_BYTES)
+                if table[s * ENTRY_BYTES : s * ENTRY_BYTES + 4] != ZERO_WORD}
+    for slot in sorted(set(truth) | occupied):
+        base = slot * ENTRY_BYTES
+        if slot not in truth:
+            put(base, ZERO_WORD)
+            continue
+        order = list(range(ENTRY_WORDS))
+        if table[base : base + 4] == ZERO_WORD:
+            order = order[1:] + order[:1]  # birth: id word last
+        for w in order:
+            put(base + w * WORD_BYTES, truth[slot][w * WORD_BYTES : (w + 1) * WORD_BYTES])
+    return writes
+
+
+def log_writes(dev):
+    """Record every public write of ``dev`` as (offset, bytes)."""
+    log = []
+    write = dev.write
+
+    def logged(offset, data):
+        log.append((offset, bytes(data)))
+        return write(offset, data)
+
+    dev.write = logged
+    return log
+
+
+def table_writes(log, heap, table):
+    lo = heap.layout.table_offset(table)
+    hi = lo + heap.layout.table_bytes
+    return [(off - lo, data) for off, data in log if lo <= off < hi]
+
+
+def device_table(dev, heap, table):
+    return dev.reopen().read(heap.layout.table_offset(table), heap.layout.table_bytes)
+
+
+def check_tables(heap, dev):
+    """Mirrors, device bytes and derived sets agree with the live objects."""
+    tables = heap.tables
+    truth = truth_of(heap)
+    slots = range(heap.layout.max_objects)
+    for t in (0, 1):
+        raw = bytes(tables._mirror[t])
+        assert raw == device_table(dev, heap, t), f"table {t} mirror drifted from the device"
+        occupied = {s for s in slots if raw[s * ENTRY_BYTES : s * ENTRY_BYTES + 4] != ZERO_WORD}
+        assert tables._occupied[t] == occupied
+        assert tables._flagged[t] == {
+            s for s in occupied
+            if raw[s * ENTRY_BYTES + IDENTITY_BYTES : (s + 1) * ENTRY_BYTES] != bytes(8)
+        }
+        assert tables._dead[t] == occupied - set(truth)
+        assert set(truth) <= occupied, "a live entry is missing from a table"
+    free = [s for s in slots if s not in tables._occupied[0] and s not in tables._occupied[1]]
+    assert tables.free_slot() == (free[0] if free else None)
+    assert set(free) <= set(tables._free)
+    if tables.committed is not None:
+        committed = bytes(tables._mirror[tables.committed])
+        for s in slots:
+            entry = committed[s * ENTRY_BYTES : (s + 1) * ENTRY_BYTES]
+            if s in truth:
+                assert entry == truth[s], f"slot {s} committed stale"
+            else:
+                assert entry[:4] == ZERO_WORD, f"dead slot {s} still committed"
+
+
+class _RestoredPin:
+    """The pin restore() placed on an object, held like a read guard."""
+
+    def __init__(self, heap, handle):
+        self.heap, self.handle = heap, handle
+
+    def release(self):
+        self.heap.release_restored_pin(self.handle)
+
+
+class TableOracleMachine(TraceMachine):
+    """Guards held across persists, dealloc bursts, small objects that churn
+    table slots, and power cycles that bring back pinned entries."""
+
+    def __init__(self, seed):
+        super().__init__(seed, cache=2048, dirty=1024, max_objects=40)
+        self.log = log_writes(self.dev)
+        self.persists = 0
+        self.pins_held_until = 0
+
+    def op_alloc(self):
+        size = self.rng.choice((1, 3, 8, 12, 24, 40, 100))
+        payload = bytes(self.rng.randrange(256) for _ in range(size))
+        try:
+            h = self.heap.alloc(payload)
+        except EXPECTED_PRESSURE_ERRORS:
+            return
+        self.shadow[h.id] = bytearray(payload)
+        self.handles[h.id] = h
+
+    def op_dealloc_burst(self):
+        for _ in range(self.rng.randint(3, 12)):
+            self.op_dealloc()
+
+    def op_release_guard(self):
+        if self.guards and self.persists >= self.pins_held_until:
+            super().op_release_guard()
+
+    def op_persist(self):
+        heap = self.heap
+        staging = heap.tables.staging
+        before = bytes(heap.tables._mirror[staging])
+        del self.log[:]
+        persist(heap)
+        self.persists += 1
+        expected = reference_flush(before, truth_of(heap))
+        assert table_writes(self.log, heap, staging) == expected
+        check_tables(heap, self.dev)
+
+    def op_power_cycle(self):
+        """Persist with guards held, reboot, restore the pinned entries."""
+        self.op_persist()
+        held = {hid for hid, _, _ in self.guards}
+        self.dev = self.dev.reopen()
+        self.log = log_writes(self.dev)
+        layout = self.heap.layout
+        staging = 1 - self.heap.tables.committed
+        before = self.dev.read(layout.table_offset(staging), layout.table_bytes)
+        self.heap, self.handles = restore(self.dev, cache_size_bytes=self.cache,
+                                          max_modified_state_bytes=self.dirty)
+        assert table_writes(self.log, self.heap, staging) == reference_flush(before, truth_of(self.heap))
+        check_tables(self.heap, self.dev)
+        pinned = {hid for hid, h in self.handles.items() if self.heap.object_info(h).pinned}
+        assert pinned == held
+        self.guards = [(hid, _RestoredPin(self.heap, self.handles[hid]), False) for hid in sorted(pinned)]
+        self.pins_held_until = self.persists + 2
+
+    OPS = TraceMachine.OPS + [("op_dealloc_burst", 1), ("op_hold_guard", 3),
+                              ("op_persist", 3), ("op_power_cycle", 1)]
+
+
+def test_delta_flush_matches_the_reference_on_adversarial_traces():
+    for seed in range(6):
+        m = TableOracleMachine(seed)
+        m.run(500)
+        assert m.persists >= 40
+        m.op_persist()
+        m.op_persist()
+
+
+def test_restore_clears_pin_flags_loaded_from_the_device():
+    """Regression: the sets restore derives from the raw tables must include
+    the pin flags already on the device, or they are never cleared."""
+    dev = SimulatedNvm(64 * 1024)
+    heap = VnvHeap(dev, cache_size_bytes=1024, max_modified_state_bytes=512, max_objects=8)
+    a = heap.alloc(b"pinned!!")
+    heap.alloc(b"loose")
+    guard = heap.get_ref(a)
+    persist(heap)  # a's pin flag and cache offset are committed
+    guard.release()
+
+    dev = dev.reopen()
+    heap, handles = restore(dev, cache_size_bytes=1024, max_modified_state_bytes=512)
+    heap.release_restored_pin(handles[a.id])
+    persist(heap)
+    persist(heap)  # both tables have been staging once since the restore
+
+    slot = heap._metas[a.id].entry_slot
+    for t in (0, 1):
+        raw = device_table(dev, heap, t)
+        assert raw[slot * ENTRY_BYTES + IDENTITY_BYTES : (slot + 1) * ENTRY_BYTES] == bytes(8), t
+    check_tables(heap, dev)
+
+
+def test_free_slot_reuses_the_lowest_slot_once_both_tables_drop_it():
+    rng = random.Random(7)
+    dev = SimulatedNvm(64 * 1024)
+    heap = VnvHeap(dev, cache_size_bytes=2048, max_modified_state_bytes=1024, max_objects=16)
+    live = [heap.alloc(bytes([i])) for i in range(12)]
+    persist(heap)
+    for h in rng.sample(live, 8):
+        heap.dealloc(h)
+        live.remove(h)
+    persist(heap)
+    persist(heap)
+    check_tables(heap, dev)
+    used = {heap._metas[h.id].entry_slot for h in live}
+    assert heap.tables.free_slot() == min(set(range(16)) - used)
