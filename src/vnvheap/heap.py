@@ -20,11 +20,27 @@ Two budgets constrain every operation:
 The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit can always be persisted within a
 fixed, configuration-derived number of word transfers.
+
+Beside the residents (kept in cache-arrival order), the heap keeps two
+indexes by handle id, so that a persist visits only the objects it must
+write and never the clean, unpinned residents:
+
+* ``_modified`` - every modified resident. Entered when an object is
+  allocated or first written, left when it is synced, deallocated, or
+  cleared by a persist.
+* ``_pinned`` - every object with ``pin_count > 0``. Entered when the pin
+  count goes from 0 to 1, left when it goes back to 0.
+
+Each object also carries an ``arrival`` stamp, taken from a heap-wide
+counter every time it becomes resident (at allocation, on load, and for
+pinned objects at restore). Stamps strictly increase along the residents'
+order, so sorting the modified index by stamp yields cache-arrival order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import (
     CachePressureUnresolvableError,
@@ -74,7 +90,7 @@ class HeapConfig:
             raise ConfigInvalidError("max_objects must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectMeta:
     """Per-object state record (internal)."""
 
@@ -88,6 +104,7 @@ class ObjectMeta:
     write_guarded: bool = False
     restored_pin: bool = False
     cache_offset: int = -1
+    arrival: int = 0  # stamp of the latest time the object became resident
 
     @property
     def pinned(self) -> bool:
@@ -141,12 +158,15 @@ class ObjectHandle:
 
 
 class _Guard:
-    def __init__(self, heap: "VnvHeap", meta: ObjectMeta, writable: bool) -> None:
+    __slots__ = ("_heap", "_meta", "_view", "_released")
+    _writable = False
+
+    def __init__(self, heap: "VnvHeap", meta: ObjectMeta) -> None:
         self._heap = heap
         self._meta = meta
-        self._writable = writable
-        view = memoryview(heap._cache)[meta.cache_offset : meta.cache_offset + meta.size_bytes]
-        self._view = view if writable else view.toreadonly()
+        start = meta.cache_offset
+        view = heap._view if self._writable else heap._ro_view
+        self._view = view[start : start + meta.size_bytes]
         self._released = False
 
     def _check_live(self) -> None:
@@ -189,15 +209,14 @@ class _Guard:
 class ReadGuard(_Guard):
     """Shared, immutable access to a resident object."""
 
-    def __init__(self, heap: "VnvHeap", meta: ObjectMeta) -> None:
-        super().__init__(heap, meta, writable=False)
+    __slots__ = ()
 
 
 class WriteGuard(_Guard):
     """Exclusive, mutable access; the object is charged as modified."""
 
-    def __init__(self, heap: "VnvHeap", meta: ObjectMeta) -> None:
-        super().__init__(heap, meta, writable=True)
+    __slots__ = ()
+    _writable = True
 
     def write(self, data: bytes | bytearray | memoryview, offset: int = 0) -> None:
         self._check_live()
@@ -222,10 +241,17 @@ class VnvHeap:
         self.device = device
         self.layout = _adopt_layout or ImageLayout.compute(device.capacity_bytes, max_objects)
         self._cache = bytearray(cache_size_bytes)
+        # Guards slice these views; the cache is never resized.
+        self._view = memoryview(self._cache)
+        self._ro_view = self._view.toreadonly()
         self._cache_alloc = FirstFitAllocator(0, cache_size_bytes)
         self._nvm_alloc = FirstFitAllocator(self.layout.object_offset, self.layout.object_bytes)
         self._metas: dict[int, ObjectMeta] = {}
         self._residents: dict[int, ObjectMeta] = {}  # insertion order = cache arrival
+        self._modified: dict[int, ObjectMeta] = {}
+        self._pinned: dict[int, ObjectMeta] = {}
+        self._stamps = count(1)  # arrival stamps
+        self._resident_bytes = 0
         self._dirty = HEADER_CHARGE_BYTES
         self._quarantine: list[tuple[int, int]] = []
         self._next_id = 1
@@ -244,10 +270,10 @@ class VnvHeap:
 
     def stats(self) -> HeapStats:
         return HeapStats(
-            resident_bytes=sum(m.size_bytes for m in self._residents.values()),
+            resident_bytes=self._resident_bytes,
             dirty_bytes=self._dirty,
             resident_count=len(self._residents),
-            pinned_count=sum(1 for m in self._metas.values() if m.pinned),
+            pinned_count=len(self._pinned),
             cache_free_bytes=self._cache_alloc.total_free(),
             nvm_free_bytes=self._nvm_alloc.total_free(),
         )
@@ -322,11 +348,13 @@ class VnvHeap:
             self._poisoned = True
             raise
 
-        meta = ObjectMeta(handle_id, slot, nvm_offset, size, resident=True,
-                          modified=True, cache_offset=cache_offset)
+        meta = ObjectMeta(handle_id, slot, nvm_offset, size, resident=True, modified=True,
+                          cache_offset=cache_offset, arrival=next(self._stamps))
         self._cache[cache_offset : cache_offset + size] = payload
         self._metas[handle_id] = meta
         self._residents[handle_id] = meta
+        self._modified[handle_id] = meta
+        self._resident_bytes += size
         self._dirty += size + META_CHARGE_BYTES
         return ObjectHandle(handle_id, size, self)
 
@@ -340,8 +368,10 @@ class VnvHeap:
         if meta.resident:
             self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
             del self._residents[meta.handle_id]
+            self._resident_bytes -= meta.size_bytes
             self._dirty -= META_CHARGE_BYTES
             if meta.modified:
+                del self._modified[meta.handle_id]
                 self._dirty -= meta.size_bytes
         del self._metas[meta.handle_id]
         self._quarantine.append((meta.nvm_offset, meta.size_bytes))
@@ -360,7 +390,10 @@ class VnvHeap:
         meta = self._resolve(handle)
         if meta.write_guarded:
             raise WriteGuardActiveError(f"object {meta.handle_id} has a live write guard")
-        self._ensure_resident(meta)
+        if not meta.resident:
+            self._ensure_resident(meta)
+        if not meta.pin_count:
+            self._pinned[meta.handle_id] = meta
         meta.pin_count += 1
         return ReadGuard(self, meta)
 
@@ -376,14 +409,19 @@ class VnvHeap:
             raise DirtyBudgetUnsatisfiableError(
                 f"{meta.size_bytes} B object cannot fit the modified-state limit"
             )
-        self._ensure_resident(meta)
-        self._mark_modified(meta)
+        if not meta.resident:
+            self._ensure_resident(meta)
+        if not meta.modified:
+            self._mark_modified(meta)
         meta.pin_count = 1
         meta.write_guarded = True
+        self._pinned[meta.handle_id] = meta
         return WriteGuard(self, meta)
 
     def _release_guard(self, meta: ObjectMeta, writable: bool) -> None:
         meta.pin_count -= 1
+        if not meta.pin_count:
+            del self._pinned[meta.handle_id]
         if writable:
             meta.write_guarded = False
 
@@ -395,6 +433,8 @@ class VnvHeap:
             raise PreconditionError(f"object {meta.handle_id} holds no restored pin")
         meta.restored_pin = False
         meta.pin_count -= 1
+        if not meta.pin_count:
+            del self._pinned[meta.handle_id]
 
     # -- explicit state management -------------------------------------------
 
@@ -476,8 +516,7 @@ class VnvHeap:
         return meta
 
     def _ensure_resident(self, meta: ObjectMeta) -> None:
-        if meta.resident:
-            return
+        """Load a swapped-out object (callers test ``meta.resident``)."""
         # Residency itself charges 3 bytes of metadata to the dirty budget.
         self._make_dirty_room(META_CHARGE_BYTES)
         offset = self._make_cache_room(meta.block_bytes)
@@ -487,16 +526,18 @@ class VnvHeap:
             self._poisoned = True
             raise
         self._cache[offset : offset + meta.size_bytes] = payload
+        meta.arrival = next(self._stamps)
         meta.resident = True
         meta.cache_offset = offset
         self._residents[meta.handle_id] = meta
+        self._resident_bytes += meta.size_bytes
         self._dirty += META_CHARGE_BYTES
 
     def _mark_modified(self, meta: ObjectMeta) -> None:
-        if meta.modified:
-            return
+        """Charge a clean resident as modified (callers test ``meta.modified``)."""
         self._make_dirty_room(meta.size_bytes)
         meta.modified = True
+        self._modified[meta.handle_id] = meta
         self._dirty += meta.size_bytes
 
     def _make_cache_room(self, block: int) -> int:
@@ -534,11 +575,13 @@ class VnvHeap:
             self._poisoned = True
             raise
         meta.modified = False
+        del self._modified[meta.handle_id]
         self._dirty -= meta.size_bytes
 
     def _unload(self, meta: ObjectMeta) -> None:
         self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
         del self._residents[meta.handle_id]
+        self._resident_bytes -= meta.size_bytes
         meta.resident = False
         meta.cache_offset = -1
         self._dirty -= META_CHARGE_BYTES

@@ -231,9 +231,12 @@ class CheckpointTables:
 
     def _write_entry(self, table: int, slot: int, entry: bytes) -> None:
         """Bring one slot of ``table`` to the live ``entry``, word by word."""
-        lay = self.layout
         base = slot * ENTRY_BYTES
         mirror = self._mirror[table]
+        if mirror[base : base + ENTRY_BYTES] == entry:
+            # Already in place, and the slot sets derive from the mirror.
+            return
+        lay = self.layout
         order = list(range(ENTRY_WORDS))
         if mirror[base : base + 4] == ZERO_WORD:
             # Birth of an entry: the id word goes last, so a power failure in

@@ -9,12 +9,14 @@ transfer count is capped by the modified-state budget: ``persist_bound()``
 words, independent of cache size. A power failure anywhere in the sequence
 leaves the previous committed checkpoint readable.
 
-The metadata step is a delta flush (``CheckpointTables.flush_delta``) that
-visits only the staging slots that can differ from the truth: objects pinned
-now (collected by the same pass over the residents that finds modified
-payloads, since every pinned object is resident), entries still staged with a
-pin flag, and deferred clears of dead objects. Its host cost follows what
-changed, not how many objects are live.
+persist() visits only modified and pinned objects, never the clean,
+unpinned residents: the payloads come from the heap's modified index, sorted
+by arrival stamp, and the pinned entries from its pinned index (see
+:mod:`vnvheap.heap`). The metadata step is a delta flush
+(``CheckpointTables.flush_delta``) that visits only the staging slots that
+can differ from the truth: objects pinned now, entries still staged with a
+pin flag, and deferred clears of dead objects. So its host cost follows what
+changed, not how many objects are resident or live.
 
 restore() rebuilds a heap from the committed table: objects that were pinned
 when the checkpoint was taken come back resident at their recorded cache
@@ -27,6 +29,7 @@ predate the committed one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import NoValidCheckpointError, PowerFailureInjected
 from .heap import HEADER_CHARGE_BYTES, META_CHARGE_BYTES, HeapConfig, ObjectHandle, ObjectMeta, VnvHeap
@@ -67,6 +70,9 @@ def _table_entry(meta: ObjectMeta) -> bytes:
                       pinned, meta.cache_offset if pinned else 0)
 
 
+_ARRIVAL = attrgetter("arrival")
+
+
 def persist(heap: VnvHeap) -> PersistReport:
     """Checkpoint the heap. The heap stays usable afterwards: guards stay
     live, residents stay resident, and only the modified flags of objects
@@ -77,23 +83,21 @@ def persist(heap: VnvHeap) -> PersistReport:
     meter = device.cost_meter
     written_before = meter.words_written
     metadata_before = heap.tables.metadata_bytes_written
-    synced = 0
-    pinned: dict[int, bytes] = {}
+    modified = heap._modified
+    # Cache-arrival order: the order in which the residents are held.
+    payloads = sorted(modified.values(), key=_ARRIVAL)
     try:
-        for meta in heap._residents.values():
-            if meta.pin_count:
-                pinned[meta.entry_slot] = _table_entry(meta)
-            if not meta.modified:
-                continue
+        for meta in payloads:
             start = meta.cache_offset
             device.write(meta.nvm_offset, cache[start : start + meta.size_bytes])
-            synced += 1
             if not meta.write_guarded:
                 # A live write guard keeps the object charged as modified:
                 # its holder can keep writing after we return.
                 meta.modified = False
+                del modified[meta.handle_id]
                 heap._dirty -= meta.size_bytes
-        heap.tables.flush_delta(pinned)
+        heap.tables.flush_delta({meta.entry_slot: _table_entry(meta)
+                                 for meta in heap._pinned.values()})
         heap.tables.commit()
     except PowerFailureInjected:
         heap._poisoned = True
@@ -105,7 +109,7 @@ def persist(heap: VnvHeap) -> PersistReport:
     heap._quarantine.clear()
     return PersistReport(
         words_transferred=meter.words_written - written_before,
-        objects_synced=synced,
+        objects_synced=len(payloads),
         metadata_bytes_written=heap.tables.metadata_bytes_written - metadata_before,
     )
 
@@ -142,8 +146,13 @@ def restore(
     pinned: list[tuple[int, ObjectMeta]] = []
     for slot, raw in heap.tables.committed_entries():
         handle_id, nvm_offset, size, flags, cache_offset = unpack_entry(raw)
+        if handle_id in heap._metas:
+            raise NoValidCheckpointError(f"handle id {handle_id} is committed twice")
+        try:
+            heap._nvm_alloc.allocate_at(nvm_offset, size)
+        except ValueError as exc:
+            raise NoValidCheckpointError(f"object {handle_id}: {exc}") from None
         meta = ObjectMeta(handle_id, slot, nvm_offset, size)
-        heap._nvm_alloc.allocate_at(nvm_offset, size)
         heap._metas[handle_id] = meta
         heap._next_id = max(heap._next_id, handle_id + 1)
         if flags & 0x01:
@@ -155,11 +164,14 @@ def restore(
         heap._cache_alloc.allocate_at(cache_offset, meta.block_bytes)
         payload = device.read(meta.nvm_offset, meta.size_bytes)
         heap._cache[cache_offset : cache_offset + meta.size_bytes] = payload
+        meta.arrival = next(heap._stamps)
         meta.resident = True
         meta.cache_offset = cache_offset
         meta.pin_count = 1
         meta.restored_pin = True
         heap._residents[meta.handle_id] = meta
+        heap._pinned[meta.handle_id] = meta
+        heap._resident_bytes += meta.size_bytes
         heap._dirty += META_CHARGE_BYTES
 
     # Bring the staging table up to date now so the next persist stays a

@@ -79,6 +79,8 @@ class StorageDevice:
     # -- transfers --------------------------------------------------------
 
     def _check_range(self, offset: int, length: int) -> None:
+        """Raise for a transfer outside the device. ``read`` and ``write``
+        call this only when their inline bounds test fails."""
         if length < 0:
             raise OutOfRangeError(f"negative length {length}")
         if offset < 0 or offset + length > self.capacity_bytes:
@@ -87,8 +89,9 @@ class StorageDevice:
             )
 
     def read(self, offset: int, length: int) -> bytes:
-        self._check_range(offset, length)
-        words = words_for(length)
+        if length < 0 or offset < 0 or offset + length > self.capacity_bytes:
+            self._check_range(offset, length)
+        words = (length + WORD_BYTES - 1) // WORD_BYTES
         budget = self._budget_words
         if budget is not None:
             if budget < words:
@@ -103,8 +106,9 @@ class StorageDevice:
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
         data = bytes(data)
         length = len(data)
-        self._check_range(offset, length)
-        words = words_for(length)
+        if offset < 0 or offset + length > self.capacity_bytes:
+            self._check_range(offset, length)
+        words = (length + WORD_BYTES - 1) // WORD_BYTES
         budget = self._budget_words
         if budget is not None:
             if budget < words:

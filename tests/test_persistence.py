@@ -2,6 +2,7 @@
 
 import pytest
 
+from traceutil import count_bytecodes, log_writes
 from vnvheap import (
     DirtyBudgetUnsatisfiableError,
     EnergyModel,
@@ -21,6 +22,7 @@ from vnvheap import (
     wcec_millijoules,
     words_for,
 )
+from vnvheap.layout import ENTRY_BYTES
 
 
 def fresh(cache=4096, dirty=2048, max_objects=64, capacity=256 * 1024):
@@ -252,6 +254,43 @@ def test_restore_requires_a_commit():
         restore(dev.reopen())
 
 
+def _committed_image(objects):
+    """A power-cycled device whose committed table holds ``objects`` in
+    slots 0, 1, ...; returns the device and that table's offset."""
+    dev, heap = fresh()
+    for payload in objects:
+        heap.alloc(payload)
+    persist(heap)
+    return dev.reopen(), heap.layout.table_offset(heap.tables.committed)
+
+
+def _entry_word(dev, table, slot, word):
+    return dev.read(table + slot * ENTRY_BYTES + 4 * word, 4)
+
+
+def test_restore_rejects_a_handle_id_committed_twice():
+    dev, table = _committed_image([b"AAAAAAAA", b"BBBBBBBB"])
+    dev.write(table + ENTRY_BYTES, _entry_word(dev, table, 0, 0))  # slot 1 takes slot 0's id
+    with pytest.raises(NoValidCheckpointError, match="committed twice"):
+        restore(dev)
+
+
+@pytest.mark.parametrize("nvm_offset", [
+    "overlap",       # slot 1's extent starts inside slot 0's
+    0,               # the superblock, below the object region
+    256 * 1024,      # past the end of the device
+])
+def test_restore_rejects_an_extent_that_is_not_free(nvm_offset):
+    dev, table = _committed_image([b"AAAAAAAA", b"BBBBBBBB"])
+    if nvm_offset == "overlap":
+        word = _entry_word(dev, table, 0, 1)
+    else:
+        word = nvm_offset.to_bytes(4, "little")
+    dev.write(table + ENTRY_BYTES + 4, word)  # slot 1's nvm offset
+    with pytest.raises(NoValidCheckpointError, match="not free"):
+        restore(dev)
+
+
 def test_restore_round_trip_through_a_file(tmp_path):
     path = tmp_path / "heap.img"
     dev = FileBackedNvm(path, capacity_bytes=128 * 1024)
@@ -317,3 +356,45 @@ def test_mixed_state_survives_a_power_cycle():
             assert g.read() == content
         info = heap2.object_info(handles[h.id])
         assert not info.modified
+
+
+# -- what persist visits ----------------------------------------------------------
+
+def test_persist_writes_payloads_in_cache_arrival_order():
+    """Loaded A then B, written B then A: the payloads still go out A, B."""
+    dev, heap = fresh()
+    b = heap.alloc(b"B" * 8)  # b gets the lower id and extent
+    a = heap.alloc(b"A" * 8)
+    persist(heap)
+    for h in (b, a):
+        heap.unload(h)
+    for h in (a, b):
+        heap.get_ref(h).release()
+    for h, fill in ((b, b"b"), (a, b"a")):
+        with heap.get_mut(h) as w:
+            w.write(fill * 8)
+    log = log_writes(dev)
+    persist(heap)
+    payloads = [data for offset, data in log if offset >= heap.layout.object_offset]
+    assert payloads == [b"a" * 8, b"b" * 8]
+
+
+def test_persist_cost_does_not_grow_with_clean_residents():
+    """One modified and one pinned object: persist executes the same number
+    of bytecodes whether 1 or 256 clean objects are resident beside them."""
+    def persist_bytecodes(clean):
+        dev, heap = fresh(cache=8192, dirty=4096, max_objects=300)
+        for i in range(clean):
+            heap.alloc(bytes([i % 256]) * 4)
+        modified = heap.alloc(b"modified")
+        pinned = heap.alloc(b"pinned")
+        persist(heap)
+        assert heap.stats().resident_count == clean + 2
+        guard = heap.get_ref(pinned)
+        with heap.get_mut(modified) as w:
+            w.write(b"M")
+        executed = count_bytecodes(persist, heap)
+        guard.release()
+        return executed
+
+    assert persist_bytecodes(1) == persist_bytecodes(256)

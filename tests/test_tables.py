@@ -9,7 +9,7 @@ a fresh recomputation from the live objects.
 
 import random
 
-from traceutil import EXPECTED_PRESSURE_ERRORS, TraceMachine
+from traceutil import EXPECTED_PRESSURE_ERRORS, TraceMachine, check_indexes, log_writes
 from vnvheap import SimulatedNvm, VnvHeap, persist, restore
 from vnvheap.layout import ENTRY_BYTES, ENTRY_WORDS, IDENTITY_BYTES, pack_entry
 from vnvheap.storage import WORD_BYTES
@@ -49,19 +49,6 @@ def reference_flush(staging, truth):
         for w in order:
             put(base + w * WORD_BYTES, truth[slot][w * WORD_BYTES : (w + 1) * WORD_BYTES])
     return writes
-
-
-def log_writes(dev):
-    """Record every public write of ``dev`` as (offset, bytes)."""
-    log = []
-    write = dev.write
-
-    def logged(offset, data):
-        log.append((offset, bytes(data)))
-        return write(offset, data)
-
-    dev.write = logged
-    return log
 
 
 def table_writes(log, heap, table):
@@ -151,6 +138,7 @@ class TableOracleMachine(TraceMachine):
         expected = reference_flush(before, truth_of(heap))
         assert table_writes(self.log, heap, staging) == expected
         check_tables(heap, self.dev)
+        check_indexes(heap)
 
     def op_power_cycle(self):
         """Persist with guards held, reboot, restore the pinned entries."""
@@ -165,6 +153,7 @@ class TableOracleMachine(TraceMachine):
                                           max_modified_state_bytes=self.dirty)
         assert table_writes(self.log, self.heap, staging) == reference_flush(before, truth_of(self.heap))
         check_tables(self.heap, self.dev)
+        check_indexes(self.heap)
         pinned = {hid for hid, h in self.handles.items() if self.heap.object_info(h).pinned}
         assert pinned == held
         self.guards = [(hid, _RestoredPin(self.heap, self.handles[hid]), False) for hid in sorted(pinned)]

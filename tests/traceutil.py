@@ -8,10 +8,13 @@ the heap's invariants from scratch:
 * the dirty total never exceeds the configured limit,
 * modified and pinned objects are resident,
 * resident cache blocks never overlap and stay inside the cache,
-* object content matches the shadow.
+* object content matches the shadow,
+* the heap's modified and pinned indexes, arrival stamps and running
+  resident-byte total agree with the per-object state.
 """
 
 import random
+import sys
 
 from vnvheap import (
     CachePressureUnresolvableError,
@@ -35,6 +38,54 @@ EXPECTED_PRESSURE_ERRORS = (
     DirtyBudgetUnsatisfiableError,
     OutOfNvmError,
 )
+
+
+def check_indexes(heap):
+    """``_modified`` holds exactly the modified residents, ``_pinned`` exactly
+    the objects with a pin, and arrival stamps strictly increase along the
+    residents' (cache-arrival) order."""
+    metas = heap._metas
+    assert heap._modified.keys() == {h for h, m in heap._residents.items() if m.modified}
+    assert all(m is metas[h] for h, m in heap._modified.items())
+    assert heap._pinned.keys() == {h for h, m in metas.items() if m.pin_count > 0}
+    assert all(m is metas[h] for h, m in heap._pinned.items())
+    stamps = [m.arrival for m in heap._residents.values()]
+    assert all(a < b for a, b in zip(stamps, stamps[1:])), "arrival stamps out of order"
+
+
+def log_writes(dev):
+    """Record every public write of ``dev`` as (offset, bytes)."""
+    log = []
+    write = dev.write
+
+    def logged(offset, data):
+        log.append((offset, bytes(data)))
+        return write(offset, data)
+
+    dev.write = logged
+    return log
+
+
+def count_bytecodes(fn, *args):
+    """Run ``fn(*args)`` and return the number of bytecodes it executed, over
+    every Python frame it entered. Unlike a timer, the count is exact and
+    repeatable, so a test can assert that a cost does not grow."""
+    executed = 0
+
+    def trace(frame, event, arg):
+        nonlocal executed
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            executed += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return executed
 
 
 class TraceMachine:
@@ -82,6 +133,8 @@ class TraceMachine:
         stats = heap.stats()
         assert stats.resident_count == sum(i.resident for i in infos.values())
         assert stats.pinned_count == sum(i.pinned for i in infos.values())
+        assert stats.resident_bytes == sum(i.size_bytes for i in infos.values() if i.resident)
+        check_indexes(heap)
 
     def verify_content(self, hid):
         guard = self.heap.get_ref(self.handles[hid])
