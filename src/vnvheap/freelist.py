@@ -3,7 +3,8 @@ object region. Offsets and lengths are kept word-aligned."""
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
+from operator import itemgetter
 
 from .storage import WORD_BYTES
 
@@ -12,12 +13,18 @@ def align_up(n: int, alignment: int = WORD_BYTES) -> int:
     return (n + alignment - 1) // alignment * alignment
 
 
+_START = itemgetter(0)
+
+
 class FirstFitAllocator:
     """Manages free extents of ``[start, start + size)`` in address order.
 
-    ``alloc`` returns the lowest-addressed fit (deterministic), ``free``
-    coalesces with adjacent extents. All requests are rounded up to the
-    alignment, so callers must free with the same length they allocated.
+    ``alloc`` returns the lowest-addressed fit (deterministic). ``free``
+    merges the freed block with its free neighbours and returns the length of
+    the free extent that now holds it, so a caller that frees until a block
+    fits learns when it does without another scan. All requests are rounded
+    up to the alignment, so callers must free with the same length they
+    allocated.
     """
 
     def __init__(self, start: int, size: int, alignment: int = WORD_BYTES) -> None:
@@ -55,23 +62,35 @@ class FirstFitAllocator:
                 return
         raise ValueError(f"extent [{offset}, {offset + need}) is not free")
 
-    def free(self, offset: int, nbytes: int) -> None:
+    def free(self, offset: int, nbytes: int) -> int:
+        """Return ``[offset, offset + nbytes)`` to the free space and return
+        the length of the free extent that now contains it."""
         assert nbytes > 0
         length = align_up(nbytes, self.alignment)
-        assert self.start <= offset and offset + length <= self.start + self.size
-        for off, ln in self._free:
-            assert offset + length <= off or off + ln <= offset, "double free"
-        insort(self._free, [offset, length])
-        self._coalesce()
-
-    def _coalesce(self) -> None:
-        merged: list[list[int]] = []
-        for ext in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == ext[0]:
-                merged[-1][1] += ext[1]
-            else:
-                merged.append(ext)
-        self._free = merged
+        end = offset + length
+        assert self.start <= offset and end <= self.start + self.size
+        free = self._free
+        i = bisect_left(free, offset, key=_START)
+        # The extents are sorted and disjoint, so only the two neighbours of
+        # the insertion point can overlap the freed range or touch it.
+        nxt = free[i] if i < len(free) else None
+        assert nxt is None or end <= nxt[0], "double free"
+        if i:
+            prev = free[i - 1]
+            prev_end = prev[0] + prev[1]
+            assert prev_end <= offset, "double free"
+            if prev_end == offset:
+                prev[1] += length
+                if nxt is not None and nxt[0] == end:
+                    prev[1] += nxt[1]
+                    del free[i]
+                return prev[1]
+        if nxt is not None and nxt[0] == end:
+            nxt[0] = offset
+            nxt[1] += length
+            return nxt[1]
+        free.insert(i, [offset, length])
+        return length
 
     def can_fit(self, nbytes: int) -> bool:
         need = align_up(nbytes, self.alignment)

@@ -17,6 +17,16 @@ Two budgets constrain every operation:
   syncing (and under cache pressure also unloading) the oldest unpinned
   residents first, in cache-arrival order.
 
+Eviction follows one rule for each budget, so a miss costs O(victims):
+
+* cache pressure - when no free extent fits the new block, unpinned
+  residents are synced if modified and unloaded in arrival order until the
+  free extent that the last unloaded block merged into fits the block; that
+  hole is then the only fit, so it is where first fit places the block.
+* dirty pressure - one pass over the residents in arrival order syncs the
+  modified, unpinned ones until the new state fits. Syncing changes no
+  residency, so the pass never restarts from the oldest resident.
+
 The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit can always be persisted within a
 fixed, configuration-derived number of word transfers.
@@ -39,7 +49,7 @@ order, so sorting the modified index by stamp yields cache-arrival order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 
 from .errors import (
@@ -105,14 +115,15 @@ class ObjectMeta:
     restored_pin: bool = False
     cache_offset: int = -1
     arrival: int = 0  # stamp of the latest time the object became resident
+    block_bytes: int = field(init=False)  # cache bytes while resident
+
+    def __post_init__(self) -> None:
+        # Sizes never change, so the cache block is computed once.
+        self.block_bytes = align_up(self.size_bytes + META_CHARGE_BYTES)
 
     @property
     def pinned(self) -> bool:
         return self.pin_count > 0
-
-    @property
-    def block_bytes(self) -> int:
-        return align_up(self.size_bytes + META_CHARGE_BYTES)
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,9 @@ class ObjectHandle:
         return f"ObjectHandle(id={self.id}, size={self.size_bytes})"
 
 
+_RELEASED = "guard was already released"
+
+
 class _Guard:
     __slots__ = ("_heap", "_meta", "_view", "_released")
     _writable = False
@@ -169,18 +183,16 @@ class _Guard:
         self._view = view[start : start + meta.size_bytes]
         self._released = False
 
-    def _check_live(self) -> None:
-        if self._released:
-            raise GuardReleasedError("guard was already released")
-
     @property
     def data(self) -> memoryview:
         """Zero-copy view of the payload. Invalid after release."""
-        self._check_live()
+        if self._released:
+            raise GuardReleasedError(_RELEASED)
         return self._view
 
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
-        self._check_live()
+        if self._released:
+            raise GuardReleasedError(_RELEASED)
         if length is None:
             length = self._meta.size_bytes - offset
         if offset < 0 or length < 0 or offset + length > self._meta.size_bytes:
@@ -188,7 +200,8 @@ class _Guard:
         return bytes(self._view[offset : offset + length])
 
     def release(self) -> None:
-        self._check_live()
+        if self._released:
+            raise GuardReleasedError(_RELEASED)
         self._released = True
         self._view.release()
         self._heap._release_guard(self._meta, self._writable)
@@ -198,7 +211,8 @@ class _Guard:
         return self._released
 
     def __enter__(self):
-        self._check_live()
+        if self._released:
+            raise GuardReleasedError(_RELEASED)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -219,7 +233,8 @@ class WriteGuard(_Guard):
     _writable = True
 
     def write(self, data: bytes | bytearray | memoryview, offset: int = 0) -> None:
-        self._check_live()
+        if self._released:
+            raise GuardReleasedError(_RELEASED)
         data = bytes(data)
         if offset < 0 or offset + len(data) > self._meta.size_bytes:
             raise PreconditionError("write outside the object")
@@ -386,8 +401,11 @@ class VnvHeap:
 
     def get_ref(self, handle: ObjectHandle) -> ReadGuard:
         """Shared read access. Loads the object if it is swapped out."""
-        self._check_usable()
-        meta = self._resolve(handle)
+        if self._poisoned:
+            self._check_usable()
+        meta = self._metas.get(handle.id)
+        if meta is None or handle._heap is not self:
+            meta = self._resolve(handle)
         if meta.write_guarded:
             raise WriteGuardActiveError(f"object {meta.handle_id} has a live write guard")
         if not meta.resident:
@@ -400,8 +418,11 @@ class VnvHeap:
     def get_mut(self, handle: ObjectHandle) -> WriteGuard:
         """Exclusive write access. Charges the full object size to the dirty
         budget up front, whether or not the caller writes."""
-        self._check_usable()
-        meta = self._resolve(handle)
+        if self._poisoned:
+            self._check_usable()
+        meta = self._metas.get(handle.id)
+        if meta is None or handle._heap is not self:
+            meta = self._resolve(handle)
         if meta.pinned:
             raise GuardActiveError(f"object {meta.handle_id} is already guarded")
         if (meta.size_bytes + META_CHARGE_BYTES + HEADER_CHARGE_BYTES
@@ -473,21 +494,21 @@ class VnvHeap:
         sim_cache = self._cache_alloc.clone()
         sim_dirty = self._dirty
         block = align_up(needed_cache_bytes + META_CHARGE_BYTES) if needed_cache_bytes else 0
+        # The same hole rule as _make_cache_room: once nothing fits, the
+        # cache fits the block as soon as an evicted block's merged hole does.
+        cache_ok = block == 0 or sim_cache.can_fit(block)
         plan: list[int] = []
-
-        def cache_ok() -> bool:
-            return block == 0 or sim_cache.can_fit(block)
 
         def dirty_ok() -> bool:
             return sim_dirty + needed_dirty_bytes <= limit
 
-        for meta in list(self._residents.values()):
-            if cache_ok() and dirty_ok():
+        for meta in self._residents.values():
+            if cache_ok and dirty_ok():
                 break
             if meta.pinned:
                 continue
-            if not cache_ok():
-                sim_cache.free(meta.cache_offset, meta.block_bytes)
+            if not cache_ok:
+                cache_ok = sim_cache.free(meta.cache_offset, meta.block_bytes) >= block
                 sim_dirty -= META_CHARGE_BYTES
                 if meta.modified:
                     sim_dirty -= meta.size_bytes
@@ -495,7 +516,7 @@ class VnvHeap:
             elif not dirty_ok() and meta.modified:
                 sim_dirty -= meta.size_bytes
                 plan.append(meta.handle_id)
-        if not cache_ok():
+        if not cache_ok:
             raise CachePressureUnresolvableError("every resident is pinned")
         if not dirty_ok():
             raise DirtyBudgetUnsatisfiableError("cannot retire enough modified state")
@@ -541,31 +562,40 @@ class VnvHeap:
         self._dirty += meta.size_bytes
 
     def _make_cache_room(self, block: int) -> int:
+        alloc = self._cache_alloc.alloc
+        offset = alloc(block)
+        if offset is not None:
+            return offset
+        # No free extent fits, and an unload grows only the extent its block
+        # merges into, so the first such hole to reach ``block`` is the only
+        # fit: the same offset a first-fit retry after every victim would get.
         while True:
-            offset = self._cache_alloc.alloc(block)
-            if offset is not None:
-                return offset
-            victim = next((m for m in self._residents.values() if not m.pinned), None)
-            if victim is None:
+            for victim in self._residents.values():
+                if not victim.pin_count:
+                    break
+            else:
                 raise CachePressureUnresolvableError(
                     f"no unpinned resident to evict for a {block} B block"
                 )
             if victim.modified:
                 self._sync(victim)
-            self._unload(victim)
+            if self._unload(victim) >= block:
+                return alloc(block)
 
     def _make_dirty_room(self, extra: int) -> None:
-        limit = self.config.max_modified_state_bytes
-        while self._dirty + extra > limit:
-            victim = next(
-                (m for m in self._residents.values() if m.modified and not m.pinned),
-                None,
-            )
-            if victim is None:
-                raise DirtyBudgetUnsatisfiableError(
-                    f"{extra} B of new modified state cannot be admitted"
-                )
-            self._sync(victim)
+        limit = self.config.max_modified_state_bytes - extra
+        if self._dirty <= limit:
+            return
+        # A sync changes no residency, so one pass in arrival order picks the
+        # victims a restart from the oldest resident after each sync would.
+        for meta in self._residents.values():
+            if meta.modified and not meta.pin_count:
+                self._sync(meta)
+                if self._dirty <= limit:
+                    return
+        raise DirtyBudgetUnsatisfiableError(
+            f"{extra} B of new modified state cannot be admitted"
+        )
 
     def _sync(self, meta: ObjectMeta) -> None:
         start = meta.cache_offset
@@ -578,13 +608,16 @@ class VnvHeap:
         del self._modified[meta.handle_id]
         self._dirty -= meta.size_bytes
 
-    def _unload(self, meta: ObjectMeta) -> None:
-        self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
+    def _unload(self, meta: ObjectMeta) -> int:
+        """Drop ``meta`` from the cache; returns the length of the free
+        extent its block merged into."""
+        hole = self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
         del self._residents[meta.handle_id]
         self._resident_bytes -= meta.size_bytes
         meta.resident = False
         meta.cache_offset = -1
         self._dirty -= META_CHARGE_BYTES
+        return hole
 
 
 def init(

@@ -148,6 +148,10 @@ def restore(
         handle_id, nvm_offset, size, flags, cache_offset = unpack_entry(raw)
         if handle_id in heap._metas:
             raise NoValidCheckpointError(f"handle id {handle_id} is committed twice")
+        if not size:
+            # A zero-sized extent reserves nothing, so the next alloc would
+            # hand out the same offset.
+            raise NoValidCheckpointError(f"object {handle_id} is committed with size 0")
         try:
             heap._nvm_alloc.allocate_at(nvm_offset, size)
         except ValueError as exc:
@@ -161,7 +165,12 @@ def restore(
     # Objects pinned at persist time come back resident at the exact cache
     # offsets their guards saw; everything else reloads lazily.
     for cache_offset, meta in sorted(pinned, key=lambda p: p[0]):
-        heap._cache_alloc.allocate_at(cache_offset, meta.block_bytes)
+        try:
+            heap._cache_alloc.allocate_at(cache_offset, meta.block_bytes)
+        except ValueError as exc:
+            # Outside this cache, or overlapping another pinned block: the
+            # image is corrupt or was taken with a different cache size.
+            raise NoValidCheckpointError(f"object {meta.handle_id}: cache {exc}") from None
         payload = device.read(meta.nvm_offset, meta.size_bytes)
         heap._cache[cache_offset : cache_offset + meta.size_bytes] = payload
         meta.arrival = next(heap._stamps)

@@ -52,6 +52,19 @@ def test_double_free_is_a_bug():
         a.free(off, 8)
 
 
+@pytest.mark.parametrize("offset", [
+    4,   # [4, 12) runs one word into the free extent from below
+    12,  # [12, 20) starts one word before the free extent ends
+])
+def test_free_overlapping_a_free_extent_by_one_word_is_a_bug(offset):
+    a = FirstFitAllocator(0, 32)
+    offs = [a.alloc(8) for _ in range(4)]
+    a.free(offs[1], 8)  # [8, 16) is the only free extent
+    with pytest.raises(AssertionError, match="double free"):
+        a.free(offset, 8)
+    assert a.free_extents() == [(8, 8)]
+
+
 def test_allocate_at_carves_an_exact_range():
     a = FirstFitAllocator(100, 100)
     a.allocate_at(120, 20)
@@ -115,9 +128,16 @@ def test_randomized_against_byte_map_oracle():
     for _ in range(2000):
         if live and rng.random() < 0.45:
             off, n = live.pop(rng.randrange(len(live)))
-            a.free(off, n)
+            merged = a.free(off, n)
             block = align_up(n)
             occupied[off : off + block] = bytes(block)
+            # free returns the length of the oracle's free run holding the block
+            lo, hi = off, off + block
+            while lo > 0 and not occupied[lo - 1]:
+                lo -= 1
+            while hi < size and not occupied[hi]:
+                hi += 1
+            assert merged == hi - lo
         else:
             n = rng.randint(1, 40)
             off = a.alloc(n)

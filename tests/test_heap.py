@@ -1,5 +1,7 @@
 """Heap behaviour: allocation, the two budgets, eviction order, state machine."""
 
+import random
+
 import pytest
 
 from vnvheap import (
@@ -18,6 +20,8 @@ from vnvheap import (
     VnvHeap,
 )
 from vnvheap.freelist import align_up
+
+from traceutil import count_bytecodes
 
 
 def make_heap(cache=4096, dirty=2048, max_objects=64, capacity=256 * 1024):
@@ -315,6 +319,105 @@ def test_choose_victims_noop_when_room_exists():
     heap = make_heap()
     heap.alloc(b"x" * 100)
     assert heap.choose_victims(needed_cache_bytes=100, needed_dirty_bytes=100) == []
+
+
+def _log_unloads(heap):
+    """Record the handle id of every object ``heap`` unloads, in order."""
+    unloaded = []
+    unload = heap._unload
+
+    def logged(meta):
+        unloaded.append(meta.handle_id)
+        return unload(meta)
+
+    heap._unload = logged
+    return unloaded
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_choose_victims_names_the_unloads_of_the_next_miss(seed):
+    """In fragmented caches with pinned residents and dirty headroom, the
+    plan for a swapped-out object's size lists, in order, exactly the
+    residents that a following ``get_ref`` of that object unloads."""
+    rng = random.Random(seed)
+    heap = make_heap(cache=1024, dirty=rng.choice([256, 512, 1024]), max_objects=96)
+    unloaded = _log_unloads(heap)
+    handles = [heap.alloc(bytes([i]) * rng.randint(1, 120)) for i in range(40)]
+    guards = []
+    planned = 0
+    for _ in range(60):
+        for h in rng.sample(handles, 6):
+            info = heap.object_info(h)
+            action = rng.random()
+            if info.pinned:
+                continue
+            if action < 0.3:
+                with heap.get_mut(h) as w:
+                    w.write(b"w")
+            elif action < 0.6 and info.resident:
+                if info.modified:
+                    heap.sync_object(h)
+                heap.unload(h)  # punches a hole somewhere in the cache
+            elif action < 0.7 and len(guards) < 3:
+                guards.append(heap.get_ref(h))
+        if guards and rng.random() < 0.3:
+            guards.pop(rng.randrange(len(guards))).release()
+        swapped = [h for h in handles if not heap.object_info(h).resident]
+        if not swapped:
+            continue
+        target = rng.choice(swapped)
+        unloaded.clear()
+        try:
+            plan = heap.choose_victims(needed_cache_bytes=target.size_bytes)
+        except CachePressureUnresolvableError:
+            with pytest.raises(CachePressureUnresolvableError):
+                heap.get_ref(target)
+            continue
+        heap.get_ref(target).release()
+        assert unloaded == plan
+        planned += bool(plan)
+    assert planned > 10  # the misses did have to evict
+    for g in guards:
+        g.release()
+
+
+def test_miss_cost_per_victim_does_not_grow_with_free_extents():
+    """A ``get_ref`` miss evicts k victims, oldest first, until their merged
+    hole fits the block. Each victim costs the same bytecodes whether the
+    cache holds 4 or 64 free extents (too small to fit) elsewhere.
+
+    Every miss starts with one first-fit probe over all extents, which finds
+    no fit whatever k is; the cost of k = 8 victims minus the cost of k = 1
+    leaves that probe out and measures the seven extra victims alone."""
+    def miss_bytecodes(victims, extents):
+        cache = 2048
+        heap = make_heap(cache=cache, dirty=cache, max_objects=200)
+        target = heap.alloc(bytes(253))  # a 256 B block at offset 0
+        heap.sync_object(target)
+        heap.unload(target)
+        for _ in range(victims):  # refill [0, 256) in arrival order
+            heap.alloc(bytes(256 // victims - META_CHARGE_BYTES))
+        gaps = []
+        for _ in range(extents):
+            heap.alloc(b"k" * 5)  # an 8 B keeper, then an 8 B gap
+            gaps.append(heap.alloc(b"g" * 5))
+        heap.alloc(bytes(cache - 256 - 16 * extents - META_CHARGE_BYTES))  # the rest
+        for hid in heap.live_handle_ids():
+            if heap.object_info(heap.handle(hid)).modified:
+                heap.sync_object(heap.handle(hid))
+        for gap in gaps:
+            heap.unload(gap)
+        assert len(heap._cache_alloc.free_extents()) == extents
+        unloaded = _log_unloads(heap)
+        executed = count_bytecodes(heap.get_ref, target)
+        assert len(unloaded) == victims
+        assert heap.object_info(target).cache_offset == 0
+        return executed
+
+    def seven_more_victims(extents):
+        return miss_bytecodes(8, extents) - miss_bytecodes(1, extents)
+
+    assert seven_more_victims(4) == seven_more_victims(64)
 
 
 # -- stats -----------------------------------------------------------------------

@@ -291,6 +291,50 @@ def test_restore_rejects_an_extent_that_is_not_free(nvm_offset):
         restore(dev)
 
 
+def test_restore_rejects_a_zero_sized_entry():
+    dev, table = _committed_image([b"AAAAAAAA", b"BBBBBBBB"])
+    dev.write(table + ENTRY_BYTES + 8, bytes(4))  # slot 1's size
+    with pytest.raises(NoValidCheckpointError, match="size 0"):
+        restore(dev)
+
+
+def _pinned_image(objects, pin):
+    """Like ``_committed_image``, with a read guard held across the persist
+    on the objects whose indexes are in ``pin``."""
+    dev, heap = fresh()
+    handles = [heap.alloc(payload) for payload in objects]
+    guards = [heap.get_ref(handles[i]) for i in pin]
+    persist(heap)
+    for guard in guards:
+        guard.release()
+    return dev.reopen(), heap.layout.table_offset(heap.tables.committed)
+
+
+@pytest.mark.parametrize("cache_offset", [
+    "overlap",       # slot 1's pinned block starts at slot 0's
+    4096,            # just past the end of the 4 KiB cache
+    8192,
+])
+def test_restore_rejects_a_pinned_block_that_is_not_free(cache_offset):
+    dev, table = _pinned_image([b"AAAAAAAA", b"BBBBBBBB"], pin=(0, 1))
+    if cache_offset == "overlap":
+        word = _entry_word(dev, table, 0, 4)
+    else:
+        word = cache_offset.to_bytes(4, "little")
+    dev.write(table + ENTRY_BYTES + 16, word)  # slot 1's cache offset
+    with pytest.raises(NoValidCheckpointError, match="object 2: cache extent .* is not free"):
+        restore(dev)
+
+
+def test_restore_into_a_smaller_cache_rejects_a_pinned_block_beyond_it():
+    # Blocks of 204 B sit at 0, 204, 408 and 612; only the last is pinned.
+    dev, _ = _pinned_image([bytes([i]) * 200 for i in range(4)], pin=(3,))
+    with pytest.raises(NoValidCheckpointError, match=r"object 4: cache extent \[612, 816\)"):
+        restore(dev, cache_size_bytes=512, max_modified_state_bytes=512)
+    heap, handles = restore(dev)  # the cache it was taken with
+    assert heap.object_info(handles[4]).cache_offset == 612
+
+
 def test_restore_round_trip_through_a_file(tmp_path):
     path = tmp_path / "heap.img"
     dev = FileBackedNvm(path, capacity_bytes=128 * 1024)
