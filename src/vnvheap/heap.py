@@ -68,7 +68,7 @@ from .errors import (
     WriteGuardActiveError,
 )
 from .freelist import FirstFitAllocator, align_up
-from .layout import CheckpointTables, ImageLayout, pack_entry
+from .layout import DRAIN_PER_OP, CheckpointTables, ImageLayout
 from .storage import StorageDevice, WORD_BYTES
 
 HEADER_CHARGE_BYTES = 16
@@ -118,8 +118,9 @@ class ObjectMeta:
     block_bytes: int = field(init=False)  # cache bytes while resident
 
     def __post_init__(self) -> None:
-        # Sizes never change, so the cache block is computed once.
-        self.block_bytes = align_up(self.size_bytes + META_CHARGE_BYTES)
+        # Sizes never change, so the cache block is computed once; this is
+        # align_up(size + META_CHARGE_BYTES), inline for the alloc path.
+        self.block_bytes = (self.size_bytes + META_CHARGE_BYTES + WORD_BYTES - 1) & -WORD_BYTES
 
     @property
     def pinned(self) -> bool:
@@ -320,45 +321,53 @@ class VnvHeap:
     def alloc(self, payload: bytes | bytearray | memoryview) -> ObjectHandle:
         """Create an object holding ``payload``. It starts resident and
         modified (nothing has been synced to its extent yet)."""
-        self._check_usable()
+        if self._poisoned:
+            self._check_usable()
         payload = bytes(payload)
         size = len(payload)
         if size == 0:
             raise PreconditionError("zero-sized objects are not representable")
-        if size + META_CHARGE_BYTES > self.config.cache_size_bytes:
+        charge = size + META_CHARGE_BYTES
+        config = self.config
+        if charge > config.cache_size_bytes:
             raise ObjectTooLargeError(
                 f"{size} B object cannot ever be cached "
-                f"(cache is {self.config.cache_size_bytes} B)"
+                f"(cache is {config.cache_size_bytes} B)"
             )
-        if size + META_CHARGE_BYTES + HEADER_CHARGE_BYTES > self.config.max_modified_state_bytes:
+        limit = config.max_modified_state_bytes
+        if charge + HEADER_CHARGE_BYTES > limit:
             raise DirtyBudgetUnsatisfiableError(
                 f"{size} B object cannot fit the modified-state limit"
             )
-        slot = self.tables.free_slot()
+        tables = self.tables
+        slot = tables.free_slot()
         if slot is None:
             raise OutOfNvmError("metadata table is full")
         nvm_offset = self._nvm_alloc.alloc(size)
         if nvm_offset is None:
             raise OutOfNvmError(f"no free NVM extent of {size} B")
-        block = align_up(size + META_CHARGE_BYTES)
+        # Without cache or dirty pressure, neither eviction path is called.
+        block = align_up(charge)
+        cache_offset = self._cache_alloc.alloc(block)
         try:
-            cache_offset = self._make_cache_room(block)
-            try:
-                self._make_dirty_room(size + META_CHARGE_BYTES)
-            except Exception:
-                self._cache_alloc.free(cache_offset, block)
-                raise
+            if cache_offset is None:
+                cache_offset = self._make_cache_room(block)
+            if self._dirty + charge > limit:
+                try:
+                    self._make_dirty_room(charge)
+                except Exception:
+                    self._cache_alloc.free(cache_offset, block)
+                    raise
         except Exception:
             self._nvm_alloc.free(nvm_offset, size)
             raise
 
         handle_id = self._next_id
-        self._next_id += 1
+        self._next_id = handle_id + 1
         # Entry identity never changes, so it is written to both tables now;
         # persist() then only ever touches pin flags and deferred clears.
         try:
-            self.tables.record_alloc(slot, pack_entry(handle_id, nvm_offset, size, False, 0))
-            self.tables.drain(2)
+            tables.record_alloc(slot, handle_id, nvm_offset, size)
         except PowerFailureInjected:
             self._poisoned = True
             raise
@@ -370,29 +379,32 @@ class VnvHeap:
         self._residents[handle_id] = meta
         self._modified[handle_id] = meta
         self._resident_bytes += size
-        self._dirty += size + META_CHARGE_BYTES
+        self._dirty += charge
         return ObjectHandle(handle_id, size, self)
 
     def dealloc(self, handle: ObjectHandle) -> None:
         """Drop an object. Its extent is quarantined until the next commit so
         a checkpoint fallback can still restore it."""
-        self._check_usable()
-        meta = self._resolve(handle)
-        if meta.pinned:
+        if self._poisoned:
+            self._check_usable()
+        meta = self._metas.get(handle.id)
+        if meta is None or handle._heap is not self:
+            meta = self._resolve(handle)
+        if meta.pin_count:
             raise StillPinnedError(f"object {meta.handle_id} has a live guard")
+        handle_id = meta.handle_id
         if meta.resident:
             self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
-            del self._residents[meta.handle_id]
+            del self._residents[handle_id]
             self._resident_bytes -= meta.size_bytes
             self._dirty -= META_CHARGE_BYTES
             if meta.modified:
-                del self._modified[meta.handle_id]
+                del self._modified[handle_id]
                 self._dirty -= meta.size_bytes
-        del self._metas[meta.handle_id]
+        del self._metas[handle_id]
         self._quarantine.append((meta.nvm_offset, meta.size_bytes))
         try:
             self.tables.record_dealloc(meta.entry_slot)
-            self.tables.drain(2)
         except PowerFailureInjected:
             self._poisoned = True
             raise
@@ -469,7 +481,7 @@ class VnvHeap:
             raise PreconditionError("sync requires a modified, resident object")
         self._sync(meta)
         try:
-            self.tables.drain(2)
+            self.tables.drain(DRAIN_PER_OP)
         except PowerFailureInjected:
             self._poisoned = True
             raise
@@ -539,8 +551,11 @@ class VnvHeap:
     def _ensure_resident(self, meta: ObjectMeta) -> None:
         """Load a swapped-out object (callers test ``meta.resident``)."""
         # Residency itself charges 3 bytes of metadata to the dirty budget.
-        self._make_dirty_room(META_CHARGE_BYTES)
-        offset = self._make_cache_room(meta.block_bytes)
+        if self._dirty + META_CHARGE_BYTES > self.config.max_modified_state_bytes:
+            self._make_dirty_room(META_CHARGE_BYTES)
+        offset = self._cache_alloc.alloc(meta.block_bytes)
+        if offset is None:
+            offset = self._make_cache_room(meta.block_bytes)
         try:
             payload = self.device.read(meta.nvm_offset, meta.size_bytes)
         except PowerFailureInjected:
@@ -556,16 +571,16 @@ class VnvHeap:
 
     def _mark_modified(self, meta: ObjectMeta) -> None:
         """Charge a clean resident as modified (callers test ``meta.modified``)."""
-        self._make_dirty_room(meta.size_bytes)
+        if self._dirty + meta.size_bytes > self.config.max_modified_state_bytes:
+            self._make_dirty_room(meta.size_bytes)
         meta.modified = True
         self._modified[meta.handle_id] = meta
         self._dirty += meta.size_bytes
 
     def _make_cache_room(self, block: int) -> int:
+        """Evict until ``block`` fits and allocate it. Callers call this only
+        once a first-fit probe for ``block`` has failed."""
         alloc = self._cache_alloc.alloc
-        offset = alloc(block)
-        if offset is not None:
-            return offset
         # No free extent fits, and an unload grows only the extent its block
         # merges into, so the first such hole to reach ``block`` is the only
         # fit: the same offset a first-fit retry after every victim would get.
@@ -583,9 +598,9 @@ class VnvHeap:
                 return alloc(block)
 
     def _make_dirty_room(self, extra: int) -> None:
+        """Sync until ``extra`` more bytes of modified state fit. Callers
+        call this only once they have found that they do not fit yet."""
         limit = self.config.max_modified_state_bytes - extra
-        if self._dirty <= limit:
-            return
         # A sync changes no residency, so one pass in arrival order picks the
         # victims a restart from the oldest resident after each sync would.
         for meta in self._residents.values():

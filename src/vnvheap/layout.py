@@ -14,7 +14,10 @@ after slot B          object region (payload extents)
 
 A metadata entry is ``handle id u32 | nvm offset u32 | size u32 | flags u8 |
 pad u8*3 | cache offset u32``; flags bit 0 records pinned-at-persist. A handle
-id of zero marks a free entry slot.
+id of zero marks a free entry slot. The table code handles an entry as its
+five little-endian words, with flags and pad read as one flags word, and
+every table write is one of those words: a delta compares the entry's words
+with the mirrored slot's as ints and writes only those that differ.
 
 Commit protocol: version, active-slot and commit-flag share the superblock's
 second word, so a single atomic word write publishes a new checkpoint. The
@@ -48,23 +51,34 @@ ENTRY_WORDS = ENTRY_BYTES // WORD_BYTES
 FLAG_PINNED = 0x01
 IDENTITY_BYTES = 12  # handle id | nvm offset | size: fixed for an entry's life
 ZERO_WORD = bytes(WORD_BYTES)
-UNPINNED_TAIL = bytes(ENTRY_BYTES - IDENTITY_BYTES)  # flags word | cache offset
+UNPINNED_WORDS = (0, 0)  # flags word | cache offset of an unpinned entry
+# Orders in which an entry's words are written. A birth (the slot's id word
+# is zero) writes the id word last, so a power failure in the middle leaves
+# the slot reading as free, never as a torn half-written object.
+BIRTH_ORDER = (1, 2, 3, 4, 0)
+UPDATE_ORDER = (0, 1, 2, 3, 4)
+
+# Deferred clears drained by each allocation and deallocation.
+DRAIN_PER_OP = 2
 
 _SB = struct.Struct("<4sHBBIIII")
-_ENTRY = struct.Struct("<IIIB3xI")
+_WORDS = struct.Struct(f"<{ENTRY_WORDS}I")  # an entry as its words
+_IDENTITY = struct.Struct("<3I")
+_WORD = struct.Struct("<I")
+
+
+def entry_words(handle_id: int, nvm_offset: int, size: int, pinned: bool,
+                cache_offset: int) -> tuple[int, int, int, int, int]:
+    """An entry as the five words :class:`CheckpointTables` takes. The flags
+    byte and its three zero pad bytes make up the flags word."""
+    if pinned:
+        return (handle_id, nvm_offset, size, FLAG_PINNED, cache_offset)
+    return (handle_id, nvm_offset, size, 0, 0)
 
 
 def pack_entry(handle_id: int, nvm_offset: int, size: int, pinned: bool, cache_offset: int) -> bytes:
-    flags = FLAG_PINNED if pinned else 0
-    return _ENTRY.pack(handle_id, nvm_offset, size, flags, cache_offset)
-
-
-def unpack_entry(raw: bytes | memoryview) -> tuple[int, int, int, int, int]:
-    """-> (handle_id, nvm_offset, size, flags, cache_offset)"""
-    return _ENTRY.unpack(bytes(raw))
-
-
-FREE_ENTRY = pack_entry(0, 0, 0, False, 0)
+    """An entry's bytes as they lie in a table."""
+    return _WORDS.pack(*entry_words(handle_id, nvm_offset, size, pinned, cache_offset))
 
 
 @dataclass(frozen=True)
@@ -120,6 +134,8 @@ def read_superblock(device: StorageDevice) -> Superblock:
     magic, version, active, commit, a_off, a_len, b_off, b_len = _SB.unpack(raw)
     if magic != MAGIC or version != VERSION:
         raise NoValidCheckpointError("device holds no recognizable heap image")
+    if active > 1:
+        raise NoValidCheckpointError(f"active-slot byte is {active}, not 0 or 1")
     return Superblock(version, active, commit == 1, a_off, a_len, b_off, b_len)
 
 
@@ -127,11 +143,17 @@ class CheckpointTables:
     """Owns the two metadata slots and the commit word.
 
     Volatile mirrors of both slots let every NVM table write be a minimal
-    word-granular delta. Entry identity fields never change after allocation
-    and births are written to both tables, so a live entry's identity words
-    already match the truth in either table. Between two commits a staging
-    slot can differ from the truth for only three reasons, and
-    :meth:`flush_delta` visits exactly the slots with one of them:
+    word-granular delta. Callers pass each entry as its five words, the tuple
+    ``(handle id, nvm offset, size, flags word, cache offset)``; a write
+    unpacks the mirror slot once, compares word with word as ints and sends
+    only the words that differ, in a fixed order (:data:`BIRTH_ORDER` when the
+    slot's id word is zero, else :data:`UPDATE_ORDER`).
+
+    Entry identity fields never change after allocation and births are
+    written to both tables, so a live entry's identity words already match
+    the truth in either table. Between two commits a staging slot can differ
+    from the truth for only three reasons, and :meth:`flush_delta` visits
+    exactly the slots with one of them:
 
     * the object is pinned now: the caller passes its pinned entry;
     * the staged entry still carries a pin flag or cache offset
@@ -149,6 +171,7 @@ class CheckpointTables:
     def __init__(self, device: StorageDevice, layout: ImageLayout) -> None:
         self.device = device
         self.layout = layout
+        self._bases = (layout.table_a_offset, layout.table_b_offset)
         self.staging = 0
         self.committed: int | None = None
         self.metadata_bytes_written = 0  # cumulative, callers diff it
@@ -163,6 +186,7 @@ class CheckpointTables:
         # Occupied slots whose flags word or cache-offset word is nonzero.
         self._flagged: list[set[int]] = [set(), set()]
         for t, raw in enumerate(mirrors):
+            # Only zero tests follow, and those do not depend on byte order.
             words = memoryview(raw).cast("I")
             ids, flags, offsets = words[0::ENTRY_WORDS], words[3::ENTRY_WORDS], words[4::ENTRY_WORDS]
             self._occupied[t] = {slot for slot, v in enumerate(ids) if v}
@@ -204,20 +228,20 @@ class CheckpointTables:
         the staging slot may predate the committed one.
         """
         lay = self.layout
-        mirrors = [bytearray(self.device.read(lay.table_offset(t), lay.table_bytes)) for t in (0, 1)]
+        mirrors = [bytearray(self.device.read(base, lay.table_bytes)) for base in self._bases]
         self.committed = superblock.active_slot
         self.staging = 1 - superblock.active_slot
         self._rebuild(mirrors, self.committed)
 
     # -- entry access -------------------------------------------------------
 
-    def committed_entries(self) -> list[tuple[int, bytes]]:
+    def committed_entries(self) -> list[tuple[int, tuple[int, int, int, int, int]]]:
+        """``(slot, entry words)`` of every committed entry, by slot."""
         assert self.committed is not None
         table = self._mirror[self.committed]
-        out = []
-        for slot in sorted(self._occupied[self.committed]):
-            out.append((slot, bytes(table[slot * ENTRY_BYTES : (slot + 1) * ENTRY_BYTES])))
-        return out
+        unpack = _WORDS.unpack_from
+        return [(slot, unpack(table, slot * ENTRY_BYTES))
+                for slot in sorted(self._occupied[self.committed])]
 
     def free_slot(self) -> int | None:
         """Lowest slot free in both tables, hence not live either."""
@@ -229,54 +253,58 @@ class CheckpointTables:
 
     # -- writes (all word-granular, metered by the device) ------------------
 
-    def _write_entry(self, table: int, slot: int, entry: bytes) -> None:
-        """Bring one slot of ``table`` to the live ``entry``, word by word."""
-        base = slot * ENTRY_BYTES
+    def _write_entry(self, table: int, slot: int, entry: tuple[int, ...]) -> None:
+        """Bring one slot of ``table`` to the live ``entry`` words."""
         mirror = self._mirror[table]
-        if mirror[base : base + ENTRY_BYTES] == entry:
+        base = slot * ENTRY_BYTES
+        old = _WORDS.unpack_from(mirror, base)
+        if old == entry:
             # Already in place, and the slot sets derive from the mirror.
             return
-        lay = self.layout
-        order = list(range(ENTRY_WORDS))
-        if mirror[base : base + 4] == ZERO_WORD:
-            # Birth of an entry: the id word goes last, so a power failure in
-            # the middle leaves the slot reading as free, never as a torn
-            # half-written object.
-            order = order[1:] + order[:1]
-        for w in order:
-            lo = base + w * WORD_BYTES
-            want = entry[w * WORD_BYTES : (w + 1) * WORD_BYTES]
-            if mirror[lo : lo + WORD_BYTES] != want:
-                self.device.write(lay.table_offset(table) + lo, want)
-                mirror[lo : lo + WORD_BYTES] = want
+        write = self.device.write
+        pack = _WORD.pack
+        at = self._bases[table]
+        for w in UPDATE_ORDER if old[0] else BIRTH_ORDER:
+            if old[w] != entry[w]:
+                word = pack(entry[w])
+                lo = base + w * WORD_BYTES
+                write(at + lo, word)
+                mirror[lo : lo + WORD_BYTES] = word
                 self.metadata_bytes_written += WORD_BYTES
         self._occupied[table].add(slot)
-        if entry[IDENTITY_BYTES:] == UNPINNED_TAIL:
-            self._flagged[table].discard(slot)
-        else:
+        if entry[3] or entry[4]:
             self._flagged[table].add(slot)
+        else:
+            self._flagged[table].discard(slot)
 
-    def record_alloc(self, slot: int, entry: bytes) -> None:
-        """Write a new object's entry into both tables (birth is eager)."""
+    def record_alloc(self, slot: int, handle_id: int, nvm_offset: int, size: int) -> None:
+        """Write a new object's entry into both tables (birth is eager), then
+        drain up to :data:`DRAIN_PER_OP` deferred clears."""
+        entry = (handle_id, nvm_offset, size, 0, 0)
         self._write_entry(0, slot, entry)
         self._write_entry(1, slot, entry)
+        if self._dead[self.staging]:
+            self.drain(DRAIN_PER_OP)
 
     def record_dealloc(self, slot: int) -> None:
-        """Clear the staging id word; the other table keeps the entry (a
-        deferred clear) until it is staging again, so a fallback restore
-        still sees the object."""
+        """Clear the staging id word, then drain up to :data:`DRAIN_PER_OP`
+        deferred clears. The other table keeps the entry (a deferred clear)
+        until it is staging again, so a fallback restore still sees the
+        object."""
         self._clear_id(self.staging, slot)
         other = 1 - self.staging
         if slot in self._occupied[other]:
             self._dead[other].add(slot)
+        if self._dead[self.staging]:
+            self.drain(DRAIN_PER_OP)
 
     def _clear_id(self, table: int, slot: int) -> None:
         occupied = self._occupied[table]
         if slot not in occupied:
             return
         lo = slot * ENTRY_BYTES
-        self.device.write(self.layout.table_offset(table) + lo, ZERO_WORD)
-        self._mirror[table][lo : lo + 4] = ZERO_WORD
+        self.device.write(self._bases[table] + lo, ZERO_WORD)
+        self._mirror[table][lo : lo + WORD_BYTES] = ZERO_WORD
         self.metadata_bytes_written += WORD_BYTES
         occupied.discard(slot)
         self._flagged[table].discard(slot)
@@ -299,15 +327,15 @@ class CheckpointTables:
             self._clear_id(self.staging, slot)
         return len(slots)
 
-    def flush_delta(self, entries: dict[int, bytes]) -> None:
+    def flush_delta(self, entries: dict[int, tuple[int, ...]]) -> None:
         """Make the staging table match the truth, visiting only the slots
         that can differ from it, in ascending order.
 
-        ``entries`` maps slot to live entry for every slot pinned now (at
-        persist) or for every live slot (at restore, where the staging table
-        may hold anything). The other candidates are the staged pin flags
-        and the deferred clears. A slot outside them needs no write, so the
-        device sees the same writes as a comparison of every live entry.
+        ``entries`` maps slot to live entry words for every slot pinned now
+        (at persist) or for every live slot (at restore, where the staging
+        table may hold anything). The other candidates are the staged pin
+        flags and the deferred clears. A slot outside them needs no write, so
+        the device sees the same writes as a comparison of every live entry.
         """
         staging = self.staging
         dead = self._dead[staging]
@@ -320,9 +348,9 @@ class CheckpointTables:
                 self._clear_id(staging, slot)
             else:
                 # Live and no longer pinned: keep the identity words, reset
-                # the flag and cache-offset words.
-                base = slot * ENTRY_BYTES
-                self._write_entry(staging, slot, bytes(mirror[base : base + IDENTITY_BYTES]) + UNPINNED_TAIL)
+                # the flags and cache-offset words.
+                identity = _IDENTITY.unpack_from(mirror, slot * ENTRY_BYTES)
+                self._write_entry(staging, slot, identity + UNPINNED_WORDS)
 
     def commit(self) -> None:
         """Atomically publish the staging table and flip the roles."""

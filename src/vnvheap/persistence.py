@@ -31,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import NoValidCheckpointError, PowerFailureInjected
+from .errors import ConfigInvalidError, NoValidCheckpointError, PowerFailureInjected
 from .heap import HEADER_CHARGE_BYTES, META_CHARGE_BYTES, HeapConfig, ObjectHandle, ObjectMeta, VnvHeap
-from .layout import ENTRY_BYTES, ImageLayout, pack_entry, read_superblock, unpack_entry
+from .layout import ENTRY_BYTES, FLAG_PINNED, ImageLayout, entry_words, read_superblock
 from .storage import StorageDevice, WORD_BYTES, words_for
 
 
@@ -63,11 +63,10 @@ def wcec_millijoules(words: int, model: EnergyModel = EnergyModel()) -> float:
     return words * model.word_transfer_seconds * model.power_milliwatts
 
 
-def _table_entry(meta: ObjectMeta) -> bytes:
-    """``meta`` as its entry must appear in a committed table."""
-    pinned = meta.pinned
-    return pack_entry(meta.handle_id, meta.nvm_offset, meta.size_bytes,
-                      pinned, meta.cache_offset if pinned else 0)
+def _table_entry(meta: ObjectMeta) -> tuple[int, int, int, int, int]:
+    """The words of ``meta``'s entry as it must appear in a committed table."""
+    return entry_words(meta.handle_id, meta.nvm_offset, meta.size_bytes,
+                       meta.pin_count > 0, meta.cache_offset)
 
 
 _ARRIVAL = attrgetter("arrival")
@@ -122,7 +121,11 @@ def restore(
     """Rebuild a heap from the device's committed checkpoint.
 
     Returns the heap and a handle per surviving object, keyed by the stable
-    handle id the application saw before the power cycle.
+    handle id the application saw before the power cycle. Raises
+    :class:`NoValidCheckpointError` for an image with no committed
+    checkpoint or one it cannot trust, and :class:`ConfigInvalidError` when
+    the objects pinned in the image would put the heap over
+    ``max_modified_state_bytes``.
     """
     superblock = read_superblock(device)
     if not superblock.committed:
@@ -144,8 +147,7 @@ def restore(
     heap.tables.adopt(superblock)
 
     pinned: list[tuple[int, ObjectMeta]] = []
-    for slot, raw in heap.tables.committed_entries():
-        handle_id, nvm_offset, size, flags, cache_offset = unpack_entry(raw)
+    for slot, (handle_id, nvm_offset, size, flags, cache_offset) in heap.tables.committed_entries():
         if handle_id in heap._metas:
             raise NoValidCheckpointError(f"handle id {handle_id} is committed twice")
         if not size:
@@ -159,8 +161,16 @@ def restore(
         meta = ObjectMeta(handle_id, slot, nvm_offset, size)
         heap._metas[handle_id] = meta
         heap._next_id = max(heap._next_id, handle_id + 1)
-        if flags & 0x01:
+        if flags & FLAG_PINNED:
             pinned.append((cache_offset, meta))
+
+    # Each pinned object comes back resident, charged 3 bytes of metadata.
+    charge = HEADER_CHARGE_BYTES + META_CHARGE_BYTES * len(pinned)
+    if charge > heap.config.max_modified_state_bytes:
+        raise ConfigInvalidError(
+            f"{len(pinned)} objects pinned in the image charge {charge} B of modified "
+            f"state, over the {heap.config.max_modified_state_bytes} B limit"
+        )
 
     # Objects pinned at persist time come back resident at the exact cache
     # offsets their guards saw; everything else reloads lazily.

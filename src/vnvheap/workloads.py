@@ -313,10 +313,20 @@ class MsKvStore:
         return self.pool.metadata_bytes
 
 
+# Byte i is i % 256, for any start below 256 plus the largest object of the mix.
+_RAMP = bytes(i % 256 for i in range(256 + max(size for size, _ in WORKLOAD_SIZE_MIX)))
+
+
+def _default_value(key: int, size: int) -> bytes:
+    """Byte i is ``(key * 37 + i) % 256``: a slice of the ramp."""
+    start = key * 37 % 256
+    return _RAMP[start : start + size]
+
+
 def build_kv_store(store, seed: int, value_for=None) -> dict[int, bytes]:
     """Populate ``store`` with the standard 256-object mix; returns the shadow map."""
     if value_for is None:
-        value_for = lambda key, size: bytes([(key * 37 + i) % 256 for i in range(size)])
+        value_for = _default_value
     shadow = {}
     for key, size in enumerate(workload_sizes(seed)):
         value = value_for(key, size)

@@ -18,6 +18,7 @@ from vnvheap import (
     StaleHandleError,
     StillPinnedError,
     VnvHeap,
+    persist,
 )
 from vnvheap.freelist import align_up
 
@@ -418,6 +419,25 @@ def test_miss_cost_per_victim_does_not_grow_with_free_extents():
         return miss_bytecodes(8, extents) - miss_bytecodes(1, extents)
 
     assert seven_more_victims(4) == seven_more_victims(64)
+
+
+def test_alloc_and_dealloc_cost_does_not_grow_with_live_objects():
+    """Without cache or dirty pressure, one alloc and one dealloc execute the
+    same bytecodes whether 1 or 256 objects are live."""
+
+    def alloc_and_dealloc_bytecodes(live):
+        heap = make_heap(cache=8192, dirty=4096, max_objects=300)
+        for i in range(live):
+            heap.alloc(i.to_bytes(4, "little"))
+        persist(heap)
+        executed = []
+        handle = []
+        executed.append(count_bytecodes(lambda: handle.append(heap.alloc(b"new!"))))
+        executed.append(count_bytecodes(heap.dealloc, handle[0]))
+        assert len(heap.live_handle_ids()) == live
+        return executed
+
+    assert alloc_and_dealloc_bytecodes(1) == alloc_and_dealloc_bytecodes(256)
 
 
 # -- stats -----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from traceutil import count_bytecodes, log_writes
 from vnvheap import (
+    ConfigInvalidError,
     DirtyBudgetUnsatisfiableError,
     EnergyModel,
     GuardActiveError,
@@ -333,6 +334,26 @@ def test_restore_into_a_smaller_cache_rejects_a_pinned_block_beyond_it():
         restore(dev, cache_size_bytes=512, max_modified_state_bytes=512)
     heap, handles = restore(dev)  # the cache it was taken with
     assert heap.object_info(handles[4]).cache_offset == 612
+
+
+def test_restore_rejects_an_active_slot_byte_other_than_0_or_1():
+    dev, _ = _committed_image([bytes([i]) * 8 for i in range(10)])
+    dev.write(6, bytes([7]))  # superblock byte 6: the active slot
+    with pytest.raises(NoValidCheckpointError, match="active-slot byte is 7"):
+        restore(dev)
+
+
+def test_restore_refuses_a_limit_that_the_pinned_state_cannot_fit():
+    # Each of the 40 pinned objects comes back resident, charged 3 B of
+    # metadata on top of the 16 B header: 136 B of modified state.
+    dev, _ = _pinned_image([bytes([i]) for i in range(40)], pin=range(40))
+    with pytest.raises(ConfigInvalidError, match="136 B"):
+        restore(dev, max_modified_state_bytes=64)
+    with pytest.raises(ConfigInvalidError):
+        restore(dev, max_modified_state_bytes=132)
+    heap, handles = restore(dev, max_modified_state_bytes=136)
+    assert heap.dirty_bytes == 136
+    assert heap.stats().pinned_count == len(handles) == 40
 
 
 def test_restore_round_trip_through_a_file(tmp_path):

@@ -2,7 +2,7 @@
 
 import hashlib
 
-from vnvheap import SimulatedNvm, VnvHeap, persist
+from vnvheap import PowerFailureInjected, SimulatedNvm, VnvHeap, persist, restore
 from vnvheap.workloads import (
     WORKLOAD_KEYS,
     VnvKvStore,
@@ -11,6 +11,7 @@ from vnvheap.workloads import (
     workload_sizes,
 )
 
+from test_tables import TableOracleMachine
 from traceutil import log_writes
 
 # SHA-256 over every (offset, data) the trace below passes to the device's
@@ -54,3 +55,83 @@ def test_kv_trace_device_traffic_is_unchanged():
     meter = dev.cost_meter
     digest.update(b"read=%d write=%d" % (meter.words_read, meter.words_written))
     assert digest.hexdigest() == KV_TRAFFIC_SHA256
+
+
+class _TablePathMachine(TableOracleMachine):
+    """The table oracle's trace, with every device write folded into a digest.
+
+    The machine clears its write log at each persist and starts a new one on
+    each reboot, so the log is folded in, with the meter totals, just before
+    and just after every persist.
+    """
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.digest = hashlib.sha256()
+
+    def fold(self):
+        _fold(self.digest, self.log)
+        del self.log[:]
+        meter = self.dev.cost_meter
+        self.digest.update(b"read=%d write=%d" % (meter.words_read, meter.words_written))
+
+    def op_persist(self):
+        self.fold()
+        super().op_persist()
+        self.fold()
+
+
+def _fold(digest, log):
+    for offset, data in log:
+        digest.update(b"%d:%d:" % (offset, len(data)))
+        digest.update(data)
+
+
+# SHA-256 of the table-path trace below: the machine's writes and meter
+# totals, then each armed alloc/dealloc's writes and the tables it leaves.
+TABLE_TRAFFIC_SHA256 = "13620f71ca9e034e94979ae63c6b4932dbc306c691ef41affb1ecf1e746d5282"
+
+
+def _armed_steps(heap, handles):
+    """Deallocate three objects, persist, then allocate two: the dealloc
+    clears, the delta flush and commit, and births drained of deferred clears."""
+    for hid in sorted(handles)[:3]:
+        heap.dealloc(handles[hid])
+    persist(heap)
+    heap.alloc(bytes(range(1, 14)))
+    heap.alloc(bytes(range(40)))
+
+
+def test_table_path_device_traffic_is_unchanged():
+    """Pins the exact device traffic of allocation, deallocation and restore.
+
+    The kv digest above never deallocates or restores. This trace does: the
+    table oracle's seeded mix of allocs, dealloc bursts, guards held across
+    persists and power cycles with ``restore``, 600 steps. Then, from the
+    image it leaves, a restore and :func:`_armed_steps` run once for each
+    transfer budget up to one that lets them finish, so the order of the
+    table words and the durable prefix of a cut transfer are pinned too. A
+    change that moves a table word on purpose updates the digest and says
+    why in CHANGES.md.
+    """
+    m = _TablePathMachine(3)
+    m.run(600)
+    m.op_persist()
+    digest = m.digest
+    image = m.dev
+    cut = 0
+    for budget in range(24):
+        dev = image.reopen()
+        log = log_writes(dev)
+        heap, handles = restore(dev, cache_size_bytes=m.cache, max_modified_state_bytes=m.dirty)
+        dev.arm_power_failure(budget)
+        try:
+            _armed_steps(heap, handles)
+        except PowerFailureInjected:
+            cut += 1
+        _fold(digest, log)
+        digest.update(dev.reopen().read(0, heap.layout.object_offset))
+        meter = dev.cost_meter
+        digest.update(b"read=%d write=%d" % (meter.words_read, meter.words_written))
+    assert cut == 17, "the budgets must cut the steps at every word and also let them finish"
+    assert digest.hexdigest() == TABLE_TRAFFIC_SHA256
