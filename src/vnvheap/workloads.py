@@ -352,8 +352,8 @@ def gen_access_sequence(pattern: str, n_keys: int, n_ops: int, seed: int) -> lis
         return [i % n_keys for i in range(n_ops)]
     rng = np.random.Generator(np.random.PCG64(seed))
     if pattern == "random":
-        return [int(k) for k in rng.integers(0, n_keys, n_ops)]
+        return rng.integers(0, n_keys, n_ops).tolist()
     if pattern == "unequal":
         keys = rng.choice(n_keys, size=n_ops, p=unequal_weights(n_keys))
-        return [int(k) for k in keys]
+        return keys.tolist()
     raise PreconditionError(f"unknown access pattern {pattern!r}")
