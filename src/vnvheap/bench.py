@@ -53,13 +53,6 @@ class BenchRecord:
     def words_total(self) -> int:
         return self.words_read + self.words_written
 
-    def time_us(self, model: EnergyModel) -> float:
-        return self.words_total * model.word_transfer_seconds * 1e6
-
-    def energy_uj(self, model: EnergyModel) -> float:
-        # mW * us = nJ; report microjoules
-        return self.time_us(model) * model.power_milliwatts / 1000.0
-
 
 CSV_HEADER = ("benchmark", "params", "words_read", "words_written",
               "time_us", "energy_uj", "reps")
@@ -78,8 +71,8 @@ def write_csv(records: list[BenchRecord], model: EnergyModel, out) -> None:
             format_params(r.params),
             r.words_read,
             r.words_written,
-            f"{r.time_us(model):.3f}",
-            f"{r.energy_uj(model):.6f}",
+            f"{model.time_us(r.words_total):.3f}",
+            f"{model.energy_uj(r.words_total):.6f}",
             r.reps,
         ])
 

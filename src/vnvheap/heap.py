@@ -13,19 +13,22 @@ Two budgets constrain every operation:
   beside the payload).
 * modified state - ``dirty_bytes`` = sum of modified payload sizes
   + 3 bytes per resident object + a fixed 16-byte persist header, and must
-  never exceed ``max_modified_state_bytes``. The heap enforces this by
-  syncing (and under cache pressure also unloading) the oldest unpinned
-  residents first, in cache-arrival order.
+  never exceed ``max_modified_state_bytes``.
 
-Eviction follows one rule for each budget, so a miss costs O(victims):
+Eviction follows one rule for each budget, so a miss costs O(victims). Each
+rule is one planner, ``_cache_victims`` or ``VnvHeap._dirty_victims``:
 
-* cache pressure - when no free extent fits the new block, unpinned
-  residents are synced if modified and unloaded in arrival order until the
-  free extent that the last unloaded block merged into fits the block; that
-  hole is then the only fit, so it is where first fit places the block.
-* dirty pressure - one pass over the residents in arrival order syncs the
+* cache pressure - when no free extent fits the new block, the blocks of
+  unpinned residents are freed into the allocator in arrival order until
+  the extent the last one merged into fits the block; that hole is then
+  the only fit, so it is where first fit places the block.
+* dirty pressure - one pass over the residents in arrival order chooses the
   modified, unpinned ones until the new state fits. Syncing changes no
   residency, so the pass never restarts from the oldest resident.
+
+The heap syncs and unloads the victims a planner returns, also when a rule
+falls short and raises. An alloc runs the cache rule first, a miss the dirty
+rule; ``choose_victims`` replays both, in alloc order, on a cloned allocator.
 
 The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit can always be persisted within a
@@ -395,9 +398,7 @@ class VnvHeap:
         handle_id = meta.handle_id
         if meta.resident:
             self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
-            del self._residents[handle_id]
-            self._resident_bytes -= meta.size_bytes
-            self._dirty -= META_CHARGE_BYTES
+            self._unload(meta)
             if meta.modified:
                 del self._modified[handle_id]
                 self._dirty -= meta.size_bytes
@@ -496,43 +497,29 @@ class VnvHeap:
             raise StillPinnedError("pinned objects cannot be unloaded")
         if meta.modified:
             raise PreconditionError("sync the object before unloading it")
+        self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
         self._unload(meta)
 
     def choose_victims(self, needed_cache_bytes: int = 0, needed_dirty_bytes: int = 0) -> list[int]:
-        """Plan (without acting) which residents the heap would evict or sync
-        to admit ``needed_cache_bytes`` of payload and/or ``needed_dirty_bytes``
-        of new modified state. Returns handle ids, oldest arrival first."""
-        limit = self.config.max_modified_state_bytes
-        sim_cache = self._cache_alloc.clone()
-        sim_dirty = self._dirty
-        block = align_up(needed_cache_bytes + META_CHARGE_BYTES) if needed_cache_bytes else 0
-        # The same hole rule as _make_cache_room: once nothing fits, the
-        # cache fits the block as soon as an evicted block's merged hole does.
-        cache_ok = block == 0 or sim_cache.can_fit(block)
-        plan: list[int] = []
-
-        def dirty_ok() -> bool:
-            return sim_dirty + needed_dirty_bytes <= limit
-
-        for meta in self._residents.values():
-            if cache_ok and dirty_ok():
-                break
-            if meta.pinned:
-                continue
-            if not cache_ok:
-                cache_ok = sim_cache.free(meta.cache_offset, meta.block_bytes) >= block
-                sim_dirty -= META_CHARGE_BYTES
-                if meta.modified:
-                    sim_dirty -= meta.size_bytes
-                plan.append(meta.handle_id)
-            elif not dirty_ok() and meta.modified:
-                sim_dirty -= meta.size_bytes
-                plan.append(meta.handle_id)
-        if not cache_ok:
-            raise CachePressureUnresolvableError("every resident is pinned")
-        if not dirty_ok():
-            raise DirtyBudgetUnsatisfiableError("cannot retire enough modified state")
-        return plan
+        """Plan (without acting) which residents an alloc would evict or sync
+        to admit ``needed_cache_bytes`` of payload and ``needed_dirty_bytes``
+        of modified state. Returns handle ids, oldest arrival first."""
+        residents = iter(self._residents.values())
+        dirty = self._dirty
+        plan: list[ObjectMeta] = []
+        block = align_up(needed_cache_bytes + META_CHARGE_BYTES)
+        if needed_cache_bytes and not self._cache_alloc.can_fit(block):
+            plan, fits = _cache_victims(residents, self._cache_alloc.clone(), block)
+            if not fits:
+                raise CachePressureUnresolvableError("every resident is pinned")
+            # What _sync and _unload give back.
+            dirty -= sum(META_CHARGE_BYTES + m.modified * m.size_bytes for m in plan)
+        if dirty + needed_dirty_bytes > self.config.max_modified_state_bytes:
+            synced, fits = self._dirty_victims(residents, dirty, needed_dirty_bytes)
+            if not fits:
+                raise DirtyBudgetUnsatisfiableError("cannot retire enough modified state")
+            plan += synced
+        return [meta.handle_id for meta in plan]
 
     # -- internals ------------------------------------------------------------
 
@@ -556,6 +543,10 @@ class VnvHeap:
         offset = self._cache_alloc.alloc(meta.block_bytes)
         if offset is None:
             offset = self._make_cache_room(meta.block_bytes)
+        self._load(meta, offset)
+
+    def _load(self, meta: ObjectMeta, offset: int) -> None:
+        """Read ``meta`` into the cache block at ``offset``; charge residency."""
         try:
             payload = self.device.read(meta.nvm_offset, meta.size_bytes)
         except PowerFailureInjected:
@@ -580,37 +571,41 @@ class VnvHeap:
     def _make_cache_room(self, block: int) -> int:
         """Evict until ``block`` fits and allocate it. Callers call this only
         once a first-fit probe for ``block`` has failed."""
-        alloc = self._cache_alloc.alloc
-        # No free extent fits, and an unload grows only the extent its block
-        # merges into, so the first such hole to reach ``block`` is the only
-        # fit: the same offset a first-fit retry after every victim would get.
-        while True:
-            for victim in self._residents.values():
-                if not victim.pin_count:
-                    break
-            else:
-                raise CachePressureUnresolvableError(
-                    f"no unpinned resident to evict for a {block} B block"
-                )
+        victims, fits = _cache_victims(self._residents.values(), self._cache_alloc, block)
+        for victim in victims:
             if victim.modified:
                 self._sync(victim)
-            if self._unload(victim) >= block:
-                return alloc(block)
+            self._unload(victim)
+        if not fits:
+            raise CachePressureUnresolvableError(
+                f"no unpinned resident to evict for a {block} B block"
+            )
+        return self._cache_alloc.alloc(block)
 
     def _make_dirty_room(self, extra: int) -> None:
         """Sync until ``extra`` more bytes of modified state fit. Callers
         call this only once they have found that they do not fit yet."""
+        victims, fits = self._dirty_victims(self._residents.values(), self._dirty, extra)
+        for victim in victims:
+            self._sync(victim)
+        if not fits:
+            raise DirtyBudgetUnsatisfiableError(
+                f"{extra} B of new modified state cannot be admitted"
+            )
+
+    def _dirty_victims(self, residents, dirty: int, extra: int) -> tuple[list[ObjectMeta], bool]:
+        """The modified, unpinned ``residents`` to sync, in order, until
+        ``extra`` more bytes fit beside ``dirty``; and whether they do.
+        Callers call this only once they do not fit yet."""
         limit = self.config.max_modified_state_bytes - extra
-        # A sync changes no residency, so one pass in arrival order picks the
-        # victims a restart from the oldest resident after each sync would.
-        for meta in self._residents.values():
+        victims = []
+        for meta in residents:
             if meta.modified and not meta.pin_count:
-                self._sync(meta)
-                if self._dirty <= limit:
-                    return
-        raise DirtyBudgetUnsatisfiableError(
-            f"{extra} B of new modified state cannot be admitted"
-        )
+                victims.append(meta)
+                dirty -= meta.size_bytes
+                if dirty <= limit:
+                    return victims, True
+        return victims, False
 
     def _sync(self, meta: ObjectMeta) -> None:
         start = meta.cache_offset
@@ -623,16 +618,26 @@ class VnvHeap:
         del self._modified[meta.handle_id]
         self._dirty -= meta.size_bytes
 
-    def _unload(self, meta: ObjectMeta) -> int:
-        """Drop ``meta`` from the cache; returns the length of the free
-        extent its block merged into."""
-        hole = self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
+    def _unload(self, meta: ObjectMeta) -> None:
+        """Drop ``meta``'s residency; the caller frees its cache block."""
         del self._residents[meta.handle_id]
         self._resident_bytes -= meta.size_bytes
         meta.resident = False
         meta.cache_offset = -1
         self._dirty -= META_CHARGE_BYTES
-        return hole
+
+
+def _cache_victims(residents, allocator: FirstFitAllocator, block: int) -> tuple[list[ObjectMeta], bool]:
+    """The unpinned ``residents`` to evict, in order, freeing each block into
+    ``allocator`` until the hole it merged into fits ``block``; and whether
+    one does. Callers call this only once no free extent fits."""
+    victims = []
+    for meta in residents:
+        if not meta.pin_count:
+            victims.append(meta)
+            if allocator.free(meta.cache_offset, meta.block_bytes) >= block:
+                return victims, True
+    return victims, False
 
 
 def init(

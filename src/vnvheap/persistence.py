@@ -39,10 +39,16 @@ from .storage import StorageDevice, WORD_BYTES, words_for
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Worst-case energy parameters of the persist path."""
+    """Worst-case transfer parameters, and the one words -> time -> energy formula."""
 
     power_milliwatts: float = 132.0
     word_transfer_seconds: float = 1e-6
+
+    def time_us(self, words: int) -> float:
+        return words * self.word_transfer_seconds * 1e6
+
+    def energy_uj(self, words: int) -> float:
+        return self.time_us(words) * self.power_milliwatts / 1000.0  # mW * us = nJ
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ def persist_bound(config: HeapConfig) -> int:
 
 def wcec_millijoules(words: int, model: EnergyModel = EnergyModel()) -> float:
     """Energy to move ``words`` at the model's transfer latency and power."""
-    return words * model.word_transfer_seconds * model.power_milliwatts
+    return model.energy_uj(words) / 1000.0
 
 
 def _table_entry(meta: ObjectMeta) -> tuple[int, int, int, int, int]:
@@ -154,11 +160,15 @@ def restore(
             # A zero-sized extent reserves nothing, so the next alloc would
             # hand out the same offset.
             raise NoValidCheckpointError(f"object {handle_id} is committed with size 0")
+        meta = ObjectMeta(handle_id, slot, nvm_offset, size)
+        if meta.block_bytes > cache_size_bytes:
+            # No eviction could ever make room to load it.
+            raise NoValidCheckpointError(
+                f"object {handle_id}: {size} B cannot fit the {cache_size_bytes} B cache")
         try:
             heap._nvm_alloc.allocate_at(nvm_offset, size)
         except ValueError as exc:
             raise NoValidCheckpointError(f"object {handle_id}: {exc}") from None
-        meta = ObjectMeta(handle_id, slot, nvm_offset, size)
         heap._metas[handle_id] = meta
         heap._next_id = max(heap._next_id, handle_id + 1)
         if flags & FLAG_PINNED:
@@ -181,17 +191,10 @@ def restore(
             # Outside this cache, or overlapping another pinned block: the
             # image is corrupt or was taken with a different cache size.
             raise NoValidCheckpointError(f"object {meta.handle_id}: cache {exc}") from None
-        payload = device.read(meta.nvm_offset, meta.size_bytes)
-        heap._cache[cache_offset : cache_offset + meta.size_bytes] = payload
-        meta.arrival = next(heap._stamps)
-        meta.resident = True
-        meta.cache_offset = cache_offset
+        heap._load(meta, cache_offset)
         meta.pin_count = 1
         meta.restored_pin = True
-        heap._residents[meta.handle_id] = meta
         heap._pinned[meta.handle_id] = meta
-        heap._resident_bytes += meta.size_bytes
-        heap._dirty += META_CHARGE_BYTES
 
     # Bring the staging table up to date now so the next persist stays a
     # minimal delta (the staging slot may predate this checkpoint).

@@ -1,6 +1,7 @@
 """The command-line interface: CSV schema, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -138,3 +139,26 @@ def test_check_quick(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 4
     assert all(l.startswith("PASS") for l in lines)
+
+
+# SHA-256 of the CSV each command prints. The words are the heap's behaviour,
+# so a change that only restructures the code or makes it faster leaves every
+# digest as it is; a change that moves words on purpose updates the digest
+# and says why in CHANGES.md.
+CSV_SHA256 = {
+    ("access",): "1a84d0bd4f1e2af239cf0a11135e02eb2c83df8b10191d88d85f3a72251c0e69",
+    ("queue",): "dd168d7346067fdb1320c1bf5f57458a5e6b2d1a01a8123da6a02491a82b96be",
+    ("persist", "--mode", "both"):
+        "6c20ca92219745773eae8903ac354b959fca0b0330941dbe1c8d75d3238a4e11",
+    ("kvs", "--n-ops", "512"):
+        "bd4b9b2b83de30887f8505220c900c3a6a5540c1e953ab33ebe2b3a54a6e5af7",
+    ("access", "--power-mw", "66", "--word-latency-us", "2.5"):
+        "00e696eef54aa421dc59da5c8398c95aefbdf21a751ef145d1063720a050cdf2",
+}
+
+
+@pytest.mark.parametrize("argv", list(CSV_SHA256), ids=" ".join)
+def test_csv_output_is_unchanged(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CSV_SHA256[argv]

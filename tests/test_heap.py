@@ -322,30 +322,52 @@ def test_choose_victims_noop_when_room_exists():
     assert heap.choose_victims(needed_cache_bytes=100, needed_dirty_bytes=100) == []
 
 
-def _log_unloads(heap):
-    """Record the handle id of every object ``heap`` unloads, in order."""
-    unloaded = []
-    unload = heap._unload
+def _log_calls(heap, method):
+    """Record the handle id of every object ``heap.<method>`` acts on, in
+    order (``_unload`` or ``_sync``)."""
+    calls = []
+    inner = getattr(heap, method)
 
     def logged(meta):
-        unloaded.append(meta.handle_id)
-        return unload(meta)
+        calls.append(meta.handle_id)
+        return inner(meta)
 
-    heap._unload = logged
-    return unloaded
+    setattr(heap, method, logged)
+    return calls
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_choose_victims_names_the_unloads_of_the_next_miss(seed):
-    """In fragmented caches with pinned residents and dirty headroom, the
-    plan for a swapped-out object's size lists, in order, exactly the
-    residents that a following ``get_ref`` of that object unloads."""
+    """In fragmented caches with pinned residents and dirty headroom, each
+    plan lists, in order, exactly the residents that the operation it plans
+    for then evicts: for a swapped-out object's size, the unloads of its
+    ``get_ref``; for a clean resident's size as new modified state, the
+    syncs of its ``get_mut``; for a new object's block and charge, the
+    unloads and then the further syncs of its ``alloc``."""
     rng = random.Random(seed)
-    heap = make_heap(cache=1024, dirty=rng.choice([256, 512, 1024]), max_objects=96)
-    unloaded = _log_unloads(heap)
+    heap = make_heap(cache=1024, dirty=rng.choice([256, 512, 1024]), max_objects=128)
+    unloaded = _log_calls(heap, "_unload")
+    synced = _log_calls(heap, "_sync")
     handles = [heap.alloc(bytes([i]) * rng.randint(1, 120)) for i in range(40)]
     guards = []
-    planned = 0
+    planned = {"get_ref": 0, "get_mut": 0, "alloc": 0}
+
+    def check(act, expected, **needed):
+        """Plan for ``needed``, run ``act``, and count a nonempty plan that
+        equals what ``expected()`` then returns; a refused plan must mean a
+        refused act."""
+        unloaded.clear()
+        synced.clear()
+        try:
+            plan = heap.choose_victims(**needed)
+        except (CachePressureUnresolvableError, DirtyBudgetUnsatisfiableError) as exc:
+            with pytest.raises(type(exc)):
+                act()
+            return 0
+        act()
+        assert plan == expected()
+        return bool(plan)
+
     for _ in range(60):
         for h in rng.sample(handles, 6):
             info = heap.object_info(h)
@@ -364,20 +386,26 @@ def test_choose_victims_names_the_unloads_of_the_next_miss(seed):
         if guards and rng.random() < 0.3:
             guards.pop(rng.randrange(len(guards))).release()
         swapped = [h for h in handles if not heap.object_info(h).resident]
-        if not swapped:
-            continue
-        target = rng.choice(swapped)
-        unloaded.clear()
-        try:
-            plan = heap.choose_victims(needed_cache_bytes=target.size_bytes)
-        except CachePressureUnresolvableError:
-            with pytest.raises(CachePressureUnresolvableError):
-                heap.get_ref(target)
-            continue
-        heap.get_ref(target).release()
-        assert unloaded == plan
-        planned += bool(plan)
-    assert planned > 10  # the misses did have to evict
+        if swapped:
+            target = rng.choice(swapped)
+            planned["get_ref"] += check(lambda: heap.get_ref(target).release(),
+                                        lambda: unloaded, needed_cache_bytes=target.size_bytes)
+        infos = [(h, heap.object_info(h)) for h in handles]
+        clean = [h for h, i in infos if i.resident and not i.modified and not i.pinned]
+        if clean:
+            target = rng.choice(clean)
+            planned["get_mut"] += check(lambda: heap.get_mut(target).release(),
+                                        lambda: synced, needed_dirty_bytes=target.size_bytes)
+        size = rng.randint(1, 120)
+        # The cache rule's unloads (and syncs), then the dirty rule's syncs.
+        if check(lambda: handles.append(heap.alloc(bytes([len(handles)]) * size)),
+                 lambda: unloaded + [hid for hid in synced if hid not in unloaded],
+                 needed_cache_bytes=size, needed_dirty_bytes=size + META_CHARGE_BYTES):
+            planned["alloc"] += bool(unloaded) and not set(synced) <= set(unloaded)
+    assert planned["get_ref"] > 10  # the misses did have to evict
+    if heap.config.max_modified_state_bytes < 1024:  # else the dirty rule idles here
+        assert planned["get_mut"] > 10
+        assert planned["alloc"] > 5  # allocs under both pressures
     for g in guards:
         g.release()
 
@@ -409,7 +437,7 @@ def test_miss_cost_per_victim_does_not_grow_with_free_extents():
         for gap in gaps:
             heap.unload(gap)
         assert len(heap._cache_alloc.free_extents()) == extents
-        unloaded = _log_unloads(heap)
+        unloaded = _log_calls(heap, "_unload")
         executed = count_bytecodes(heap.get_ref, target)
         assert len(unloaded) == victims
         assert heap.object_info(target).cache_offset == 0

@@ -23,6 +23,7 @@ from vnvheap import (
     wcec_millijoules,
     words_for,
 )
+from vnvheap.bench import BenchRecord, records_to_csv
 from vnvheap.layout import ENTRY_BYTES
 
 
@@ -56,6 +57,15 @@ def test_wcec_energy():
     assert wcec_millijoules(0) == 0.0
     half_power = EnergyModel(power_milliwatts=66.0)
     assert wcec_millijoules(516, half_power) == pytest.approx(0.068112 / 2)
+
+
+def test_one_energy_formula_serves_the_bound_and_the_csv():
+    model = EnergyModel(power_milliwatts=66.0, word_transfer_seconds=2.5e-6)
+    assert model.time_us(516) == pytest.approx(1290.0)
+    assert model.energy_uj(516) == pytest.approx(85.14)
+    assert wcec_millijoules(516, model) == model.energy_uj(516) / 1000.0
+    csv = records_to_csv([BenchRecord("b", {}, words_read=300, words_written=216)], model)
+    assert csv.splitlines()[1] == f"b,,300,216,{model.time_us(516):.3f},{model.energy_uj(516):.6f},1"
 
 
 def test_single_object_persist_cost_tracks_the_limit():
@@ -157,6 +167,42 @@ def test_interrupted_persist_poisons_the_heap():
                lambda: persist(heap)):
         with pytest.raises(HeapPoisonedError):
             op()
+
+
+def test_power_cut_in_an_eviction_sync_restores_the_last_commit():
+    """A miss frees both victims' cache blocks, then syncs each one. Power
+    fails in the second victim's sync: the heap is poisoned, and the device
+    still restores exactly the committed objects and bytes."""
+    dev, heap = fresh(cache=1024, dirty=1024)
+    payloads = [bytes([i + 1]) * 249 for i in range(4)] + [bytes(range(250)) * 2 + b"T"]
+    a, b, c, d = (heap.alloc(p) for p in payloads[:4])  # 252 B blocks
+    for h in (a, b):
+        heap.sync_object(h)
+        heap.unload(h)
+    t = heap.alloc(payloads[4])  # a 504 B block at offset 0
+    persist(heap)
+    heap.unload(t)
+    for h in (a, b):  # back into [0, 504), after c and d in arrival order
+        heap.get_ref(h).release()
+    for h in (c, d):
+        # A write guard charges its object as modified, so both victims are
+        # synced; the bytes stay the committed ones.
+        heap.get_mut(h).release()
+
+    log = log_writes(dev)
+    dev.arm_power_failure(words_for(249) + 10)  # c's whole sync, 10 words of d's
+    with pytest.raises(PowerFailureInjected):
+        heap.get_ref(t)  # c's and d's blocks merge into the only hole that fits
+    dev.disarm_power_failure()
+    assert [offset for offset, _ in log] == [heap.object_info(h).nvm_offset for h in (c, d)]
+    with pytest.raises(HeapPoisonedError):
+        heap.get_ref(a)
+
+    heap2, handles = restore(dev.reopen(), cache_size_bytes=1024, max_modified_state_bytes=1024)
+    assert set(handles) == {h.id for h in (a, b, c, d, t)}
+    for h, payload in zip((a, b, c, d, t), payloads):
+        with heap2.get_ref(handles[h.id]) as g:
+            assert g.read() == payload
 
 
 def test_fallback_to_previous_checkpoint():
@@ -297,6 +343,23 @@ def test_restore_rejects_a_zero_sized_entry():
     dev.write(table + ENTRY_BYTES + 8, bytes(4))  # slot 1's size
     with pytest.raises(NoValidCheckpointError, match="size 0"):
         restore(dev)
+
+
+@pytest.mark.parametrize("size", [1022, 5000])
+def test_restore_rejects_an_entry_too_large_for_the_cache(size):
+    # Under a 1024 B cache, no eviction could ever make room to load it.
+    dev, heap = fresh(cache=1024, dirty=1024)
+    for i in range(3):
+        heap.alloc(bytes([i + 1]) * 8)
+    persist(heap)
+    dev, table = dev.reopen(), heap.layout.table_offset(heap.tables.committed)
+    dev.write(table + 2 * ENTRY_BYTES + 8, size.to_bytes(4, "little"))  # slot 2's size
+    with pytest.raises(NoValidCheckpointError, match=f"object 3: {size} B cannot fit the 1024 B cache"):
+        restore(dev, cache_size_bytes=1024, max_modified_state_bytes=1024)
+    dev.write(table + 2 * ENTRY_BYTES + 8, (1021).to_bytes(4, "little"))  # a 1024 B block
+    heap, handles = restore(dev, cache_size_bytes=1024, max_modified_state_bytes=1024)
+    with heap.get_ref(handles[3]) as g:
+        assert g.read(0, 8) == bytes([3]) * 8
 
 
 def _pinned_image(objects, pin):
