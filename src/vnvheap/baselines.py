@@ -64,7 +64,6 @@ class MsToken:
     def close(self) -> None:
         self._check()
         self._closed = True
-        self._pool._open_tokens -= 1
 
     def __enter__(self):
         self._check()
@@ -86,7 +85,7 @@ class ManagedStatePool:
     """
 
     def __init__(self, device: StorageDevice, ram_bytes: int, page_size: int,
-                 dirty_page_limit: int, region_offset: int = 0) -> None:
+                 dirty_page_limit: int) -> None:
         if page_size not in MS_PAGE_SIZES:
             raise PreconditionError(f"page size must be one of {MS_PAGE_SIZES}")
         if dirty_page_limit < 1:
@@ -96,11 +95,9 @@ class ManagedStatePool:
         self.page_size = page_size
         self.page_count = -(-ram_bytes // page_size)
         self.dirty_page_limit = dirty_page_limit
-        self.region_offset = region_offset
-        self._meta_offset = region_offset + self.page_count * page_size
+        self._meta_offset = self.page_count * page_size
         # page -> dirty sequence number; insertion order is the LRD order
         self._dirty: dict[int, None] = {}
-        self._open_tokens = 0
 
     @property
     def metadata_bytes(self) -> int:
@@ -119,7 +116,6 @@ class ManagedStatePool:
             first = offset // self.page_size
             last = (offset + length - 1) // self.page_size
             self._dirty_pages(range(first, last + 1))
-        self._open_tokens += 1
         return MsToken(offset, length, mode == "write", self)
 
     def _dirty_pages(self, pages) -> None:
@@ -138,8 +134,7 @@ class ManagedStatePool:
 
     def _write_back(self, page: int) -> None:
         lo = page * self.page_size
-        self.device.write(self.region_offset + lo,
-                          self.ram[lo : lo + self.page_size])
+        self.device.write(lo, self.ram[lo : lo + self.page_size])
         del self._dirty[page]
 
     def checkpoint(self) -> int:
@@ -147,8 +142,7 @@ class ManagedStatePool:
         before = self.device.cost_meter.words_written
         for page in sorted(self._dirty):
             lo = page * self.page_size
-            self.device.write(self.region_offset + lo,
-                              self.ram[lo : lo + self.page_size])
+            self.device.write(lo, self.ram[lo : lo + self.page_size])
         self._dirty.clear()
         self.device.write(self._meta_offset, bytes(self.page_count))
         return self.device.cost_meter.words_written - before
@@ -158,42 +152,39 @@ class ManagedStatePool:
 
 
 class ModuleSwapApp:
-    """One module of RAM; touching anything else swaps 2 x module_size."""
+    """One module of RAM; touching anything else swaps 2 x MODULE_SIZE."""
 
-    def __init__(self, device: StorageDevice, module_count: int,
-                 module_size: int = 1024, region_offset: int = 0) -> None:
+    MODULE_SIZE = 1024
+
+    def __init__(self, device: StorageDevice, module_count: int) -> None:
         self.device = device
-        self.module_size = module_size
         self.module_count = module_count
-        self.region_offset = region_offset
-        self.ram = bytearray(module_size)
+        self.ram = bytearray(self.MODULE_SIZE)
         self.active = 0
 
     def _module_base(self, module: int) -> int:
         if not 0 <= module < self.module_count:
             raise OutOfRangeError(f"module {module} does not exist")
-        return self.region_offset + module * self.module_size
+        return module * self.MODULE_SIZE
 
-    def ensure_active(self, module: int) -> int:
-        """Swap ``module`` in if needed; returns words transferred."""
+    def ensure_active(self, module: int) -> None:
+        """Swap ``module`` in if needed."""
         base = self._module_base(module)
         if module == self.active:
-            return 0
-        before = self.device.cost_meter.words_total
+            return
         self.device.write(self._module_base(self.active), self.ram)
-        self.ram[:] = self.device.read(base, self.module_size)
+        self.ram[:] = self.device.read(base, self.MODULE_SIZE)
         self.active = module
-        return self.device.cost_meter.words_total - before
 
     def read(self, module: int, offset: int, length: int) -> bytes:
         self.ensure_active(module)
-        if offset < 0 or offset + length > self.module_size:
+        if offset < 0 or offset + length > self.MODULE_SIZE:
             raise OutOfRangeError("read outside the module")
         return bytes(self.ram[offset : offset + length])
 
     def write(self, module: int, offset: int, data: bytes | bytearray) -> None:
         self.ensure_active(module)
-        if offset < 0 or offset + len(data) > self.module_size:
+        if offset < 0 or offset + len(data) > self.MODULE_SIZE:
             raise OutOfRangeError("write outside the module")
         self.ram[offset : offset + len(data)] = data
 
@@ -201,13 +192,11 @@ class ModuleSwapApp:
 class UnmanagedRam:
     """The do-nothing baseline: checkpoints copy all of RAM, always."""
 
-    def __init__(self, device: StorageDevice, ram_bytes: int,
-                 region_offset: int = 0) -> None:
+    def __init__(self, device: StorageDevice, ram_bytes: int) -> None:
         self.device = device
         self.ram = bytearray(ram_bytes)
-        self.region_offset = region_offset
 
     def checkpoint(self) -> int:
         before = self.device.cost_meter.words_written
-        self.device.write(self.region_offset, self.ram)
+        self.device.write(0, self.ram)
         return self.device.cost_meter.words_written - before

@@ -9,7 +9,6 @@ bit-for-bit from (benchmark, parameters, seed).
 from __future__ import annotations
 
 import csv
-import io
 import random
 from dataclasses import dataclass, field
 
@@ -77,15 +76,9 @@ def write_csv(records: list[BenchRecord], model: EnergyModel, out) -> None:
         ])
 
 
-def records_to_csv(records: list[BenchRecord], model: EnergyModel) -> str:
-    buf = io.StringIO()
-    write_csv(records, model, buf)
-    return buf.getvalue()
-
-
 # -- object access latency (best / bad / worst case) ---------------------------
 
-def _access_heap(object_size: int):
+def _access_heap():
     # one object plus one 1 KiB eviction victim must be stageable; the cache
     # and budget are sized so the worst case genuinely has to sync + load
     dev = SimulatedNvm(64 * 1024)
@@ -102,7 +95,7 @@ def run_access_bench(case: str, object_size: int, system: str) -> BenchRecord:
     if not 0 < object_size <= 1024:
         raise PreconditionError("object_size must be in (0, 1024]")
     if system == "vnv":
-        dev, heap = _access_heap(object_size)
+        dev, heap = _access_heap()
         target = heap.alloc(bytes(object_size))
         if case in ("bad", "worst"):
             heap.sync_object(target)
@@ -178,26 +171,26 @@ def run_queue_bench(initial_len: int, backend: str, reps: int = 64,
 
 # -- persist cost sweeps -----------------------------------------------------------
 
-def _max_persist_words(cache: int, dirty_limit: int, cycles: int = 3) -> int:
-    """Largest checkpoint cost observed while a single object keeps the
-    modified-state budget saturated."""
+def _max_persist_words(cache: int, dirty_limit: int) -> int:
+    """Largest checkpoint cost observed over three persists while a single
+    object keeps the modified-state budget saturated."""
     dev = SimulatedNvm(64 * 1024)
     heap = VnvHeap(dev, cache_size_bytes=cache,
                    max_modified_state_bytes=dirty_limit, max_objects=8)
     payload = bytes(dirty_limit - 19)
     h = heap.alloc(payload)
     worst = 0
-    for _ in range(cycles):
+    for _ in range(3):
         worst = max(worst, persist(heap).words_transferred)
         with heap.get_mut(h) as w:  # re-dirty the whole object
             w.write(payload)
     return worst
 
 
-def run_persist_bench(mode: str, values: tuple[int, ...] | None = None) -> list[BenchRecord]:
+def run_persist_bench(mode: str) -> list[BenchRecord]:
     records = []
     if mode == "vary_ram":
-        for ram in values or PERSIST_RAM_SWEEP:
+        for ram in PERSIST_RAM_SWEEP:
             words = _max_persist_words(cache=ram, dirty_limit=2048)
             records.append(BenchRecord(
                 "persist", {"mode": mode, "ram": ram, "dirty_limit": 2048,
@@ -209,7 +202,7 @@ def run_persist_bench(mode: str, values: tuple[int, ...] | None = None) -> list[
                 "persist", {"mode": mode, "ram": ram, "system": "unmanaged"},
                 words_written=baseline.checkpoint()))
     elif mode == "vary_limit":
-        for limit in values or PERSIST_LIMIT_SWEEP:
+        for limit in PERSIST_LIMIT_SWEEP:
             words = _max_persist_words(cache=4096, dirty_limit=limit)
             records.append(BenchRecord(
                 "persist", {"mode": mode, "ram": 4096, "dirty_limit": limit,
@@ -336,7 +329,7 @@ class _ShadowTrace:
             pass  # pressure errors are legitimate outcomes of a random trace
 
     def verify_restored(self, heap, handles) -> None:
-        assert set(handles) >= set(self.shadow), "restore lost objects"
+        assert set(handles) == set(self.shadow), "restore lost or invented objects"
         for hid, expected in self.shadow.items():
             with heap.get_ref(handles[hid]) as g:
                 got = g.read()

@@ -18,14 +18,12 @@ from .persistence import EnergyModel
 from .workloads import PATTERNS, RamQueue
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=42)
+def _add_csv_flags(parser: argparse.ArgumentParser) -> None:
+    """The energy model and output path of the four CSV subcommands."""
     parser.add_argument("--word-latency-us", type=float, default=1.0,
                         help="time to move one 4-byte word (microseconds)")
     parser.add_argument("--power-mw", type=float, default=132.0,
                         help="device power while transferring (milliwatts)")
-    parser.add_argument("--nvm-capacity", type=int,
-                        default=bench.DEFAULT_NVM_CAPACITY)
     parser.add_argument("--out", default="-",
                         help="CSV output path ('-' for stdout)")
 
@@ -41,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object-size", type=int, default=0,
                    help=f"bytes; 0 sweeps {bench.ACCESS_SIZES}")
     p.add_argument("--system", choices=("vnv", "module", "both"), default="both")
-    _add_common(p)
+    _add_csv_flags(p)
 
     p = sub.add_parser("queue", help="FIFO queue push+pop cost by backend")
     p.add_argument("--backend", choices=("vnv", "nvm", "ram", "all"),
@@ -51,12 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=64)
     p.add_argument("--cache-size", type=int, default=4096)
     p.add_argument("--dirty-limit", type=int, default=4096)
-    _add_common(p)
+    p.add_argument("--nvm-capacity", type=int, default=bench.DEFAULT_NVM_CAPACITY)
+    _add_csv_flags(p)
 
     p = sub.add_parser("persist", help="checkpoint cost sweeps")
     p.add_argument("--mode", choices=("vary_ram", "vary_limit", "both"),
                    default="both")
-    _add_common(p)
+    _add_csv_flags(p)
 
     p = sub.add_parser("kvs", help="key-value store update cost by backend")
     p.add_argument("--backend", choices=("vnv", "ms", "all"), default="all")
@@ -64,16 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--page-size", type=int, default=0,
                    help=f"ms backend page size; 0 sweeps {MS_PAGE_SIZES}")
     p.add_argument("--n-ops", type=int, default=4096)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--nvm-capacity", type=int, default=bench.DEFAULT_NVM_CAPACITY)
+    _add_csv_flags(p)
 
     p = sub.add_parser("crash", help="checkpoint/restore round-trip suite")
     p.add_argument("--iterations", type=int, default=100)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("check", help="run every property suite")
     p.add_argument("--quick", action="store_true",
                    help="scaled-down suites for a fast sanity pass")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=42)
 
     return parser
 
@@ -134,8 +135,6 @@ def _run_benchmarks(args) -> list[bench.BenchRecord]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    model = EnergyModel(power_milliwatts=args.power_mw,
-                        word_transfer_seconds=args.word_latency_us * 1e-6)
 
     if args.command == "crash":
         reports = [bench.run_crash_suite(args.seed, iterations=args.iterations)]
@@ -147,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         except VnvHeapError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        model = EnergyModel(power_milliwatts=args.power_mw,
+                            word_transfer_seconds=args.word_latency_us * 1e-6)
         _emit(records, model, args.out)
         return 0
 

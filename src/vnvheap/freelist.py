@@ -9,8 +9,8 @@ from operator import itemgetter
 from .storage import WORD_BYTES
 
 
-def align_up(n: int, alignment: int = WORD_BYTES) -> int:
-    return (n + alignment - 1) // alignment * alignment
+def align_up(n: int) -> int:
+    return (n + WORD_BYTES - 1) & -WORD_BYTES
 
 
 _START = itemgetter(0)
@@ -23,21 +23,20 @@ class FirstFitAllocator:
     merges the freed block with its free neighbours and returns the length of
     the free extent that now holds it, so a caller that frees until a block
     fits learns when it does without another scan. All requests are rounded
-    up to the alignment, so callers must free with the same length they
+    up to whole words, so callers must free with the same length they
     allocated.
     """
 
-    def __init__(self, start: int, size: int, alignment: int = WORD_BYTES) -> None:
-        assert start % alignment == 0 and size % alignment == 0
+    def __init__(self, start: int, size: int) -> None:
+        assert start % WORD_BYTES == 0 and size % WORD_BYTES == 0
         self.start = start
         self.size = size
-        self.alignment = alignment
         self._free: list[list[int]] = [[start, size]] if size else []
 
     def alloc(self, nbytes: int) -> int | None:
         """Return the offset of a new extent, or None if nothing fits."""
         assert nbytes > 0
-        need = align_up(nbytes, self.alignment)
+        need = align_up(nbytes)
         for ext in self._free:
             if ext[1] >= need:
                 offset = ext[0]
@@ -50,7 +49,7 @@ class FirstFitAllocator:
 
     def allocate_at(self, offset: int, nbytes: int) -> None:
         """Carve a specific extent out of the free space (restore path)."""
-        need = align_up(nbytes, self.alignment)
+        need = align_up(nbytes)
         for i, (off, length) in enumerate(self._free):
             if off <= offset and offset + need <= off + length:
                 del self._free[i]
@@ -66,7 +65,7 @@ class FirstFitAllocator:
         """Return ``[offset, offset + nbytes)`` to the free space and return
         the length of the free extent that now contains it."""
         assert nbytes > 0
-        length = align_up(nbytes, self.alignment)
+        length = align_up(nbytes)
         end = offset + length
         assert self.start <= offset and end <= self.start + self.size
         free = self._free
@@ -93,7 +92,7 @@ class FirstFitAllocator:
         return length
 
     def can_fit(self, nbytes: int) -> bool:
-        need = align_up(nbytes, self.alignment)
+        need = align_up(nbytes)
         return any(length >= need for _, length in self._free)
 
     def total_free(self) -> int:
@@ -103,7 +102,7 @@ class FirstFitAllocator:
         return [(off, length) for off, length in self._free]
 
     def clone(self) -> "FirstFitAllocator":
-        c = FirstFitAllocator(self.start, 0, self.alignment)
+        c = FirstFitAllocator(self.start, 0)
         c.size = self.size
         c._free = [list(ext) for ext in self._free]
         return c

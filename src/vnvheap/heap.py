@@ -34,9 +34,11 @@ The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit can always be persisted within a
 fixed, configuration-derived number of word transfers.
 
-Beside the residents (kept in cache-arrival order), the heap keeps two
-indexes by handle id, so that a persist visits only the objects it must
-write and never the clean, unpinned residents:
+An object is resident exactly when its ``cache_offset`` is ``>= 0``; no
+other field records residency, and ``stats().resident_bytes`` is summed
+over the residents on demand. Beside the residents (kept in cache-arrival
+order), the heap keeps two indexes by handle id, so that a persist visits
+only the objects it must write and never the clean, unpinned residents:
 
 * ``_modified`` - every modified resident. Entered when an object is
   allocated or first written, left when it is synced, deallocated, or
@@ -71,7 +73,7 @@ from .errors import (
     WriteGuardActiveError,
 )
 from .freelist import FirstFitAllocator, align_up
-from .layout import DRAIN_PER_OP, CheckpointTables, ImageLayout
+from .layout import CheckpointTables, ImageLayout
 from .storage import StorageDevice, WORD_BYTES
 
 HEADER_CHARGE_BYTES = 16
@@ -111,12 +113,11 @@ class ObjectMeta:
     entry_slot: int
     nvm_offset: int
     size_bytes: int
-    resident: bool = False
     modified: bool = False
     pin_count: int = 0
     write_guarded: bool = False
     restored_pin: bool = False
-    cache_offset: int = -1
+    cache_offset: int = -1  # where the object is cached; -1 when not resident
     arrival: int = 0  # stamp of the latest time the object became resident
     block_bytes: int = field(init=False)  # cache bytes while resident
 
@@ -270,7 +271,6 @@ class VnvHeap:
         self._modified: dict[int, ObjectMeta] = {}
         self._pinned: dict[int, ObjectMeta] = {}
         self._stamps = count(1)  # arrival stamps
-        self._resident_bytes = 0
         self._dirty = HEADER_CHARGE_BYTES
         self._quarantine: list[tuple[int, int]] = []
         self._next_id = 1
@@ -289,7 +289,7 @@ class VnvHeap:
 
     def stats(self) -> HeapStats:
         return HeapStats(
-            resident_bytes=self._resident_bytes,
+            resident_bytes=sum(m.size_bytes for m in self._residents.values()),
             dirty_bytes=self._dirty,
             resident_count=len(self._residents),
             pinned_count=len(self._pinned),
@@ -302,10 +302,10 @@ class VnvHeap:
         return ObjectInfo(
             handle_id=m.handle_id,
             size_bytes=m.size_bytes,
-            resident=m.resident,
+            resident=m.cache_offset >= 0,
             modified=m.modified,
             pinned=m.pinned,
-            cache_offset=m.cache_offset if m.resident else -1,
+            cache_offset=m.cache_offset,
             nvm_offset=m.nvm_offset,
         )
 
@@ -375,13 +375,12 @@ class VnvHeap:
             self._poisoned = True
             raise
 
-        meta = ObjectMeta(handle_id, slot, nvm_offset, size, resident=True, modified=True,
+        meta = ObjectMeta(handle_id, slot, nvm_offset, size, modified=True,
                           cache_offset=cache_offset, arrival=next(self._stamps))
         self._cache[cache_offset : cache_offset + size] = payload
         self._metas[handle_id] = meta
         self._residents[handle_id] = meta
         self._modified[handle_id] = meta
-        self._resident_bytes += size
         self._dirty += charge
         return ObjectHandle(handle_id, size, self)
 
@@ -396,7 +395,7 @@ class VnvHeap:
         if meta.pin_count:
             raise StillPinnedError(f"object {meta.handle_id} has a live guard")
         handle_id = meta.handle_id
-        if meta.resident:
+        if meta.cache_offset >= 0:
             self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
             self._unload(meta)
             if meta.modified:
@@ -421,7 +420,7 @@ class VnvHeap:
             meta = self._resolve(handle)
         if meta.write_guarded:
             raise WriteGuardActiveError(f"object {meta.handle_id} has a live write guard")
-        if not meta.resident:
+        if meta.cache_offset < 0:
             self._ensure_resident(meta)
         if not meta.pin_count:
             self._pinned[meta.handle_id] = meta
@@ -443,7 +442,7 @@ class VnvHeap:
             raise DirtyBudgetUnsatisfiableError(
                 f"{meta.size_bytes} B object cannot fit the modified-state limit"
             )
-        if not meta.resident:
+        if meta.cache_offset < 0:
             self._ensure_resident(meta)
         if not meta.modified:
             self._mark_modified(meta)
@@ -478,11 +477,11 @@ class VnvHeap:
         meta = self._resolve(handle)
         if meta.write_guarded:
             raise GuardActiveError("cannot sync under a live write guard")
-        if not meta.resident or not meta.modified:
+        if not meta.modified:  # a modified object is always resident
             raise PreconditionError("sync requires a modified, resident object")
         self._sync(meta)
         try:
-            self.tables.drain(DRAIN_PER_OP)
+            self.tables.drain()
         except PowerFailureInjected:
             self._poisoned = True
             raise
@@ -491,7 +490,7 @@ class VnvHeap:
         """Drop a clean, unpinned object from the cache. No transfers."""
         self._check_usable()
         meta = self._resolve(handle)
-        if not meta.resident:
+        if meta.cache_offset < 0:
             raise PreconditionError("object is not resident")
         if meta.pinned:
             raise StillPinnedError("pinned objects cannot be unloaded")
@@ -536,7 +535,7 @@ class VnvHeap:
         return meta
 
     def _ensure_resident(self, meta: ObjectMeta) -> None:
-        """Load a swapped-out object (callers test ``meta.resident``)."""
+        """Load a swapped-out object (callers test ``meta.cache_offset``)."""
         # Residency itself charges 3 bytes of metadata to the dirty budget.
         if self._dirty + META_CHARGE_BYTES > self.config.max_modified_state_bytes:
             self._make_dirty_room(META_CHARGE_BYTES)
@@ -554,10 +553,8 @@ class VnvHeap:
             raise
         self._cache[offset : offset + meta.size_bytes] = payload
         meta.arrival = next(self._stamps)
-        meta.resident = True
         meta.cache_offset = offset
         self._residents[meta.handle_id] = meta
-        self._resident_bytes += meta.size_bytes
         self._dirty += META_CHARGE_BYTES
 
     def _mark_modified(self, meta: ObjectMeta) -> None:
@@ -621,8 +618,6 @@ class VnvHeap:
     def _unload(self, meta: ObjectMeta) -> None:
         """Drop ``meta``'s residency; the caller frees its cache block."""
         del self._residents[meta.handle_id]
-        self._resident_bytes -= meta.size_bytes
-        meta.resident = False
         meta.cache_offset = -1
         self._dirty -= META_CHARGE_BYTES
 
@@ -639,12 +634,3 @@ def _cache_victims(residents, allocator: FirstFitAllocator, block: int) -> tuple
                 return victims, True
     return victims, False
 
-
-def init(
-    device: StorageDevice,
-    cache_size_bytes: int = 4096,
-    max_modified_state_bytes: int = 2048,
-    max_objects: int = 1024,
-) -> VnvHeap:
-    """Format ``device`` and return an empty heap on it."""
-    return VnvHeap(device, cache_size_bytes, max_modified_state_bytes, max_objects)

@@ -165,7 +165,8 @@ class CheckpointTables:
     O(changed entries), not O(live objects). The per-table sets, the
     occupancy sets and the min-heap of free slots are all derived from the
     raw tables plus the rule that live entries are occupied in both;
-    :meth:`format` and :meth:`adopt` rebuild them from scratch.
+    :meth:`format` and :meth:`adopt` build them from scratch, and one of the
+    two must run before any other method.
     """
 
     def __init__(self, device: StorageDevice, layout: ImageLayout) -> None:
@@ -175,7 +176,6 @@ class CheckpointTables:
         self.staging = 0
         self.committed: int | None = None
         self.metadata_bytes_written = 0  # cumulative, callers diff it
-        self._rebuild([bytearray(layout.table_bytes), bytearray(layout.table_bytes)], 0)
 
     def _rebuild(self, mirrors: list[bytearray], committed: int) -> None:
         """Derive every per-slot set from raw table bytes. Each entry occupied
@@ -284,7 +284,7 @@ class CheckpointTables:
         self._write_entry(0, slot, entry)
         self._write_entry(1, slot, entry)
         if self._dead[self.staging]:
-            self.drain(DRAIN_PER_OP)
+            self.drain()
 
     def record_dealloc(self, slot: int) -> None:
         """Clear the staging id word, then drain up to :data:`DRAIN_PER_OP`
@@ -296,7 +296,7 @@ class CheckpointTables:
         if slot in self._occupied[other]:
             self._dead[other].add(slot)
         if self._dead[self.staging]:
-            self.drain(DRAIN_PER_OP)
+            self.drain()
 
     def _clear_id(self, table: int, slot: int) -> None:
         occupied = self._occupied[table]
@@ -312,20 +312,16 @@ class CheckpointTables:
         if slot not in self._occupied[1 - table]:
             heapq.heappush(self._free, slot)
 
-    def drain(self, max_slots: int) -> int:
-        """Clear up to ``max_slots`` stale dead entries in the staging table,
-        lowest slot first.
+    def drain(self) -> None:
+        """Clear up to :data:`DRAIN_PER_OP` stale dead entries in the staging
+        table, lowest slot first.
 
         Called from operations that already transfer words, so the deferred
         clears left behind by a slot flip never pile up for persist to pay.
         """
-        dead = self._dead[self.staging]
-        if not dead:
-            return 0
-        slots = heapq.nsmallest(max_slots, dead)
-        for slot in slots:
-            self._clear_id(self.staging, slot)
-        return len(slots)
+        staging = self.staging
+        for slot in heapq.nsmallest(DRAIN_PER_OP, self._dead[staging]):
+            self._clear_id(staging, slot)
 
     def flush_delta(self, entries: dict[int, tuple[int, ...]]) -> None:
         """Make the staging table match the truth, visiting only the slots

@@ -139,7 +139,12 @@ def restore(
     if superblock.a_length != superblock.b_length or superblock.a_length % ENTRY_BYTES:
         raise NoValidCheckpointError("metadata slot geometry is inconsistent")
     max_objects = superblock.a_length // ENTRY_BYTES
-    layout = ImageLayout.compute(device.capacity_bytes, max_objects)
+    try:
+        layout = ImageLayout.compute(device.capacity_bytes, max_objects)
+    except ConfigInvalidError as exc:
+        # The table length came from the image, so a geometry it cannot
+        # have is a corrupt image, not a bad configuration.
+        raise NoValidCheckpointError(f"metadata slot length: {exc}") from None
     if (layout.table_a_offset, layout.table_b_offset) != (superblock.a_offset, superblock.b_offset):
         raise NoValidCheckpointError("metadata slot offsets do not match the device size")
 

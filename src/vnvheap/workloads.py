@@ -144,21 +144,18 @@ class NvmQueue:
     """Every element read from / written to storage directly; no cache."""
 
     def __init__(self, device: StorageDevice, capacity: int = 1024,
-                 element_size: int = QUEUE_ELEMENT_BYTES,
-                 region_offset: int = 0) -> None:
+                 element_size: int = QUEUE_ELEMENT_BYTES) -> None:
         self.device = device
         self.element_size = element_size
         self.capacity = capacity
-        self.region_offset = region_offset
         self.head = 0
         self.length = 0
 
     def _slot_offset(self, index: int) -> int:
-        return self.region_offset + 4 + (index % self.capacity) * self.element_size
+        return 4 + (index % self.capacity) * self.element_size
 
     def _write_state(self) -> None:
-        self.device.write(self.region_offset,
-                          struct.pack("<HH", self.head % self.capacity, self.length))
+        self.device.write(0, struct.pack("<HH", self.head % self.capacity, self.length))
 
     def __len__(self) -> int:
         return self.length
@@ -317,19 +314,13 @@ class MsKvStore:
 _RAMP = bytes(i % 256 for i in range(256 + max(size for size, _ in WORKLOAD_SIZE_MIX)))
 
 
-def _default_value(key: int, size: int) -> bytes:
-    """Byte i is ``(key * 37 + i) % 256``: a slice of the ramp."""
-    start = key * 37 % 256
-    return _RAMP[start : start + size]
-
-
-def build_kv_store(store, seed: int, value_for=None) -> dict[int, bytes]:
-    """Populate ``store`` with the standard 256-object mix; returns the shadow map."""
-    if value_for is None:
-        value_for = _default_value
+def build_kv_store(store, seed: int) -> dict[int, bytes]:
+    """Populate ``store`` with the standard 256-object mix; returns the shadow
+    map. Byte i of key k's value is ``(k * 37 + i) % 256``: a slice of the ramp."""
     shadow = {}
     for key, size in enumerate(workload_sizes(seed)):
-        value = value_for(key, size)
+        start = key * 37 % 256
+        value = _RAMP[start : start + size]
         store.put(key, value)
         shadow[key] = value
     return shadow

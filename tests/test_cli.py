@@ -162,3 +162,34 @@ def test_csv_output_is_unchanged(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CSV_SHA256[argv]
+
+
+# SHA-256 of the verdict lines the property-suite commands print, computed
+# like CSV_SHA256: a change that moves no word and draws no other random
+# number leaves them as they are.
+SUITE_SHA256 = {
+    ("check", "--quick"):
+        "df0c976a72fc7f4fe26751302be3cfdf403ddef9383b0edbc86cc7d799175684",
+    ("crash", "--iterations", "100"):
+        "9756bfc494982e7897857008fff403b09423034b578dd068ed2e954412bbc08d",
+}
+
+
+@pytest.mark.parametrize("argv", list(SUITE_SHA256), ids=" ".join)
+def test_suite_output_is_unchanged(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("access", "--seed", "9"),
+    ("persist", "--nvm-capacity", "4"),
+    ("crash", "--power-mw", "66"),
+    ("check", "--out", "x.csv"),
+], ids=" ".join)
+def test_a_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

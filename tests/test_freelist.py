@@ -12,7 +12,6 @@ def test_align_up():
     assert align_up(1) == 4
     assert align_up(4) == 4
     assert align_up(5) == 8
-    assert align_up(10, 8) == 16
 
 
 def test_alloc_is_first_fit():
@@ -106,7 +105,7 @@ def test_randomized_against_byte_map_oracle():
     """
     rng = random.Random(0xF1EE)
     size = 256
-    a = FirstFitAllocator(0, size, alignment=4)
+    a = FirstFitAllocator(0, size)
     occupied = bytearray(size)  # 1 = allocated
     live: list[tuple[int, int]] = []
 

@@ -1,5 +1,7 @@
 """Checkpointing: the persist cost bound, crash fallback, and restore."""
 
+import io
+
 import pytest
 
 from traceutil import count_bytecodes, log_writes
@@ -23,7 +25,7 @@ from vnvheap import (
     wcec_millijoules,
     words_for,
 )
-from vnvheap.bench import BenchRecord, records_to_csv
+from vnvheap.bench import BenchRecord, write_csv
 from vnvheap.layout import ENTRY_BYTES
 
 
@@ -64,8 +66,9 @@ def test_one_energy_formula_serves_the_bound_and_the_csv():
     assert model.time_us(516) == pytest.approx(1290.0)
     assert model.energy_uj(516) == pytest.approx(85.14)
     assert wcec_millijoules(516, model) == model.energy_uj(516) / 1000.0
-    csv = records_to_csv([BenchRecord("b", {}, words_read=300, words_written=216)], model)
-    assert csv.splitlines()[1] == f"b,,300,216,{model.time_us(516):.3f},{model.energy_uj(516):.6f},1"
+    out = io.StringIO()
+    write_csv([BenchRecord("b", {}, words_read=300, words_written=216)], model, out)
+    assert out.getvalue().splitlines()[1] == f"b,,300,216,{model.time_us(516):.3f},{model.energy_uj(516):.6f},1"
 
 
 def test_single_object_persist_cost_tracks_the_limit():
@@ -403,6 +406,21 @@ def test_restore_rejects_an_active_slot_byte_other_than_0_or_1():
     dev, _ = _committed_image([bytes([i]) * 8 for i in range(10)])
     dev.write(6, bytes([7]))  # superblock byte 6: the active slot
     with pytest.raises(NoValidCheckpointError, match="active-slot byte is 7"):
+        restore(dev)
+
+
+@pytest.mark.parametrize("length", [
+    0,               # no table, so no entry slots
+    20_000_000,      # tables larger than the 64 KiB device
+])
+def test_restore_rejects_a_table_length_the_device_cannot_hold(length):
+    dev, heap = fresh(max_objects=16, capacity=64 * 1024)
+    heap.alloc(b"AAAAAAAA")
+    persist(heap)
+    dev = dev.reopen()
+    for offset in (12, 20):  # superblock bytes 12-15 and 20-23: the slot lengths
+        dev.write(offset, length.to_bytes(4, "little"))
+    with pytest.raises(NoValidCheckpointError, match="metadata slot length"):
         restore(dev)
 
 
