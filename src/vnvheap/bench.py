@@ -291,13 +291,16 @@ class SuiteReport:
 class _ShadowTrace:
     """Lean random heap trace with a shadow map; used by the suites."""
 
-    def __init__(self, seed: int, cache=4096, dirty=2048, max_objects=64):
+    CACHE = 4096
+    DIRTY_LIMIT = 2048
+    MAX_OBJECTS = 64
+
+    def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        self.dirty_limit = dirty
         self.dev = SimulatedNvm(256 * 1024)
-        self.heap = VnvHeap(self.dev, cache_size_bytes=cache,
-                            max_modified_state_bytes=dirty,
-                            max_objects=max_objects)
+        self.heap = VnvHeap(self.dev, cache_size_bytes=self.CACHE,
+                            max_modified_state_bytes=self.DIRTY_LIMIT,
+                            max_objects=self.MAX_OBJECTS)
         self.shadow: dict[int, bytes] = {}
         self.handles: dict[int, object] = {}
 
@@ -402,7 +405,7 @@ def run_dirty_limit_suite(seed: int, traces: int = 10, ops: int = 10_000) -> Sui
     report = SuiteReport("invariants: dirty limit and persist bound")
     for t in range(traces):
         trace = _ShadowTrace(seed + t)
-        limit = trace.dirty_limit
+        limit = trace.heap.config.max_modified_state_bytes
         bound = persist_bound(trace.heap.config)
         for op in range(ops):
             trace.step()

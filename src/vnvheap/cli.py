@@ -10,12 +10,24 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from . import bench
 from .baselines import MS_PAGE_SIZES
 from .errors import VnvHeapError
 from .persistence import EnergyModel
 from .workloads import PATTERNS, RamQueue
+
+
+def _count(text: str) -> int:
+    """argparse type of the count flags: an integer that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _add_csv_flags(parser: argparse.ArgumentParser) -> None:
@@ -44,9 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("queue", help="FIFO queue push+pop cost by backend")
     p.add_argument("--backend", choices=("vnv", "nvm", "ram", "all"),
                    default="all")
-    p.add_argument("--length", type=int, default=0,
+    p.add_argument("--length", type=_count, default=0,
                    help=f"steady queue length; 0 sweeps {bench.QUEUE_LENGTH_SWEEP}")
-    p.add_argument("--reps", type=int, default=64)
+    p.add_argument("--reps", type=_count, default=64)
     p.add_argument("--cache-size", type=int, default=4096)
     p.add_argument("--dirty-limit", type=int, default=4096)
     p.add_argument("--nvm-capacity", type=int, default=bench.DEFAULT_NVM_CAPACITY)
@@ -62,13 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", choices=(*PATTERNS, "all"), default="all")
     p.add_argument("--page-size", type=int, default=0,
                    help=f"ms backend page size; 0 sweeps {MS_PAGE_SIZES}")
-    p.add_argument("--n-ops", type=int, default=4096)
+    p.add_argument("--n-ops", type=_count, default=4096)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--nvm-capacity", type=int, default=bench.DEFAULT_NVM_CAPACITY)
     _add_csv_flags(p)
 
     p = sub.add_parser("crash", help="checkpoint/restore round-trip suite")
-    p.add_argument("--iterations", type=int, default=100)
+    p.add_argument("--iterations", type=_count, default=100)
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("check", help="run every property suite")
@@ -77,14 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
 
     return parser
-
-
-def _emit(records, model: EnergyModel, out_path: str) -> None:
-    if out_path == "-":
-        bench.write_csv(records, model, sys.stdout)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            bench.write_csv(records, model, fh)
 
 
 def _run_benchmarks(args) -> list[bench.BenchRecord]:
@@ -141,14 +145,22 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "check":
         reports = bench.run_check(args.seed, quick=args.quick)
     else:
+        # The output is opened first, so a bad path costs no benchmark run.
         try:
-            records = _run_benchmarks(args)
-        except VnvHeapError as exc:
+            out = (nullcontext(sys.stdout) if args.out == "-"
+                   else open(args.out, "w", newline=""))
+        except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        model = EnergyModel(power_milliwatts=args.power_mw,
-                            word_transfer_seconds=args.word_latency_us * 1e-6)
-        _emit(records, model, args.out)
+        with out as fh:
+            try:
+                records = _run_benchmarks(args)
+            except VnvHeapError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            model = EnergyModel(power_milliwatts=args.power_mw,
+                                word_transfer_seconds=args.word_latency_us * 1e-6)
+            bench.write_csv(records, model, fh)
         return 0
 
     ok = True

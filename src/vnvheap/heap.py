@@ -34,6 +34,11 @@ The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit can always be persisted within a
 fixed, configuration-derived number of word transfers.
 
+A power failure marks the device it cuts (``StorageDevice.power_failed``).
+The volatile bookkeeping may then be out of step with NVM, so from then on
+every heap on that device raises ``HeapPoisonedError``; the way back is
+``restore()`` from ``device.reopen()``, the reboot.
+
 An object is resident exactly when its ``cache_offset`` is ``>= 0``; no
 other field records residency, and ``stats().resident_bytes`` is summed
 over the residents on demand. Beside the residents (kept in cache-arrival
@@ -66,7 +71,6 @@ from .errors import (
     HeapPoisonedError,
     ObjectTooLargeError,
     OutOfNvmError,
-    PowerFailureInjected,
     PreconditionError,
     StaleHandleError,
     StillPinnedError,
@@ -274,9 +278,6 @@ class VnvHeap:
         self._dirty = HEADER_CHARGE_BYTES
         self._quarantine: list[tuple[int, int]] = []
         self._next_id = 1
-        # Set when a power failure cuts a transfer: volatile bookkeeping is then
-        # out of step with the device, and only restore() from the image helps.
-        self._poisoned = False
         self.tables = CheckpointTables(device, self.layout)
         if _adopt_layout is None:
             self.tables.format()
@@ -324,7 +325,7 @@ class VnvHeap:
     def alloc(self, payload: bytes | bytearray | memoryview) -> ObjectHandle:
         """Create an object holding ``payload``. It starts resident and
         modified (nothing has been synced to its extent yet)."""
-        if self._poisoned:
+        if self.device.power_failed:
             self._check_usable()
         payload = bytes(payload)
         size = len(payload)
@@ -369,11 +370,7 @@ class VnvHeap:
         self._next_id = handle_id + 1
         # Entry identity never changes, so it is written to both tables now;
         # persist() then only ever touches pin flags and deferred clears.
-        try:
-            tables.record_alloc(slot, handle_id, nvm_offset, size)
-        except PowerFailureInjected:
-            self._poisoned = True
-            raise
+        tables.record_alloc(slot, handle_id, nvm_offset, size)
 
         meta = ObjectMeta(handle_id, slot, nvm_offset, size, modified=True,
                           cache_offset=cache_offset, arrival=next(self._stamps))
@@ -387,7 +384,7 @@ class VnvHeap:
     def dealloc(self, handle: ObjectHandle) -> None:
         """Drop an object. Its extent is quarantined until the next commit so
         a checkpoint fallback can still restore it."""
-        if self._poisoned:
+        if self.device.power_failed:
             self._check_usable()
         meta = self._metas.get(handle.id)
         if meta is None or handle._heap is not self:
@@ -403,17 +400,13 @@ class VnvHeap:
                 self._dirty -= meta.size_bytes
         del self._metas[handle_id]
         self._quarantine.append((meta.nvm_offset, meta.size_bytes))
-        try:
-            self.tables.record_dealloc(meta.entry_slot)
-        except PowerFailureInjected:
-            self._poisoned = True
-            raise
+        self.tables.record_dealloc(meta.entry_slot)
 
     # -- access -------------------------------------------------------------
 
     def get_ref(self, handle: ObjectHandle) -> ReadGuard:
         """Shared read access. Loads the object if it is swapped out."""
-        if self._poisoned:
+        if self.device.power_failed:
             self._check_usable()
         meta = self._metas.get(handle.id)
         if meta is None or handle._heap is not self:
@@ -430,7 +423,7 @@ class VnvHeap:
     def get_mut(self, handle: ObjectHandle) -> WriteGuard:
         """Exclusive write access. Charges the full object size to the dirty
         budget up front, whether or not the caller writes."""
-        if self._poisoned:
+        if self.device.power_failed:
             self._check_usable()
         meta = self._metas.get(handle.id)
         if meta is None or handle._heap is not self:
@@ -465,9 +458,7 @@ class VnvHeap:
         if not meta.restored_pin:
             raise PreconditionError(f"object {meta.handle_id} holds no restored pin")
         meta.restored_pin = False
-        meta.pin_count -= 1
-        if not meta.pin_count:
-            del self._pinned[meta.handle_id]
+        self._release_guard(meta, False)
 
     # -- explicit state management -------------------------------------------
 
@@ -480,11 +471,7 @@ class VnvHeap:
         if not meta.modified:  # a modified object is always resident
             raise PreconditionError("sync requires a modified, resident object")
         self._sync(meta)
-        try:
-            self.tables.drain()
-        except PowerFailureInjected:
-            self._poisoned = True
-            raise
+        self.tables.drain()
 
     def unload(self, handle: ObjectHandle) -> None:
         """Drop a clean, unpinned object from the cache. No transfers."""
@@ -523,8 +510,8 @@ class VnvHeap:
     # -- internals ------------------------------------------------------------
 
     def _check_usable(self) -> None:
-        if self._poisoned:
-            raise HeapPoisonedError("heap is unusable after an interrupted persist")
+        if self.device.power_failed:
+            raise HeapPoisonedError("heap is unusable after a power failure")
 
     def _resolve(self, handle: ObjectHandle) -> ObjectMeta:
         if handle._heap is not self:
@@ -546,11 +533,7 @@ class VnvHeap:
 
     def _load(self, meta: ObjectMeta, offset: int) -> None:
         """Read ``meta`` into the cache block at ``offset``; charge residency."""
-        try:
-            payload = self.device.read(meta.nvm_offset, meta.size_bytes)
-        except PowerFailureInjected:
-            self._poisoned = True
-            raise
+        payload = self.device.read(meta.nvm_offset, meta.size_bytes)
         self._cache[offset : offset + meta.size_bytes] = payload
         meta.arrival = next(self._stamps)
         meta.cache_offset = offset
@@ -606,11 +589,7 @@ class VnvHeap:
 
     def _sync(self, meta: ObjectMeta) -> None:
         start = meta.cache_offset
-        try:
-            self.device.write(meta.nvm_offset, self._cache[start : start + meta.size_bytes])
-        except PowerFailureInjected:
-            self._poisoned = True
-            raise
+        self.device.write(meta.nvm_offset, self._cache[start : start + meta.size_bytes])
         meta.modified = False
         del self._modified[meta.handle_id]
         self._dirty -= meta.size_bytes

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import ConfigInvalidError, NoValidCheckpointError, PowerFailureInjected
+from .errors import ConfigInvalidError, NoValidCheckpointError
 from .heap import HEADER_CHARGE_BYTES, META_CHARGE_BYTES, HeapConfig, ObjectHandle, ObjectMeta, VnvHeap
 from .layout import ENTRY_BYTES, FLAG_PINNED, ImageLayout, entry_words, read_superblock
 from .storage import StorageDevice, WORD_BYTES, words_for
@@ -91,22 +91,18 @@ def persist(heap: VnvHeap) -> PersistReport:
     modified = heap._modified
     # Cache-arrival order: the order in which the residents are held.
     payloads = sorted(modified.values(), key=_ARRIVAL)
-    try:
-        for meta in payloads:
-            start = meta.cache_offset
-            device.write(meta.nvm_offset, cache[start : start + meta.size_bytes])
-            if not meta.write_guarded:
-                # A live write guard keeps the object charged as modified:
-                # its holder can keep writing after we return.
-                meta.modified = False
-                del modified[meta.handle_id]
-                heap._dirty -= meta.size_bytes
-        heap.tables.flush_delta({meta.entry_slot: _table_entry(meta)
-                                 for meta in heap._pinned.values()})
-        heap.tables.commit()
-    except PowerFailureInjected:
-        heap._poisoned = True
-        raise
+    for meta in payloads:
+        start = meta.cache_offset
+        device.write(meta.nvm_offset, cache[start : start + meta.size_bytes])
+        if not meta.write_guarded:
+            # A live write guard keeps the object charged as modified:
+            # its holder can keep writing after we return.
+            meta.modified = False
+            del modified[meta.handle_id]
+            heap._dirty -= meta.size_bytes
+    heap.tables.flush_delta({meta.entry_slot: _table_entry(meta)
+                             for meta in heap._pinned.values()})
+    heap.tables.commit()
     # The commit published every deallocation, so quarantined extents are
     # safe to reuse now.
     for offset, size in heap._quarantine:

@@ -5,7 +5,8 @@ Every transfer moves 4-byte words: reading or writing ``n`` bytes costs
 per word. Word writes are atomic. A device can be armed with a transfer
 budget; the transfer after the budget is exhausted raises
 :class:`~vnvheap.errors.PowerFailureInjected`, leaving every word written
-before it durable and the failing word untouched.
+before it durable and the failing word untouched. The device then reports
+``power_failed`` until ``reopen()``, the reboot, hands out a fresh one.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class StorageDevice:
         self.capacity_bytes = capacity_bytes
         self.cost_meter = CostMeter()
         self._budget_words: int | None = None
+        # Set by the one transfer a power failure cuts; nothing clears it.
+        self.power_failed = False
 
     # -- fault plan -------------------------------------------------------
 
@@ -124,9 +127,11 @@ class StorageDevice:
             self._write_raw(offset, data)
 
     def _exhausted(self, verb: str, offset: int, length: int) -> PowerFailureInjected:
-        """Spend the rest of the budget and name the word that failed."""
+        """Spend the rest of the budget, record the failure and name the
+        word that failed."""
         pos = offset + self._budget_words * WORD_BYTES
         self._budget_words = 0
+        self.power_failed = True
         end = min(pos + WORD_BYTES, offset + length)
         return PowerFailureInjected(f"transfer budget exhausted {verb} [{pos}, {end})")
 

@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from vnvheap import bench
 from vnvheap.cli import main
 
 
@@ -193,3 +194,29 @@ def test_a_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("kvs", "--n-ops", "-5"),
+    ("crash", "--iterations", "-2"),
+    ("queue", "--reps", "-1"),
+    ("queue", "--length", "-3"),
+], ids=" ".join)
+def test_a_negative_count_is_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[1]}: must not be negative" in captured.err
+
+
+def test_an_unwritable_out_path_fails_before_any_benchmark(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(bench, "run_persist_bench", lambda mode: ran.append(mode) or [])
+    code = main(["persist", "--out", str(tmp_path / "missing" / "x.csv")])
+    captured = capsys.readouterr()
+    assert code != 0
+    assert ran == []
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -208,6 +208,62 @@ def test_power_cut_in_an_eviction_sync_restores_the_last_commit():
             assert g.read() == payload
 
 
+def _alloc_case(heap):
+    return lambda: heap.alloc(b"n" * 40)
+
+
+def _dealloc_case(heap):
+    h = heap.alloc(b"d" * 40)
+    return lambda: heap.dealloc(h)
+
+
+def _sync_case(heap):
+    h = heap.alloc(b"s" * 40)
+    return lambda: heap.sync_object(h)
+
+
+def _miss_case(heap):
+    h = heap.alloc(b"m" * 40)
+    heap.sync_object(h)
+    heap.unload(h)
+    return lambda: heap.get_ref(h).release()
+
+
+@pytest.mark.parametrize("make_op", [_alloc_case, _dealloc_case, _sync_case, _miss_case],
+                         ids=["alloc", "dealloc", "sync_object", "get_ref miss"])
+def test_every_heap_transfer_path_poisons_the_heap(make_op):
+    """A cut anywhere in an op's transfers marks the device and poisons the
+    heap; the op's full word count goes through and leaves it usable."""
+    def setup():
+        dev, heap = fresh()
+        other = heap.alloc(b"o" * 16)
+        return dev, heap, other, make_op(heap)
+
+    dev, _, _, op = setup()
+    before = dev.cost_meter.words_total
+    op()
+    words = dev.cost_meter.words_total - before
+    assert words > 0
+
+    for budget in range(words + 1):
+        dev, heap, other, op = setup()
+        dev.arm_power_failure(budget)
+        if budget < words:
+            with pytest.raises(PowerFailureInjected):
+                op()
+            assert dev.power_failed
+            dev.disarm_power_failure()
+            with pytest.raises(HeapPoisonedError):
+                heap.get_ref(other)
+        else:
+            op()
+            dev.disarm_power_failure()
+            assert not dev.power_failed
+            with heap.get_ref(other) as g:
+                assert g.read() == b"o" * 16
+            persist(heap)
+
+
 def test_fallback_to_previous_checkpoint():
     """A crash during the second persist must leave the first restorable."""
     dev, heap = fresh()

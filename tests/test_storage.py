@@ -159,6 +159,33 @@ class TestPowerFailureInjection:
         assert dev.cost_meter.words_written == 2
 
 
+@pytest.mark.parametrize("kind", ["simulated", "file"])
+def test_power_failed_is_set_by_a_cut_and_cleared_only_by_reopen(kind, tmp_path):
+    def make():
+        if kind == "simulated":
+            return SimulatedNvm(256)
+        return FileBackedNvm(tmp_path / "nvm.img", capacity_bytes=256)
+
+    dev = make()
+    dev.arm_power_failure(0)
+    assert not dev.power_failed
+    dev.disarm_power_failure()
+    assert not dev.power_failed
+
+    for cut in (lambda d: d.read(0, 8), lambda d: d.write(0, bytes(8))):
+        dev = make()
+        dev.arm_power_failure(1)
+        with pytest.raises(PowerFailureInjected):
+            cut(dev)
+        assert dev.power_failed
+        dev.disarm_power_failure()
+        assert dev.power_failed
+        dev = dev.reopen()
+        assert not dev.power_failed
+        if kind == "file":
+            dev.close()
+
+
 def test_simulated_reopen_preserves_bytes_fresh_meter():
     dev = SimulatedNvm(256)
     dev.write(12, b"persist me")
