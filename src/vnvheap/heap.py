@@ -30,6 +30,13 @@ The heap syncs and unloads the victims a planner returns, also when a rule
 falls short and raises. An alloc runs the cache rule first, a miss the dirty
 rule; ``choose_victims`` replays both, in alloc order, on a cloned allocator.
 
+``replace`` overwrites a whole object in one call. It gives the result of
+``get_mut`` + ``write`` + ``release``, but a miss takes the load path's steps
+without the device read, since every byte is about to be overwritten. If
+the modified charge then cannot be met, the block is freed and the object
+unloaded again, so that no resident ever holds bytes that are not its
+object's; the object stays swapped out with its NVM bytes.
+
 The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit can always be persisted within a
 fixed, configuration-derived number of word transfers.
@@ -72,6 +79,7 @@ from .errors import (
     ObjectTooLargeError,
     OutOfNvmError,
     PreconditionError,
+    SizeMismatchError,
     StaleHandleError,
     StillPinnedError,
     WriteGuardActiveError,
@@ -444,6 +452,40 @@ class VnvHeap:
         self._pinned[meta.handle_id] = meta
         return WriteGuard(self, meta)
 
+    def replace(self, handle: ObjectHandle, payload: bytes | bytearray | memoryview) -> None:
+        """Overwrite the whole object with ``payload``: the result of
+        ``get_mut`` + ``write`` + ``release``, but a swapped-out object's old
+        bytes are never read from NVM, so a miss costs no load."""
+        if self.device.power_failed:
+            self._check_usable()
+        meta = self._metas.get(handle.id)
+        if meta is None or handle._heap is not self:
+            meta = self._resolve(handle)
+        if meta.pinned:
+            raise GuardActiveError(f"object {meta.handle_id} is already guarded")
+        payload = bytes(payload)
+        size = meta.size_bytes
+        if len(payload) != size:
+            raise SizeMismatchError(f"value is {len(payload)} B, object is {size} B")
+        if size + META_CHARGE_BYTES + HEADER_CHARGE_BYTES > self.config.max_modified_state_bytes:
+            raise DirtyBudgetUnsatisfiableError(
+                f"{size} B object cannot fit the modified-state limit"
+            )
+        if meta.cache_offset < 0:
+            self._ensure_resident(meta, fetch=False)
+            try:
+                self._mark_modified(meta)  # a swapped-out object is clean
+            except Exception:
+                # The block holds no bytes of the object: drop it, so the
+                # object stays swapped out with its NVM bytes.
+                self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
+                self._unload(meta)
+                raise
+        elif not meta.modified:
+            self._mark_modified(meta)
+        start = meta.cache_offset
+        self._cache[start : start + size] = payload
+
     def _release_guard(self, meta: ObjectMeta, writable: bool) -> None:
         meta.pin_count -= 1
         if not meta.pin_count:
@@ -521,20 +563,24 @@ class VnvHeap:
             raise StaleHandleError(f"object {handle.id} was deallocated")
         return meta
 
-    def _ensure_resident(self, meta: ObjectMeta) -> None:
-        """Load a swapped-out object (callers test ``meta.cache_offset``)."""
+    def _ensure_resident(self, meta: ObjectMeta, fetch: bool = True) -> None:
+        """Load a swapped-out object (callers test ``meta.cache_offset``).
+        Without ``fetch`` the block is left as it was, for a caller that
+        overwrites every byte."""
         # Residency itself charges 3 bytes of metadata to the dirty budget.
         if self._dirty + META_CHARGE_BYTES > self.config.max_modified_state_bytes:
             self._make_dirty_room(META_CHARGE_BYTES)
         offset = self._cache_alloc.alloc(meta.block_bytes)
         if offset is None:
             offset = self._make_cache_room(meta.block_bytes)
-        self._load(meta, offset)
+        self._load(meta, offset, fetch)
 
-    def _load(self, meta: ObjectMeta, offset: int) -> None:
-        """Read ``meta`` into the cache block at ``offset``; charge residency."""
-        payload = self.device.read(meta.nvm_offset, meta.size_bytes)
-        self._cache[offset : offset + meta.size_bytes] = payload
+    def _load(self, meta: ObjectMeta, offset: int, fetch: bool = True) -> None:
+        """Make ``meta`` resident in the cache block at ``offset``, reading
+        its bytes from NVM if ``fetch``; charge residency."""
+        if fetch:
+            payload = self.device.read(meta.nvm_offset, meta.size_bytes)
+            self._cache[offset : offset + meta.size_bytes] = payload
         meta.arrival = next(self._stamps)
         meta.cache_offset = offset
         self._residents[meta.handle_id] = meta

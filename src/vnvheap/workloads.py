@@ -94,8 +94,7 @@ class VnvQueue:
             raise PreconditionError(
                 f"queue elements are {self.element_size} B, got {len(payload)}")
         slot = self._take_slot()
-        with self.heap.get_mut(self._slots[slot]) as w:
-            w.write(payload)
+        self.heap.replace(self._slots[slot], payload)
         self._live.append(slot)
         self._sync_control()
 
@@ -246,12 +245,7 @@ class VnvKvStore:
             return g.read()
 
     def update(self, key: int, value: bytes) -> None:
-        handle = self._handle(key)
-        if len(value) != handle.size_bytes:
-            raise SizeMismatchError(
-                f"value is {len(value)} B, object is {handle.size_bytes} B")
-        with self.heap.get_mut(handle) as w:
-            w.write(value)
+        self.heap.replace(self._handle(key), value)
 
     def value_size(self, key: int) -> int:
         return self._handle(key).size_bytes

@@ -8,21 +8,27 @@ from vnvheap import (
     CachePressureUnresolvableError,
     ConfigInvalidError,
     DirtyBudgetUnsatisfiableError,
+    GuardActiveError,
     HEADER_CHARGE_BYTES,
     HeapConfig,
+    HeapPoisonedError,
     META_CHARGE_BYTES,
     ObjectTooLargeError,
     OutOfNvmError,
+    PowerFailureInjected,
     PreconditionError,
     SimulatedNvm,
+    SizeMismatchError,
     StaleHandleError,
     StillPinnedError,
     VnvHeap,
     persist,
+    restore,
+    words_for,
 )
 from vnvheap.freelist import align_up
 
-from traceutil import count_bytecodes
+from traceutil import count_bytecodes, log_writes
 
 
 def make_heap(cache=4096, dirty=2048, max_objects=64, capacity=256 * 1024):
@@ -466,6 +472,136 @@ def test_alloc_and_dealloc_cost_does_not_grow_with_live_objects():
         return executed
 
     assert alloc_and_dealloc_bytecodes(1) == alloc_and_dealloc_bytecodes(256)
+
+
+# -- whole-object replace ----------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_replace_moves_the_words_of_get_mut_write_release_less_the_loads(seed):
+    """One seeded trace of gets, whole-object writes and persists under cache
+    and dirty pressure, on two heaps: A writes with ``replace``, B with
+    ``get_mut`` + ``write`` + ``release``. Both send the same device writes,
+    A reads exactly one load fewer per write miss, and both restore the same
+    bytes."""
+    rng = random.Random(seed)
+    sizes = [rng.choice((8, 24, 61, 100, 150, 200)) for _ in range(24)]
+    shadow = [bytes([i]) * n for i, n in enumerate(sizes)]
+    heaps = [make_heap(cache=1024, dirty=512, max_objects=32) for _ in range(2)]
+    logs = [log_writes(heap.device) for heap in heaps]
+    handles = [[heap.alloc(payload) for payload in shadow] for heap in heaps]
+    heap_a, heap_b = heaps
+    skipped = misses = 0
+    for _ in range(600):
+        i = rng.randrange(len(sizes))
+        r = rng.random()
+        if r < 0.45:
+            for heap, hs in zip(heaps, handles):
+                with heap.get_ref(hs[i]) as g:
+                    assert g.read() == shadow[i]
+        elif r < 0.97:
+            shadow[i] = rng.randbytes(sizes[i])
+            if not heap_a.object_info(handles[0][i]).resident:
+                skipped += words_for(sizes[i])
+                misses += 1
+            heap_a.replace(handles[0][i], shadow[i])
+            with heap_b.get_mut(handles[1][i]) as w:
+                w.write(shadow[i])
+        else:
+            for heap in heaps:
+                persist(heap)
+        assert heap_a.stats() == heap_b.stats()
+    assert misses > 50  # the writes did miss
+    for heap in heaps:
+        persist(heap)
+
+    assert logs[0] == logs[1]
+    meter_a, meter_b = heap_a.device.cost_meter, heap_b.device.cost_meter
+    assert meter_a.words_written == meter_b.words_written
+    assert meter_a.words_read == meter_b.words_read - skipped
+    for heap, hs in zip(heaps, handles):
+        restored, by_id = restore(heap.device.reopen(), cache_size_bytes=1024,
+                                  max_modified_state_bytes=512)
+        assert set(by_id) == {h.id for h in hs}
+        for h, payload in zip(hs, shadow):
+            with restored.get_ref(by_id[h.id]) as g:
+                assert g.read() == payload
+
+
+def _heap_state(heap):
+    return (heap.stats(), bytes(heap._cache), heap.device.cost_meter.words_total,
+            [heap.object_info(heap.handle(hid)) for hid in heap.live_handle_ids()])
+
+
+def test_replace_refusals_move_nothing():
+    """Each refused ``replace`` raises before any transfer and leaves the
+    heap exactly as it was."""
+    heap = make_heap()
+    swapped = heap.alloc(b"s" * 40)
+    heap.sync_object(swapped)
+    heap.unload(swapped)
+    resident = heap.alloc(b"r" * 40)
+    gone = heap.alloc(b"g" * 8)
+    heap.dealloc(gone)
+    foreign = make_heap().alloc(b"f" * 40)
+
+    def read_guarded():
+        with heap.get_ref(resident):
+            heap.replace(resident, b"x" * 40)
+
+    def write_guarded():
+        with heap.get_mut(resident):
+            heap.replace(resident, b"x" * 40)
+
+    cases = ((SizeMismatchError, lambda: heap.replace(swapped, b"x" * 39)),
+             (SizeMismatchError, lambda: heap.replace(resident, b"x" * 41)),
+             (GuardActiveError, read_guarded),
+             (GuardActiveError, write_guarded),
+             (StaleHandleError, lambda: heap.replace(gone, b"x" * 8)),
+             (StaleHandleError, lambda: heap.replace(foreign, b"x" * 40)))
+    for error, op in cases:
+        before = _heap_state(heap)
+        with pytest.raises(error):
+            op()
+        assert _heap_state(heap) == before
+    with heap.get_ref(swapped) as g:
+        assert g.read() == b"s" * 40
+
+
+def test_replace_on_a_power_failed_device_is_poisoned():
+    heap = make_heap()
+    h = heap.alloc(b"p" * 40)
+    heap.device.arm_power_failure(0)
+    with pytest.raises(PowerFailureInjected):
+        heap.sync_object(h)
+    heap.device.disarm_power_failure()
+    with pytest.raises(HeapPoisonedError):
+        heap.replace(h, b"q" * 40)
+
+
+def test_replace_miss_that_cannot_mark_modified_leaves_the_object_swapped_out():
+    """The miss makes X resident without its bytes; when the modified charge
+    then cannot be met, X's block is dropped again, so no resident ever
+    holds bytes that are not its object's."""
+    heap = make_heap(cache=1024, dirty=256)
+    x = heap.alloc(b"X" * 100)
+    heap.sync_object(x)
+    heap.unload(x)
+    y = heap.alloc(b"Y" * 140)
+    guard = heap.get_mut(y)
+    stats = heap.stats()
+    words = heap.device.cost_meter.words_total
+    with pytest.raises(DirtyBudgetUnsatisfiableError):
+        heap.replace(x, b"Z" * 100)
+    assert not heap.object_info(x).resident
+    assert heap.stats() == stats
+    assert heap.device.cost_meter.words_total == words
+    guard.release()
+    with heap.get_ref(x) as g:
+        assert g.read() == b"X" * 100
+    heap.unload(x)
+    heap.replace(x, b"Z" * 100)  # the guard is gone, so Y's sync makes room
+    with heap.get_ref(x) as g:
+        assert g.read() == b"Z" * 100
 
 
 # -- stats -----------------------------------------------------------------------

@@ -229,8 +229,18 @@ def _miss_case(heap):
     return lambda: heap.get_ref(h).release()
 
 
-@pytest.mark.parametrize("make_op", [_alloc_case, _dealloc_case, _sync_case, _miss_case],
-                         ids=["alloc", "dealloc", "sync_object", "get_ref miss"])
+def _replace_miss_case(heap):
+    h = heap.alloc(b"r" * 40)
+    heap.sync_object(h)
+    heap.unload(h)
+    heap.alloc(b"v" * 2000)  # the 40 B modified charge no longer fits
+    return lambda: heap.replace(h, b"R" * 40)
+
+
+@pytest.mark.parametrize("make_op", [_alloc_case, _dealloc_case, _sync_case, _miss_case,
+                                     _replace_miss_case],
+                         ids=["alloc", "dealloc", "sync_object", "get_ref miss",
+                              "replace miss syncing a victim"])
 def test_every_heap_transfer_path_poisons_the_heap(make_op):
     """A cut anywhere in an op's transfers marks the device and poisons the
     heap; the op's full word count goes through and leaves it usable."""
