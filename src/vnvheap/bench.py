@@ -376,15 +376,14 @@ def _crash_fallback_check() -> None:
     persist(heap)
 
     # Five write-guarded 401-byte objects: dirty accounting sits just under
-    # the limit while the next persist needs exactly its worst-case words
-    # (505 payload + 2 metadata words per pinned entry + the commit word).
+    # the limit, and the next persist writes 505 payload words, then the
+    # commit word. The budget covers the payloads and cuts the commit word.
     guards = []
     for i in range(5):
         g = heap.get_mut(heap.alloc(bytes(401)))
         g.write(bytes([i + 1]) * 401)
         guards.append(g)
-    bound = persist_bound(heap.config)
-    dev.arm_power_failure(bound - 1)
+    dev.arm_power_failure(5 * words_for(401))
     try:
         persist(heap)
     except PowerFailureInjected:

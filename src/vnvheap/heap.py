@@ -47,21 +47,19 @@ every heap on that device raises ``HeapPoisonedError``; the way back is
 ``restore()`` from ``device.reopen()``, the reboot.
 
 An object is resident exactly when its ``cache_offset`` is ``>= 0``; no
-other field records residency, and ``stats().resident_bytes`` is summed
-over the residents on demand. Beside the residents (kept in cache-arrival
-order), the heap keeps two indexes by handle id, so that a persist visits
-only the objects it must write and never the clean, unpinned residents:
-
-* ``_modified`` - every modified resident. Entered when an object is
-  allocated or first written, left when it is synced, deallocated, or
-  cleared by a persist.
-* ``_pinned`` - every object with ``pin_count > 0``. Entered when the pin
-  count goes from 0 to 1, left when it goes back to 0.
+other field records residency. A guarded object is always resident, and
+``stats().resident_bytes`` and ``stats().pinned_count`` are summed over the
+residents on demand. Beside the residents (kept in cache-arrival order),
+the heap keeps one index by handle id, so that a persist visits only the
+objects it must write and never the clean residents: ``_modified``, every
+modified resident. An object enters it when it is allocated or first
+written, and leaves it when it is synced, deallocated, or cleared by a
+persist.
 
 Each object also carries an ``arrival`` stamp, taken from a heap-wide
-counter every time it becomes resident (at allocation, on load, and for
-pinned objects at restore). Stamps strictly increase along the residents'
-order, so sorting the modified index by stamp yields cache-arrival order.
+counter every time it becomes resident (at allocation and on load). Stamps
+strictly increase along the residents' order, so sorting the modified index
+by stamp yields cache-arrival order.
 """
 
 from __future__ import annotations
@@ -128,7 +126,6 @@ class ObjectMeta:
     modified: bool = False
     pin_count: int = 0
     write_guarded: bool = False
-    restored_pin: bool = False
     cache_offset: int = -1  # where the object is cached; -1 when not resident
     arrival: int = 0  # stamp of the latest time the object became resident
     block_bytes: int = field(init=False)  # cache bytes while resident
@@ -281,7 +278,6 @@ class VnvHeap:
         self._metas: dict[int, ObjectMeta] = {}
         self._residents: dict[int, ObjectMeta] = {}  # insertion order = cache arrival
         self._modified: dict[int, ObjectMeta] = {}
-        self._pinned: dict[int, ObjectMeta] = {}
         self._stamps = count(1)  # arrival stamps
         self._dirty = HEADER_CHARGE_BYTES
         self._quarantine: list[tuple[int, int]] = []
@@ -297,11 +293,12 @@ class VnvHeap:
         return self._dirty
 
     def stats(self) -> HeapStats:
+        residents = self._residents.values()
         return HeapStats(
-            resident_bytes=sum(m.size_bytes for m in self._residents.values()),
+            resident_bytes=sum(m.size_bytes for m in residents),
             dirty_bytes=self._dirty,
-            resident_count=len(self._residents),
-            pinned_count=len(self._pinned),
+            resident_count=len(residents),
+            pinned_count=sum(1 for m in residents if m.pin_count),
             cache_free_bytes=self._cache_alloc.total_free(),
             nvm_free_bytes=self._nvm_alloc.total_free(),
         )
@@ -377,7 +374,7 @@ class VnvHeap:
         handle_id = self._next_id
         self._next_id = handle_id + 1
         # Entry identity never changes, so it is written to both tables now;
-        # persist() then only ever touches pin flags and deferred clears.
+        # persist() then only ever touches deferred clears.
         tables.record_alloc(slot, handle_id, nvm_offset, size)
 
         meta = ObjectMeta(handle_id, slot, nvm_offset, size, modified=True,
@@ -423,8 +420,6 @@ class VnvHeap:
             raise WriteGuardActiveError(f"object {meta.handle_id} has a live write guard")
         if meta.cache_offset < 0:
             self._ensure_resident(meta)
-        if not meta.pin_count:
-            self._pinned[meta.handle_id] = meta
         meta.pin_count += 1
         return ReadGuard(self, meta)
 
@@ -449,7 +444,6 @@ class VnvHeap:
             self._mark_modified(meta)
         meta.pin_count = 1
         meta.write_guarded = True
-        self._pinned[meta.handle_id] = meta
         return WriteGuard(self, meta)
 
     def replace(self, handle: ObjectHandle, payload: bytes | bytearray | memoryview) -> None:
@@ -488,19 +482,8 @@ class VnvHeap:
 
     def _release_guard(self, meta: ObjectMeta, writable: bool) -> None:
         meta.pin_count -= 1
-        if not meta.pin_count:
-            del self._pinned[meta.handle_id]
         if writable:
             meta.write_guarded = False
-
-    def release_restored_pin(self, handle: ObjectHandle) -> None:
-        """Drop the pin a restore placed on an object that was guarded when
-        the checkpoint was taken."""
-        meta = self._resolve(handle)
-        if not meta.restored_pin:
-            raise PreconditionError(f"object {meta.handle_id} holds no restored pin")
-        meta.restored_pin = False
-        self._release_guard(meta, False)
 
     # -- explicit state management -------------------------------------------
 
@@ -573,11 +556,6 @@ class VnvHeap:
         offset = self._cache_alloc.alloc(meta.block_bytes)
         if offset is None:
             offset = self._make_cache_room(meta.block_bytes)
-        self._load(meta, offset, fetch)
-
-    def _load(self, meta: ObjectMeta, offset: int, fetch: bool = True) -> None:
-        """Make ``meta`` resident in the cache block at ``offset``, reading
-        its bytes from NVM if ``fetch``; charge residency."""
         if fetch:
             payload = self.device.read(meta.nvm_offset, meta.size_bytes)
             self._cache[offset : offset + meta.size_bytes] = payload

@@ -7,17 +7,18 @@ offset 0              superblock, 24 bytes:
                       magic ``VNVH`` (4) | version u16 | active-slot u8 |
                       commit-flag u8 | slot A offset u32 | slot A length u32 |
                       slot B offset u32 | slot B length u32
-24                    metadata slot A (``max_objects`` entries of 20 bytes)
+24                    metadata slot A (``max_objects`` entries of 12 bytes)
 24 + table length     metadata slot B (same shape)
 after slot B          object region (payload extents)
 ====================  =======================================================
 
-A metadata entry is ``handle id u32 | nvm offset u32 | size u32 | flags u8 |
-pad u8*3 | cache offset u32``; flags bit 0 records pinned-at-persist. A handle
-id of zero marks a free entry slot. The table code handles an entry as its
-five little-endian words, with flags and pad read as one flags word, and
-every table write is one of those words: a delta compares the entry's words
-with the mirrored slot's as ints and writes only those that differ.
+A metadata entry is ``handle id u32 | nvm offset u32 | size u32``: the
+object's identity, fixed for its life. A handle id of zero marks a free
+entry slot. The table code handles an entry as its three little-endian
+words, and every table write is one of those words: a delta compares the
+entry's words with the mirrored slot's as ints and writes only those that
+differ. No volatile state (pins, cache offsets) is recorded, so a restored
+object always starts swapped out.
 
 Commit protocol: version, active-slot and commit-flag share the superblock's
 second word, so a single atomic word write publishes a new checkpoint. The
@@ -27,8 +28,7 @@ committed table untouched until the next flip. Births are the exception:
 they are written to both slots at allocation.
 
 Before a commit, the staging slot is brought up to date by a delta flush
-that visits only the entries that can differ from the live objects: those
-pinned now, those staged with a pin flag that must be cleared, and dead
+that visits only the entries that can differ from the live objects: dead
 entries still occupied in staging (deferred clears). See
 :class:`CheckpointTables`.
 """
@@ -43,42 +43,24 @@ from .errors import ConfigInvalidError, NoValidCheckpointError
 from .storage import StorageDevice, WORD_BYTES
 
 MAGIC = b"VNVH"
-VERSION = 1
+VERSION = 2
 SUPERBLOCK_BYTES = 24
 COMMIT_WORD_OFFSET = 4  # version u16 | active u8 | commit u8, one word
-ENTRY_BYTES = 20
+ENTRY_BYTES = 12
 ENTRY_WORDS = ENTRY_BYTES // WORD_BYTES
-FLAG_PINNED = 0x01
-IDENTITY_BYTES = 12  # handle id | nvm offset | size: fixed for an entry's life
 ZERO_WORD = bytes(WORD_BYTES)
-UNPINNED_WORDS = (0, 0)  # flags word | cache offset of an unpinned entry
 # Orders in which an entry's words are written. A birth (the slot's id word
 # is zero) writes the id word last, so a power failure in the middle leaves
 # the slot reading as free, never as a torn half-written object.
-BIRTH_ORDER = (1, 2, 3, 4, 0)
-UPDATE_ORDER = (0, 1, 2, 3, 4)
+BIRTH_ORDER = (1, 2, 0)
+UPDATE_ORDER = (0, 1, 2)
 
 # Deferred clears drained by each allocation and deallocation.
 DRAIN_PER_OP = 2
 
 _SB = struct.Struct("<4sHBBIIII")
 _WORDS = struct.Struct(f"<{ENTRY_WORDS}I")  # an entry as its words
-_IDENTITY = struct.Struct("<3I")
 _WORD = struct.Struct("<I")
-
-
-def entry_words(handle_id: int, nvm_offset: int, size: int, pinned: bool,
-                cache_offset: int) -> tuple[int, int, int, int, int]:
-    """An entry as the five words :class:`CheckpointTables` takes. The flags
-    byte and its three zero pad bytes make up the flags word."""
-    if pinned:
-        return (handle_id, nvm_offset, size, FLAG_PINNED, cache_offset)
-    return (handle_id, nvm_offset, size, 0, 0)
-
-
-def pack_entry(handle_id: int, nvm_offset: int, size: int, pinned: bool, cache_offset: int) -> bytes:
-    """An entry's bytes as they lie in a table."""
-    return _WORDS.pack(*entry_words(handle_id, nvm_offset, size, pinned, cache_offset))
 
 
 @dataclass(frozen=True)
@@ -143,30 +125,22 @@ class CheckpointTables:
     """Owns the two metadata slots and the commit word.
 
     Volatile mirrors of both slots let every NVM table write be a minimal
-    word-granular delta. Callers pass each entry as its five words, the tuple
-    ``(handle id, nvm offset, size, flags word, cache offset)``; a write
-    unpacks the mirror slot once, compares word with word as ints and sends
-    only the words that differ, in a fixed order (:data:`BIRTH_ORDER` when the
-    slot's id word is zero, else :data:`UPDATE_ORDER`).
+    word-granular delta. Callers pass each entry as its three words, the
+    tuple ``(handle id, nvm offset, size)``; a write unpacks the mirror slot
+    once, compares word with word as ints and sends only the words that
+    differ, in a fixed order (:data:`BIRTH_ORDER` when the slot's id word is
+    zero, else :data:`UPDATE_ORDER`).
 
-    Entry identity fields never change after allocation and births are
-    written to both tables, so a live entry's identity words already match
-    the truth in either table. Between two commits a staging slot can differ
-    from the truth for only three reasons, and :meth:`flush_delta` visits
-    exactly the slots with one of them:
-
-    * the object is pinned now: the caller passes its pinned entry;
-    * the staged entry still carries a pin flag or cache offset
-      (``_flagged``), which must go back to the unpinned form;
-    * the object is dead but its staged id word is still set (``_dead``):
-      a deferred clear.
-
-    Every slot outside these sets already matches the truth, so a flush costs
-    O(changed entries), not O(live objects). The per-table sets, the
-    occupancy sets and the min-heap of free slots are all derived from the
-    raw tables plus the rule that live entries are occupied in both;
-    :meth:`format` and :meth:`adopt` build them from scratch, and one of the
-    two must run before any other method.
+    An entry never changes after allocation and births are written to both
+    tables, so a live entry already matches the truth in either table.
+    Between two commits a staging slot can differ from the truth for one
+    reason only: the object is dead but its staged id word is still set
+    (``_dead``), a deferred clear. :meth:`flush_delta` visits exactly those
+    slots, so a flush costs O(dead entries), not O(live objects). The
+    occupancy sets, the dead sets and the min-heap of free slots are all
+    derived from the raw tables plus the rule that live entries are occupied
+    in both; :meth:`format` and :meth:`adopt` build them from scratch, and
+    one of the two must run before any other method.
     """
 
     def __init__(self, device: StorageDevice, layout: ImageLayout) -> None:
@@ -181,16 +155,12 @@ class CheckpointTables:
         """Derive every per-slot set from raw table bytes. Each entry occupied
         in table ``committed`` counts as live; any other occupied entry is dead."""
         self._mirror = mirrors
-        # Slots with a nonzero id word, per table.
-        self._occupied: list[set[int]] = [set(), set()]
-        # Occupied slots whose flags word or cache-offset word is nonzero.
-        self._flagged: list[set[int]] = [set(), set()]
-        for t, raw in enumerate(mirrors):
-            # Only zero tests follow, and those do not depend on byte order.
-            words = memoryview(raw).cast("I")
-            ids, flags, offsets = words[0::ENTRY_WORDS], words[3::ENTRY_WORDS], words[4::ENTRY_WORDS]
-            self._occupied[t] = {slot for slot, v in enumerate(ids) if v}
-            self._flagged[t] = {s for s in self._occupied[t] if flags[s] or offsets[s]}
+        # Slots with a nonzero id word, per table. Only zero tests follow,
+        # and those do not depend on byte order.
+        self._occupied: list[set[int]] = [
+            {slot for slot, v in enumerate(memoryview(raw).cast("I")[::ENTRY_WORDS]) if v}
+            for raw in mirrors
+        ]
         # Occupied slots whose object is dead (deferred clears), per table.
         live = self._occupied[committed]
         self._dead: list[set[int]] = [occ - live for occ in self._occupied]
@@ -235,7 +205,7 @@ class CheckpointTables:
 
     # -- entry access -------------------------------------------------------
 
-    def committed_entries(self) -> list[tuple[int, tuple[int, int, int, int, int]]]:
+    def committed_entries(self) -> list[tuple[int, tuple[int, int, int]]]:
         """``(slot, entry words)`` of every committed entry, by slot."""
         assert self.committed is not None
         table = self._mirror[self.committed]
@@ -272,15 +242,11 @@ class CheckpointTables:
                 mirror[lo : lo + WORD_BYTES] = word
                 self.metadata_bytes_written += WORD_BYTES
         self._occupied[table].add(slot)
-        if entry[3] or entry[4]:
-            self._flagged[table].add(slot)
-        else:
-            self._flagged[table].discard(slot)
 
     def record_alloc(self, slot: int, handle_id: int, nvm_offset: int, size: int) -> None:
         """Write a new object's entry into both tables (birth is eager), then
         drain up to :data:`DRAIN_PER_OP` deferred clears."""
-        entry = (handle_id, nvm_offset, size, 0, 0)
+        entry = (handle_id, nvm_offset, size)
         self._write_entry(0, slot, entry)
         self._write_entry(1, slot, entry)
         if self._dead[self.staging]:
@@ -307,7 +273,6 @@ class CheckpointTables:
         self._mirror[table][lo : lo + WORD_BYTES] = ZERO_WORD
         self.metadata_bytes_written += WORD_BYTES
         occupied.discard(slot)
-        self._flagged[table].discard(slot)
         self._dead[table].discard(slot)
         if slot not in self._occupied[1 - table]:
             heapq.heappush(self._free, slot)
@@ -323,30 +288,24 @@ class CheckpointTables:
         for slot in heapq.nsmallest(DRAIN_PER_OP, self._dead[staging]):
             self._clear_id(staging, slot)
 
-    def flush_delta(self, entries: dict[int, tuple[int, ...]]) -> None:
+    def flush_delta(self, entries: dict[int, tuple[int, int, int]]) -> None:
         """Make the staging table match the truth, visiting only the slots
         that can differ from it, in ascending order.
 
-        ``entries`` maps slot to live entry words for every slot pinned now
-        (at persist) or for every live slot (at restore, where the staging
-        table may hold anything). The other candidates are the staged pin
-        flags and the deferred clears. A slot outside them needs no write, so
-        the device sees the same writes as a comparison of every live entry.
+        ``entries`` maps slot to live entry words. At persist it is empty:
+        every live entry is already in place, so only the deferred clears
+        are visited. At restore it holds every live slot, because after an
+        uncommitted dealloc the staging table can lack a committed entry. A
+        slot outside these candidates needs no write, so the device sees the
+        same writes as a comparison of every live entry.
         """
         staging = self.staging
-        dead = self._dead[staging]
-        mirror = self._mirror[staging]
-        for slot in sorted(entries.keys() | self._flagged[staging] | dead):
+        for slot in sorted(entries.keys() | self._dead[staging]):
             entry = entries.get(slot)
             if entry is not None:
                 self._write_entry(staging, slot, entry)
-            elif slot in dead:
-                self._clear_id(staging, slot)
             else:
-                # Live and no longer pinned: keep the identity words, reset
-                # the flags and cache-offset words.
-                identity = _IDENTITY.unpack_from(mirror, slot * ENTRY_BYTES)
-                self._write_entry(staging, slot, identity + UNPINNED_WORDS)
+                self._clear_id(staging, slot)
 
     def commit(self) -> None:
         """Atomically publish the staging table and flip the roles."""

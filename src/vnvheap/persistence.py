@@ -2,28 +2,27 @@
 power cycle, and bound/estimate the cost of doing so.
 
 persist() writes, in order: every modified payload (in cache-arrival order),
-the word-granular metadata deltas for the staging table, and finally one
-commit word that atomically publishes the staging table. Because object
-identity entries were already written when the objects were allocated, the
-transfer count is capped by the modified-state budget: ``persist_bound()``
-words, independent of cache size. A power failure anywhere in the sequence
-leaves the previous committed checkpoint readable.
+the deferred clears of dead entries in the staging table, and finally one
+commit word that atomically publishes the staging table. Because an entry
+records only an object's identity, written when the object was allocated,
+no live object's entry is written at persist, guarded or not. The payloads
+and the commit word fit ``persist_bound()`` words, independent of cache
+size; the deferred clears are not charged to the modified-state budget, so
+a burst of deallocations can still take a persist past it. A power failure
+anywhere in the sequence leaves the previous committed checkpoint readable.
 
-persist() visits only modified and pinned objects, never the clean,
-unpinned residents: the payloads come from the heap's modified index, sorted
-by arrival stamp, and the pinned entries from its pinned index (see
+persist() visits only modified objects, never the clean residents: the
+payloads come from the heap's modified index, sorted by arrival stamp (see
 :mod:`vnvheap.heap`). The metadata step is a delta flush
-(``CheckpointTables.flush_delta``) that visits only the staging slots that
-can differ from the truth: objects pinned now, entries still staged with a
-pin flag, and deferred clears of dead objects. So its host cost follows what
-changed, not how many objects are resident or live.
+(``CheckpointTables.flush_delta``) that visits only the deferred clears. So
+its host cost follows what changed, not how many objects are resident or
+live.
 
-restore() rebuilds a heap from the committed table: objects that were pinned
-when the checkpoint was taken come back resident at their recorded cache
-offsets (so outstanding accesses stay meaningful); everything else starts
-swapped out and loads lazily on first access. It then runs the same delta
-flush with every live entry as a candidate, because the staging table may
-predate the committed one.
+restore() rebuilds a heap from the committed table. Every object starts
+swapped out, whether or not a guard was held on it at persist, and loads
+lazily on first access. It then runs the same delta flush with every live
+entry as a candidate, because the staging table may predate the committed
+one.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import ConfigInvalidError, NoValidCheckpointError
-from .heap import HEADER_CHARGE_BYTES, META_CHARGE_BYTES, HeapConfig, ObjectHandle, ObjectMeta, VnvHeap
-from .layout import ENTRY_BYTES, FLAG_PINNED, ImageLayout, entry_words, read_superblock
-from .storage import StorageDevice, WORD_BYTES, words_for
+from .heap import HEADER_CHARGE_BYTES, HeapConfig, ObjectHandle, ObjectMeta, VnvHeap
+from .layout import ENTRY_BYTES, ImageLayout, read_superblock
+from .storage import StorageDevice, words_for
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,6 @@ def wcec_millijoules(words: int, model: EnergyModel = EnergyModel()) -> float:
     return model.energy_uj(words) / 1000.0
 
 
-def _table_entry(meta: ObjectMeta) -> tuple[int, int, int, int, int]:
-    """The words of ``meta``'s entry as it must appear in a committed table."""
-    return entry_words(meta.handle_id, meta.nvm_offset, meta.size_bytes,
-                       meta.pin_count > 0, meta.cache_offset)
-
-
 _ARRIVAL = attrgetter("arrival")
 
 
@@ -100,8 +93,7 @@ def persist(heap: VnvHeap) -> PersistReport:
             meta.modified = False
             del modified[meta.handle_id]
             heap._dirty -= meta.size_bytes
-    heap.tables.flush_delta({meta.entry_slot: _table_entry(meta)
-                             for meta in heap._pinned.values()})
+    heap.tables.flush_delta({})
     heap.tables.commit()
     # The commit published every deallocation, so quarantined extents are
     # safe to reuse now.
@@ -123,11 +115,9 @@ def restore(
     """Rebuild a heap from the device's committed checkpoint.
 
     Returns the heap and a handle per surviving object, keyed by the stable
-    handle id the application saw before the power cycle. Raises
-    :class:`NoValidCheckpointError` for an image with no committed
-    checkpoint or one it cannot trust, and :class:`ConfigInvalidError` when
-    the objects pinned in the image would put the heap over
-    ``max_modified_state_bytes``.
+    handle id the application saw before the power cycle. Every object comes
+    back swapped out and unpinned. Raises :class:`NoValidCheckpointError`
+    for an image with no committed checkpoint or one it cannot trust.
     """
     superblock = read_superblock(device)
     if not superblock.committed:
@@ -153,8 +143,8 @@ def restore(
     )
     heap.tables.adopt(superblock)
 
-    pinned: list[tuple[int, ObjectMeta]] = []
-    for slot, (handle_id, nvm_offset, size, flags, cache_offset) in heap.tables.committed_entries():
+    committed = heap.tables.committed_entries()
+    for slot, (handle_id, nvm_offset, size) in committed:
         if handle_id in heap._metas:
             raise NoValidCheckpointError(f"handle id {handle_id} is committed twice")
         if not size:
@@ -172,34 +162,10 @@ def restore(
             raise NoValidCheckpointError(f"object {handle_id}: {exc}") from None
         heap._metas[handle_id] = meta
         heap._next_id = max(heap._next_id, handle_id + 1)
-        if flags & FLAG_PINNED:
-            pinned.append((cache_offset, meta))
-
-    # Each pinned object comes back resident, charged 3 bytes of metadata.
-    charge = HEADER_CHARGE_BYTES + META_CHARGE_BYTES * len(pinned)
-    if charge > heap.config.max_modified_state_bytes:
-        raise ConfigInvalidError(
-            f"{len(pinned)} objects pinned in the image charge {charge} B of modified "
-            f"state, over the {heap.config.max_modified_state_bytes} B limit"
-        )
-
-    # Objects pinned at persist time come back resident at the exact cache
-    # offsets their guards saw; everything else reloads lazily.
-    for cache_offset, meta in sorted(pinned, key=lambda p: p[0]):
-        try:
-            heap._cache_alloc.allocate_at(cache_offset, meta.block_bytes)
-        except ValueError as exc:
-            # Outside this cache, or overlapping another pinned block: the
-            # image is corrupt or was taken with a different cache size.
-            raise NoValidCheckpointError(f"object {meta.handle_id}: cache {exc}") from None
-        heap._load(meta, cache_offset)
-        meta.pin_count = 1
-        meta.restored_pin = True
-        heap._pinned[meta.handle_id] = meta
 
     # Bring the staging table up to date now so the next persist stays a
     # minimal delta (the staging slot may predate this checkpoint).
-    heap.tables.flush_delta({meta.entry_slot: _table_entry(meta) for meta in heap._metas.values()})
+    heap.tables.flush_delta(dict(committed))
 
     handles = {
         handle_id: ObjectHandle(handle_id, meta.size_bytes, heap)

@@ -123,13 +123,10 @@ class VnvQueue:
                control_id: int) -> "VnvQueue":
         """Rebuild a queue from a restored heap and its handle directory."""
         control = handles[control_id]
-        info = heap.object_info(control)
-        if info.pinned:
-            heap.release_restored_pin(control)
         with heap.get_ref(control) as g:
             element_size, capacity, live_count, _ = _CONTROL_HEADER.unpack(
                 g.read(0, _CONTROL_HEADER.size))
-            total = (info.size_bytes - _CONTROL_HEADER.size) // 4
+            total = (control.size_bytes - _CONTROL_HEADER.size) // 4
             ids = struct.unpack(f"<{total}I", g.read(_CONTROL_HEADER.size))
         slot_ids = [i for i in ids if i]  # zero-padded tail = unallocated
         slots = [handles[i] for i in slot_ids]

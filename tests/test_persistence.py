@@ -6,17 +6,14 @@ import pytest
 
 from traceutil import count_bytecodes, log_writes
 from vnvheap import (
-    ConfigInvalidError,
     DirtyBudgetUnsatisfiableError,
     EnergyModel,
-    GuardActiveError,
     HEADER_CHARGE_BYTES,
     HeapConfig,
     HeapPoisonedError,
     NoValidCheckpointError,
     FileBackedNvm,
     PowerFailureInjected,
-    PreconditionError,
     SimulatedNvm,
     VnvHeap,
     persist,
@@ -109,13 +106,13 @@ def test_persist_clears_modified_keeps_residency():
     assert heap.dirty_bytes == HEADER_CHARGE_BYTES + 3 * 3
 
 
-def test_persist_saturates_the_bound_exactly():
-    """A maximal construction: dirty budget full to the byte, every object
-    pinned so its table entry changes, transfers == persist_bound exactly."""
+def test_persist_of_a_full_budget_under_guards_is_its_payloads_and_the_commit_word():
+    """A maximal construction: dirty budget full to the byte, every modified
+    object under a read guard. A guard writes no table word, so persist
+    writes the payloads and the commit word, within persist_bound."""
     dev, heap = fresh()
-    # a clean, unpinned placeholder keeps cache offset 0 occupied so every
-    # pinned entry below really changes both its flag and its offset word;
-    # being clean it costs the persist nothing and the budget 3 bytes
+    # a clean placeholder fills the budget's last 3 bytes; being clean it
+    # costs the persist nothing
     placeholder = heap.alloc(b"x")
     heap.sync_object(placeholder)
 
@@ -124,18 +121,36 @@ def test_persist_saturates_the_bound_exactly():
               for i, n in enumerate(sizes)]
     assert heap.dirty_bytes == 2048 == heap.config.max_modified_state_bytes
 
-    bound = persist_bound(heap.config)  # 516
-    dev.arm_power_failure(bound)  # exactly enough
+    # 505 payload words + 1 commit word
+    words = sum(words_for(n) for n in sizes) + 1
+    assert words == 506 <= persist_bound(heap.config) == 516
+    dev.arm_power_failure(words)  # exactly enough
     rep = persist(heap)
     dev.disarm_power_failure()
-    assert rep.words_transferred == bound
-    # 505 payload words + 2 table words per pinned entry + 1 commit word
-    assert rep.words_transferred == sum(words_for(n) for n in sizes) + 10 + 1
+    assert rep.words_transferred == words
+    for g in guards:
+        g.release()
+
+
+@pytest.mark.parametrize("count, size, words", [(124, 1, 125), (62, 5, 125), (33, 12, 100)],
+                         ids=["124x1B", "62x5B", "33x12B"])
+def test_persist_with_every_object_guarded_stays_within_the_bound(count, size, words):
+    """The modified-state budget full of small objects, each under a live
+    read guard: persist writes one payload per object and the commit word,
+    and no table word for any guard."""
+    dev, heap = fresh(cache=4096, dirty=512, max_objects=128)
+    handles = [heap.alloc(bytes([i % 255 + 1]) * size) for i in range(count)]
+    guards = [heap.get_ref(h) for h in handles]
+    rep = persist(heap)
+    assert rep.words_transferred == words == count * words_for(size) + 1
+    assert rep.words_transferred <= persist_bound(heap.config) == 132
     for g in guards:
         g.release()
 
 
 def test_budget_one_short_of_the_bound_fails_at_the_commit_word():
+    """Armed one word short of what the persist writes: every payload is
+    durable and only the commit word is cut."""
     dev, heap = fresh()
     placeholder = heap.alloc(b"x")
     heap.sync_object(placeholder)
@@ -144,7 +159,7 @@ def test_budget_one_short_of_the_bound_fails_at_the_commit_word():
     guards = [heap.get_ref(h) for h in handles]
     extents = [heap.object_info(h).nvm_offset for h in handles]
 
-    dev.arm_power_failure(persist_bound(heap.config) - 1)
+    dev.arm_power_failure(sum(words_for(n) for n in sizes))  # 505: all but the commit word
     with pytest.raises(PowerFailureInjected):
         persist(heap)
     dev.disarm_power_failure()
@@ -322,30 +337,26 @@ def test_commit_releases_quarantined_extents_for_reuse():
     assert heap.stats().nvm_free_bytes == free_before + 128
 
 
-def test_restore_rebuilds_pinned_objects_in_place():
+def test_restore_brings_a_guarded_object_back_swapped_out_and_unpinned():
     dev, heap = fresh()
-    h1 = heap.alloc(b"pinned" * 20)
-    h2 = heap.alloc(b"loose" * 20)
-    g = heap.get_ref(h1)
-    offset_before = heap.object_info(h1).cache_offset
+    held = heap.alloc(b"held" * 30)
+    loose = heap.alloc(b"loose" * 20)
+    g = heap.get_ref(held)
     persist(heap)
 
     heap2, handles = restore(dev.reopen())
-    i1 = heap2.object_info(handles[h1.id])
-    i2 = heap2.object_info(handles[h2.id])
-    assert i1.resident and i1.pinned
-    assert i1.cache_offset == offset_before
-    assert not i2.resident  # unpinned objects reload lazily
-    assert heap2.dirty_bytes == HEADER_CHARGE_BYTES + 3
+    for h in (held, loose):
+        info = heap2.object_info(handles[h.id])
+        assert not info.resident and not info.pinned and not info.modified
+    assert heap2.dirty_bytes == HEADER_CHARGE_BYTES
+    assert heap2.stats().pinned_count == 0
 
-    # the restored pin blocks writers until the application releases it
-    with pytest.raises(GuardActiveError):
-        heap2.get_mut(handles[h1.id])
-    heap2.release_restored_pin(handles[h1.id])
-    with pytest.raises(PreconditionError):
-        heap2.release_restored_pin(handles[h1.id])
-    with heap2.get_mut(handles[h1.id]) as w:
+    # nothing is left to release: a writer gets the object at once
+    with heap2.get_mut(handles[held.id]) as w:
+        assert w.read() == b"held" * 30
         w.write(b"now mine")
+    with heap2.get_ref(handles[loose.id]) as r:
+        assert r.read() == b"loose" * 20
     g.release()
 
 
@@ -431,41 +442,35 @@ def test_restore_rejects_an_entry_too_large_for_the_cache(size):
         assert g.read(0, 8) == bytes([3]) * 8
 
 
-def _pinned_image(objects, pin):
+def _guarded_image(objects, guard):
     """Like ``_committed_image``, with a read guard held across the persist
-    on the objects whose indexes are in ``pin``."""
+    on the objects whose indexes are in ``guard``."""
     dev, heap = fresh()
     handles = [heap.alloc(payload) for payload in objects]
-    guards = [heap.get_ref(handles[i]) for i in pin]
+    guards = [heap.get_ref(handles[i]) for i in guard]
     persist(heap)
-    for guard in guards:
-        guard.release()
-    return dev.reopen(), heap.layout.table_offset(heap.tables.committed)
+    for g in guards:
+        g.release()
+    return dev.reopen()
 
 
-@pytest.mark.parametrize("cache_offset", [
-    "overlap",       # slot 1's pinned block starts at slot 0's
-    4096,            # just past the end of the 4 KiB cache
-    8192,
-])
-def test_restore_rejects_a_pinned_block_that_is_not_free(cache_offset):
-    dev, table = _pinned_image([b"AAAAAAAA", b"BBBBBBBB"], pin=(0, 1))
-    if cache_offset == "overlap":
-        word = _entry_word(dev, table, 0, 4)
-    else:
-        word = cache_offset.to_bytes(4, "little")
-    dev.write(table + ENTRY_BYTES + 16, word)  # slot 1's cache offset
-    with pytest.raises(NoValidCheckpointError, match="object 2: cache extent .* is not free"):
+def test_an_image_with_a_guarded_object_restores_into_a_smaller_cache():
+    # Blocks of 204 B sat at 0, 204, 408 and 612 of a 4 KiB cache, the last
+    # one guarded. The image records no cache offset, so a 512 B cache,
+    # which holds two such blocks at a time, serves all four.
+    payloads = [bytes([i]) * 200 for i in range(4)]
+    dev = _guarded_image(payloads, guard=(3,))
+    heap, handles = restore(dev, cache_size_bytes=512, max_modified_state_bytes=512)
+    for hid, payload in zip(sorted(handles), payloads):
+        with heap.get_ref(handles[hid]) as g:
+            assert g.read() == payload
+
+
+def test_restore_rejects_an_image_of_another_layout_version():
+    dev, _ = _committed_image([b"AAAAAAAA"])
+    dev.write(4, (1).to_bytes(2, "little"))  # superblock version 1: five-word entries
+    with pytest.raises(NoValidCheckpointError, match="no recognizable heap image"):
         restore(dev)
-
-
-def test_restore_into_a_smaller_cache_rejects_a_pinned_block_beyond_it():
-    # Blocks of 204 B sit at 0, 204, 408 and 612; only the last is pinned.
-    dev, _ = _pinned_image([bytes([i]) * 200 for i in range(4)], pin=(3,))
-    with pytest.raises(NoValidCheckpointError, match=r"object 4: cache extent \[612, 816\)"):
-        restore(dev, cache_size_bytes=512, max_modified_state_bytes=512)
-    heap, handles = restore(dev)  # the cache it was taken with
-    assert heap.object_info(handles[4]).cache_offset == 612
 
 
 def test_restore_rejects_an_active_slot_byte_other_than_0_or_1():
@@ -477,7 +482,7 @@ def test_restore_rejects_an_active_slot_byte_other_than_0_or_1():
 
 @pytest.mark.parametrize("length", [
     0,               # no table, so no entry slots
-    20_000_000,      # tables larger than the 64 KiB device
+    24_000_000,      # tables larger than the 64 KiB device
 ])
 def test_restore_rejects_a_table_length_the_device_cannot_hold(length):
     dev, heap = fresh(max_objects=16, capacity=64 * 1024)
@@ -490,17 +495,16 @@ def test_restore_rejects_a_table_length_the_device_cannot_hold(length):
         restore(dev)
 
 
-def test_restore_refuses_a_limit_that_the_pinned_state_cannot_fit():
-    # Each of the 40 pinned objects comes back resident, charged 3 B of
-    # metadata on top of the 16 B header: 136 B of modified state.
-    dev, _ = _pinned_image([bytes([i]) for i in range(40)], pin=range(40))
-    with pytest.raises(ConfigInvalidError, match="136 B"):
-        restore(dev, max_modified_state_bytes=64)
-    with pytest.raises(ConfigInvalidError):
-        restore(dev, max_modified_state_bytes=132)
-    heap, handles = restore(dev, max_modified_state_bytes=136)
-    assert heap.dirty_bytes == 136
-    assert heap.stats().pinned_count == len(handles) == 40
+def test_an_image_taken_under_many_guards_restores_at_a_small_limit():
+    # None of the 40 objects guarded at persist comes back resident, so the
+    # restored heap is charged the 16 B header alone.
+    dev = _guarded_image([bytes([i]) for i in range(40)], guard=range(40))
+    heap, handles = restore(dev, max_modified_state_bytes=64)
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES == 16
+    assert len(handles) == 40
+    assert heap.stats().pinned_count == heap.stats().resident_count == 0
+    with heap.get_ref(handles[40]) as g:
+        assert g.read() == bytes([39])
 
 
 def test_restore_round_trip_through_a_file(tmp_path):

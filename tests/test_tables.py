@@ -8,20 +8,21 @@ a fresh recomputation from the live objects.
 """
 
 import random
+import struct
 
 from traceutil import EXPECTED_PRESSURE_ERRORS, TraceMachine, check_indexes, log_writes
 from vnvheap import SimulatedNvm, VnvHeap, persist, restore
-from vnvheap.layout import ENTRY_BYTES, ENTRY_WORDS, IDENTITY_BYTES, pack_entry
+from vnvheap.layout import ENTRY_BYTES, ENTRY_WORDS
 from vnvheap.storage import WORD_BYTES
 
 ZERO_WORD = bytes(WORD_BYTES)
+_ENTRY = struct.Struct(f"<{ENTRY_WORDS}I")
 
 
 def truth_of(heap):
-    """Slot -> entry of every live object, recomputed from its metadata."""
+    """Slot -> entry bytes of every live object, recomputed from its metadata."""
     return {
-        m.entry_slot: pack_entry(m.handle_id, m.nvm_offset, m.size_bytes,
-                                 m.pinned, m.cache_offset if m.pinned else 0)
+        m.entry_slot: _ENTRY.pack(m.handle_id, m.nvm_offset, m.size_bytes)
         for m in heap._metas.values()
     }
 
@@ -71,10 +72,6 @@ def check_tables(heap, dev):
         assert raw == device_table(dev, heap, t), f"table {t} mirror drifted from the device"
         occupied = {s for s in slots if raw[s * ENTRY_BYTES : s * ENTRY_BYTES + 4] != ZERO_WORD}
         assert tables._occupied[t] == occupied
-        assert tables._flagged[t] == {
-            s for s in occupied
-            if raw[s * ENTRY_BYTES + IDENTITY_BYTES : (s + 1) * ENTRY_BYTES] != bytes(8)
-        }
         assert tables._dead[t] == occupied - set(truth)
         assert set(truth) <= occupied, "a live entry is missing from a table"
     free = [s for s in slots if s not in tables._occupied[0] and s not in tables._occupied[1]]
@@ -90,25 +87,14 @@ def check_tables(heap, dev):
                 assert entry[:4] == ZERO_WORD, f"dead slot {s} still committed"
 
 
-class _RestoredPin:
-    """The pin restore() placed on an object, held like a read guard."""
-
-    def __init__(self, heap, handle):
-        self.heap, self.handle = heap, handle
-
-    def release(self):
-        self.heap.release_restored_pin(self.handle)
-
-
 class TableOracleMachine(TraceMachine):
     """Guards held across persists, dealloc bursts, small objects that churn
-    table slots, and power cycles that bring back pinned entries."""
+    table slots, and power cycles taken while guards are held."""
 
     def __init__(self, seed):
         super().__init__(seed, cache=2048, dirty=1024, max_objects=40)
         self.log = log_writes(self.dev)
         self.persists = 0
-        self.pins_held_until = 0
 
     def op_alloc(self):
         size = self.rng.choice((1, 3, 8, 12, 24, 40, 100))
@@ -124,10 +110,6 @@ class TableOracleMachine(TraceMachine):
         for _ in range(self.rng.randint(3, 12)):
             self.op_dealloc()
 
-    def op_release_guard(self):
-        if self.guards and self.persists >= self.pins_held_until:
-            super().op_release_guard()
-
     def op_persist(self):
         heap = self.heap
         staging = heap.tables.staging
@@ -141,9 +123,9 @@ class TableOracleMachine(TraceMachine):
         check_indexes(heap)
 
     def op_power_cycle(self):
-        """Persist with guards held, reboot, restore the pinned entries."""
+        """Persist with guards held, reboot, restore: no object comes back
+        pinned, and the guards died with the old heap."""
         self.op_persist()
-        held = {hid for hid, _, _ in self.guards}
         self.dev = self.dev.reopen()
         self.log = log_writes(self.dev)
         layout = self.heap.layout
@@ -154,10 +136,9 @@ class TableOracleMachine(TraceMachine):
         assert table_writes(self.log, self.heap, staging) == reference_flush(before, truth_of(self.heap))
         check_tables(self.heap, self.dev)
         check_indexes(self.heap)
-        pinned = {hid for hid, h in self.handles.items() if self.heap.object_info(h).pinned}
-        assert pinned == held
-        self.guards = [(hid, _RestoredPin(self.heap, self.handles[hid]), False) for hid in sorted(pinned)]
-        self.pins_held_until = self.persists + 2
+        assert not any(self.heap.object_info(h).pinned for h in self.handles.values())
+        assert self.heap.stats().pinned_count == 0
+        self.guards = []
 
     OPS = TraceMachine.OPS + [("op_dealloc_burst", 1), ("op_hold_guard", 3),
                               ("op_persist", 3), ("op_power_cycle", 1)]
@@ -170,30 +151,6 @@ def test_delta_flush_matches_the_reference_on_adversarial_traces():
         assert m.persists >= 40
         m.op_persist()
         m.op_persist()
-
-
-def test_restore_clears_pin_flags_loaded_from_the_device():
-    """Regression: the sets restore derives from the raw tables must include
-    the pin flags already on the device, or they are never cleared."""
-    dev = SimulatedNvm(64 * 1024)
-    heap = VnvHeap(dev, cache_size_bytes=1024, max_modified_state_bytes=512, max_objects=8)
-    a = heap.alloc(b"pinned!!")
-    heap.alloc(b"loose")
-    guard = heap.get_ref(a)
-    persist(heap)  # a's pin flag and cache offset are committed
-    guard.release()
-
-    dev = dev.reopen()
-    heap, handles = restore(dev, cache_size_bytes=1024, max_modified_state_bytes=512)
-    heap.release_restored_pin(handles[a.id])
-    persist(heap)
-    persist(heap)  # both tables have been staging once since the restore
-
-    slot = heap._metas[a.id].entry_slot
-    for t in (0, 1):
-        raw = device_table(dev, heap, t)
-        assert raw[slot * ENTRY_BYTES + IDENTITY_BYTES : (slot + 1) * ENTRY_BYTES] == bytes(8), t
-    check_tables(heap, dev)
 
 
 def test_free_slot_reuses_the_lowest_slot_once_both_tables_drop_it():

@@ -16,9 +16,9 @@ from traceutil import log_writes
 
 # SHA-256 over every (offset, data) the trace below passes to the device's
 # public ``write``.
-KV_WRITES_SHA256 = "1c9083348ea2ec23a3c9293e8b504ad03f28ab39eac64c38003741b2134b2cad"
+KV_WRITES_SHA256 = "14e6691805447d535b248fbdc462c317f97cc3bae4aabad236a30d275c9eb18b"
 # The meter's (words_read, words_written) at the end of the trace.
-KV_WORDS = (61632, 47509)
+KV_WORDS = (61632, 45461)
 
 
 def test_kv_trace_device_traffic_is_unchanged():
@@ -90,7 +90,7 @@ def _fold(digest, log):
 
 # SHA-256 of the table-path trace below: the machine's writes and meter
 # totals, then each armed alloc/dealloc's writes and the tables it leaves.
-TABLE_TRAFFIC_SHA256 = "13620f71ca9e034e94979ae63c6b4932dbc306c691ef41affb1ecf1e746d5282"
+TABLE_TRAFFIC_SHA256 = "1e30052c3351505ccf980e8f6a643b50b5ab205d0f94d06f52cacc48d458a079"
 
 
 def _armed_steps(heap, handles):

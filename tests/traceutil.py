@@ -9,8 +9,8 @@ the heap's invariants from scratch:
 * modified and pinned objects are resident,
 * resident cache blocks never overlap and stay inside the cache,
 * object content matches the shadow,
-* the heap's modified and pinned indexes, arrival stamps and running
-  resident-byte total agree with the per-object state.
+* the heap's modified index, arrival stamps and on-demand resident and
+  pinned totals agree with the per-object state.
 """
 
 import random
@@ -41,14 +41,11 @@ EXPECTED_PRESSURE_ERRORS = (
 
 
 def check_indexes(heap):
-    """``_modified`` holds exactly the modified residents, ``_pinned`` exactly
-    the objects with a pin, and arrival stamps strictly increase along the
-    residents' (cache-arrival) order."""
+    """``_modified`` holds exactly the modified residents, and arrival stamps
+    strictly increase along the residents' (cache-arrival) order."""
     metas = heap._metas
     assert heap._modified.keys() == {h for h, m in heap._residents.items() if m.modified}
     assert all(m is metas[h] for h, m in heap._modified.items())
-    assert heap._pinned.keys() == {h for h, m in metas.items() if m.pin_count > 0}
-    assert all(m is metas[h] for h, m in heap._pinned.items())
     stamps = [m.arrival for m in heap._residents.values()]
     assert all(a < b for a, b in zip(stamps, stamps[1:])), "arrival stamps out of order"
 
