@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .baselines import MS_PAGE_SIZES, ManagedStatePool, ModuleSwapApp, UnmanagedRam
 from .errors import PowerFailureInjected, PreconditionError, VnvHeapError
-from .heap import VnvHeap
+from .heap import HEADER_CHARGE_BYTES, VnvHeap
 from .persistence import EnergyModel, persist, persist_bound, restore
 from .storage import SimulatedNvm, words_for
 from .workloads import (
@@ -173,11 +173,12 @@ def run_queue_bench(initial_len: int, backend: str, reps: int = 64,
 
 def _max_persist_words(cache: int, dirty_limit: int) -> int:
     """Largest checkpoint cost observed over three persists while a single
-    object keeps the modified-state budget saturated."""
+    object keeps the modified-state budget saturated: every byte beside the
+    header is its payload."""
     dev = SimulatedNvm(64 * 1024)
     heap = VnvHeap(dev, cache_size_bytes=cache,
                    max_modified_state_bytes=dirty_limit, max_objects=8)
-    payload = bytes(dirty_limit - 19)
+    payload = bytes(dirty_limit - HEADER_CHARGE_BYTES)
     h = heap.alloc(payload)
     worst = 0
     for _ in range(3):
@@ -375,9 +376,10 @@ def _crash_fallback_check() -> None:
     marker = heap.alloc(b"checkpoint one" * 4)
     persist(heap)
 
-    # Five write-guarded 401-byte objects: dirty accounting sits just under
-    # the limit, and the next persist writes 505 payload words, then the
-    # commit word. The budget covers the payloads and cuts the commit word.
+    # Five write-guarded 401-byte objects charge 16 + 5 * 404 = 2036 of the
+    # 2048 budget bytes (the persisted marker is clean, so it is free). The
+    # next persist writes their 505 payload words, then the commit word; the
+    # power budget covers the payloads and cuts the commit word.
     guards = []
     for i in range(5):
         g = heap.get_mut(heap.alloc(bytes(401)))
@@ -399,8 +401,9 @@ def _crash_fallback_check() -> None:
 
 
 def run_dirty_limit_suite(seed: int, traces: int = 10, ops: int = 10_000) -> SuiteReport:
-    """The two core runtime invariants, checked after every operation:
-    dirty_bytes <= limit, and persist words <= persist_bound."""
+    """The two core runtime invariants: after every operation the persist
+    bound, as ``dirty_bytes <= limit`` (the charge is 4 B per word the next
+    persist writes, plus 3 words), and persist words <= persist_bound."""
     report = SuiteReport("invariants: dirty limit and persist bound")
     for t in range(traces):
         trace = _ShadowTrace(seed + t)

@@ -11,9 +11,10 @@ Two budgets constrain every operation:
 * cache space - each resident object occupies ``align4(size + 3)`` bytes of
   the cache buffer (3 bytes model the packed per-object metadata that lives
   beside the payload).
-* modified state - ``dirty_bytes`` = sum of modified payload sizes
-  + 3 bytes per resident object + a fixed 16-byte persist header, and must
-  never exceed ``max_modified_state_bytes``.
+* modified state - ``dirty_bytes`` is 4 bytes per word the next persist
+  writes, plus 3 words held for a commit record: a 16-byte header,
+  ``align4(size)`` per modified object and 4 per pending entry clear. It
+  must never exceed ``max_modified_state_bytes``; residency is free.
 
 Eviction follows one rule for each budget, so a miss costs O(victims). Each
 rule is one planner, ``_cache_victims`` or ``VnvHeap._dirty_victims``:
@@ -27,19 +28,18 @@ rule is one planner, ``_cache_victims`` or ``VnvHeap._dirty_victims``:
   residency, so the pass never restarts from the oldest resident.
 
 The heap syncs and unloads the victims a planner returns, also when a rule
-falls short and raises. An alloc runs the cache rule first, a miss the dirty
-rule; ``choose_victims`` replays both, in alloc order, on a cloned allocator.
-
-``replace`` overwrites a whole object in one call. It gives the result of
-``get_mut`` + ``write`` + ``release``, but a miss takes the load path's steps
-without the device read, since every byte is about to be overwritten. If
-the modified charge then cannot be met, the block is freed and the object
-unloaded again, so that no resident ever holds bytes that are not its
-object's; the object stays swapped out with its NVM bytes.
+falls short and raises. An alloc runs the cache rule first, then the dirty
+rule; ``choose_victims`` replays both, in that order, on a cloned allocator.
+A ``get_ref`` miss meets the cache rule alone. A ``get_mut`` or ``replace``
+miss makes dirty room before it takes a cache block; eviction only lowers
+the charge, so marking the object modified cannot fail afterwards.
+``replace`` gives the result of ``get_mut`` + ``write`` + ``release``, but a
+miss skips the device read. A clean object's dealloc charges its entry's
+clear, so it too may sync victims or be refused.
 
 The bound matters because checkpointing writes only modified state: a heap
-that keeps ``dirty_bytes`` under the limit can always be persisted within a
-fixed, configuration-derived number of word transfers.
+that keeps ``dirty_bytes`` under the limit is always persisted within
+``max_modified_state_bytes // 4 - 3`` words, 7 under ``persist_bound``.
 
 A power failure marks the device it cuts (``StorageDevice.power_failed``).
 The volatile bookkeeping may then be out of step with NVM, so from then on
@@ -86,8 +86,9 @@ from .freelist import FirstFitAllocator, align_up
 from .layout import CheckpointTables, ImageLayout
 from .storage import StorageDevice, WORD_BYTES
 
-HEADER_CHARGE_BYTES = 16
-META_CHARGE_BYTES = 3
+HEADER_CHARGE_BYTES = 16  # the commit word and 3 words held for a commit record
+META_CHARGE_BYTES = 3  # cache only: packed per-object metadata
+CLEAR_CHARGE_BYTES = WORD_BYTES  # a dead entry's pending clear
 
 
 @dataclass(frozen=True)
@@ -129,11 +130,12 @@ class ObjectMeta:
     cache_offset: int = -1  # where the object is cached; -1 when not resident
     arrival: int = 0  # stamp of the latest time the object became resident
     block_bytes: int = field(init=False)  # cache bytes while resident
+    charge: int = field(init=False)  # dirty bytes while modified: its payload words
 
     def __post_init__(self) -> None:
-        # Sizes never change, so the cache block is computed once; this is
-        # align_up(size + META_CHARGE_BYTES), inline for the alloc path.
+        # Sizes never change, so both are computed once (align_up, inline).
         self.block_bytes = (self.size_bytes + META_CHARGE_BYTES + WORD_BYTES - 1) & -WORD_BYTES
+        self.charge = (self.size_bytes + WORD_BYTES - 1) & -WORD_BYTES
 
     @property
     def pinned(self) -> bool:
@@ -336,13 +338,14 @@ class VnvHeap:
         size = len(payload)
         if size == 0:
             raise PreconditionError("zero-sized objects are not representable")
-        charge = size + META_CHARGE_BYTES
+        block = align_up(size + META_CHARGE_BYTES)
         config = self.config
-        if charge > config.cache_size_bytes:
+        if block > config.cache_size_bytes:
             raise ObjectTooLargeError(
                 f"{size} B object cannot ever be cached "
                 f"(cache is {config.cache_size_bytes} B)"
             )
+        charge = align_up(size)
         limit = config.max_modified_state_bytes
         if charge + HEADER_CHARGE_BYTES > limit:
             raise DirtyBudgetUnsatisfiableError(
@@ -356,7 +359,6 @@ class VnvHeap:
         if nvm_offset is None:
             raise OutOfNvmError(f"no free NVM extent of {size} B")
         # Without cache or dirty pressure, neither eviction path is called.
-        block = align_up(charge)
         cache_offset = self._cache_alloc.alloc(block)
         try:
             if cache_offset is None:
@@ -388,7 +390,8 @@ class VnvHeap:
 
     def dealloc(self, handle: ObjectHandle) -> None:
         """Drop an object. Its extent is quarantined until the next commit so
-        a checkpoint fallback can still restore it."""
+        a checkpoint fallback can still restore it. The clear of its entry,
+        written by the next commit, is charged like modified state."""
         if self.device.power_failed:
             self._check_usable()
         meta = self._metas.get(handle.id)
@@ -397,15 +400,19 @@ class VnvHeap:
         if meta.pin_count:
             raise StillPinnedError(f"object {meta.handle_id} has a live guard")
         handle_id = meta.handle_id
+        if meta.modified:
+            # Its charge is at least a word, so this never needs room.
+            del self._modified[handle_id]
+            self._dirty -= meta.charge
+        elif self._dirty + CLEAR_CHARGE_BYTES > self.config.max_modified_state_bytes:
+            self._make_dirty_room(CLEAR_CHARGE_BYTES)
         if meta.cache_offset >= 0:
             self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
             self._unload(meta)
-            if meta.modified:
-                del self._modified[handle_id]
-                self._dirty -= meta.size_bytes
         del self._metas[handle_id]
         self._quarantine.append((meta.nvm_offset, meta.size_bytes))
         self.tables.record_dealloc(meta.entry_slot)
+        self._dirty += CLEAR_CHARGE_BYTES
 
     # -- access -------------------------------------------------------------
 
@@ -424,7 +431,7 @@ class VnvHeap:
         return ReadGuard(self, meta)
 
     def get_mut(self, handle: ObjectHandle) -> WriteGuard:
-        """Exclusive write access. Charges the full object size to the dirty
+        """Exclusive write access. Charges the whole object to the dirty
         budget up front, whether or not the caller writes."""
         if self.device.power_failed:
             self._check_usable()
@@ -433,12 +440,14 @@ class VnvHeap:
             meta = self._resolve(handle)
         if meta.pinned:
             raise GuardActiveError(f"object {meta.handle_id} is already guarded")
-        if (meta.size_bytes + META_CHARGE_BYTES + HEADER_CHARGE_BYTES
-                > self.config.max_modified_state_bytes):
+        limit = self.config.max_modified_state_bytes
+        if meta.charge + HEADER_CHARGE_BYTES > limit:
             raise DirtyBudgetUnsatisfiableError(
                 f"{meta.size_bytes} B object cannot fit the modified-state limit"
             )
         if meta.cache_offset < 0:
+            if self._dirty + meta.charge > limit:
+                self._make_dirty_room(meta.charge)
             self._ensure_resident(meta)
         if not meta.modified:
             self._mark_modified(meta)
@@ -461,21 +470,16 @@ class VnvHeap:
         size = meta.size_bytes
         if len(payload) != size:
             raise SizeMismatchError(f"value is {len(payload)} B, object is {size} B")
-        if size + META_CHARGE_BYTES + HEADER_CHARGE_BYTES > self.config.max_modified_state_bytes:
+        limit = self.config.max_modified_state_bytes
+        if meta.charge + HEADER_CHARGE_BYTES > limit:
             raise DirtyBudgetUnsatisfiableError(
                 f"{size} B object cannot fit the modified-state limit"
             )
         if meta.cache_offset < 0:
+            if self._dirty + meta.charge > limit:
+                self._make_dirty_room(meta.charge)
             self._ensure_resident(meta, fetch=False)
-            try:
-                self._mark_modified(meta)  # a swapped-out object is clean
-            except Exception:
-                # The block holds no bytes of the object: drop it, so the
-                # object stays swapped out with its NVM bytes.
-                self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
-                self._unload(meta)
-                raise
-        elif not meta.modified:
+        if not meta.modified:
             self._mark_modified(meta)
         start = meta.cache_offset
         self._cache[start : start + size] = payload
@@ -496,7 +500,6 @@ class VnvHeap:
         if not meta.modified:  # a modified object is always resident
             raise PreconditionError("sync requires a modified, resident object")
         self._sync(meta)
-        self.tables.drain()
 
     def unload(self, handle: ObjectHandle) -> None:
         """Drop a clean, unpinned object from the cache. No transfers."""
@@ -523,8 +526,8 @@ class VnvHeap:
             plan, fits = _cache_victims(residents, self._cache_alloc.clone(), block)
             if not fits:
                 raise CachePressureUnresolvableError("every resident is pinned")
-            # What _sync and _unload give back.
-            dirty -= sum(META_CHARGE_BYTES + m.modified * m.size_bytes for m in plan)
+            # What _sync gives back.
+            dirty -= sum(m.charge for m in plan if m.modified)
         if dirty + needed_dirty_bytes > self.config.max_modified_state_bytes:
             synced, fits = self._dirty_victims(residents, dirty, needed_dirty_bytes)
             if not fits:
@@ -549,10 +552,7 @@ class VnvHeap:
     def _ensure_resident(self, meta: ObjectMeta, fetch: bool = True) -> None:
         """Load a swapped-out object (callers test ``meta.cache_offset``).
         Without ``fetch`` the block is left as it was, for a caller that
-        overwrites every byte."""
-        # Residency itself charges 3 bytes of metadata to the dirty budget.
-        if self._dirty + META_CHARGE_BYTES > self.config.max_modified_state_bytes:
-            self._make_dirty_room(META_CHARGE_BYTES)
+        overwrites every byte. Residency charges nothing to the dirty budget."""
         offset = self._cache_alloc.alloc(meta.block_bytes)
         if offset is None:
             offset = self._make_cache_room(meta.block_bytes)
@@ -562,15 +562,14 @@ class VnvHeap:
         meta.arrival = next(self._stamps)
         meta.cache_offset = offset
         self._residents[meta.handle_id] = meta
-        self._dirty += META_CHARGE_BYTES
 
     def _mark_modified(self, meta: ObjectMeta) -> None:
         """Charge a clean resident as modified (callers test ``meta.modified``)."""
-        if self._dirty + meta.size_bytes > self.config.max_modified_state_bytes:
-            self._make_dirty_room(meta.size_bytes)
+        if self._dirty + meta.charge > self.config.max_modified_state_bytes:
+            self._make_dirty_room(meta.charge)
         meta.modified = True
         self._modified[meta.handle_id] = meta
-        self._dirty += meta.size_bytes
+        self._dirty += meta.charge
 
     def _make_cache_room(self, block: int) -> int:
         """Evict until ``block`` fits and allocate it. Callers call this only
@@ -606,7 +605,7 @@ class VnvHeap:
         for meta in residents:
             if meta.modified and not meta.pin_count:
                 victims.append(meta)
-                dirty -= meta.size_bytes
+                dirty -= meta.charge
                 if dirty <= limit:
                     return victims, True
         return victims, False
@@ -616,13 +615,12 @@ class VnvHeap:
         self.device.write(meta.nvm_offset, self._cache[start : start + meta.size_bytes])
         meta.modified = False
         del self._modified[meta.handle_id]
-        self._dirty -= meta.size_bytes
+        self._dirty -= meta.charge
 
     def _unload(self, meta: ObjectMeta) -> None:
         """Drop ``meta``'s residency; the caller frees its cache block."""
         del self._residents[meta.handle_id]
         meta.cache_offset = -1
-        self._dirty -= META_CHARGE_BYTES
 
 
 def _cache_victims(residents, allocator: FirstFitAllocator, block: int) -> tuple[list[ObjectMeta], bool]:

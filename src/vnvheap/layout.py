@@ -27,10 +27,10 @@ slot being committed must be fully written before that word; the other slot
 committed table untouched until the next flip. Births are the exception:
 they are written to both slots at allocation.
 
-Before a commit, the staging slot is brought up to date by a delta flush
-that visits only the entries that can differ from the live objects: dead
-entries still occupied in staging (deferred clears). See
-:class:`CheckpointTables`.
+A deallocation clears the staging id word and leaves a deferred clear in
+the committed table, so a fallback restore still sees the object. The commit
+clears those right after its commit word, once that table is no longer the
+fallback. See :class:`CheckpointTables`.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ ZERO_WORD = bytes(WORD_BYTES)
 # the slot reading as free, never as a torn half-written object.
 BIRTH_ORDER = (1, 2, 0)
 UPDATE_ORDER = (0, 1, 2)
-
-# Deferred clears drained by each allocation and deallocation.
-DRAIN_PER_OP = 2
 
 _SB = struct.Struct("<4sHBBIIII")
 _WORDS = struct.Struct(f"<{ENTRY_WORDS}I")  # an entry as its words
@@ -132,12 +129,11 @@ class CheckpointTables:
     zero, else :data:`UPDATE_ORDER`).
 
     An entry never changes after allocation and births are written to both
-    tables, so a live entry already matches the truth in either table.
-    Between two commits a staging slot can differ from the truth for one
-    reason only: the object is dead but its staged id word is still set
-    (``_dead``), a deferred clear. :meth:`flush_delta` visits exactly those
-    slots, so a flush costs O(dead entries), not O(live objects). The
-    occupancy sets, the dead sets and the min-heap of free slots are all
+    tables, so a live entry already matches the truth in either table. A
+    slot differs from the truth for one reason only: the object is dead but
+    its id word is still set (``_dead``), a deferred clear. :meth:`commit`
+    clears exactly those, so it costs O(dead entries), not O(live objects).
+    The occupancy sets, the dead sets and the min-heap of free slots are all
     derived from the raw tables plus the rule that live entries are occupied
     in both; :meth:`format` and :meth:`adopt` build them from scratch, and
     one of the two must run before any other method.
@@ -244,25 +240,19 @@ class CheckpointTables:
         self._occupied[table].add(slot)
 
     def record_alloc(self, slot: int, handle_id: int, nvm_offset: int, size: int) -> None:
-        """Write a new object's entry into both tables (birth is eager), then
-        drain up to :data:`DRAIN_PER_OP` deferred clears."""
+        """Write a new object's entry into both tables (birth is eager)."""
         entry = (handle_id, nvm_offset, size)
         self._write_entry(0, slot, entry)
         self._write_entry(1, slot, entry)
-        if self._dead[self.staging]:
-            self.drain()
 
     def record_dealloc(self, slot: int) -> None:
-        """Clear the staging id word, then drain up to :data:`DRAIN_PER_OP`
-        deferred clears. The other table keeps the entry (a deferred clear)
-        until it is staging again, so a fallback restore still sees the
-        object."""
+        """Clear the staging id word. The other table keeps the entry (a
+        deferred clear) until the next :meth:`commit`, so a fallback restore
+        still sees the object."""
         self._clear_id(self.staging, slot)
         other = 1 - self.staging
         if slot in self._occupied[other]:
             self._dead[other].add(slot)
-        if self._dead[self.staging]:
-            self.drain()
 
     def _clear_id(self, table: int, slot: int) -> None:
         occupied = self._occupied[table]
@@ -277,26 +267,14 @@ class CheckpointTables:
         if slot not in self._occupied[1 - table]:
             heapq.heappush(self._free, slot)
 
-    def drain(self) -> None:
-        """Clear up to :data:`DRAIN_PER_OP` stale dead entries in the staging
-        table, lowest slot first.
-
-        Called from operations that already transfer words, so the deferred
-        clears left behind by a slot flip never pile up for persist to pay.
-        """
-        staging = self.staging
-        for slot in heapq.nsmallest(DRAIN_PER_OP, self._dead[staging]):
-            self._clear_id(staging, slot)
-
     def flush_delta(self, entries: dict[int, tuple[int, int, int]]) -> None:
-        """Make the staging table match the truth, visiting only the slots
-        that can differ from it, in ascending order.
+        """Make the staging table match the truth at restore, visiting only
+        the slots that can differ from it, in ascending order.
 
-        ``entries`` maps slot to live entry words. At persist it is empty:
-        every live entry is already in place, so only the deferred clears
-        are visited. At restore it holds every live slot, because after an
-        uncommitted dealloc the staging table can lack a committed entry. A
-        slot outside these candidates needs no write, so the device sees the
+        ``entries`` maps every live slot to its entry words: after an
+        uncommitted dealloc the staging table can lack a committed entry,
+        and it can hold the dead entries of an older checkpoint. A slot
+        outside these candidates needs no write, so the device sees the
         same writes as a comparison of every live entry.
         """
         staging = self.staging
@@ -307,10 +285,16 @@ class CheckpointTables:
             else:
                 self._clear_id(staging, slot)
 
-    def commit(self) -> None:
-        """Atomically publish the staging table and flip the roles."""
+    def commit(self) -> int:
+        """Atomically publish the staging table and flip the roles, then
+        clear, in ascending order, the dead entries of the new staging table
+        (no longer the fallback). Returns the number of clears."""
         word = struct.pack("<HBB", VERSION, self.staging, 1)
         self.device.write(COMMIT_WORD_OFFSET, word)
         self.metadata_bytes_written += WORD_BYTES
         self.committed = self.staging
-        self.staging = 1 - self.staging
+        self.staging = staging = 1 - self.staging
+        dead = sorted(self._dead[staging])
+        for slot in dead:
+            self._clear_id(staging, slot)
+        return len(dead)

@@ -2,27 +2,25 @@
 power cycle, and bound/estimate the cost of doing so.
 
 persist() writes, in order: every modified payload (in cache-arrival order),
-the deferred clears of dead entries in the staging table, and finally one
-commit word that atomically publishes the staging table. Because an entry
-records only an object's identity, written when the object was allocated,
-no live object's entry is written at persist, guarded or not. The payloads
-and the commit word fit ``persist_bound()`` words, independent of cache
-size; the deferred clears are not charged to the modified-state budget, so
-a burst of deallocations can still take a persist past it. A power failure
-anywhere in the sequence leaves the previous committed checkpoint readable.
+one commit word that atomically publishes the staging table, then the
+deferred clears of the entries deallocated since the previous commit. An
+entry records only an object's identity, written at allocation, so no live
+object's entry is written at persist, guarded or not. Every one of these
+words is charged to the modified-state budget, so a persist writes exactly
+``dirty_bytes / 4 - 3`` words, within ``persist_bound()`` whatever the cache
+size. A power failure anywhere leaves a committed checkpoint readable.
 
 persist() visits only modified objects, never the clean residents: the
 payloads come from the heap's modified index, sorted by arrival stamp (see
-:mod:`vnvheap.heap`). The metadata step is a delta flush
-(``CheckpointTables.flush_delta``) that visits only the deferred clears. So
-its host cost follows what changed, not how many objects are resident or
-live.
+:mod:`vnvheap.heap`). The clears visit only the dead entries
+(``CheckpointTables.commit``). So its host cost follows what changed, not
+how many objects are resident or live.
 
 restore() rebuilds a heap from the committed table. Every object starts
 swapped out, whether or not a guard was held on it at persist, and loads
-lazily on first access. It then runs the same delta flush with every live
-entry as a candidate, because the staging table may predate the committed
-one.
+lazily on first access. It then brings the staging table up to date with a
+delta flush (``CheckpointTables.flush_delta``) that has every live entry as
+a candidate, because the staging table may predate the committed one.
 """
 
 from __future__ import annotations
@@ -31,7 +29,14 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import ConfigInvalidError, NoValidCheckpointError
-from .heap import HEADER_CHARGE_BYTES, HeapConfig, ObjectHandle, ObjectMeta, VnvHeap
+from .heap import (
+    CLEAR_CHARGE_BYTES,
+    HEADER_CHARGE_BYTES,
+    HeapConfig,
+    ObjectHandle,
+    ObjectMeta,
+    VnvHeap,
+)
 from .layout import ENTRY_BYTES, ImageLayout, read_superblock
 from .storage import StorageDevice, words_for
 
@@ -59,7 +64,8 @@ class PersistReport:
 
 def persist_bound(config: HeapConfig) -> int:
     """Worst-case words one persist may transfer. Depends only on the
-    modified-state limit (plus the fixed header), never on cache size."""
+    modified-state limit (plus the fixed header), never on cache size. The
+    modified-state charge keeps every persist at least 7 words under it."""
     return words_for(config.max_modified_state_bytes + HEADER_CHARGE_BYTES)
 
 
@@ -92,9 +98,8 @@ def persist(heap: VnvHeap) -> PersistReport:
             # its holder can keep writing after we return.
             meta.modified = False
             del modified[meta.handle_id]
-            heap._dirty -= meta.size_bytes
-    heap.tables.flush_delta({})
-    heap.tables.commit()
+            heap._dirty -= meta.charge
+    heap._dirty -= CLEAR_CHARGE_BYTES * heap.tables.commit()
     # The commit published every deallocation, so quarantined extents are
     # safe to reuse now.
     for offset, size in heap._quarantine:

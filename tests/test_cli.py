@@ -152,7 +152,7 @@ CSV_SHA256 = {
     ("persist", "--mode", "both"):
         "6c20ca92219745773eae8903ac354b959fca0b0330941dbe1c8d75d3238a4e11",
     ("kvs", "--n-ops", "512"):
-        "bd4b9b2b83de30887f8505220c900c3a6a5540c1e953ab33ebe2b3a54a6e5af7",
+        "56abbe6b85c434df4f695e23332f68600f0d3fbd5cfbd6f3412b16adca3d793d",
     ("access", "--power-mw", "66", "--word-latency-us", "2.5"):
         "00e696eef54aa421dc59da5c8398c95aefbdf21a751ef145d1063720a050cdf2",
 }

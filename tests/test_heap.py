@@ -27,8 +27,9 @@ from vnvheap import (
     words_for,
 )
 from vnvheap.freelist import align_up
+from vnvheap.storage import WORD_BYTES
 
-from traceutil import count_bytecodes, log_writes
+from traceutil import count_bytecodes, dead_entries, log_writes
 
 
 def make_heap(cache=4096, dirty=2048, max_objects=64, capacity=256 * 1024):
@@ -38,15 +39,15 @@ def make_heap(cache=4096, dirty=2048, max_objects=64, capacity=256 * 1024):
 
 
 def expected_dirty(heap):
-    """Recompute the dirty total from first principles."""
+    """Recompute the dirty total from first principles: the header, the
+    whole words of each modified object, and a word per dead entry that the
+    next commit clears. Residency is free."""
     total = HEADER_CHARGE_BYTES
     for hid in heap.live_handle_ids():
         info = heap.object_info(heap.handle(hid))
-        if info.resident:
-            total += META_CHARGE_BYTES
         if info.modified:
-            total += info.size_bytes
-    return total
+            total += align_up(info.size_bytes)
+    return total + WORD_BYTES * len(dead_entries(heap, 1 - heap.tables.staging))
 
 
 # -- configuration -----------------------------------------------------------
@@ -82,7 +83,7 @@ def test_default_config():
 def test_alloc_stores_payload_and_charges_dirty():
     heap = make_heap()
     h = heap.alloc(b"abc" * 11)  # 33 B
-    assert heap.dirty_bytes == HEADER_CHARGE_BYTES + 33 + META_CHARGE_BYTES
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES + align_up(33) == 52
     assert heap.dirty_bytes == expected_dirty(heap)
     with heap.get_ref(h) as g:
         assert g.read() == b"abc" * 11
@@ -103,7 +104,9 @@ def test_alloc_rejects_object_larger_than_cache():
 def test_alloc_rejects_object_that_can_never_be_dirty():
     heap = make_heap(cache=4096, dirty=256)
     with pytest.raises(DirtyBudgetUnsatisfiableError):
-        heap.alloc(bytes(256 - HEADER_CHARGE_BYTES - META_CHARGE_BYTES + 1))
+        heap.alloc(bytes(256 - HEADER_CHARGE_BYTES + 1))  # 241 B: 244 B of words
+    heap.alloc(bytes(256 - HEADER_CHARGE_BYTES))
+    assert heap.dirty_bytes == 256
 
 
 def test_alloc_exhausts_nvm():
@@ -128,11 +131,15 @@ def test_dealloc_frees_everything():
     h = heap.alloc(bytes(100))
     heap.dealloc(h)
     after = heap.stats()
-    assert after.dirty_bytes == before.dirty_bytes == HEADER_CHARGE_BYTES
+    # the entry's clear stays charged until the next commit writes it
+    assert before.dirty_bytes == HEADER_CHARGE_BYTES
+    assert after.dirty_bytes == HEADER_CHARGE_BYTES + WORD_BYTES == expected_dirty(heap)
     assert after.cache_free_bytes == before.cache_free_bytes
     assert heap.live_handle_ids() == []
     # NVM extent stays quarantined until the next checkpoint commit
     assert after.nvm_free_bytes == before.nvm_free_bytes - align_up(100)
+    assert persist(heap).words_transferred == 2  # the commit word, then the clear
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES
 
 
 def test_dealloc_then_use_raises_stale_handle():
@@ -221,7 +228,7 @@ def test_dirty_pressure_syncs_oldest_modified_first():
     dev = heap.device
     h1 = heap.alloc(b"1" * 400)
     h2 = heap.alloc(b"2" * 400)
-    # 16 + 2*(400+3) = 822; a 250 B object (253 more) busts the budget
+    # 16 + 2*400 = 816; a 250 B object (252 more) busts the budget
     written_before = dev.cost_meter.words_written
     h3 = heap.alloc(b"3" * 250)
     # h1 was synced (100 words) to make room; plus the new entry's identity
@@ -231,6 +238,17 @@ def test_dirty_pressure_syncs_oldest_modified_first():
     assert heap.object_info(h1).resident
     assert heap.object_info(h2).modified
     assert heap.dirty_bytes == expected_dirty(heap) <= 1024
+
+
+def test_clean_residents_cost_the_dirty_budget_nothing():
+    """Alloc and sync a 1-byte object 1024 times, every one left resident
+    and clean: a persist would write its commit word alone, so no alloc is
+    refused for dirty pressure."""
+    heap = make_heap(cache=4096, dirty=2048, max_objects=1024, capacity=64 * 1024)
+    for _ in range(1024):
+        heap.sync_object(heap.alloc(b"1"))
+    assert heap.stats().resident_count == 1024
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES
 
 
 def test_unsatisfiable_dirty_pressure_is_an_error():
@@ -289,7 +307,7 @@ def test_dealloc_of_nonresident_object():
     heap.unload(h)
     heap.dealloc(h)
     assert heap.live_handle_ids() == []
-    assert heap.dirty_bytes == HEADER_CHARGE_BYTES
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES + WORD_BYTES  # the pending clear
 
 
 # -- victim planning -------------------------------------------------------------
@@ -347,8 +365,8 @@ def test_choose_victims_names_the_unloads_of_the_next_miss(seed):
     """In fragmented caches with pinned residents and dirty headroom, each
     plan lists, in order, exactly the residents that the operation it plans
     for then evicts: for a swapped-out object's size, the unloads of its
-    ``get_ref``; for a clean resident's size as new modified state, the
-    syncs of its ``get_mut``; for a new object's block and charge, the
+    ``get_ref``; for a clean resident's whole words as new modified state,
+    the syncs of its ``get_mut``; for a new object's block and charge, the
     unloads and then the further syncs of its ``alloc``."""
     rng = random.Random(seed)
     heap = make_heap(cache=1024, dirty=rng.choice([256, 512, 1024]), max_objects=128)
@@ -401,12 +419,13 @@ def test_choose_victims_names_the_unloads_of_the_next_miss(seed):
         if clean:
             target = rng.choice(clean)
             planned["get_mut"] += check(lambda: heap.get_mut(target).release(),
-                                        lambda: synced, needed_dirty_bytes=target.size_bytes)
+                                        lambda: synced,
+                                        needed_dirty_bytes=align_up(target.size_bytes))
         size = rng.randint(1, 120)
         # The cache rule's unloads (and syncs), then the dirty rule's syncs.
         if check(lambda: handles.append(heap.alloc(bytes([len(handles)]) * size)),
                  lambda: unloaded + [hid for hid in synced if hid not in unloaded],
-                 needed_cache_bytes=size, needed_dirty_bytes=size + META_CHARGE_BYTES):
+                 needed_cache_bytes=size, needed_dirty_bytes=align_up(size)):
             planned["alloc"] += bool(unloaded) and not set(synced) <= set(unloaded)
     assert planned["get_ref"] > 10  # the misses did have to evict
     if heap.config.max_modified_state_bytes < 1024:  # else the dirty rule idles here
@@ -578,15 +597,15 @@ def test_replace_on_a_power_failed_device_is_poisoned():
         heap.replace(h, b"q" * 40)
 
 
-def test_replace_miss_that_cannot_mark_modified_leaves_the_object_swapped_out():
-    """The miss makes X resident without its bytes; when the modified charge
-    then cannot be met, X's block is dropped again, so no resident ever
-    holds bytes that are not its object's."""
+def test_replace_miss_refused_by_the_dirty_budget_stages_nothing():
+    """The miss makes dirty room for X before it takes a cache block: when
+    the modified charge cannot be met (16 + 144 + 100 > 256, and Y is
+    guarded), it raises with X still swapped out and nothing moved."""
     heap = make_heap(cache=1024, dirty=256)
     x = heap.alloc(b"X" * 100)
     heap.sync_object(x)
     heap.unload(x)
-    y = heap.alloc(b"Y" * 140)
+    y = heap.alloc(b"Y" * 144)
     guard = heap.get_mut(y)
     stats = heap.stats()
     words = heap.device.cost_meter.words_total
@@ -616,6 +635,6 @@ def test_stats_reflect_the_world():
     assert s.resident_count == 2
     assert s.resident_bytes == 150
     assert s.pinned_count == 1
-    assert s.dirty_bytes == HEADER_CHARGE_BYTES + 100 + 2 * META_CHARGE_BYTES
+    assert s.dirty_bytes == HEADER_CHARGE_BYTES + 100  # a clean resident is free
     assert s.cache_free_bytes == 4096 - align_up(103) - align_up(53)
     g.release()

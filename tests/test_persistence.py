@@ -96,6 +96,48 @@ def test_idle_repersist_is_one_commit_word():
     assert rep.objects_synced == 0
 
 
+def test_deferred_clears_are_charged_so_a_persist_stays_within_the_bound():
+    """The clears of a dealloc burst are written right after the commit word
+    and charged until then: the budget that holds them is not there for X,
+    so X's persist writes its payload and the commit word only."""
+    dev, heap = fresh()
+    x = heap.alloc(bytes(2029))  # 508 words: the whole budget
+    persist(heap)
+    small = [heap.alloc(b"s") for _ in range(60)]
+    persist(heap)
+    for h in small:
+        heap.dealloc(h)
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES + 60 * 4
+    assert persist(heap).words_transferred == 1 + 60  # the commit word, then the clears
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES
+    with heap.get_mut(x) as w:
+        w.write(b"X")
+    rep = persist(heap)
+    assert rep.words_transferred == 509 <= persist_bound(heap.config) == 516
+
+
+def test_dealloc_of_a_clean_object_is_refused_when_its_clear_cannot_be_charged():
+    """A full budget under a held write guard leaves no room for the 4 B
+    clear a dealloc charges: it raises and moves no word. Once the guard is
+    gone and a persist has run, the same dealloc succeeds."""
+    dev, heap = fresh()
+    clean = heap.alloc(b"c" * 8)
+    heap.sync_object(clean)
+    guard = heap.get_mut(heap.alloc(bytes(2029)))
+    assert heap.dirty_bytes == heap.config.max_modified_state_bytes
+    words = dev.cost_meter.words_total
+    with pytest.raises(DirtyBudgetUnsatisfiableError):
+        heap.dealloc(clean)
+    assert dev.cost_meter.words_total == words
+    assert clean.id in heap.live_handle_ids()
+    assert heap.dirty_bytes == heap.config.max_modified_state_bytes
+    guard.release()
+    persist(heap)
+    heap.dealloc(clean)
+    assert heap.live_handle_ids() == [guard._meta.handle_id]
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES + 4
+
+
 def test_persist_clears_modified_keeps_residency():
     dev, heap = fresh()
     hs = [heap.alloc(bytes([i]) * 64) for i in range(3)]
@@ -103,27 +145,23 @@ def test_persist_clears_modified_keeps_residency():
     for h in hs:
         info = heap.object_info(h)
         assert info.resident and not info.modified
-    assert heap.dirty_bytes == HEADER_CHARGE_BYTES + 3 * 3
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES  # clean residents are free
 
 
 def test_persist_of_a_full_budget_under_guards_is_its_payloads_and_the_commit_word():
     """A maximal construction: dirty budget full to the byte, every modified
     object under a read guard. A guard writes no table word, so persist
-    writes the payloads and the commit word, within persist_bound."""
+    writes the payloads and the commit word: the charge less its 3 words of
+    header room, 7 words under persist_bound."""
     dev, heap = fresh()
-    # a clean placeholder fills the budget's last 3 bytes; being clean it
-    # costs the persist nothing
-    placeholder = heap.alloc(b"x")
-    heap.sync_object(placeholder)
-
-    sizes = [512, 512, 512, 253, 225]
+    sizes = [512, 512, 512, 253, 237]  # 2032 B of whole words
     guards = [heap.get_ref(heap.alloc(bytes([i]) * n))
               for i, n in enumerate(sizes)]
     assert heap.dirty_bytes == 2048 == heap.config.max_modified_state_bytes
 
-    # 505 payload words + 1 commit word
+    # 508 payload words + 1 commit word
     words = sum(words_for(n) for n in sizes) + 1
-    assert words == 506 <= persist_bound(heap.config) == 516
+    assert words == 2048 // 4 - 3 == 509 <= persist_bound(heap.config) - 7
     dev.arm_power_failure(words)  # exactly enough
     rep = persist(heap)
     dev.disarm_power_failure()
@@ -530,7 +568,7 @@ def test_persist_under_a_live_write_guard_keeps_the_object_charged():
     rep = persist(heap)
     assert rep.objects_synced == 1
     assert heap.object_info(h).modified  # writer can keep writing
-    assert heap.dirty_bytes == HEADER_CHARGE_BYTES + 100 + 3
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES + 100
     w.write(b"v2")
     w.release()
     persist(heap)
@@ -539,19 +577,23 @@ def test_persist_under_a_live_write_guard_keeps_the_object_charged():
         assert g.read(0, 2) == b"v2"
 
 
-def test_read_of_swapped_out_object_can_hit_the_dirty_budget():
-    # Residency itself costs 3 budget bytes, so with the budget pinned full
-    # even a read is refused rather than silently overrunning.
-    dev, heap = fresh(cache=4096, dirty=421)
+def test_read_of_swapped_out_object_under_a_full_budget_moves_only_its_load():
+    # Residency costs a persist nothing, so a read never meets the dirty
+    # rule: with the budget pinned full, the miss still loads its object
+    # and syncs no one.
+    dev, heap = fresh(cache=4096, dirty=416)
     y = heap.alloc(b"y" * 16)
     heap.sync_object(y)
     heap.unload(y)
-    x = heap.alloc(b"x" * 400)   # dirty: 16 + 403 = 419
+    x = heap.alloc(b"x" * 400)   # dirty: 16 + 400 = 416, the limit
     w = heap.get_mut(x)
-    with pytest.raises(DirtyBudgetUnsatisfiableError):
-        heap.get_ref(y)
+    meter = dev.cost_meter
+    read, written = meter.words_read, meter.words_written
+    with heap.get_ref(y) as g:
+        assert g.read() == b"y" * 16
+    assert (meter.words_read - read, meter.words_written - written) == (words_for(16), 0)
+    assert heap.dirty_bytes == 416 and heap.object_info(x).modified
     w.release()
-    heap.get_ref(y).release()    # the write guard was the only obstacle
 
 
 def test_mixed_state_survives_a_power_cycle():

@@ -1,16 +1,26 @@
-"""Checkpoint tables: the delta flush against an O(live) reference.
+"""Checkpoint tables: the table writes of persist and restore against an
+O(live) reference.
 
 The reference flush is the original algorithm: compare every live entry with
-the staging table word by word, then clear every other occupied slot. The
-delta flush must issue exactly the same table writes, and after every persist
-both tables, their volatile mirrors and the derived slot sets must agree with
-a fresh recomputation from the live objects.
+a table word by word, then clear every other occupied slot. At a persist the
+table being committed must already match it (it holds no dead entry) and
+the clears after the commit word must equal it for the table that stops
+being committed; the restore flush must issue exactly its writes. After
+every persist both tables, their volatile mirrors and the derived slot sets
+must agree with a fresh recomputation from the live objects.
 """
 
 import random
 import struct
 
-from traceutil import EXPECTED_PRESSURE_ERRORS, TraceMachine, check_indexes, log_writes
+from traceutil import (
+    EXPECTED_PRESSURE_ERRORS,
+    TraceMachine,
+    check_indexes,
+    dead_entries,
+    log_writes,
+    persist_cost,
+)
 from vnvheap import SimulatedNvm, VnvHeap, persist, restore
 from vnvheap.layout import ENTRY_BYTES, ENTRY_WORDS
 from vnvheap.storage import WORD_BYTES
@@ -113,12 +123,16 @@ class TableOracleMachine(TraceMachine):
     def op_persist(self):
         heap = self.heap
         staging = heap.tables.staging
-        before = bytes(heap.tables._mirror[staging])
+        assert not dead_entries(heap, staging), "the table to commit holds a dead entry"
+        committed = bytes(heap.tables._mirror[1 - staging])
+        words = persist_cost(heap)
         del self.log[:]
-        persist(heap)
+        assert persist(heap).words_transferred == words
         self.persists += 1
-        expected = reference_flush(before, truth_of(heap))
-        assert table_writes(self.log, heap, staging) == expected
+        truth = truth_of(heap)
+        assert table_writes(self.log, heap, staging) == []
+        clears = reference_flush(committed, truth)
+        assert table_writes(self.log, heap, 1 - staging) == clears
         check_tables(heap, self.dev)
         check_indexes(heap)
 

@@ -30,3 +30,11 @@ def test_trace_generous_configuration():
     m = TraceMachine(5, cache=8192, dirty=8192, max_objects=64)
     m.run(300)
     m.power_cycle()
+
+
+def test_every_step_is_charged_exactly_what_the_next_persist_writes():
+    """Cache 1024, limit 512, 32 slots: a dealloc-heavy mix whose dead
+    entries, when left uncharged, take the dry-run persist cost past the
+    bound of 132 words within these steps (at step 442 for this seed)."""
+    m = TraceMachine(2, cache=1024, dirty=512, max_objects=32)
+    m.run(1000)

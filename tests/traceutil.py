@@ -4,8 +4,11 @@ The machine drives a heap with a seeded stream of operations while holding a
 plain dict of what every object must contain. After every step it re-derives
 the heap's invariants from scratch:
 
-* the dirty total equals header + modified payload bytes + 3 per resident,
-* the dirty total never exceeds the configured limit,
+* the dirty total is 4 bytes per word that the next persist writes, plus 3
+  words of header room, with that cost derived from the objects and the raw
+  tables (:func:`persist_cost`), not from the heap's counter,
+* the dirty total never exceeds the configured limit, and the cost never
+  exceeds ``persist_bound``; each persist writes exactly that cost,
 * modified and pinned objects are resident,
 * resident cache blocks never overlap and stay inside the cache,
 * object content matches the shadow,
@@ -14,13 +17,13 @@ the heap's invariants from scratch:
 """
 
 import random
+import struct
 import sys
 
 from vnvheap import (
     CachePressureUnresolvableError,
     DirtyBudgetUnsatisfiableError,
     GuardActiveError,
-    HEADER_CHARGE_BYTES,
     META_CHARGE_BYTES,
     OutOfNvmError,
     PreconditionError,
@@ -29,9 +32,13 @@ from vnvheap import (
     VnvHeap,
     WriteGuardActiveError,
     persist,
+    persist_bound,
     restore,
+    words_for,
 )
 from vnvheap.freelist import align_up
+from vnvheap.layout import ENTRY_WORDS
+from vnvheap.storage import WORD_BYTES
 
 EXPECTED_PRESSURE_ERRORS = (
     CachePressureUnresolvableError,
@@ -48,6 +55,26 @@ def check_indexes(heap):
     assert all(m is metas[h] for h, m in heap._modified.items())
     stamps = [m.arrival for m in heap._residents.values()]
     assert all(a < b for a, b in zip(stamps, stamps[1:])), "arrival stamps out of order"
+
+
+def persist_cost(heap):
+    """Words the next ``persist(heap)`` writes, as a dry run: the payload
+    words of every modified object, the commit word, and one clear for each
+    dead entry of the table that is not staging (the commit clears them
+    once it has flipped the roles). Derived from ``object_info`` and the
+    raw table mirror alone."""
+    live = heap.live_handle_ids()
+    infos = (heap.object_info(heap.handle(hid)) for hid in live)
+    payload = sum(words_for(info.size_bytes) for info in infos if info.modified)
+    return payload + 1 + len(dead_entries(heap, 1 - heap.tables.staging))
+
+
+def dead_entries(heap, table):
+    """Slots of ``table`` whose raw id word names no live object."""
+    raw = heap.tables._mirror[table]
+    ids = struct.unpack(f"<{len(raw) // WORD_BYTES}I", raw)[::ENTRY_WORDS]
+    live = set(heap.live_handle_ids())
+    return [slot for slot, hid in enumerate(ids) if hid and hid not in live]
 
 
 def log_writes(dev):
@@ -106,22 +133,20 @@ class TraceMachine:
         assert set(heap.live_handle_ids()) == set(self.shadow)
         infos = {hid: heap.object_info(self.handles[hid]) for hid in self.shadow}
 
-        derived = HEADER_CHARGE_BYTES
         blocks = []
         for hid, info in infos.items():
             if info.modified:
                 assert info.resident, f"object {hid} modified but not resident"
-                derived += info.size_bytes
             if info.pinned:
                 assert info.resident, f"object {hid} pinned but not resident"
             if info.resident:
-                derived += META_CHARGE_BYTES
                 assert 0 <= info.cache_offset
                 assert info.cache_offset + info.size_bytes <= self.cache
                 blocks.append((info.cache_offset,
                                align_up(info.size_bytes + META_CHARGE_BYTES)))
-        assert heap.dirty_bytes == derived
-        assert heap.dirty_bytes <= self.dirty
+        cost = persist_cost(heap)
+        assert heap.dirty_bytes == WORD_BYTES * (cost + 3) <= self.dirty
+        assert cost <= persist_bound(heap.config)
 
         blocks.sort()
         for (o1, n1), (o2, _) in zip(blocks, blocks[1:]):
@@ -160,6 +185,10 @@ class TraceMachine:
             self.heap.dealloc(self.handles[hid])
         except StillPinnedError:
             assert any(g[0] == hid for g in self.guards)
+            return
+        except DirtyBudgetUnsatisfiableError:
+            # No room for the clear of a clean object's entry.
+            assert not self.heap.object_info(self.handles[hid]).modified
             return
         del self.shadow[hid], self.handles[hid]
 
@@ -231,7 +260,8 @@ class TraceMachine:
             pass
 
     def op_persist(self):
-        persist(self.heap)
+        expected = persist_cost(self.heap)
+        assert persist(self.heap).words_transferred == expected
 
     def pick(self):
         return self.rng.choice(sorted(self.shadow)) if self.shadow else None
