@@ -20,9 +20,10 @@ class FirstFitAllocator:
     """Manages free extents of ``[start, start + size)`` in address order.
 
     ``alloc`` returns the lowest-addressed fit (deterministic). ``free``
-    merges the freed block with its free neighbours and returns the length of
-    the free extent that now holds it, so a caller that frees until a block
-    fits learns when it does without another scan. All requests are rounded
+    merges the freed block with its free neighbours and returns the start
+    and length of the free extent that now holds it, so a caller that frees
+    until a block fits learns when it does, and what borders the hole,
+    without another scan. All requests are rounded
     up to whole words, so callers must free with the same length they
     allocated.
     """
@@ -61,9 +62,9 @@ class FirstFitAllocator:
                 return
         raise ValueError(f"extent [{offset}, {offset + need}) is not free")
 
-    def free(self, offset: int, nbytes: int) -> int:
+    def free(self, offset: int, nbytes: int) -> tuple[int, int]:
         """Return ``[offset, offset + nbytes)`` to the free space and return
-        the length of the free extent that now contains it."""
+        ``(start, length)`` of the free extent that now contains it."""
         assert nbytes > 0
         length = align_up(nbytes)
         end = offset + length
@@ -83,13 +84,13 @@ class FirstFitAllocator:
                 if nxt is not None and nxt[0] == end:
                     prev[1] += nxt[1]
                     del free[i]
-                return prev[1]
+                return prev[0], prev[1]
         if nxt is not None and nxt[0] == end:
             nxt[0] = offset
             nxt[1] += length
-            return nxt[1]
+            return offset, nxt[1]
         free.insert(i, [offset, length])
-        return length
+        return offset, length
 
     def can_fit(self, nbytes: int) -> bool:
         need = align_up(nbytes)

@@ -17,12 +17,15 @@ Two budgets constrain every operation:
   must never exceed ``max_modified_state_bytes``; residency is free.
 
 Eviction follows one rule for each budget, so a miss costs O(victims). Each
-rule is one planner, ``_cache_victims`` or ``VnvHeap._dirty_victims``:
+rule is one planner, ``VnvHeap._cache_victims`` or ``VnvHeap._dirty_victims``:
 
-* cache pressure - when no free extent fits the new block, the blocks of
-  unpinned residents are freed into the allocator in arrival order until
-  the extent the last one merged into fits the block; that hole is then
-  the only fit, so it is where first fit places the block.
+* cache pressure - when no free extent fits the new block, the coldest
+  unpinned resident is freed into the allocator: the first of the lowest
+  tier (see below). The hole it merged into then grows into the colder of
+  its two unpinned address neighbours, the one with fewer hits (the upper
+  one on a tie), until it fits the block. Only when pinned blocks or the cache ends wall the hole
+  in does the next coldest resident start another hole. The hole that fits
+  is then the only fit, so it is where first fit places the block.
 * dirty pressure - one pass over the residents in arrival order chooses the
   modified, unpinned ones until the new state fits. Syncing changes no
   residency, so the pass never restarts from the oldest resident.
@@ -34,7 +37,8 @@ A ``get_ref`` miss meets the cache rule alone. A ``get_mut`` or ``replace``
 miss makes dirty room before it takes a cache block; eviction only lowers
 the charge, so marking the object modified cannot fail afterwards.
 ``replace`` gives the result of ``get_mut`` + ``write`` + ``release``, but a
-miss skips the device read. A clean object's dealloc charges its entry's
+miss skips the device read; ``read`` gives the result of ``get_ref`` +
+``read`` + ``release`` without building a guard. A clean object's dealloc charges its entry's
 clear, so it too may sync victims or be refused.
 
 The bound matters because checkpointing writes only modified state: a heap
@@ -46,15 +50,27 @@ The volatile bookkeeping may then be out of step with NVM, so from then on
 every heap on that device raises ``HeapPoisonedError``; the way back is
 ``restore()`` from ``device.reopen()``, the reboot.
 
+Each object counts its ``hits``: 1 at alloc, one more for every
+``get_ref``, ``get_mut``, ``replace`` and ``read`` that succeeds. The count
+is volatile: it survives a swap-out, and ``restore()`` restarts it at 1.
+A resident sits in tier ``hits.bit_length()``, so an access moves it up a
+tier only when its count reaches a power of two, to the end of that tier.
+Counts never decay, so when the hot set moves, its old members leave the
+cache only once the colder tiers are drained.
+
 An object is resident exactly when its ``cache_offset`` is ``>= 0``; no
 other field records residency. A guarded object is always resident, and
 ``stats().resident_bytes`` and ``stats().pinned_count`` are summed over the
 residents on demand. Beside the residents (kept in cache-arrival order),
-the heap keeps one index by handle id, so that a persist visits only the
-objects it must write and never the clean residents: ``_modified``, every
-modified resident. An object enters it when it is allocated or first
-written, and leaves it when it is synced, deallocated, or cleared by a
-persist.
+the heap keeps these indexes of them:
+
+* ``_modified``, every modified resident by handle id, so that a persist
+  visits only the objects it must write and never the clean residents. An
+  object enters it when it is allocated or first written, and leaves it
+  when it is synced, deallocated, or cleared by a persist.
+* ``_tiers``, the residents of each tier in the order they entered it.
+* ``_by_offset`` and ``_by_end``, every resident by the cache offset where
+  its block starts and where it ends, so a hole finds its neighbours.
 
 Each object also carries an ``arrival`` stamp, taken from a heap-wide
 counter every time it becomes resident (at allocation and on load). Stamps
@@ -129,6 +145,7 @@ class ObjectMeta:
     write_guarded: bool = False
     cache_offset: int = -1  # where the object is cached; -1 when not resident
     arrival: int = 0  # stamp of the latest time the object became resident
+    hits: int = 1  # accesses since alloc or restore, the alloc counting as one
     block_bytes: int = field(init=False)  # cache bytes while resident
     charge: int = field(init=False)  # dirty bytes while modified: its payload words
 
@@ -153,6 +170,7 @@ class ObjectInfo:
     pinned: bool
     cache_offset: int
     nvm_offset: int
+    hits: int  # the count the cache rule ranks by (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -251,7 +269,8 @@ class WriteGuard(_Guard):
     def write(self, data: bytes | bytearray | memoryview, offset: int = 0) -> None:
         if self._released:
             raise GuardReleasedError(_RELEASED)
-        data = bytes(data)
+        if type(data) is not bytes:
+            data = bytes(data)
         if offset < 0 or offset + len(data) > self._meta.size_bytes:
             raise PreconditionError("write outside the object")
         self._view[offset : offset + len(data)] = data
@@ -280,6 +299,12 @@ class VnvHeap:
         self._metas: dict[int, ObjectMeta] = {}
         self._residents: dict[int, ObjectMeta] = {}  # insertion order = cache arrival
         self._modified: dict[int, ObjectMeta] = {}
+        # _tiers[t] holds the residents of tier t >= 1 in the order they
+        # entered it; _tiers[0] stays empty. The list grows by one tier
+        # when a count first reaches the next power of two.
+        self._tiers: list[dict[int, ObjectMeta]] = [{}, {}]
+        self._by_offset: dict[int, ObjectMeta] = {}  # residents by cache offset
+        self._by_end: dict[int, ObjectMeta] = {}  # residents by cache block end
         self._stamps = count(1)  # arrival stamps
         self._dirty = HEADER_CHARGE_BYTES
         self._quarantine: list[tuple[int, int]] = []
@@ -315,6 +340,7 @@ class VnvHeap:
             pinned=m.pinned,
             cache_offset=m.cache_offset,
             nvm_offset=m.nvm_offset,
+            hits=m.hits,
         )
 
     def live_handle_ids(self) -> list[int]:
@@ -384,6 +410,9 @@ class VnvHeap:
         self._cache[cache_offset : cache_offset + size] = payload
         self._metas[handle_id] = meta
         self._residents[handle_id] = meta
+        self._tiers[1][handle_id] = meta
+        self._by_offset[cache_offset] = meta
+        self._by_end[cache_offset + block] = meta
         self._modified[handle_id] = meta
         self._dirty += charge
         return ObjectHandle(handle_id, size, self)
@@ -427,8 +456,30 @@ class VnvHeap:
             raise WriteGuardActiveError(f"object {meta.handle_id} has a live write guard")
         if meta.cache_offset < 0:
             self._ensure_resident(meta)
+        hits = meta.hits = meta.hits + 1
+        if not hits & (hits - 1):
+            self._promote(meta)
         meta.pin_count += 1
         return ReadGuard(self, meta)
+
+    def read(self, handle: ObjectHandle) -> bytes:
+        """The whole payload: the result of ``get_ref`` + ``read`` +
+        ``release``, with the same errors in the same order, but no guard
+        is built."""
+        if self.device.power_failed:
+            self._check_usable()
+        meta = self._metas.get(handle.id)
+        if meta is None or handle._heap is not self:
+            meta = self._resolve(handle)
+        if meta.write_guarded:
+            raise WriteGuardActiveError(f"object {meta.handle_id} has a live write guard")
+        if meta.cache_offset < 0:
+            self._ensure_resident(meta)
+        hits = meta.hits = meta.hits + 1
+        if not hits & (hits - 1):
+            self._promote(meta)
+        start = meta.cache_offset
+        return self._view[start : start + meta.size_bytes].tobytes()
 
     def get_mut(self, handle: ObjectHandle) -> WriteGuard:
         """Exclusive write access. Charges the whole object to the dirty
@@ -451,6 +502,9 @@ class VnvHeap:
             self._ensure_resident(meta)
         if not meta.modified:
             self._mark_modified(meta)
+        hits = meta.hits = meta.hits + 1
+        if not hits & (hits - 1):
+            self._promote(meta)
         meta.pin_count = 1
         meta.write_guarded = True
         return WriteGuard(self, meta)
@@ -481,6 +535,9 @@ class VnvHeap:
             self._ensure_resident(meta, fetch=False)
         if not meta.modified:
             self._mark_modified(meta)
+        hits = meta.hits = meta.hits + 1
+        if not hits & (hits - 1):
+            self._promote(meta)
         start = meta.cache_offset
         self._cache[start : start + size] = payload
 
@@ -517,18 +574,21 @@ class VnvHeap:
     def choose_victims(self, needed_cache_bytes: int = 0, needed_dirty_bytes: int = 0) -> list[int]:
         """Plan (without acting) which residents an alloc would evict or sync
         to admit ``needed_cache_bytes`` of payload and ``needed_dirty_bytes``
-        of modified state. Returns handle ids, oldest arrival first."""
-        residents = iter(self._residents.values())
+        of modified state. Returns handle ids in the order the heap acts on
+        them: the cache rule's evictions, then the dirty rule's syncs."""
         dirty = self._dirty
         plan: list[ObjectMeta] = []
         block = align_up(needed_cache_bytes + META_CHARGE_BYTES)
         if needed_cache_bytes and not self._cache_alloc.can_fit(block):
-            plan, fits = _cache_victims(residents, self._cache_alloc.clone(), block)
+            plan, fits = self._cache_victims(self._cache_alloc.clone(), block)
             if not fits:
                 raise CachePressureUnresolvableError("every resident is pinned")
             # What _sync gives back.
             dirty -= sum(m.charge for m in plan if m.modified)
         if dirty + needed_dirty_bytes > self.config.max_modified_state_bytes:
+            # The evicted victims are no longer resident by then.
+            evicted = {m.handle_id for m in plan}
+            residents = (m for m in self._residents.values() if m.handle_id not in evicted)
             synced, fits = self._dirty_victims(residents, dirty, needed_dirty_bytes)
             if not fits:
                 raise DirtyBudgetUnsatisfiableError("cannot retire enough modified state")
@@ -561,7 +621,22 @@ class VnvHeap:
             self._cache[offset : offset + meta.size_bytes] = payload
         meta.arrival = next(self._stamps)
         meta.cache_offset = offset
-        self._residents[meta.handle_id] = meta
+        handle_id = meta.handle_id
+        self._residents[handle_id] = meta
+        self._tiers[meta.hits.bit_length()][handle_id] = meta
+        self._by_offset[offset] = meta
+        self._by_end[offset + meta.block_bytes] = meta
+
+    def _promote(self, meta: ObjectMeta) -> None:
+        """Move a resident whose count just reached a power of two to the
+        end of the next tier."""
+        tiers = self._tiers
+        tier = meta.hits.bit_length()
+        if tier == len(tiers):
+            tiers.append({})
+        handle_id = meta.handle_id
+        del tiers[tier - 1][handle_id]
+        tiers[tier][handle_id] = meta
 
     def _mark_modified(self, meta: ObjectMeta) -> None:
         """Charge a clean resident as modified (callers test ``meta.modified``)."""
@@ -574,7 +649,7 @@ class VnvHeap:
     def _make_cache_room(self, block: int) -> int:
         """Evict until ``block`` fits and allocate it. Callers call this only
         once a first-fit probe for ``block`` has failed."""
-        victims, fits = _cache_victims(self._residents.values(), self._cache_alloc, block)
+        victims, fits = self._cache_victims(self._cache_alloc, block)
         for victim in victims:
             if victim.modified:
                 self._sync(victim)
@@ -595,6 +670,32 @@ class VnvHeap:
             raise DirtyBudgetUnsatisfiableError(
                 f"{extra} B of new modified state cannot be admitted"
             )
+
+    def _cache_victims(self, allocator: FirstFitAllocator, block: int) -> tuple[list[ObjectMeta], bool]:
+        """The unpinned residents to evict, in order, freeing each block into
+        ``allocator`` until the hole it merged into fits ``block``; and
+        whether one does. The coldest unpinned resident (the lowest tier,
+        the earliest entry into it) anchors a hole; the hole then grows into
+        the colder of its two unpinned address neighbours. Only a hole that
+        pinned blocks or the cache ends wall in moves the search on to the
+        next anchor. Callers call this only once no free extent fits."""
+        by_offset, by_end = self._by_offset, self._by_end
+        victims = []
+        planned = set()
+        for tier in self._tiers:
+            for meta in tier.values():
+                if meta.pin_count or meta.handle_id in planned:
+                    continue
+                while meta is not None:
+                    victims.append(meta)
+                    planned.add(meta.handle_id)
+                    start, length = allocator.free(meta.cache_offset, meta.block_bytes)
+                    if length >= block:
+                        return victims, True
+                    # Free extents are maximal, so a hole is bordered by
+                    # residents (never by a planned victim) or a cache end.
+                    meta = _colder(by_end.get(start), by_offset.get(start + length))
+        return victims, False
 
     def _dirty_victims(self, residents, dirty: int, extra: int) -> tuple[list[ObjectMeta], bool]:
         """The modified, unpinned ``residents`` to sync, in order, until
@@ -619,19 +720,21 @@ class VnvHeap:
 
     def _unload(self, meta: ObjectMeta) -> None:
         """Drop ``meta``'s residency; the caller frees its cache block."""
-        del self._residents[meta.handle_id]
+        handle_id = meta.handle_id
+        offset = meta.cache_offset
+        del self._residents[handle_id]
+        del self._tiers[meta.hits.bit_length()][handle_id]
+        del self._by_offset[offset]
+        del self._by_end[offset + meta.block_bytes]
         meta.cache_offset = -1
 
 
-def _cache_victims(residents, allocator: FirstFitAllocator, block: int) -> tuple[list[ObjectMeta], bool]:
-    """The unpinned ``residents`` to evict, in order, freeing each block into
-    ``allocator`` until the hole it merged into fits ``block``; and whether
-    one does. Callers call this only once no free extent fits."""
-    victims = []
-    for meta in residents:
-        if not meta.pin_count:
-            victims.append(meta)
-            if allocator.free(meta.cache_offset, meta.block_bytes) >= block:
-                return victims, True
-    return victims, False
+def _colder(left: ObjectMeta | None, right: ObjectMeta | None) -> ObjectMeta | None:
+    """The colder of a hole's unpinned address neighbours, the one with
+    fewer hits (the upper one on a tie), or None when both wall the hole in."""
+    if left is None or left.pin_count:
+        return None if right is None or right.pin_count else right
+    if right is None or right.pin_count or left.hits < right.hits:
+        return left
+    return right
 

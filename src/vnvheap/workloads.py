@@ -90,8 +90,9 @@ class VnvQueue:
         return len(self._live)
 
     def push(self, payload: bytes) -> None:
+        # Checked before a slot is taken, so a refused push leaks none.
         if len(payload) != self.element_size:
-            raise PreconditionError(
+            raise SizeMismatchError(
                 f"queue elements are {self.element_size} B, got {len(payload)}")
         slot = self._take_slot()
         self.heap.replace(self._slots[slot], payload)
@@ -158,7 +159,7 @@ class NvmQueue:
 
     def push(self, payload: bytes) -> None:
         if len(payload) != self.element_size:
-            raise PreconditionError("wrong element size")
+            raise SizeMismatchError("wrong element size")
         if self.length == self.capacity:
             raise RamCapacityExceededError("queue region is full")
         self.device.write(self._slot_offset(self.head + self.length), payload)
@@ -193,7 +194,7 @@ class RamQueue:
 
     def push(self, payload: bytes) -> None:
         if len(payload) != self.element_size:
-            raise PreconditionError("wrong element size")
+            raise SizeMismatchError("wrong element size")
         if self.length == self.capacity:
             raise RamCapacityExceededError(
                 f"RAM queue holds at most {self.capacity} elements")
@@ -238,8 +239,7 @@ class VnvKvStore:
         self._index[key] = self.heap.alloc(value)
 
     def get(self, key: int) -> bytes:
-        with self.heap.get_ref(self._handle(key)) as g:
-            return g.read()
+        return self.heap.read(self._handle(key))
 
     def update(self, key: int, value: bytes) -> None:
         self.heap.replace(self._handle(key), value)

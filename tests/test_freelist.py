@@ -130,13 +130,14 @@ def test_randomized_against_byte_map_oracle():
             merged = a.free(off, n)
             block = align_up(n)
             occupied[off : off + block] = bytes(block)
-            # free returns the length of the oracle's free run holding the block
+            # free returns the start and length of the oracle's free run
+            # holding the block
             lo, hi = off, off + block
             while lo > 0 and not occupied[lo - 1]:
                 lo -= 1
             while hi < size and not occupied[hi]:
                 hi += 1
-            assert merged == hi - lo
+            assert merged == (lo, hi - lo)
         else:
             n = rng.randint(1, 40)
             off = a.alloc(n)

@@ -55,6 +55,19 @@ def test_write_guard_mutates_and_dirties(heap):
         assert r.read(0, 4) == b"\x00" * 4
 
 
+def test_write_from_a_bytearray_or_memoryview_lands_byte_for_byte(heap):
+    h = heap.alloc(bytes(16))
+    source = bytearray(b"abcd")
+    with heap.get_mut(h) as w:
+        w.write(source, offset=1)
+        source[:] = b"zzzz"  # the object holds the bytes as they were
+        w.write(memoryview(b"..WXYZ..")[2:6], offset=5)
+        w.write(memoryview(b"\x01\x02\x03\x04").cast("H"), offset=9)  # 2 items, 4 bytes
+        w.write(w.data[1:4], offset=13)  # a view of the object itself
+    with heap.get_ref(h) as r:
+        assert r.read() == b"\x00abcdWXYZ\x01\x02\x03\x04abc"
+
+
 def test_read_guard_view_is_immutable(heap):
     h = heap.alloc(b"abcd")
     with heap.get_ref(h) as g:

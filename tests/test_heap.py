@@ -22,6 +22,7 @@ from vnvheap import (
     StaleHandleError,
     StillPinnedError,
     VnvHeap,
+    WriteGuardActiveError,
     persist,
     restore,
     words_for,
@@ -171,13 +172,94 @@ def test_handle_reattach_by_id():
 
 # -- eviction ------------------------------------------------------------------
 
-def test_cache_pressure_evicts_oldest_arrival_first():
+def test_cache_pressure_evicts_coldest_first_older_entry_breaks_ties():
     heap = make_heap(cache=1024, dirty=1024)
     hs = [heap.alloc(bytes([i]) * 200) for i in range(5)]  # 5 * 204 = 1020
     assert heap.stats().resident_count == 5
+    heap.get_ref(hs[0]).release()  # 2 hits: the oldest is no longer the coldest
     heap.alloc(b"f" * 200)  # forces one eviction
-    infos = [heap.object_info(h) for h in hs]
-    assert [i.resident for i in infos] == [False, True, True, True, True]
+    assert [heap.object_info(h).resident for h in hs] == [True, False, True, True, True]
+    heap.alloc(b"g" * 200)  # "f" has 1 hit too, but entered its tier last
+    assert [heap.object_info(h).resident for h in hs] == [True, False, False, True, True]
+
+
+@pytest.mark.parametrize("hits_a, hits_c, victims", [
+    (3, 2, "bc"),  # c has fewer hits
+    (2, 3, "ba"),  # a has fewer hits
+    (2, 2, "bc"),  # a tie grows the hole upward
+])
+def test_a_hole_grows_into_its_colder_neighbour(hits_a, hits_c, victims):
+    """Five 204 B blocks a..e fill a 1024 B cache; b, with 1 hit, is the
+    coldest and anchors the hole, and a 404 B block needs one neighbour
+    more: the one with fewer hits."""
+    heap = make_heap(cache=1024, dirty=1024)
+    hs = dict(zip("abcde", (heap.alloc(bytes([i]) * 200) for i in range(5))))
+    for name, hits in zip("abcde", (hits_a, 1, hits_c, 4, 4)):
+        for _ in range(hits - 1):
+            heap.get_ref(hs[name]).release()
+    unloaded = _log_calls(heap, "_unload")
+    heap.alloc(b"n" * 400)
+    assert unloaded == [hs[name].id for name in victims]
+
+
+def test_a_hot_object_survives_a_sweep_of_cold_loads():
+    """Under arrival order the hot object, the oldest resident, is the first
+    victim of a sweep that loads each cold object once; ranked by hits, the
+    sweep's objects evict one another and the hot one stays resident."""
+    heap = make_heap(cache=1024, dirty=1024, max_objects=32)
+    hot = heap.alloc(b"H" * 200)
+    for _ in range(3):
+        heap.get_ref(hot).release()
+    cold = []
+    for i in range(12):
+        h = heap.alloc(bytes([i]) * 200)
+        heap.sync_object(h)
+        heap.unload(h)
+        cold.append(h)
+    unloaded = _log_calls(heap, "_unload")
+    for i, h in enumerate(cold):
+        assert heap.read(h) == bytes([i]) * 200
+    assert len(unloaded) == len(cold) - 4  # the cache holds five blocks
+    assert hot.id not in unloaded
+    words = heap.device.cost_meter.words_total
+    assert heap.read(hot) == b"H" * 200
+    assert heap.device.cost_meter.words_total == words
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_victims_of_an_unpinned_miss_are_one_run_from_the_coldest(seed):
+    """With no pinned block in the cache, each miss evicts one address-
+    contiguous run: no other resident lies between its victims, and the run
+    holds the coldest resident, the first of the lowest tier."""
+    rng = random.Random(seed)
+    heap = make_heap(cache=2048, dirty=2048, max_objects=128)
+    handles = [heap.alloc(bytes([i]) * rng.randint(1, 200)) for i in range(48)]
+    unloaded = _log_calls(heap, "_unload")
+    runs = 0
+    for _ in range(300):
+        h = rng.choice(handles[: rng.choice((6, 48))])  # a few hot handles
+        if rng.random() < 0.2:
+            heap.replace(h, bytes([rng.randrange(256)]) * h.size_bytes)
+            continue
+        if rng.random() < 0.1 and heap.object_info(h).resident:
+            if heap.object_info(h).modified:
+                heap.sync_object(h)
+            heap.unload(h)  # punches a hole somewhere in the cache
+            continue
+        residents = {m.handle_id: (m.cache_offset, m.cache_offset + m.block_bytes)
+                     for m in heap._residents.values()}
+        coldest = next(m.handle_id for tier in heap._tiers for m in tier.values())
+        unloaded.clear()
+        heap.read(h)
+        if not unloaded:
+            continue
+        start = min(residents[v][0] for v in unloaded)
+        end = max(residents[v][1] for v in unloaded)
+        between = [hid for hid, (s, e) in residents.items() if start < e and s < end]
+        assert sorted(between) == sorted(unloaded)
+        assert coldest in unloaded
+        runs += len(unloaded) > 1
+    assert runs > 10  # many misses grew a hole past its anchor
 
 
 def test_evicted_object_reloads_with_its_payload():
@@ -258,6 +340,34 @@ def test_unsatisfiable_dirty_pressure_is_an_error():
         heap.alloc(b"b" * 400)
     g.release()
     heap.alloc(b"b" * 400)  # sync of the first object now resolves it
+
+
+def test_hits_count_accesses_survive_swap_out_and_restart_at_restore():
+    heap = make_heap()
+    h = heap.alloc(b"x" * 40)
+    assert heap.object_info(h).hits == 1
+    heap.get_ref(h).release()
+    assert heap.read(h) == b"x" * 40
+    heap.get_mut(h).release()
+    heap.replace(h, b"y" * 40)
+    assert heap.object_info(h).hits == 5
+    guard = heap.get_mut(h)
+    for refused in (heap.get_ref, heap.read, heap.get_mut):
+        with pytest.raises(GuardActiveError):
+            refused(h)
+    guard.release()
+    assert heap.object_info(h).hits == 6  # a refused access counts nothing
+    heap.sync_object(h)
+    heap.unload(h)
+    assert heap.object_info(h).hits == 6
+    assert heap.read(h) == b"y" * 40  # the load is the 7th hit
+    assert heap.object_info(h).hits == 7
+    assert heap._tiers[3][h.id] is heap._metas[h.id]
+    persist(heap)
+    heap2, handles = restore(heap.device.reopen())
+    assert heap2.object_info(handles[h.id]).hits == 1
+    assert heap2.read(handles[h.id]) == b"y" * 40
+    assert heap2.object_info(handles[h.id]).hits == 2
 
 
 # -- explicit state management -------------------------------------------------
@@ -563,25 +673,21 @@ def test_replace_refusals_move_nothing():
     heap.dealloc(gone)
     foreign = make_heap().alloc(b"f" * 40)
 
-    def read_guarded():
-        with heap.get_ref(resident):
-            heap.replace(resident, b"x" * 40)
-
-    def write_guarded():
-        with heap.get_mut(resident):
-            heap.replace(resident, b"x" * 40)
-
-    cases = ((SizeMismatchError, lambda: heap.replace(swapped, b"x" * 39)),
-             (SizeMismatchError, lambda: heap.replace(resident, b"x" * 41)),
-             (GuardActiveError, read_guarded),
-             (GuardActiveError, write_guarded),
-             (StaleHandleError, lambda: heap.replace(gone, b"x" * 8)),
-             (StaleHandleError, lambda: heap.replace(foreign, b"x" * 40)))
-    for error, op in cases:
+    # (error, the guard held on ``resident`` during the call, the call)
+    cases = ((SizeMismatchError, None, lambda: heap.replace(swapped, b"x" * 39)),
+             (SizeMismatchError, None, lambda: heap.replace(resident, b"x" * 41)),
+             (GuardActiveError, heap.get_ref, lambda: heap.replace(resident, b"x" * 40)),
+             (GuardActiveError, heap.get_mut, lambda: heap.replace(resident, b"x" * 40)),
+             (StaleHandleError, None, lambda: heap.replace(gone, b"x" * 8)),
+             (StaleHandleError, None, lambda: heap.replace(foreign, b"x" * 40)))
+    for error, guard_with, op in cases:
+        guard = guard_with(resident) if guard_with else None
         before = _heap_state(heap)
         with pytest.raises(error):
             op()
         assert _heap_state(heap) == before
+        if guard:
+            guard.release()
     with heap.get_ref(swapped) as g:
         assert g.read() == b"s" * 40
 
@@ -621,6 +727,74 @@ def test_replace_miss_refused_by_the_dirty_budget_stages_nothing():
     heap.replace(x, b"Z" * 100)  # the guard is gone, so Y's sync makes room
     with heap.get_ref(x) as g:
         assert g.read() == b"Z" * 100
+
+
+# -- guard-free whole-object read ---------------------------------------------------
+
+def test_read_moves_the_words_of_get_ref_read_release():
+    """One seeded trace of reads, writes and persists under cache and dirty
+    pressure, on two heaps: A reads with ``read``, B with ``get_ref`` +
+    ``read`` + ``release``. Both return the same bytes and end in the same
+    state with the same device traffic."""
+    rng = random.Random(5)
+    sizes = [rng.choice((8, 24, 61, 100, 150, 200)) for _ in range(24)]
+    heaps = [make_heap(cache=1024, dirty=512, max_objects=32) for _ in range(2)]
+    logs = [log_writes(heap.device) for heap in heaps]
+    handles = [[heap.alloc(bytes([i]) * n) for i, n in enumerate(sizes)] for heap in heaps]
+    heap_a, heap_b = heaps
+    for _ in range(400):
+        i = rng.randrange(len(sizes))
+        r = rng.random()
+        if r < 0.7:
+            with heap_b.get_ref(handles[1][i]) as g:
+                assert heap_a.read(handles[0][i]) == g.read()
+        elif r < 0.97:
+            payload = rng.randbytes(sizes[i])
+            for heap, hs in zip(heaps, handles):
+                heap.replace(hs[i], payload)
+        else:
+            for heap in heaps:
+                persist(heap)
+        assert _heap_state(heap_a) == _heap_state(heap_b)
+    assert logs[0] == logs[1]
+    assert heap_a.device.cost_meter.snapshot() == heap_b.device.cost_meter.snapshot()
+
+
+def test_read_raises_the_errors_of_get_ref_in_its_order():
+    """Where several faults hold at once, ``read`` raises the one
+    ``get_ref`` raises, and neither moves a word or changes the heap."""
+    heap = make_heap(cache=512, dirty=512)
+    guarded = heap.alloc(b"g" * 200)
+    swapped = heap.alloc(b"s" * 200)
+    heap.sync_object(swapped)
+    heap.unload(swapped)
+    other = heap.alloc(b"o" * 200)
+    gone = heap.alloc(b"d" * 8)
+    heap.dealloc(gone)
+    # A handle from another heap whose id names a guarded object here.
+    foreign = make_heap().alloc(b"f" * 200)
+    assert foreign.id == guarded.id
+    heap.get_mut(guarded)
+    read_guard = heap.get_ref(other)  # every resident is now pinned
+    cases = ((StaleHandleError, gone),
+             (StaleHandleError, foreign),          # before the write guard
+             (WriteGuardActiveError, guarded),
+             (CachePressureUnresolvableError, swapped))
+    for error, handle in cases:
+        for access in (heap.get_ref, heap.read):
+            before = _heap_state(heap)
+            with pytest.raises(error):
+                access(handle)
+            assert _heap_state(heap) == before
+    read_guard.release()
+    heap.device.arm_power_failure(0)
+    with pytest.raises(PowerFailureInjected):
+        heap.sync_object(other)
+    heap.device.disarm_power_failure()
+    for _, handle in cases:  # a poisoned heap comes first
+        for access in (heap.get_ref, heap.read):
+            with pytest.raises(HeapPoisonedError):
+                access(handle)
 
 
 # -- stats -----------------------------------------------------------------------

@@ -238,11 +238,13 @@ def test_power_cut_in_an_eviction_sync_restores_the_last_commit():
     t = heap.alloc(payloads[4])  # a 504 B block at offset 0
     persist(heap)
     heap.unload(t)
-    for h in (a, b):  # back into [0, 504), after c and d in arrival order
-        heap.get_ref(h).release()
+    for h in (a, b):  # back into [0, 504), with 4 hits each
+        for _ in range(3):
+            heap.get_ref(h).release()
     for h in (c, d):
-        # A write guard charges its object as modified, so both victims are
-        # synced; the bytes stay the committed ones.
+        # 2 hits each, so c is the coldest resident and d its colder
+        # neighbour. A write guard charges its object as modified, so both
+        # victims are synced; the bytes stay the committed ones.
         heap.get_mut(h).release()
 
     log = log_writes(dev)

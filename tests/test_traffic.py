@@ -16,9 +16,9 @@ from traceutil import log_writes
 
 # SHA-256 over every (offset, data) the trace below passes to the device's
 # public ``write``.
-KV_WRITES_SHA256 = "5f080ff8252605b9aa9a9e26c0e2778553eb16584caf28e0e338ba21efee8c27"
+KV_WRITES_SHA256 = "0396bf5471b57a5e7672cc43174f6a46ebaa4b1b07e19b31a0a8b4e9bd416b5d"
 # The meter's (words_read, words_written) at the end of the trace.
-KV_WORDS = (61632, 45397)
+KV_WORDS = (55136, 46285)
 
 
 def test_kv_trace_device_traffic_is_unchanged():

@@ -74,9 +74,9 @@ class TestQueueSemantics:
 
     def test_element_size_is_exact(self, backend):
         q = QUEUE_FACTORIES[backend]()
-        with pytest.raises(PreconditionError):
+        with pytest.raises(SizeMismatchError):
             q.push(b"short")
-        with pytest.raises(PreconditionError):
+        with pytest.raises(SizeMismatchError):
             q.push(bytes(65))
 
 
@@ -113,6 +113,25 @@ class TestVnvQueue:
         assert [q2.pop() for _ in range(6)] == [element(i, 32) for i in range(1, 7)]
         q2.push(element(40, 32))
         assert q2.pop() == element(40, 32)
+
+    def test_a_wrong_length_push_takes_no_slot(self):
+        """The length is checked before a slot is taken: at full capacity a
+        refused push allocates no element and does not grow the control
+        object, and with a free slot it leaves that slot free."""
+        dev, heap, q = make_vnv_queue()
+        for i in range(8):
+            q.push(element(i))
+        live = heap.live_handle_ids()
+        for payload in (bytes(63), bytes(65)):
+            with pytest.raises(SizeMismatchError):
+                q.push(payload)
+            assert (heap.live_handle_ids(), q.capacity, len(q)) == (live, 8, 8)
+        assert q.pop() == element(0)
+        with pytest.raises(SizeMismatchError):
+            q.push(b"short")
+        q.push(element(8))
+        assert heap.live_handle_ids() == live
+        assert [q.pop() for _ in range(8)] == [element(i) for i in range(1, 9)]
 
     def test_free_slots_are_reused(self):
         dev, heap, q = make_vnv_queue()

@@ -12,8 +12,8 @@ the heap's invariants from scratch:
 * modified and pinned objects are resident,
 * resident cache blocks never overlap and stay inside the cache,
 * object content matches the shadow,
-* the heap's modified index, arrival stamps and on-demand resident and
-  pinned totals agree with the per-object state.
+* the heap's modified index, arrival stamps, cache tiers, address maps and
+  on-demand resident and pinned totals agree with the per-object state.
 """
 
 import random
@@ -24,6 +24,7 @@ from vnvheap import (
     CachePressureUnresolvableError,
     DirtyBudgetUnsatisfiableError,
     GuardActiveError,
+    HEADER_CHARGE_BYTES,
     META_CHARGE_BYTES,
     OutOfNvmError,
     PreconditionError,
@@ -48,13 +49,27 @@ EXPECTED_PRESSURE_ERRORS = (
 
 
 def check_indexes(heap):
-    """``_modified`` holds exactly the modified residents, and arrival stamps
-    strictly increase along the residents' (cache-arrival) order."""
+    """``_modified`` holds exactly the modified residents; arrival stamps
+    strictly increase along the residents' (cache-arrival) order; the cache
+    tiers partition the residents, each in tier ``hits.bit_length()``; and
+    the two address maps name each resident by its block's start and end."""
     metas = heap._metas
-    assert heap._modified.keys() == {h for h, m in heap._residents.items() if m.modified}
+    residents = heap._residents
+    assert heap._modified.keys() == {h for h, m in residents.items() if m.modified}
     assert all(m is metas[h] for h, m in heap._modified.items())
-    stamps = [m.arrival for m in heap._residents.values()]
+    stamps = [m.arrival for m in residents.values()]
     assert all(a < b for a, b in zip(stamps, stamps[1:])), "arrival stamps out of order"
+
+    tiered = [(t, h, m) for t, tier in enumerate(heap._tiers) for h, m in tier.items()]
+    assert len(tiered) == len(residents), "a resident is in no tier or in two"
+    for t, h, m in tiered:
+        assert residents.get(h) is m, f"tier {t} holds object {h}, which is not resident"
+        assert t == m.hits.bit_length(), f"object {h} with {m.hits} hits is in tier {t}"
+    by_offset, by_end = heap._by_offset, heap._by_end
+    assert len(by_offset) == len(by_end) == len(residents)
+    for m in residents.values():
+        assert by_offset.get(m.cache_offset) is m, f"object {m.handle_id}'s start is unmapped"
+        assert by_end.get(m.cache_offset + m.block_bytes) is m, f"object {m.handle_id}'s end is unmapped"
 
 
 def persist_cost(heap):
@@ -168,7 +183,7 @@ class TraceMachine:
     # -- operations ------------------------------------------------------------
 
     def op_alloc(self):
-        size = self.rng.randint(1, self.dirty - 19 - META_CHARGE_BYTES)
+        size = self.rng.randint(1, self.dirty - HEADER_CHARGE_BYTES)
         payload = bytes(self.rng.randrange(256) for _ in range(size))
         try:
             h = self.heap.alloc(payload)
