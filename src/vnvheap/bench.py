@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from .baselines import MS_PAGE_SIZES, ManagedStatePool, ModuleSwapApp, UnmanagedRam
 from .errors import PowerFailureInjected, PreconditionError, VnvHeapError
 from .heap import HEADER_CHARGE_BYTES, VnvHeap
-from .persistence import EnergyModel, persist, persist_bound, restore
+from .oracle import TraceMachine
+from .persistence import EnergyModel, persist, restore
 from .storage import SimulatedNvm, words_for
 from .workloads import (
     MsKvStore,
@@ -289,77 +290,22 @@ class SuiteReport:
         return f"{verdict} {self.name}: {self.checks} checks{extra}"
 
 
-class _ShadowTrace:
-    """Lean random heap trace with a shadow map; used by the suites."""
-
-    CACHE = 4096
-    DIRTY_LIMIT = 2048
-    MAX_OBJECTS = 64
-
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)
-        self.dev = SimulatedNvm(256 * 1024)
-        self.heap = VnvHeap(self.dev, cache_size_bytes=self.CACHE,
-                            max_modified_state_bytes=self.DIRTY_LIMIT,
-                            max_objects=self.MAX_OBJECTS)
-        self.shadow: dict[int, bytes] = {}
-        self.handles: dict[int, object] = {}
-
-    def step(self) -> None:
-        rng = self.rng
-        roll = rng.random()
-        try:
-            if roll < 0.35 or not self.shadow:
-                size = rng.randint(1, 600)
-                payload = bytes([rng.randrange(256)]) * size
-                h = self.heap.alloc(payload)
-                self.shadow[h.id] = payload
-                self.handles[h.id] = h
-            elif roll < 0.45:
-                hid = rng.choice(list(self.shadow))
-                self.heap.dealloc(self.handles[hid])
-                del self.shadow[hid], self.handles[hid]
-            elif roll < 0.70:
-                hid = rng.choice(list(self.shadow))
-                with self.heap.get_ref(self.handles[hid]) as g:
-                    assert g.read(0, 1) == self.shadow[hid][:1]
-            else:
-                hid = rng.choice(list(self.shadow))
-                payload = bytes([rng.randrange(256)]) * len(self.shadow[hid])
-                with self.heap.get_mut(self.handles[hid]) as w:
-                    w.write(payload)
-                self.shadow[hid] = payload
-        except VnvHeapError:
-            pass  # pressure errors are legitimate outcomes of a random trace
-
-    def verify_restored(self, heap, handles) -> None:
-        assert set(handles) == set(self.shadow), "restore lost or invented objects"
-        for hid, expected in self.shadow.items():
-            with heap.get_ref(handles[hid]) as g:
-                got = g.read()
-            assert got == expected, f"object {hid} content diverged"
+_SUITE_TRACE = {"cache": 4096, "dirty": 2048, "max_objects": 64, "capacity": 256 * 1024}
 
 
 def run_crash_suite(seed: int, iterations: int = 100) -> SuiteReport:
-    """persist -> reboot -> restore equality, plus one forced mid-persist
-    failure that must fall back to the previous checkpoint."""
+    """persist -> reboot -> restore equality on random traces with guards
+    held, every persist armed at ``persist_bound``, plus one forced
+    mid-persist failure that must fall back to the previous checkpoint."""
     report = SuiteReport("crash: checkpoint/restore round trips")
     for i in range(iterations):
-        trace = _ShadowTrace(seed * 1000 + i)
+        m = TraceMachine(seed * 1000 + i, **_SUITE_TRACE)
         try:
-            for _ in range(trace.rng.randint(0, 120)):
-                trace.step()
-            bound = persist_bound(trace.heap.config)
-            trace.dev.arm_power_failure(bound)
-            rep = persist(trace.heap)
-            trace.dev.disarm_power_failure()
-            if rep.words_transferred > bound:
-                raise AssertionError(
-                    f"persist used {rep.words_transferred} > bound {bound}")
-            heap2, handles = restore(trace.dev.reopen())
-            trace.verify_restored(heap2, handles)
+            for _ in range(m.rng.randint(0, 120)):
+                m.step()
+            m.power_cycle()
         except Exception as exc:  # noqa: BLE001 - report, don't abort the suite
-            report.failures.append(f"iteration {i} (seed {seed * 1000 + i}): {exc}")
+            report.failures.append(f"iteration {i} (seed {seed * 1000 + i}): {exc!r}")
         report.checks += 1
 
     report.checks += 1
@@ -401,33 +347,23 @@ def _crash_fallback_check() -> None:
 
 
 def run_dirty_limit_suite(seed: int, traces: int = 10, ops: int = 10_000) -> SuiteReport:
-    """The two core runtime invariants: after every operation the persist
-    bound, as ``dirty_bytes <= limit`` (the charge is 4 B per word the next
-    persist writes, plus 3 words), and persist words <= persist_bound."""
+    """The two core runtime invariants on oracle traces: after every
+    operation ``dirty_bytes <= limit`` (4 B per word the next persist
+    writes, plus 3 words), and every persist, armed at ``persist_bound``,
+    writes exactly its dry run. Every 97th operation runs the full check."""
     report = SuiteReport("invariants: dirty limit and persist bound")
     for t in range(traces):
-        trace = _ShadowTrace(seed + t)
-        limit = trace.heap.config.max_modified_state_bytes
-        bound = persist_bound(trace.heap.config)
+        m = TraceMachine(seed + t, **_SUITE_TRACE)
         for op in range(ops):
-            trace.step()
-            if trace.heap.dirty_bytes > limit:
-                report.failures.append(
-                    f"trace {t} op {op}: dirty {trace.heap.dirty_bytes} > {limit}")
-            if op % 97 == 96:
-                trace.dev.arm_power_failure(bound)
-                try:
-                    rep = persist(trace.heap)
-                    if rep.words_transferred > bound:
-                        report.failures.append(
-                            f"trace {t} op {op}: persist {rep.words_transferred}"
-                            f" > bound {bound}")
-                except PowerFailureInjected:
-                    report.failures.append(
-                        f"trace {t} op {op}: bound-budget persist failed")
-                    return report
-                finally:
-                    trace.dev.disarm_power_failure()
+            try:
+                m.step()
+                if m.heap.dirty_bytes > m.dirty:
+                    raise AssertionError(f"dirty {m.heap.dirty_bytes} > {m.dirty}")
+                if op % 97 == 96:
+                    m.check()
+            except Exception as exc:  # noqa: BLE001 - the trace is broken; go on to the next
+                report.failures.append(f"trace {t} op {op}: {exc!r}")
+                break
             report.checks += 1
     return report
 

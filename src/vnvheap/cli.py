@@ -2,7 +2,8 @@
 
 Benchmark subcommands print CSV (``benchmark,params,words_read,words_written,
 time_us,energy_uj,reps``); ``crash`` and ``check`` print one verdict line per
-suite and exit nonzero on any failure. Identical arguments always produce
+suite and exit nonzero on any failure (2 under ``python -O``, which strips
+the asserts the suites check with). Identical arguments always produce
 identical output.
 """
 
@@ -140,6 +141,11 @@ def _run_benchmarks(args) -> list[bench.BenchRecord]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
+    if args.command in ("crash", "check") and not __debug__:
+        # The oracle checks with assert statements, which -O strips.
+        print(f"error: {args.command} needs assert statements; run it without python -O",
+              file=sys.stderr)
+        return 2
     if args.command == "crash":
         reports = [bench.run_crash_suite(args.seed, iterations=args.iterations)]
     elif args.command == "check":

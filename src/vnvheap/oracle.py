@@ -1,0 +1,298 @@
+"""The randomized trace oracle: one seeded operation stream, against a shadow.
+
+The machine drives a heap with seeded operations, holding guards across
+steps, persists and power cycles, and keeps a plain dict of what every
+object must contain. Every read and power cycle compares bytes with it;
+every persist is armed at exactly ``persist_bound`` and must write exactly
+the dry run of :func:`persist_cost`. :meth:`TraceMachine.check` re-derives
+the invariants from scratch: the dirty total is 4 bytes per word of the
+next persist plus 3 words and within the limit, the cost is within the
+bound, modified and pinned objects are resident, cache blocks are disjoint
+and inside the cache, and the heap's indexes and totals agree with the
+per-object state. The test suite and the ``check``/``crash`` commands drive
+this one machine, each deciding how often to run the full check. The
+checks are ``assert`` statements: they vanish under ``python -O``.
+"""
+
+import random
+import struct
+
+from .errors import (
+    CachePressureUnresolvableError,
+    DirtyBudgetUnsatisfiableError,
+    GuardActiveError,
+    OutOfNvmError,
+    PreconditionError,
+    StillPinnedError,
+    WriteGuardActiveError,
+)
+from .freelist import align_up
+from .heap import HEADER_CHARGE_BYTES, META_CHARGE_BYTES, VnvHeap
+from .layout import ENTRY_WORDS
+from .persistence import persist, persist_bound, restore
+from .storage import WORD_BYTES, SimulatedNvm, words_for
+
+EXPECTED_PRESSURE_ERRORS = (
+    CachePressureUnresolvableError,
+    DirtyBudgetUnsatisfiableError,
+    OutOfNvmError,
+)
+
+
+def check_indexes(heap):
+    """``_modified`` holds exactly the modified residents; arrival stamps
+    strictly increase along the residents' (cache-arrival) order; the cache
+    tiers partition the residents, each in tier ``hits.bit_length()``; and
+    the two address maps name each resident by its block's start and end."""
+    metas = heap._metas
+    residents = heap._residents
+    assert heap._modified.keys() == {h for h, m in residents.items() if m.modified}
+    assert all(m is metas[h] for h, m in heap._modified.items())
+    stamps = [m.arrival for m in residents.values()]
+    assert all(a < b for a, b in zip(stamps, stamps[1:])), "arrival stamps out of order"
+
+    tiered = [(t, h, m) for t, tier in enumerate(heap._tiers) for h, m in tier.items()]
+    assert len(tiered) == len(residents), "a resident is in no tier or in two"
+    for t, h, m in tiered:
+        assert residents.get(h) is m, f"tier {t} holds object {h}, which is not resident"
+        assert t == m.hits.bit_length(), f"object {h} with {m.hits} hits is in tier {t}"
+    by_offset, by_end = heap._by_offset, heap._by_end
+    assert len(by_offset) == len(by_end) == len(residents)
+    for m in residents.values():
+        assert by_offset.get(m.cache_offset) is m, f"object {m.handle_id}'s start is unmapped"
+        assert by_end.get(m.cache_offset + m.block_bytes) is m, f"object {m.handle_id}'s end is unmapped"
+
+
+def persist_cost(heap):
+    """Words the next ``persist(heap)`` writes, as a dry run: the payload
+    words of every modified object, the commit word, and one clear for each
+    dead entry of the table that is not staging (the commit clears them
+    once it has flipped the roles). Derived from each object's own flag and
+    size and the raw table mirror, not from the modified index or the
+    dirty counter."""
+    payload = sum(words_for(m.size_bytes) for m in heap._metas.values() if m.modified)
+    return payload + 1 + len(dead_entries(heap, 1 - heap.tables.staging))
+
+
+def dead_entries(heap, table):
+    """Slots of ``table`` whose raw id word names no live object."""
+    raw = heap.tables._mirror[table]
+    ids = struct.unpack(f"<{len(raw) // WORD_BYTES}I", raw)[::ENTRY_WORDS]
+    live = heap._metas
+    return [slot for slot, hid in enumerate(ids) if hid and hid not in live]
+
+
+class TraceMachine:
+    """A heap, a seeded operation stream over it, and the shadow it must match."""
+
+    def __init__(self, seed, cache=1024, dirty=512, max_objects=32,
+                 capacity=64 * 1024):
+        self.rng = random.Random(seed)
+        self.cache = cache
+        self.dirty = dirty
+        self.dev = SimulatedNvm(capacity)
+        self.heap = VnvHeap(self.dev, cache_size_bytes=cache,
+                            max_modified_state_bytes=dirty,
+                            max_objects=max_objects)
+        self.shadow = {}        # handle id -> bytearray, in allocation order
+        self.handles = {}       # handle id -> ObjectHandle
+        self.guards = []        # (handle id, guard, writable)
+        self._ops = [n for n, w in self.OPS for _ in range(w)]
+
+    # -- invariants ----------------------------------------------------------
+
+    def check(self):
+        heap = self.heap
+        metas = heap._metas
+        assert metas.keys() == self.shadow.keys() == self.handles.keys(), \
+            "the live objects differ from the shadow's"
+
+        blocks = []
+        pinned = resident_bytes = 0
+        for hid, m in metas.items():
+            if m.cache_offset < 0:
+                assert not m.modified, f"object {hid} modified but not resident"
+                assert not m.pin_count, f"object {hid} pinned but not resident"
+                continue
+            assert m.cache_offset + m.size_bytes <= self.cache
+            blocks.append((m.cache_offset, align_up(m.size_bytes + META_CHARGE_BYTES)))
+            pinned += m.pin_count > 0
+            resident_bytes += m.size_bytes
+        cost = persist_cost(heap)
+        assert heap.dirty_bytes == WORD_BYTES * (cost + 3) <= self.dirty, \
+            f"dirty {heap.dirty_bytes} B, the next persist writes {cost} words"
+        assert cost <= persist_bound(heap.config), f"the next persist writes {cost} words"
+
+        blocks.sort()
+        for (o1, n1), (o2, _) in zip(blocks, blocks[1:]):
+            assert o1 + n1 <= o2, "resident cache blocks overlap"
+
+        stats = heap.stats()
+        assert stats.resident_count == len(blocks)
+        assert stats.pinned_count == pinned
+        assert stats.resident_bytes == resident_bytes
+        check_indexes(heap)
+
+    def verify_content(self, hid):
+        with self.heap.get_ref(self.handles[hid]) as guard:
+            assert guard.read() == self.shadow[hid], f"object {hid} content diverged"
+
+    # -- operations ------------------------------------------------------------
+
+    def alloc_size(self):
+        return self.rng.randint(1, self.dirty - HEADER_CHARGE_BYTES)
+
+    def op_alloc(self):
+        payload = self.rng.randbytes(self.alloc_size())
+        try:
+            h = self.heap.alloc(payload)
+        except EXPECTED_PRESSURE_ERRORS:
+            return
+        self.shadow[h.id] = bytearray(payload)
+        self.handles[h.id] = h
+
+    def op_dealloc(self):
+        hid = self.pick()
+        if hid is None:
+            return
+        try:
+            self.heap.dealloc(self.handles[hid])
+        except StillPinnedError:
+            assert any(g[0] == hid for g in self.guards)
+            return
+        except DirtyBudgetUnsatisfiableError:
+            # No room for the clear of a clean object's entry.
+            assert not self.heap.object_info(self.handles[hid]).modified
+            return
+        del self.shadow[hid], self.handles[hid]
+
+    def op_read(self):
+        hid = self.pick()
+        if hid is None:
+            return
+        try:
+            self.verify_content(hid)
+        except EXPECTED_PRESSURE_ERRORS:
+            pass
+        except WriteGuardActiveError:
+            assert any(g[0] == hid and g[2] for g in self.guards)
+
+    def op_write(self):
+        hid = self.pick()
+        if hid is None or any(g[0] == hid for g in self.guards):
+            return
+        size = len(self.shadow[hid])
+        at = self.rng.randrange(size)
+        data = self.rng.randbytes(self.rng.randint(1, size - at))
+        try:
+            with self.heap.get_mut(self.handles[hid]) as w:
+                w.write(data, at)
+        except EXPECTED_PRESSURE_ERRORS:
+            return
+        self.shadow[hid][at : at + len(data)] = data
+
+    def op_hold_guard(self):
+        if len(self.guards) >= 4:
+            return
+        hid = self.pick()
+        if hid is None or any(g[0] == hid for g in self.guards):
+            return
+        writable = self.rng.random() < 0.4
+        try:
+            g = (self.heap.get_mut if writable else self.heap.get_ref)(self.handles[hid])
+        except EXPECTED_PRESSURE_ERRORS:
+            return
+        self.guards.append((hid, g, writable))
+
+    def op_release_guard(self):
+        if not self.guards:
+            return
+        hid, g, writable = self.guards.pop(self.rng.randrange(len(self.guards)))
+        if writable:
+            # make held-guard writes visible to the shadow before releasing
+            data = self.rng.randbytes(1)
+            g.write(data, 0)
+            self.shadow[hid][0:1] = data
+        g.release()
+
+    def op_sync(self):
+        hid = self.pick()
+        if hid is None:
+            return
+        try:
+            self.heap.sync_object(self.handles[hid])
+        except (PreconditionError, GuardActiveError):
+            pass
+
+    def op_unload(self):
+        hid = self.pick()
+        if hid is None:
+            return
+        try:
+            self.heap.unload(self.handles[hid])
+        except (PreconditionError, StillPinnedError):
+            pass
+
+    def op_persist(self):
+        """Persist with the device armed at exactly ``persist_bound``: the
+        commit must fit, and it must write exactly the dry run's words."""
+        expected = persist_cost(self.heap)
+        self.dev.arm_power_failure(persist_bound(self.heap.config))
+        try:
+            words = persist(self.heap).words_transferred
+        finally:
+            self.dev.disarm_power_failure()
+        assert words == expected, f"persist wrote {words} words, the dry run {expected}"
+
+    def pick(self):
+        # Ids only grow and the shadow keeps allocation order, so this draws
+        # from the ids in ascending order without sorting them.
+        return self.rng.choice(list(self.shadow)) if self.shadow else None
+
+    # -- driving -----------------------------------------------------------------
+
+    OPS = [
+        ("op_alloc", 5),
+        ("op_dealloc", 2),
+        ("op_read", 6),
+        ("op_write", 5),
+        ("op_hold_guard", 2),
+        ("op_release_guard", 2),
+        ("op_sync", 1),
+        ("op_unload", 1),
+        ("op_persist", 1),
+    ]
+
+    def step(self):
+        """Run one operation, drawn from ``OPS`` by weight."""
+        getattr(self, self.rng.choice(self._ops))()
+
+    def run(self, steps):
+        """``steps`` operations with the full check after each, then release
+        every guard still held."""
+        for _ in range(steps):
+            self.step()
+            self.check()
+        for _, g, _ in self.guards:
+            g.release()
+        self.guards.clear()
+
+    def reboot(self):
+        """The device as the next boot finds it."""
+        return self.dev.reopen()
+
+    def power_cycle(self):
+        """Check, persist as :meth:`op_persist` does, reboot and restore. The
+        held guards died with the old heap; every id and byte must come
+        back, and no object pinned."""
+        self.check()
+        self.op_persist()
+        self.guards.clear()
+        self.dev = self.reboot()
+        self.heap, self.handles = restore(self.dev, cache_size_bytes=self.cache,
+                                          max_modified_state_bytes=self.dirty)
+        assert self.heap.stats().pinned_count == 0, "an object came back pinned"
+        self.check()
+        for hid in self.shadow:
+            self.verify_content(hid)
+            self.check()

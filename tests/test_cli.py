@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -140,6 +143,17 @@ def test_check_quick(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 4
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_suites_refuse_to_run_without_asserts():
+    """Under ``python -O`` the oracle's asserts are gone, so a suite would
+    pass without checking anything: ``check`` exits 2 instead."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-O", "-m", "vnvheap", "check", "--quick"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "without python -O" in run.stderr
 
 
 # SHA-256 of the CSV each command prints. The words are the heap's behaviour,

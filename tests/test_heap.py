@@ -28,9 +28,10 @@ from vnvheap import (
     words_for,
 )
 from vnvheap.freelist import align_up
+from vnvheap.oracle import dead_entries
 from vnvheap.storage import WORD_BYTES
 
-from traceutil import count_bytecodes, dead_entries, log_writes
+from traceutil import count_bytecodes, log_writes
 
 
 def make_heap(cache=4096, dirty=2048, max_objects=64, capacity=256 * 1024):

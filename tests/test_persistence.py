@@ -13,6 +13,7 @@ from vnvheap import (
     HeapPoisonedError,
     NoValidCheckpointError,
     FileBackedNvm,
+    OutOfNvmError,
     PowerFailureInjected,
     SimulatedNvm,
     VnvHeap,
@@ -364,6 +365,32 @@ def test_fallback_resurrects_objects_deallocated_after_the_checkpoint():
     assert a.id in handles
     with heap2.get_ref(handles[a.id]) as g:
         assert g.read() == b"keep me!" * 8
+
+
+# Known defects: ``alloc`` writes a birth into the committed table too, and
+# nothing tells restore which entries the last commit covered. Each test
+# passes once the commit publishes that (for example a next-id watermark).
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="restore trusts births made after the last commit")
+def test_restore_does_not_bring_back_a_deallocated_object_under_a_new_id():
+    dev, heap = fresh()
+    a = heap.alloc(b"AAAA")
+    persist(heap)
+    heap.dealloc(a)
+    persist(heap)
+    heap.alloc(b"BBBB")
+    heap2, handles = restore(dev.reopen())
+    assert {hid: heap2.read(h) for hid, h in handles.items()} == {}
+
+
+@pytest.mark.xfail(strict=True, raises=OutOfNvmError,
+                   reason="a slot born and freed since the last commit is not reused")
+def test_alloc_dealloc_churn_without_a_persist_reuses_table_slots():
+    dev, heap = fresh(max_objects=8)
+    for _ in range(3 * 8):
+        heap.dealloc(heap.alloc(b"x"))
+    assert heap.live_handle_ids() == []
 
 
 def test_commit_releases_quarantined_extents_for_reuse():

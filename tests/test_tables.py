@@ -13,16 +13,10 @@ must agree with a fresh recomputation from the live objects.
 import random
 import struct
 
-from traceutil import (
-    EXPECTED_PRESSURE_ERRORS,
-    TraceMachine,
-    check_indexes,
-    dead_entries,
-    log_writes,
-    persist_cost,
-)
-from vnvheap import SimulatedNvm, VnvHeap, persist, restore
+from traceutil import log_writes
+from vnvheap import SimulatedNvm, VnvHeap, persist
 from vnvheap.layout import ENTRY_BYTES, ENTRY_WORDS
+from vnvheap.oracle import TraceMachine, check_indexes, dead_entries
 from vnvheap.storage import WORD_BYTES
 
 ZERO_WORD = bytes(WORD_BYTES)
@@ -106,15 +100,8 @@ class TableOracleMachine(TraceMachine):
         self.log = log_writes(self.dev)
         self.persists = 0
 
-    def op_alloc(self):
-        size = self.rng.choice((1, 3, 8, 12, 24, 40, 100))
-        payload = bytes(self.rng.randrange(256) for _ in range(size))
-        try:
-            h = self.heap.alloc(payload)
-        except EXPECTED_PRESSURE_ERRORS:
-            return
-        self.shadow[h.id] = bytearray(payload)
-        self.handles[h.id] = h
+    def alloc_size(self):
+        return self.rng.choice((1, 3, 8, 12, 24, 40, 100))
 
     def op_dealloc_burst(self):
         for _ in range(self.rng.randint(3, 12)):
@@ -125,9 +112,8 @@ class TableOracleMachine(TraceMachine):
         staging = heap.tables.staging
         assert not dead_entries(heap, staging), "the table to commit holds a dead entry"
         committed = bytes(heap.tables._mirror[1 - staging])
-        words = persist_cost(heap)
         del self.log[:]
-        assert persist(heap).words_transferred == words
+        super().op_persist()
         self.persists += 1
         truth = truth_of(heap)
         assert table_writes(self.log, heap, staging) == []
@@ -136,23 +122,20 @@ class TableOracleMachine(TraceMachine):
         check_tables(heap, self.dev)
         check_indexes(heap)
 
+    def reboot(self):
+        dev = super().reboot()
+        self.log = log_writes(dev)
+        return dev
+
     def op_power_cycle(self):
-        """Persist with guards held, reboot, restore: no object comes back
-        pinned, and the guards died with the old heap."""
-        self.op_persist()
-        self.dev = self.dev.reopen()
-        self.log = log_writes(self.dev)
-        layout = self.heap.layout
-        staging = 1 - self.heap.tables.committed
-        before = self.dev.read(layout.table_offset(staging), layout.table_bytes)
-        self.heap, self.handles = restore(self.dev, cache_size_bytes=self.cache,
-                                          max_modified_state_bytes=self.dirty)
+        """A power cycle with guards held; the restore flush must issue
+        exactly the reference writes into the table it stages."""
+        old = self.heap
+        self.power_cycle()
+        staging = 1 - old.tables.committed
+        before = bytes(old.tables._mirror[staging])  # the device table at reboot
         assert table_writes(self.log, self.heap, staging) == reference_flush(before, truth_of(self.heap))
         check_tables(self.heap, self.dev)
-        check_indexes(self.heap)
-        assert not any(self.heap.object_info(h).pinned for h in self.handles.values())
-        assert self.heap.stats().pinned_count == 0
-        self.guards = []
 
     OPS = TraceMachine.OPS + [("op_dealloc_burst", 1), ("op_hold_guard", 3),
                               ("op_persist", 3), ("op_power_cycle", 1)]

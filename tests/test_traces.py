@@ -2,7 +2,7 @@
 
 import pytest
 
-from traceutil import TraceMachine
+from vnvheap.oracle import TraceMachine
 
 
 @pytest.mark.parametrize("seed", [1, 7, 0xBEEF, 20240811])
@@ -33,8 +33,10 @@ def test_trace_generous_configuration():
 
 
 def test_every_step_is_charged_exactly_what_the_next_persist_writes():
-    """Cache 1024, limit 512, 32 slots: a dealloc-heavy mix whose dead
-    entries, when left uncharged, take the dry-run persist cost past the
-    bound of 132 words within these steps (at step 442 for this seed)."""
+    """Cache 1024, limit 512, 32 slots: every step checks that the dirty
+    total is exactly 4 bytes per word of the next persist, plus 3 words. The
+    dealloc of a clean object owes one word, the clear of its entry, so a
+    heap that leaves the clear uncharged fails at the first such dealloc,
+    whatever the seed (step 24 of this trace)."""
     m = TraceMachine(2, cache=1024, dirty=512, max_objects=32)
     m.run(1000)
