@@ -293,10 +293,19 @@ class SuiteReport:
 _SUITE_TRACE = {"cache": 4096, "dirty": 2048, "max_objects": 64, "capacity": 256 * 1024}
 
 
+def _require_asserts(suite: str) -> None:
+    """The oracle checks with assert statements, which ``python -O`` strips;
+    a suite run without them would pass without checking anything."""
+    if not __debug__:
+        raise PreconditionError(f"{suite} needs assert statements; run it without python -O")
+
+
 def run_crash_suite(seed: int, iterations: int = 100) -> SuiteReport:
     """persist -> reboot -> restore equality on random traces with guards
     held, every persist armed at ``persist_bound``, plus one forced
-    mid-persist failure that must fall back to the previous checkpoint."""
+    mid-persist failure that must fall back to the previous checkpoint.
+    Raises :class:`PreconditionError` under ``python -O``."""
+    _require_asserts("crash")
     report = SuiteReport("crash: checkpoint/restore round trips")
     for i in range(iterations):
         m = TraceMachine(seed * 1000 + i, **_SUITE_TRACE)
@@ -350,7 +359,9 @@ def run_dirty_limit_suite(seed: int, traces: int = 10, ops: int = 10_000) -> Sui
     """The two core runtime invariants on oracle traces: after every
     operation ``dirty_bytes <= limit`` (4 B per word the next persist
     writes, plus 3 words), and every persist, armed at ``persist_bound``,
-    writes exactly its dry run. Every 97th operation runs the full check."""
+    writes exactly its dry run. Every 97th operation runs the full check.
+    Raises :class:`PreconditionError` under ``python -O``."""
+    _require_asserts("the invariant suite")
     report = SuiteReport("invariants: dirty limit and persist bound")
     for t in range(traces):
         m = TraceMachine(seed + t, **_SUITE_TRACE)
@@ -444,6 +455,9 @@ def run_pattern_suite(draws: int = 1_000_000) -> SuiteReport:
 
 
 def run_check(seed: int, quick: bool = False) -> list[SuiteReport]:
+    """Every property suite. Raises :class:`PreconditionError` under
+    ``python -O``, before any suite runs."""
+    _require_asserts("check")
     scale = 10 if quick else 1
     return [
         run_dirty_limit_suite(seed, traces=10 // scale or 1,

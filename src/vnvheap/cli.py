@@ -3,13 +3,15 @@
 Benchmark subcommands print CSV (``benchmark,params,words_read,words_written,
 time_us,energy_uj,reps``); ``crash`` and ``check`` print one verdict line per
 suite and exit nonzero on any failure (2 under ``python -O``, which strips
-the asserts the suites check with). Identical arguments always produce
+the asserts the suites check with). A stdout closed by its reader ends any
+command with status 1 and no traceback. Identical arguments always produce
 identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 
@@ -140,7 +142,21 @@ def _run_benchmarks(args) -> list[bench.BenchRecord]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (``vnvheap check | head -1``). Point
+        # stdout at devnull, so the interpreter's own flush at exit does not
+        # raise again, and fail without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
+
+def _run(args) -> int:
     if args.command in ("crash", "check") and not __debug__:
         # The oracle checks with assert statements, which -O strips.
         print(f"error: {args.command} needs assert statements; run it without python -O",

@@ -58,6 +58,8 @@ UPDATE_ORDER = (0, 1, 2)
 _SB = struct.Struct("<4sHBBIIII")
 _WORDS = struct.Struct(f"<{ENTRY_WORDS}I")  # an entry as its words
 _WORD = struct.Struct("<I")
+# The superblock's second word after a commit that makes table ``i`` active.
+_COMMIT_WORDS = tuple(struct.pack("<HBB", VERSION, i, 1) for i in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -289,12 +291,14 @@ class CheckpointTables:
         """Atomically publish the staging table and flip the roles, then
         clear, in ascending order, the dead entries of the new staging table
         (no longer the fallback). Returns the number of clears."""
-        word = struct.pack("<HBB", VERSION, self.staging, 1)
-        self.device.write(COMMIT_WORD_OFFSET, word)
+        self.device.write(COMMIT_WORD_OFFSET, _COMMIT_WORDS[self.staging])
         self.metadata_bytes_written += WORD_BYTES
         self.committed = self.staging
         self.staging = staging = 1 - self.staging
-        dead = sorted(self._dead[staging])
-        for slot in dead:
+        dead = self._dead[staging]
+        if not dead:
+            return 0
+        slots = sorted(dead)
+        for slot in slots:
             self._clear_id(staging, slot)
-        return len(dead)
+        return len(slots)

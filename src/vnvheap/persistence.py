@@ -14,7 +14,9 @@ persist() visits only modified objects, never the clean residents: the
 payloads come from the heap's modified index, sorted by arrival stamp (see
 :mod:`vnvheap.heap`). The clears visit only the dead entries
 (``CheckpointTables.commit``). So its host cost follows what changed, not
-how many objects are resident or live.
+how many objects are resident or live. Each payload costs one host copy, a
+slice of the cache's ``bytearray``, which the device stores without copying
+it again (see :meth:`~vnvheap.storage.StorageDevice.write`).
 
 restore() rebuilds a heap from the committed table. Every object starts
 swapped out, whether or not a guard was held on it at persist, and loads
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import ConfigInvalidError, NoValidCheckpointError
 from .heap import (
@@ -55,8 +58,7 @@ class EnergyModel:
         return self.time_us(words) * self.power_milliwatts / 1000.0  # mW * us = nJ
 
 
-@dataclass(frozen=True)
-class PersistReport:
+class PersistReport(NamedTuple):
     words_transferred: int
     objects_synced: int
     metadata_bytes_written: int
@@ -81,34 +83,42 @@ def persist(heap: VnvHeap) -> PersistReport:
     """Checkpoint the heap. The heap stays usable afterwards: guards stay
     live, residents stay resident, and only the modified flags of objects
     without a live write guard are cleared."""
-    heap._check_usable()
     device = heap.device
+    if device.power_failed:
+        heap._check_usable()
+    write = device.write
+    # A payload is a slice of the bytearray, its one host copy, not of
+    # heap._view: the device stores a memoryview slower than it saves.
     cache = heap._cache
+    tables = heap.tables
     meter = device.cost_meter
     written_before = meter.words_written
-    metadata_before = heap.tables.metadata_bytes_written
+    metadata_before = tables.metadata_bytes_written
     modified = heap._modified
     # Cache-arrival order: the order in which the residents are held.
     payloads = sorted(modified.values(), key=_ARRIVAL)
     for meta in payloads:
         start = meta.cache_offset
-        device.write(meta.nvm_offset, cache[start : start + meta.size_bytes])
+        write(meta.nvm_offset, cache[start : start + meta.size_bytes])
         if not meta.write_guarded:
             # A live write guard keeps the object charged as modified:
             # its holder can keep writing after we return.
             meta.modified = False
             del modified[meta.handle_id]
             heap._dirty -= meta.charge
-    heap._dirty -= CLEAR_CHARGE_BYTES * heap.tables.commit()
+    heap._dirty -= CLEAR_CHARGE_BYTES * tables.commit()
     # The commit published every deallocation, so quarantined extents are
     # safe to reuse now.
-    for offset, size in heap._quarantine:
-        heap._nvm_alloc.free(offset, size)
-    heap._quarantine.clear()
+    quarantine = heap._quarantine
+    if quarantine:
+        free = heap._nvm_alloc.free
+        for offset, size in quarantine:
+            free(offset, size)
+        quarantine.clear()
     return PersistReport(
-        words_transferred=meter.words_written - written_before,
-        objects_synced=len(payloads),
-        metadata_bytes_written=heap.tables.metadata_bytes_written - metadata_before,
+        meter.words_written - written_before,
+        len(payloads),
+        tables.metadata_bytes_written - metadata_before,
     )
 
 

@@ -7,6 +7,11 @@ budget; the transfer after the budget is exhausted raises
 :class:`~vnvheap.errors.PowerFailureInjected`, leaving every word written
 before it durable and the failing word untouched. The device then reports
 ``power_failed`` until ``reopen()``, the reboot, hands out a fresh one.
+
+A transfer costs one host copy. ``write`` takes any byte buffer (``bytes``,
+``bytearray`` or a ``'B'`` memoryview) and reads it only during the call:
+the backing store's own store is the copy, so a caller may reuse or mutate
+its buffer once ``write`` returns. ``read`` returns a fresh ``bytes``.
 """
 
 from __future__ import annotations
@@ -107,7 +112,15 @@ class StorageDevice:
         return self._read_raw(offset, length) if length else b""
 
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
-        data = bytes(data)
+        """Store ``data``, any byte buffer (``bytes``, ``bytearray`` or a
+        ``'B'`` memoryview), at ``offset``, metering ``len(data)`` bytes.
+        A memoryview of another format must be cast to ``'B'`` first.
+
+        The buffer is read only during the call, never kept: the backing
+        store's own store is the one host copy, and the caller may change
+        the buffer once this returns. An armed write that the budget cuts
+        stores exactly the buffer's durable prefix.
+        """
         length = len(data)
         if offset < 0 or offset + length > self.capacity_bytes:
             self._check_range(offset, length)
@@ -140,7 +153,7 @@ class StorageDevice:
     def _read_raw(self, offset: int, length: int) -> bytes:
         raise NotImplementedError
 
-    def _write_raw(self, offset: int, data: bytes) -> None:
+    def _write_raw(self, offset: int, data: bytes | bytearray | memoryview) -> None:
         raise NotImplementedError
 
 
@@ -150,11 +163,14 @@ class SimulatedNvm(StorageDevice):
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES) -> None:
         super().__init__(capacity_bytes)
         self._buf = bytearray(capacity_bytes)
+        # Reads slice this view, so a read copies its bytes once. The buffer
+        # is never resized, which a live view would forbid.
+        self._view = memoryview(self._buf)
 
     def _read_raw(self, offset: int, length: int) -> bytes:
-        return bytes(self._buf[offset : offset + length])
+        return self._view[offset : offset + length].tobytes()
 
-    def _write_raw(self, offset: int, data: bytes) -> None:
+    def _write_raw(self, offset: int, data: bytes | bytearray | memoryview) -> None:
         self._buf[offset : offset + len(data)] = data
 
     def reopen(self) -> "SimulatedNvm":
@@ -184,7 +200,7 @@ class FileBackedNvm(StorageDevice):
         self._file.seek(offset)
         return self._file.read(length)
 
-    def _write_raw(self, offset: int, data: bytes) -> None:
+    def _write_raw(self, offset: int, data: bytes | bytearray | memoryview) -> None:
         self._file.seek(offset)
         self._file.write(data)
         self._file.flush()

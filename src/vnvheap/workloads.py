@@ -17,8 +17,7 @@ dict: rebuilt by the embedding application, not part of the measured state.
 from __future__ import annotations
 
 import struct
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     KeyNotFoundError,
@@ -30,6 +29,11 @@ from .errors import (
 from .baselines import ManagedStatePool
 from .heap import ObjectHandle, VnvHeap
 from .storage import StorageDevice
+
+# The functions that use numpy import it themselves: most commands never
+# call them, and loading numpy is most of the CLI's start-up time.
+if TYPE_CHECKING:
+    import numpy as np
 
 QUEUE_ELEMENT_BYTES = 256
 _CONTROL_HEADER = struct.Struct("<IIII")  # element_size, capacity, live_count, spare
@@ -222,6 +226,8 @@ WORKLOAD_TOTAL_BYTES = sum(size * count for size, count in WORKLOAD_SIZE_MIX)
 
 def workload_sizes(seed: int) -> list[int]:
     """The 256 object sizes in a seed-determined insertion order."""
+    import numpy as np
+
     sizes = [size for size, count in WORKLOAD_SIZE_MIX for _ in range(count)]
     rng = np.random.Generator(np.random.PCG64(seed))
     rng.shuffle(sizes)
@@ -324,6 +330,8 @@ PATTERNS = ("sequential", "unequal", "random")
 
 def unequal_weights(n_keys: int = WORKLOAD_KEYS) -> np.ndarray:
     """Normalized access weights: sin^4((5/32) k) + 0.1 over the key range."""
+    import numpy as np
+
     k = np.arange(n_keys)
     w = np.sin(5.0 / 32.0 * k) ** 4 + 0.1
     return w / w.sum()
@@ -332,6 +340,8 @@ def unequal_weights(n_keys: int = WORKLOAD_KEYS) -> np.ndarray:
 def gen_access_sequence(pattern: str, n_keys: int, n_ops: int, seed: int) -> list[int]:
     if pattern == "sequential":
         return [i % n_keys for i in range(n_ops)]
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     if pattern == "random":
         return rng.integers(0, n_keys, n_ops).tolist()

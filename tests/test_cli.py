@@ -145,15 +145,68 @@ def test_check_quick(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+def run_python(*argv, **kwargs):
+    """Run a child interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *argv], env=env, text=True, timeout=60, **kwargs)
+
+
 def test_suites_refuse_to_run_without_asserts():
     """Under ``python -O`` the oracle's asserts are gone, so a suite would
     pass without checking anything: ``check`` exits 2 instead."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    run = subprocess.run([sys.executable, "-O", "-m", "vnvheap", "check", "--quick"],
-                         env=env, capture_output=True, text=True, timeout=60)
+    run = run_python("-O", "-m", "vnvheap", "check", "--quick")
     assert run.returncode == 2
     assert run.stdout == ""
     assert "without python -O" in run.stderr
+
+
+def test_suite_functions_refuse_to_run_without_asserts():
+    """Called from Python under ``python -O``, each suite that checks with
+    the oracle's asserts raises a typed error instead of passing unchecked."""
+    run = run_python("-O", "-c", """
+from vnvheap import bench
+from vnvheap.errors import VnvHeapError
+for call in (lambda: bench.run_crash_suite(1, iterations=3),
+             lambda: bench.run_dirty_limit_suite(1, traces=1, ops=10),
+             lambda: bench.run_check(1, quick=True)):
+    try:
+        call()
+    except VnvHeapError as exc:
+        print(type(exc).__name__, exc)
+    else:
+        print("ran")
+""")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("PreconditionError ") and "without python -O" in line
+               for line in lines), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--quick"),
+    ("access", "--object-size", "32"),
+], ids=" ".join)
+def test_a_closed_stdout_fails_without_a_traceback(argv):
+    """The reader of stdout has gone before the first line is written."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = run_python("-m", "vnvheap", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert run.stderr == ""
+
+
+def test_the_cli_does_not_load_numpy():
+    """Only the kvs benchmark and the pattern suite use numpy, and they
+    import it when they run, so start-up does not pay for it."""
+    run = run_python("-c", "import sys, vnvheap.cli; print('numpy' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 # SHA-256 of the CSV each command prints. The words are the heap's behaviour,

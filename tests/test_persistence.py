@@ -1,6 +1,7 @@
 """Checkpointing: the persist cost bound, crash fallback, and restore."""
 
 import io
+import struct
 
 import pytest
 
@@ -24,7 +25,7 @@ from vnvheap import (
     words_for,
 )
 from vnvheap.bench import BenchRecord, write_csv
-from vnvheap.layout import ENTRY_BYTES
+from vnvheap.layout import COMMIT_WORD_OFFSET, ENTRY_BYTES, VERSION
 
 
 def fresh(cache=4096, dirty=2048, max_objects=64, capacity=256 * 1024):
@@ -664,6 +665,35 @@ def test_persist_writes_payloads_in_cache_arrival_order():
     persist(heap)
     payloads = [data for offset, data in log if offset >= heap.layout.object_offset]
     assert payloads == [b"a" * 8, b"b" * 8]
+
+
+def test_persist_is_one_write_per_payload_then_the_commit_word_then_the_clears():
+    """Each modified object goes out in one device write, in arrival order;
+    then the one commit word; then one word per deferred clear, by slot."""
+    dev, heap = fresh()
+    b, a, c, d = (heap.alloc(bytes([i]) * 24) for i in range(4))
+    persist(heap)
+    committed = heap.tables.committed
+    dead_slots = [heap._metas[h.id].entry_slot for h in (c, d)]
+    heap.dealloc(d)
+    heap.dealloc(c)
+    for h in (b, a):
+        heap.unload(h)
+    for h in (a, b):
+        heap.get_ref(h).release()
+    for h, fill in ((b, b"b"), (a, b"a")):
+        with heap.get_mut(h) as w:
+            w.write(fill * 24)
+    extents = {h: heap._metas[h.id].nvm_offset for h in (a, b)}
+    log = log_writes(dev)
+    persist(heap)
+    table = heap.layout.table_offset(committed)
+    assert log == [
+        (extents[a], b"a" * 24),
+        (extents[b], b"b" * 24),
+        (COMMIT_WORD_OFFSET, struct.pack("<HBB", VERSION, 1 - committed, 1)),
+        *((table + slot * ENTRY_BYTES, bytes(4)) for slot in sorted(dead_slots)),
+    ]
 
 
 def test_persist_cost_does_not_grow_with_clean_residents():

@@ -222,3 +222,58 @@ def test_file_backed_longer_image_wins_capacity(tmp_path):
     dev = FileBackedNvm(path, capacity_bytes=128)
     assert dev.capacity_bytes == 2048
     dev.close()
+
+
+# -- the transfer contract: any byte buffer in, read during the call only ------------
+
+@pytest.fixture(params=["simulated", "file"])
+def device(request, tmp_path):
+    if request.param == "simulated":
+        yield SimulatedNvm(256)
+    else:
+        dev = FileBackedNvm(tmp_path / "nvm.img", capacity_bytes=256)
+        yield dev
+        dev.close()
+
+
+BUFFERS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": lambda data: memoryview(bytearray(data)),
+}
+
+
+@pytest.mark.parametrize("kind", list(BUFFERS))
+def test_write_takes_any_byte_buffer(device, kind):
+    """bytes, a bytearray and a 'B' memoryview land the same bytes and
+    meter the same words, unaligned and partial-word too."""
+    data = bytes(range(1, 15))  # 14 B at offset 5: 4 words
+    device.write(5, BUFFERS[kind](data))
+    assert device.cost_meter.words_written == 4
+    assert device.read(0, 24) == bytes(5) + data + bytes(5)
+
+
+@pytest.mark.parametrize("kind", ["bytearray", "memoryview"])
+def test_a_buffer_changed_after_write_returns_leaves_the_device_alone(device, kind):
+    backing = bytearray(b"ABCDEFGH")
+    device.write(8, backing if kind == "bytearray" else memoryview(backing))
+    backing[:] = b"xxxxxxxx"
+    assert device.read(8, 8) == b"ABCDEFGH"
+
+
+@pytest.mark.parametrize("kind", list(BUFFERS))
+def test_an_armed_write_of_a_buffer_lands_exactly_its_durable_prefix(device, kind):
+    device.write(0, b"." * 16)
+    device.arm_power_failure(2)
+    with pytest.raises(PowerFailureInjected):
+        device.write(0, BUFFERS[kind](b"ABCDEFGHIJKLMNOP"))
+    device.disarm_power_failure()
+    assert device.cost_meter.words_written == 4 + 2
+    assert device.read(0, 16) == b"ABCDEFGH" + b"." * 8
+
+
+def test_read_returns_bytes(device):
+    device.write(0, bytearray(b"abcd"))
+    got = device.read(0, 4)
+    assert type(got) is bytes and got == b"abcd"
+    assert type(device.read(0, 0)) is bytes
