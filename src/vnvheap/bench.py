@@ -9,11 +9,10 @@ bit-for-bit from (benchmark, parameters, seed).
 from __future__ import annotations
 
 import csv
-import random
 from dataclasses import dataclass, field
 
 from .baselines import MS_PAGE_SIZES, ManagedStatePool, ModuleSwapApp, UnmanagedRam
-from .errors import PowerFailureInjected, PreconditionError, VnvHeapError
+from .errors import PowerFailureInjected, PreconditionError
 from .heap import HEADER_CHARGE_BYTES, VnvHeap
 from .oracle import TraceMachine
 from .persistence import EnergyModel, persist, restore
@@ -359,7 +358,8 @@ def run_dirty_limit_suite(seed: int, traces: int = 10, ops: int = 10_000) -> Sui
     """The two core runtime invariants on oracle traces: after every
     operation ``dirty_bytes <= limit`` (4 B per word the next persist
     writes, plus 3 words), and every persist, armed at ``persist_bound``,
-    writes exactly its dry run. Every 97th operation runs the full check.
+    writes exactly its dry run. Every operation also makes the oracle's
+    guard checks; every 97th runs the full check.
     Raises :class:`PreconditionError` under ``python -O``."""
     _require_asserts("the invariant suite")
     report = SuiteReport("invariants: dirty limit and persist bound")
@@ -376,62 +376,6 @@ def run_dirty_limit_suite(seed: int, traces: int = 10, ops: int = 10_000) -> Sui
                 report.failures.append(f"trace {t} op {op}: {exc!r}")
                 break
             report.checks += 1
-    return report
-
-
-def run_guard_suite(seed: int, attempts: int = 10_000) -> SuiteReport:
-    """Randomized adversarial guard usage; illegal combinations must raise."""
-    from .errors import (  # local import keeps module top uncluttered
-        GuardActiveError,
-        GuardReleasedError,
-        WriteGuardActiveError,
-    )
-
-    report = SuiteReport("guards: exclusivity, release, pinning")
-    rng = random.Random(seed)
-    dev = SimulatedNvm(256 * 1024)
-    heap = VnvHeap(dev, cache_size_bytes=2048, max_modified_state_bytes=1024,
-                   max_objects=32)
-    handles = [heap.alloc(bytes([i]) * rng.randint(1, 200)) for i in range(8)]
-    guards: dict[int, list] = {h.id: [] for h in handles}
-
-    def fail(msg):
-        report.failures.append(f"attempt {report.checks}: {msg}")
-
-    for _ in range(attempts):
-        report.checks += 1
-        h = rng.choice(handles)
-        held = guards[h.id]
-        action = rng.random()
-        try:
-            if action < 0.30:  # try to take a read guard
-                g = heap.get_ref(h)
-                if any(w for _, w in held):
-                    fail("read guard granted alongside a write guard")
-                held.append((g, False))
-            elif action < 0.55:  # try to take a write guard
-                g = heap.get_mut(h)
-                if held:
-                    fail("write guard granted alongside another guard")
-                held.append((g, True))
-            elif action < 0.85 and held:
-                g, _ = held.pop(rng.randrange(len(held)))
-                g.release()
-                try:
-                    g.read(0, 1)
-                    fail("guard readable after release")
-                except GuardReleasedError:
-                    pass
-            elif held:  # pinned objects must never be chosen as victims
-                plan = heap.choose_victims(needed_cache_bytes=200)
-                pinned_ids = {hh.id for hh in handles if guards[hh.id]}
-                if set(plan) & pinned_ids:
-                    fail("eviction plan includes a pinned object")
-        except (GuardActiveError, WriteGuardActiveError):
-            if not held:
-                fail("guard refused on an unguarded object")
-        except VnvHeapError:
-            pass  # pressure errors are fine
     return report
 
 
@@ -462,7 +406,6 @@ def run_check(seed: int, quick: bool = False) -> list[SuiteReport]:
     return [
         run_dirty_limit_suite(seed, traces=10 // scale or 1,
                               ops=10_000 // scale),
-        run_guard_suite(seed, attempts=10_000 // scale),
         run_crash_suite(seed, iterations=100 // scale),
         # the statistical tolerance assumes the full draw count, so the
         # pattern suite never scales down (it is cheap anyway)

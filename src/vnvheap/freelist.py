@@ -92,18 +92,8 @@ class FirstFitAllocator:
         free.insert(i, [offset, length])
         return offset, length
 
-    def can_fit(self, nbytes: int) -> bool:
-        need = align_up(nbytes)
-        return any(length >= need for _, length in self._free)
-
     def total_free(self) -> int:
         return sum(length for _, length in self._free)
 
     def free_extents(self) -> list[tuple[int, int]]:
         return [(off, length) for off, length in self._free]
-
-    def clone(self) -> "FirstFitAllocator":
-        c = FirstFitAllocator(self.start, 0)
-        c.size = self.size
-        c._free = [list(ext) for ext in self._free]
-        return c

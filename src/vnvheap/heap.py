@@ -16,30 +16,32 @@ Two budgets constrain every operation:
   ``align4(size)`` per modified object and 4 per pending entry clear. It
   must never exceed ``max_modified_state_bytes``; residency is free.
 
-Eviction follows one rule for each budget, so a miss costs O(victims). Each
-rule is one planner, ``VnvHeap._cache_victims`` or ``VnvHeap._dirty_victims``:
+Eviction follows one rule for each budget, so a miss costs O(victims), plus
+the residents of any walled hole. Each rule is one loop over the heap's own
+state, ``VnvHeap._make_cache_room`` or ``VnvHeap._make_dirty_room``:
 
 * cache pressure - when no free extent fits the new block, the coldest
   unpinned resident is freed into the allocator: the first of the lowest
   tier (see below). The hole it merged into then grows into the colder of
   its two unpinned address neighbours, the one with fewer hits (the upper
-  one on a tie), until it fits the block. Only when pinned blocks or the cache ends wall the hole
-  in does the next coldest resident start another hole. The hole that fits
-  is then the only fit, so it is where first fit places the block.
+  one on a tie), until it fits the block. When pinned blocks or the cache
+  ends wall the hole in first, its blocks are given back to their residents
+  and the next coldest resident starts another hole. The hole that fits is
+  then the only fit, so it is where first fit places the block.
 * dirty pressure - one pass over the residents in arrival order chooses the
   modified, unpinned ones until the new state fits. Syncing changes no
   residency, so the pass never restarts from the oldest resident.
 
-The heap syncs and unloads the victims a planner returns, also when a rule
-falls short and raises. An alloc runs the cache rule first, then the dirty
-rule; ``choose_victims`` replays both, in that order, on a cloned allocator.
-A ``get_ref`` miss meets the cache rule alone. A ``get_mut`` or ``replace``
-miss makes dirty room before it takes a cache block; eviction only lowers
-the charge, so marking the object modified cannot fail afterwards.
-``replace`` gives the result of ``get_mut`` + ``write`` + ``release``, but a
-miss skips the device read; ``read`` gives the result of ``get_ref`` +
-``read`` + ``release`` without building a guard. A clean object's dealloc charges its entry's
-clear, so it too may sync victims or be refused.
+Only the victims that make room are synced and unloaded: a rule that falls
+short raises having moved no word. An alloc runs the cache rule first, then
+the dirty rule. A ``get_ref`` miss meets the cache rule alone. A ``get_mut``
+or ``replace`` miss makes dirty room before it takes a cache block; eviction
+only lowers the charge, so marking the object modified cannot fail
+afterwards. ``replace`` gives the result of ``get_mut`` + ``write`` +
+``release``, but a miss skips the device read; ``read`` gives the result of
+``get_ref`` + ``read`` + ``release`` without building a guard. A clean
+object's dealloc charges its entry's clear, so it too may sync victims or be
+refused.
 
 The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit is always persisted within
@@ -571,30 +573,6 @@ class VnvHeap:
         self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
         self._unload(meta)
 
-    def choose_victims(self, needed_cache_bytes: int = 0, needed_dirty_bytes: int = 0) -> list[int]:
-        """Plan (without acting) which residents an alloc would evict or sync
-        to admit ``needed_cache_bytes`` of payload and ``needed_dirty_bytes``
-        of modified state. Returns handle ids in the order the heap acts on
-        them: the cache rule's evictions, then the dirty rule's syncs."""
-        dirty = self._dirty
-        plan: list[ObjectMeta] = []
-        block = align_up(needed_cache_bytes + META_CHARGE_BYTES)
-        if needed_cache_bytes and not self._cache_alloc.can_fit(block):
-            plan, fits = self._cache_victims(self._cache_alloc.clone(), block)
-            if not fits:
-                raise CachePressureUnresolvableError("every resident is pinned")
-            # What _sync gives back.
-            dirty -= sum(m.charge for m in plan if m.modified)
-        if dirty + needed_dirty_bytes > self.config.max_modified_state_bytes:
-            # The evicted victims are no longer resident by then.
-            evicted = {m.handle_id for m in plan}
-            residents = (m for m in self._residents.values() if m.handle_id not in evicted)
-            synced, fits = self._dirty_victims(residents, dirty, needed_dirty_bytes)
-            if not fits:
-                raise DirtyBudgetUnsatisfiableError("cannot retire enough modified state")
-            plan += synced
-        return [meta.handle_id for meta in plan]
-
     # -- internals ------------------------------------------------------------
 
     def _check_usable(self) -> None:
@@ -648,68 +626,57 @@ class VnvHeap:
 
     def _make_cache_room(self, block: int) -> int:
         """Evict until ``block`` fits and allocate it. Callers call this only
-        once a first-fit probe for ``block`` has failed."""
-        victims, fits = self._cache_victims(self._cache_alloc, block)
-        for victim in victims:
-            if victim.modified:
-                self._sync(victim)
-            self._unload(victim)
-        if not fits:
-            raise CachePressureUnresolvableError(
-                f"no unpinned resident to evict for a {block} B block"
-            )
-        return self._cache_alloc.alloc(block)
-
-    def _make_dirty_room(self, extra: int) -> None:
-        """Sync until ``extra`` more bytes of modified state fit. Callers
-        call this only once they have found that they do not fit yet."""
-        victims, fits = self._dirty_victims(self._residents.values(), self._dirty, extra)
-        for victim in victims:
-            self._sync(victim)
-        if not fits:
-            raise DirtyBudgetUnsatisfiableError(
-                f"{extra} B of new modified state cannot be admitted"
-            )
-
-    def _cache_victims(self, allocator: FirstFitAllocator, block: int) -> tuple[list[ObjectMeta], bool]:
-        """The unpinned residents to evict, in order, freeing each block into
-        ``allocator`` until the hole it merged into fits ``block``; and
-        whether one does. The coldest unpinned resident (the lowest tier,
-        the earliest entry into it) anchors a hole; the hole then grows into
-        the colder of its two unpinned address neighbours. Only a hole that
-        pinned blocks or the cache ends wall in moves the search on to the
-        next anchor. Callers call this only once no free extent fits."""
+        once a first-fit probe for ``block`` has failed. A hole that is
+        walled in before it fits is given back whole; only the victims of
+        the hole that fits are synced and unloaded."""
+        allocator = self._cache_alloc
         by_offset, by_end = self._by_offset, self._by_end
-        victims = []
-        planned = set()
+        walled = set()
         for tier in self._tiers:
             for meta in tier.values():
-                if meta.pin_count or meta.handle_id in planned:
+                if meta.pin_count or meta.handle_id in walled:
                     continue
+                hole = []
                 while meta is not None:
-                    victims.append(meta)
-                    planned.add(meta.handle_id)
+                    hole.append(meta)
                     start, length = allocator.free(meta.cache_offset, meta.block_bytes)
                     if length >= block:
-                        return victims, True
+                        for victim in hole:
+                            if victim.modified:
+                                self._sync(victim)
+                            self._unload(victim)
+                        return allocator.alloc(block)
                     # Free extents are maximal, so a hole is bordered by
-                    # residents (never by a planned victim) or a cache end.
+                    # residents (never by one of its victims) or a cache end.
                     meta = _colder(by_end.get(start), by_offset.get(start + length))
-        return victims, False
+                # Every unpinned resident between the walls is in the hole,
+                # so none of them can anchor one that fits.
+                for victim in hole:
+                    allocator.allocate_at(victim.cache_offset, victim.block_bytes)
+                    walled.add(victim.handle_id)
+        raise CachePressureUnresolvableError(
+            f"no unpinned resident to evict for a {block} B block"
+        )
 
-    def _dirty_victims(self, residents, dirty: int, extra: int) -> tuple[list[ObjectMeta], bool]:
-        """The modified, unpinned ``residents`` to sync, in order, until
-        ``extra`` more bytes fit beside ``dirty``; and whether they do.
-        Callers call this only once they do not fit yet."""
+    def _make_dirty_room(self, extra: int) -> None:
+        """Sync the modified, unpinned residents in arrival order until
+        ``extra`` more bytes of modified state fit. Callers call this only
+        once they have found that they do not fit yet. The victims are synced
+        only once they make room; when they cannot, nothing is."""
+        dirty = self._dirty
         limit = self.config.max_modified_state_bytes - extra
         victims = []
-        for meta in residents:
+        for meta in self._residents.values():
             if meta.modified and not meta.pin_count:
                 victims.append(meta)
                 dirty -= meta.charge
                 if dirty <= limit:
-                    return victims, True
-        return victims, False
+                    for victim in victims:
+                        self._sync(victim)
+                    return
+        raise DirtyBudgetUnsatisfiableError(
+            f"{extra} B of new modified state cannot be admitted"
+        )
 
     def _sync(self, meta: ObjectMeta) -> None:
         start = meta.cache_offset

@@ -4,23 +4,28 @@ The machine drives a heap with seeded operations, holding guards across
 steps, persists and power cycles, and keeps a plain dict of what every
 object must contain. Every read and power cycle compares bytes with it;
 every persist is armed at exactly ``persist_bound`` and must write exactly
-the dry run of :func:`persist_cost`. :meth:`TraceMachine.check` re-derives
-the invariants from scratch: the dirty total is 4 bytes per word of the
-next persist plus 3 words and within the limit, the cost is within the
-bound, modified and pinned objects are resident, cache blocks are disjoint
-and inside the cache, and the heap's indexes and totals agree with the
-per-object state. The test suite and the ``check``/``crash`` commands drive
-this one machine, each deciding how often to run the full check. The
-checks are ``assert`` statements: they vanish under ``python -O``.
+the dry run of :func:`persist_cost`. Every access, sync, unload and
+dealloc is refused for a guard exactly when the machine's own guards say
+so, and any use of a released guard is refused; ``refusals`` counts each
+kind. :meth:`TraceMachine.check` re-derives the invariants from scratch:
+the dirty total is 4 bytes per word of the next persist plus 3 words and
+within the limit, the cost is within the bound, modified and pinned objects
+are resident, a guarded object stays where its guard found it, cache blocks
+are disjoint and inside the cache, and the heap's indexes and totals agree
+with the per-object state. The test suite and the ``check``/``crash``
+commands drive this one machine, each deciding how often to run the full
+check. The checks are ``assert`` statements: they vanish under ``python -O``.
 """
 
 import random
 import struct
+from collections import Counter
 
 from .errors import (
     CachePressureUnresolvableError,
     DirtyBudgetUnsatisfiableError,
     GuardActiveError,
+    GuardReleasedError,
     OutOfNvmError,
     PreconditionError,
     StillPinnedError,
@@ -96,7 +101,8 @@ class TraceMachine:
                             max_objects=max_objects)
         self.shadow = {}        # handle id -> bytearray, in allocation order
         self.handles = {}       # handle id -> ObjectHandle
-        self.guards = []        # (handle id, guard, writable)
+        self.guards = []        # (handle id, guard, writable, cache offset at grant)
+        self.refusals = Counter()  # guard refusals by operation
         self._ops = [n for n, w in self.OPS for _ in range(w)]
 
     # -- invariants ----------------------------------------------------------
@@ -132,6 +138,8 @@ class TraceMachine:
         assert stats.pinned_count == pinned
         assert stats.resident_bytes == resident_bytes
         check_indexes(heap)
+        for hid, _, _, offset in self.guards:
+            assert metas[hid].cache_offset == offset, f"guarded object {hid} moved"
 
     def verify_content(self, hid):
         with self.heap.get_ref(self.handles[hid]) as guard:
@@ -158,29 +166,42 @@ class TraceMachine:
         try:
             self.heap.dealloc(self.handles[hid])
         except StillPinnedError:
-            assert any(g[0] == hid for g in self.guards)
+            assert self.guarded(hid), f"dealloc of object {hid} refused without a guard"
+            self.refusals["dealloc"] += 1
             return
         except DirtyBudgetUnsatisfiableError:
             # No room for the clear of a clean object's entry.
             assert not self.heap.object_info(self.handles[hid]).modified
             return
+        assert not self.guarded(hid), f"dealloc of guarded object {hid} granted"
         del self.shadow[hid], self.handles[hid]
 
     def op_read(self):
         hid = self.pick()
         if hid is None:
             return
+        write_guarded = self.guarded(hid, writable=True)
         try:
             self.verify_content(hid)
-        except EXPECTED_PRESSURE_ERRORS:
-            pass
         except WriteGuardActiveError:
-            assert any(g[0] == hid and g[2] for g in self.guards)
+            assert write_guarded, f"read of object {hid} refused without a write guard"
+            self.refusals["get_ref"] += 1
+        except EXPECTED_PRESSURE_ERRORS:
+            assert not write_guarded, f"read of write-guarded object {hid} met pressure"
+        else:
+            assert not write_guarded, f"read of object {hid} granted beside a write guard"
 
     def op_write(self):
         hid = self.pick()
-        if hid is None or any(g[0] == hid for g in self.guards):
+        if hid is None:
             return
+        if self.guarded(hid):
+            try:
+                self.heap.get_mut(self.handles[hid])
+            except GuardActiveError:
+                self.refusals["get_mut"] += 1
+                return
+            raise AssertionError(f"write guard on object {hid} granted beside a guard")
         size = len(self.shadow[hid])
         at = self.rng.randrange(size)
         data = self.rng.randbytes(self.rng.randint(1, size - at))
@@ -195,43 +216,65 @@ class TraceMachine:
         if len(self.guards) >= 4:
             return
         hid = self.pick()
-        if hid is None or any(g[0] == hid for g in self.guards):
+        if hid is None or self.guarded(hid):
             return
         writable = self.rng.random() < 0.4
         try:
             g = (self.heap.get_mut if writable else self.heap.get_ref)(self.handles[hid])
         except EXPECTED_PRESSURE_ERRORS:
             return
-        self.guards.append((hid, g, writable))
+        self.guards.append((hid, g, writable, self.heap._metas[hid].cache_offset))
 
     def op_release_guard(self):
         if not self.guards:
             return
-        hid, g, writable = self.guards.pop(self.rng.randrange(len(self.guards)))
+        hid, g, writable, _ = self.guards.pop(self.rng.randrange(len(self.guards)))
         if writable:
             # make held-guard writes visible to the shadow before releasing
             data = self.rng.randbytes(1)
             g.write(data, 0)
             self.shadow[hid][0:1] = data
         g.release()
+        for use in (g.read, lambda: g.data, g.release):
+            try:
+                use()
+            except GuardReleasedError:
+                continue
+            raise AssertionError(f"a released guard on object {hid} is still usable")
+        self.refusals["released"] += 1
 
     def op_sync(self):
         hid = self.pick()
         if hid is None:
             return
+        write_guarded = self.guarded(hid, writable=True)
+        modified = self.heap._metas[hid].modified
         try:
             self.heap.sync_object(self.handles[hid])
-        except (PreconditionError, GuardActiveError):
-            pass
+        except GuardActiveError:
+            assert write_guarded, f"sync of object {hid} refused without a write guard"
+            self.refusals["sync"] += 1
+        except PreconditionError:
+            assert not modified, f"sync of modified object {hid} refused"
+        else:
+            assert modified and not write_guarded, f"sync of object {hid} granted"
 
     def op_unload(self):
         hid = self.pick()
         if hid is None:
             return
+        meta = self.heap._metas[hid]
+        resident, modified = meta.cache_offset >= 0, meta.modified
+        guarded = self.guarded(hid)
         try:
             self.heap.unload(self.handles[hid])
-        except (PreconditionError, StillPinnedError):
-            pass
+        except StillPinnedError:
+            assert guarded, f"unload of object {hid} refused without a guard"
+            self.refusals["unload"] += 1
+        except PreconditionError:
+            assert modified or not resident, f"unload of clean resident object {hid} refused"
+        else:
+            assert resident and not modified and not guarded, f"unload of object {hid} granted"
 
     def op_persist(self):
         """Persist with the device armed at exactly ``persist_bound``: the
@@ -243,6 +286,11 @@ class TraceMachine:
         finally:
             self.dev.disarm_power_failure()
         assert words == expected, f"persist wrote {words} words, the dry run {expected}"
+
+    def guarded(self, hid, writable=False):
+        """Whether the machine holds a guard on ``hid`` (a write guard, with
+        ``writable``)."""
+        return any(g[0] == hid and (g[2] or not writable) for g in self.guards)
 
     def pick(self):
         # Ids only grow and the shadow keeps allocation order, so this draws
@@ -273,8 +321,8 @@ class TraceMachine:
         for _ in range(steps):
             self.step()
             self.check()
-        for _, g, _ in self.guards:
-            g.release()
+        for g in self.guards:
+            g[1].release()
         self.guards.clear()
 
     def reboot(self):

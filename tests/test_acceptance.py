@@ -10,6 +10,7 @@ import time
 import pytest
 
 from vnvheap import bench
+from vnvheap.oracle import TraceMachine
 from vnvheap.storage import words_for
 from vnvheap.workloads import PATTERNS
 
@@ -137,10 +138,15 @@ def test_crash_suite():
 
 
 def test_guard_contract():
-    """no illegal guard grant, no post-release use, no pinned eviction in 10^4 attempts"""
-    report = bench.run_guard_suite(seed=31337, attempts=10_000)
-    assert report.ok, report.failures[:3]
-    assert report.checks >= 10_000
+    """no illegal guard grant, no post-release use, no guarded object moved in 10^4 oracle steps"""
+    machine = TraceMachine(31337, **bench._SUITE_TRACE)
+    machine.run(10_000)  # the full check after every step
+    # The trace must reach each refusal, or the fold could pass by never
+    # asking for a guard it should refuse.
+    refusals = machine.refusals
+    assert refusals["get_ref"] >= 10, refusals
+    assert refusals["get_mut"] >= 25, refusals
+    assert refusals["released"] >= 300, refusals
 
 
 def test_unequal_pattern_statistics():

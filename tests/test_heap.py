@@ -295,6 +295,58 @@ def test_all_pinned_cache_pressure_is_an_error():
     heap.alloc(b"3" * 200)  # now fine
 
 
+def test_a_walled_hole_is_given_back_and_only_the_fitting_hole_is_evicted():
+    """A, the coldest resident, is modified and walled in between the cache
+    start and the pinned P. A miss for T's 504 B block cannot fit in A's
+    hole, so A stays resident and modified and only C, whose hole fits, is
+    synced and unloaded: the miss writes C's words and not A's."""
+    heap = make_heap(cache=1024, dirty=1024)
+    a = heap.alloc(b"A" * 100)  # [0, 104)
+    p = heap.alloc(b"P" * 100)  # [104, 208)
+    t = heap.alloc(b"T" * 500)  # [208, 712), then swapped out
+    heap.sync_object(t)
+    heap.unload(t)
+    c = heap.alloc(b"C" * 700)  # [208, 912); [912, 1024) is free
+    guard = heap.get_ref(p)
+    meter = heap.device.cost_meter
+    read, written = meter.words_read, meter.words_written
+    assert heap.read(t) == b"T" * 500
+    assert meter.words_written - written == words_for(700)
+    assert meter.words_read - read == words_for(500)
+    assert heap.object_info(a).resident and heap.object_info(a).modified
+    assert heap.object_info(a).cache_offset == 0
+    assert not heap.object_info(c).resident
+    assert heap.object_info(t).cache_offset == 208
+    assert heap.dirty_bytes == expected_dirty(heap)
+    guard.release()
+
+
+def test_a_cache_miss_with_every_hole_walled_in_moves_no_word():
+    """Every unpinned resident is walled in by pinned blocks in holes too
+    small for the block: the miss raises with nothing synced or unloaded."""
+    heap = make_heap(cache=512, dirty=512)
+    a = heap.alloc(b"A" * 100)  # [0, 104)
+    p = heap.alloc(b"P" * 100)  # [104, 208)
+    heap.sync_object(p)
+    t = heap.alloc(b"T" * 300)  # [208, 512), then swapped out
+    heap.sync_object(t)
+    heap.unload(t)
+    b = heap.alloc(b"B" * 100)  # [208, 312)
+    q = heap.alloc(b"Q" * 190)  # [312, 508)
+    guards = [heap.get_ref(p), heap.get_ref(q)]
+    stats = heap.stats()
+    words = heap.device.cost_meter.words_total
+    with pytest.raises(CachePressureUnresolvableError):
+        heap.read(t)
+    assert heap.device.cost_meter.words_total == words
+    assert heap.stats() == stats
+    assert heap._cache_alloc.free_extents() == [(508, 4)]
+    assert all(heap.object_info(h).modified for h in (a, b))
+    for g in guards:
+        g.release()
+    assert heap.read(t) == b"T" * 300
+
+
 def test_failed_alloc_rolls_back_cleanly():
     heap = make_heap(cache=512, dirty=512)
     g1 = heap.get_ref(heap.alloc(b"1" * 200))
@@ -341,6 +393,27 @@ def test_unsatisfiable_dirty_pressure_is_an_error():
         heap.alloc(b"b" * 400)
     g.release()
     heap.alloc(b"b" * 400)  # sync of the first object now resolves it
+
+
+def test_a_refused_dirty_rule_moves_no_word():
+    """A modified 200 B object and a write-guarded one charge 16 + 2 * 200 of
+    the 512 limit. A get_mut miss on a clean 300 B object cannot be admitted
+    even if the unguarded one is synced, so it raises before any sync."""
+    heap = make_heap(cache=1024, dirty=512)
+    target = heap.alloc(b"T" * 300)
+    heap.sync_object(target)
+    heap.unload(target)
+    a = heap.alloc(b"A" * 200)
+    guard = heap.get_mut(heap.alloc(b"B" * 200))
+    stats = heap.stats()
+    words = heap.device.cost_meter.words_total
+    with pytest.raises(DirtyBudgetUnsatisfiableError):
+        heap.get_mut(target)
+    assert heap.device.cost_meter.words_total == words
+    assert heap.stats() == stats
+    assert heap.object_info(a).modified
+    assert not heap.object_info(target).resident
+    guard.release()
 
 
 def test_hits_count_accesses_survive_swap_out_and_restart_at_restore():
@@ -421,41 +494,7 @@ def test_dealloc_of_nonresident_object():
     assert heap.dirty_bytes == HEADER_CHARGE_BYTES + WORD_BYTES  # the pending clear
 
 
-# -- victim planning -------------------------------------------------------------
-
-def test_choose_victims_matches_what_eviction_then_does():
-    heap = make_heap(cache=1024, dirty=1024)
-    hs = [heap.alloc(bytes([i]) * 200) for i in range(5)]
-    plan = heap.choose_victims(needed_cache_bytes=200)
-    assert plan == [hs[0].id]
-    heap.alloc(b"n" * 200)
-    assert not heap.object_info(hs[0]).resident
-
-
-def test_choose_victims_respects_pins_and_reports_impossible():
-    heap = make_heap(cache=512, dirty=512)
-    g1 = heap.get_ref(heap.alloc(b"1" * 200))
-    g2 = heap.get_ref(heap.alloc(b"2" * 200))
-    with pytest.raises(CachePressureUnresolvableError):
-        heap.choose_victims(needed_cache_bytes=200)
-    g1.release(); g2.release()
-    assert len(heap.choose_victims(needed_cache_bytes=200)) == 1
-
-
-def test_choose_victims_plans_dirty_only_retirement():
-    heap = make_heap(cache=4096, dirty=1024)
-    h1 = heap.alloc(b"1" * 400)
-    heap.alloc(b"2" * 400)
-    plan = heap.choose_victims(needed_dirty_bytes=300)
-    assert plan == [h1.id]
-    assert heap.object_info(h1).modified  # planning does not act
-
-
-def test_choose_victims_noop_when_room_exists():
-    heap = make_heap()
-    heap.alloc(b"x" * 100)
-    assert heap.choose_victims(needed_cache_bytes=100, needed_dirty_bytes=100) == []
-
+# -- miss cost -------------------------------------------------------------------
 
 def _log_calls(heap, method):
     """Record the handle id of every object ``heap.<method>`` acts on, in
@@ -469,81 +508,6 @@ def _log_calls(heap, method):
 
     setattr(heap, method, logged)
     return calls
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_choose_victims_names_the_unloads_of_the_next_miss(seed):
-    """In fragmented caches with pinned residents and dirty headroom, each
-    plan lists, in order, exactly the residents that the operation it plans
-    for then evicts: for a swapped-out object's size, the unloads of its
-    ``get_ref``; for a clean resident's whole words as new modified state,
-    the syncs of its ``get_mut``; for a new object's block and charge, the
-    unloads and then the further syncs of its ``alloc``."""
-    rng = random.Random(seed)
-    heap = make_heap(cache=1024, dirty=rng.choice([256, 512, 1024]), max_objects=128)
-    unloaded = _log_calls(heap, "_unload")
-    synced = _log_calls(heap, "_sync")
-    handles = [heap.alloc(bytes([i]) * rng.randint(1, 120)) for i in range(40)]
-    guards = []
-    planned = {"get_ref": 0, "get_mut": 0, "alloc": 0}
-
-    def check(act, expected, **needed):
-        """Plan for ``needed``, run ``act``, and count a nonempty plan that
-        equals what ``expected()`` then returns; a refused plan must mean a
-        refused act."""
-        unloaded.clear()
-        synced.clear()
-        try:
-            plan = heap.choose_victims(**needed)
-        except (CachePressureUnresolvableError, DirtyBudgetUnsatisfiableError) as exc:
-            with pytest.raises(type(exc)):
-                act()
-            return 0
-        act()
-        assert plan == expected()
-        return bool(plan)
-
-    for _ in range(60):
-        for h in rng.sample(handles, 6):
-            info = heap.object_info(h)
-            action = rng.random()
-            if info.pinned:
-                continue
-            if action < 0.3:
-                with heap.get_mut(h) as w:
-                    w.write(b"w")
-            elif action < 0.6 and info.resident:
-                if info.modified:
-                    heap.sync_object(h)
-                heap.unload(h)  # punches a hole somewhere in the cache
-            elif action < 0.7 and len(guards) < 3:
-                guards.append(heap.get_ref(h))
-        if guards and rng.random() < 0.3:
-            guards.pop(rng.randrange(len(guards))).release()
-        swapped = [h for h in handles if not heap.object_info(h).resident]
-        if swapped:
-            target = rng.choice(swapped)
-            planned["get_ref"] += check(lambda: heap.get_ref(target).release(),
-                                        lambda: unloaded, needed_cache_bytes=target.size_bytes)
-        infos = [(h, heap.object_info(h)) for h in handles]
-        clean = [h for h, i in infos if i.resident and not i.modified and not i.pinned]
-        if clean:
-            target = rng.choice(clean)
-            planned["get_mut"] += check(lambda: heap.get_mut(target).release(),
-                                        lambda: synced,
-                                        needed_dirty_bytes=align_up(target.size_bytes))
-        size = rng.randint(1, 120)
-        # The cache rule's unloads (and syncs), then the dirty rule's syncs.
-        if check(lambda: handles.append(heap.alloc(bytes([len(handles)]) * size)),
-                 lambda: unloaded + [hid for hid in synced if hid not in unloaded],
-                 needed_cache_bytes=size, needed_dirty_bytes=align_up(size)):
-            planned["alloc"] += bool(unloaded) and not set(synced) <= set(unloaded)
-    assert planned["get_ref"] > 10  # the misses did have to evict
-    if heap.config.max_modified_state_bytes < 1024:  # else the dirty rule idles here
-        assert planned["get_mut"] > 10
-        assert planned["alloc"] > 5  # allocs under both pressures
-    for g in guards:
-        g.release()
 
 
 def test_miss_cost_per_victim_does_not_grow_with_free_extents():
