@@ -16,9 +16,11 @@ Two budgets constrain every operation:
   ``align4(size)`` per modified object and 4 per pending entry clear. It
   must never exceed ``max_modified_state_bytes``; residency is free.
 
-Eviction follows one rule for each budget, so a miss costs O(victims), plus
-the residents of any walled hole. Each rule is one loop over the heap's own
-state, ``VnvHeap._make_cache_room`` or ``VnvHeap._make_dirty_room``:
+Eviction follows one rule for each budget. Each rule is one loop over the
+heap's own indexes, ``VnvHeap._make_cache_room`` or
+``VnvHeap._make_dirty_room``, so a cache miss costs O(victims), plus the
+residents of any walled hole, and dirty pressure costs a sort of the
+modified objects; neither visits the clean residents otherwise:
 
 * cache pressure - when no free extent fits the new block, the coldest
   unpinned resident is freed into the allocator: the first of the lowest
@@ -28,20 +30,23 @@ state, ``VnvHeap._make_cache_room`` or ``VnvHeap._make_dirty_room``:
   ends wall the hole in first, its blocks are given back to their residents
   and the next coldest resident starts another hole. The hole that fits is
   then the only fit, so it is where first fit places the block.
-* dirty pressure - one pass over the residents in arrival order chooses the
-  modified, unpinned ones until the new state fits. Syncing changes no
-  residency, so the pass never restarts from the oldest resident.
+* dirty pressure - one pass over the modified objects in arrival order, the
+  order persist writes them in, chooses the unpinned ones until the new
+  state fits. Syncing changes no residency, so the pass never restarts.
 
 Only the victims that make room are synced and unloaded: a rule that falls
 short raises having moved no word. An alloc runs the cache rule first, then
-the dirty rule. A ``get_ref`` miss meets the cache rule alone. A ``get_mut``
-or ``replace`` miss makes dirty room before it takes a cache block; eviction
-only lowers the charge, so marking the object modified cannot fail
-afterwards. ``replace`` gives the result of ``get_mut`` + ``write`` +
-``release``, but a miss skips the device read; ``read`` gives the result of
-``get_ref`` + ``read`` + ``release`` without building a guard. A clean
-object's dealloc charges its entry's clear, so it too may sync victims or be
-refused.
+the dirty rule; once the cache rule has found the hole that fits, it refuses
+the alloc, with the hole given back, if no sync could admit the new charge,
+so a refused alloc moves no word either. A ``get_ref`` miss meets the cache
+rule alone. A ``get_mut`` or ``replace`` miss makes dirty room before it
+takes a cache block; eviction only lowers the charge, so marking the object
+modified cannot fail afterwards. (When the cache rule then refuses, the
+dirty rule's syncs have already moved words: a known defect.) ``replace``
+gives the result of ``get_mut`` + ``write`` + ``release``, but a miss skips
+the device read; ``read`` gives the result of ``get_ref`` + ``read`` +
+``release`` without building a guard. A clean object's dealloc charges its
+entry's clear, so it too may sync victims or be refused.
 
 The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit is always persisted within
@@ -61,29 +66,30 @@ Counts never decay, so when the hot set moves, its old members leave the
 cache only once the colder tiers are drained.
 
 An object is resident exactly when its ``cache_offset`` is ``>= 0``; no
-other field records residency. A guarded object is always resident, and
-``stats().resident_bytes`` and ``stats().pinned_count`` are summed over the
-residents on demand. Beside the residents (kept in cache-arrival order),
-the heap keeps these indexes of them:
+other field records residency. A guarded object is always resident. The
+heap keeps these indexes of the residents, one per question it asks:
 
-* ``_modified``, every modified resident by handle id, so that a persist
-  visits only the objects it must write and never the clean residents. An
-  object enters it when it is allocated or first written, and leaves it
-  when it is synced, deallocated, or cleared by a persist.
-* ``_tiers``, the residents of each tier in the order they entered it.
 * ``_by_offset`` and ``_by_end``, every resident by the cache offset where
   its block starts and where it ends, so a hole finds its neighbours.
+  ``_by_offset`` is also the set of residents: ``stats()`` sums over it.
+* ``_tiers``, the residents of each tier in the order they entered it.
+* ``_modified``, every modified resident by handle id, so that a persist
+  and the dirty rule visit only the objects they may write and never the
+  clean residents. An object enters it when it is allocated or first
+  written, and leaves it when it is synced, deallocated, or cleared by a
+  persist.
 
 Each object also carries an ``arrival`` stamp, taken from a heap-wide
 counter every time it becomes resident (at allocation and on load). Stamps
-strictly increase along the residents' order, so sorting the modified index
-by stamp yields cache-arrival order.
+are distinct, so sorting the modified index by stamp yields cache-arrival
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
+from operator import attrgetter
 
 from .errors import (
     CachePressureUnresolvableError,
@@ -107,6 +113,7 @@ from .storage import StorageDevice, WORD_BYTES
 HEADER_CHARGE_BYTES = 16  # the commit word and 3 words held for a commit record
 META_CHARGE_BYTES = 3  # cache only: packed per-object metadata
 CLEAR_CHARGE_BYTES = WORD_BYTES  # a dead entry's pending clear
+_ARRIVAL = attrgetter("arrival")  # sorts residents into cache-arrival order
 
 
 @dataclass(frozen=True)
@@ -299,7 +306,6 @@ class VnvHeap:
         self._cache_alloc = FirstFitAllocator(0, cache_size_bytes)
         self._nvm_alloc = FirstFitAllocator(self.layout.object_offset, self.layout.object_bytes)
         self._metas: dict[int, ObjectMeta] = {}
-        self._residents: dict[int, ObjectMeta] = {}  # insertion order = cache arrival
         self._modified: dict[int, ObjectMeta] = {}
         # _tiers[t] holds the residents of tier t >= 1 in the order they
         # entered it; _tiers[0] stays empty. The list grows by one tier
@@ -322,7 +328,7 @@ class VnvHeap:
         return self._dirty
 
     def stats(self) -> HeapStats:
-        residents = self._residents.values()
+        residents = self._by_offset.values()
         return HeapStats(
             resident_bytes=sum(m.size_bytes for m in residents),
             dirty_bytes=self._dirty,
@@ -380,8 +386,7 @@ class VnvHeap:
                 f"{size} B object cannot fit the modified-state limit"
             )
         tables = self.tables
-        slot = tables.free_slot()
-        if slot is None:
+        if tables.free_slot() is None:
             raise OutOfNvmError("metadata table is full")
         nvm_offset = self._nvm_alloc.alloc(size)
         if nvm_offset is None:
@@ -390,7 +395,7 @@ class VnvHeap:
         cache_offset = self._cache_alloc.alloc(block)
         try:
             if cache_offset is None:
-                cache_offset = self._make_cache_room(block)
+                cache_offset = self._make_cache_room(block, self._dirty + charge - limit)
             if self._dirty + charge > limit:
                 try:
                     self._make_dirty_room(charge)
@@ -405,13 +410,12 @@ class VnvHeap:
         self._next_id = handle_id + 1
         # Entry identity never changes, so it is written to both tables now;
         # persist() then only ever touches deferred clears.
-        tables.record_alloc(slot, handle_id, nvm_offset, size)
+        slot = tables.record_alloc(handle_id, nvm_offset, size)
 
         meta = ObjectMeta(handle_id, slot, nvm_offset, size, modified=True,
                           cache_offset=cache_offset, arrival=next(self._stamps))
         self._cache[cache_offset : cache_offset + size] = payload
         self._metas[handle_id] = meta
-        self._residents[handle_id] = meta
         self._tiers[1][handle_id] = meta
         self._by_offset[cache_offset] = meta
         self._by_end[cache_offset + block] = meta
@@ -600,7 +604,6 @@ class VnvHeap:
         meta.arrival = next(self._stamps)
         meta.cache_offset = offset
         handle_id = meta.handle_id
-        self._residents[handle_id] = meta
         self._tiers[meta.hits.bit_length()][handle_id] = meta
         self._by_offset[offset] = meta
         self._by_end[offset + meta.block_bytes] = meta
@@ -624,11 +627,18 @@ class VnvHeap:
         self._modified[meta.handle_id] = meta
         self._dirty += meta.charge
 
-    def _make_cache_room(self, block: int) -> int:
+    def _make_cache_room(self, block: int, short: int = 0) -> int:
         """Evict until ``block`` fits and allocate it. Callers call this only
         once a first-fit probe for ``block`` has failed. A hole that is
         walled in before it fits is given back whole; only the victims of
-        the hole that fits are synced and unloaded."""
+        the hole that fits are synced and unloaded.
+
+        An alloc passes ``short``, the bytes by which its charge would
+        overrun the modified-state limit. When syncing every modified,
+        unpinned object could not make them up, the hole that fits is given
+        back too and the alloc is refused before any victim is synced. The
+        test is exact because the victims are unpinned, so the dirty rule
+        could have synced each modified one."""
         allocator = self._cache_alloc
         by_offset, by_end = self._by_offset, self._by_end
         walled = set()
@@ -641,6 +651,14 @@ class VnvHeap:
                     hole.append(meta)
                     start, length = allocator.free(meta.cache_offset, meta.block_bytes)
                     if length >= block:
+                        if short > 0 and short > sum(
+                            m.charge for m in self._modified.values() if not m.pin_count
+                        ):
+                            for victim in hole:
+                                allocator.allocate_at(victim.cache_offset, victim.block_bytes)
+                            raise DirtyBudgetUnsatisfiableError(
+                                f"{short} B over the modified-state limit cannot be synced away"
+                            )
                         for victim in hole:
                             if victim.modified:
                                 self._sync(victim)
@@ -666,8 +684,8 @@ class VnvHeap:
         dirty = self._dirty
         limit = self.config.max_modified_state_bytes - extra
         victims = []
-        for meta in self._residents.values():
-            if meta.modified and not meta.pin_count:
+        for meta in sorted(self._modified.values(), key=_ARRIVAL):
+            if not meta.pin_count:
                 victims.append(meta)
                 dirty -= meta.charge
                 if dirty <= limit:
@@ -689,7 +707,6 @@ class VnvHeap:
         """Drop ``meta``'s residency; the caller frees its cache block."""
         handle_id = meta.handle_id
         offset = meta.cache_offset
-        del self._residents[handle_id]
         del self._tiers[meta.hits.bit_length()][handle_id]
         del self._by_offset[offset]
         del self._by_end[offset + meta.block_bytes]

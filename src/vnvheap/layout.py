@@ -130,15 +130,17 @@ class CheckpointTables:
     differ, in a fixed order (:data:`BIRTH_ORDER` when the slot's id word is
     zero, else :data:`UPDATE_ORDER`).
 
-    An entry never changes after allocation and births are written to both
-    tables, so a live entry already matches the truth in either table. A
-    slot differs from the truth for one reason only: the object is dead but
-    its id word is still set (``_dead``), a deferred clear. :meth:`commit`
-    clears exactly those, so it costs O(dead entries), not O(live objects).
-    The occupancy sets, the dead sets and the min-heap of free slots are all
-    derived from the raw tables plus the rule that live entries are occupied
-    in both; :meth:`format` and :meth:`adopt` build them from scratch, and
-    one of the two must run before any other method.
+    An entry never changes after allocation, births are written to both
+    tables and a dealloc clears the staging id word at once. So outside
+    restore the staging table holds exactly the live entries, and the other
+    table holds them plus ``_pending``: the slots deallocated since the last
+    commit, whose clears are deferred. :meth:`commit` clears exactly those,
+    so it costs O(deallocations), not O(live objects), and pushes each onto
+    ``_free``, the exact min-heap of the slots free in both tables, which
+    :meth:`record_alloc` pops. :meth:`format` or :meth:`adopt` must run
+    before any other method; after :meth:`adopt`, only
+    :meth:`committed_entries` and then :meth:`flush_delta`, which scan the
+    mirrors and rebuild ``_free``.
     """
 
     def __init__(self, device: StorageDevice, layout: ImageLayout) -> None:
@@ -148,26 +150,6 @@ class CheckpointTables:
         self.staging = 0
         self.committed: int | None = None
         self.metadata_bytes_written = 0  # cumulative, callers diff it
-
-    def _rebuild(self, mirrors: list[bytearray], committed: int) -> None:
-        """Derive every per-slot set from raw table bytes. Each entry occupied
-        in table ``committed`` counts as live; any other occupied entry is dead."""
-        self._mirror = mirrors
-        # Slots with a nonzero id word, per table. Only zero tests follow,
-        # and those do not depend on byte order.
-        self._occupied: list[set[int]] = [
-            {slot for slot, v in enumerate(memoryview(raw).cast("I")[::ENTRY_WORDS]) if v}
-            for raw in mirrors
-        ]
-        # Occupied slots whose object is dead (deferred clears), per table.
-        live = self._occupied[committed]
-        self._dead: list[set[int]] = [occ - live for occ in self._occupied]
-        # Slots free in both tables (so not live either). Lazily cleaned:
-        # stale members are popped once they reach the top.
-        self._free = [
-            slot for slot in range(self.layout.max_objects)
-            if slot not in self._occupied[0] and slot not in self._occupied[1]
-        ]
 
     # -- formatting / adoption ---------------------------------------------
 
@@ -185,23 +167,31 @@ class CheckpointTables:
         self.device.write(lay.table_b_offset, zeros)
         self.staging = 0
         self.committed = None
-        self._rebuild([bytearray(lay.table_bytes), bytearray(lay.table_bytes)], 0)
+        self._mirror = [bytearray(lay.table_bytes), bytearray(lay.table_bytes)]
+        self._pending: set[int] = set()
+        self._free = list(range(lay.max_objects))  # ascending, so a heap
 
     def adopt(self, superblock: Superblock) -> None:
         """Load mirrors from a device that already holds a committed image.
 
-        Restore brings back every committed entry, so those count as live;
-        entries only in the staging table are dead. The caller must then
-        flush the truth of every live slot (see :meth:`flush_delta`), since
-        the staging slot may predate the committed one.
+        Restore brings back every committed entry, so those are live and
+        none is pending. The caller must then flush the truth of every live
+        slot (see :meth:`flush_delta`), since the staging slot may predate
+        the committed one and hold entries that are not live.
         """
         lay = self.layout
-        mirrors = [bytearray(self.device.read(base, lay.table_bytes)) for base in self._bases]
+        self._mirror = [bytearray(self.device.read(base, lay.table_bytes)) for base in self._bases]
         self.committed = superblock.active_slot
         self.staging = 1 - superblock.active_slot
-        self._rebuild(mirrors, self.committed)
+        self._pending = set()
 
     # -- entry access -------------------------------------------------------
+
+    def _set_slots(self, table: int) -> list[int]:
+        """Slots of ``table`` whose id word is set, ascending, from the
+        mirror. A zero test does not depend on byte order."""
+        ids = memoryview(self._mirror[table]).cast("I")[::ENTRY_WORDS]
+        return [slot for slot, v in enumerate(ids) if v]
 
     def committed_entries(self) -> list[tuple[int, tuple[int, int, int]]]:
         """``(slot, entry words)`` of every committed entry, by slot."""
@@ -209,15 +199,11 @@ class CheckpointTables:
         table = self._mirror[self.committed]
         unpack = _WORDS.unpack_from
         return [(slot, unpack(table, slot * ENTRY_BYTES))
-                for slot in sorted(self._occupied[self.committed])]
+                for slot in self._set_slots(self.committed)]
 
     def free_slot(self) -> int | None:
         """Lowest slot free in both tables, hence not live either."""
-        free = self._free
-        occ_a, occ_b = self._occupied
-        while free and (free[0] in occ_a or free[0] in occ_b):
-            heapq.heappop(free)
-        return free[0] if free else None
+        return self._free[0] if self._free else None
 
     # -- writes (all word-granular, metered by the device) ------------------
 
@@ -227,7 +213,6 @@ class CheckpointTables:
         base = slot * ENTRY_BYTES
         old = _WORDS.unpack_from(mirror, base)
         if old == entry:
-            # Already in place, and the slot sets derive from the mirror.
             return
         write = self.device.write
         pack = _WORD.pack
@@ -239,39 +224,33 @@ class CheckpointTables:
                 write(at + lo, word)
                 mirror[lo : lo + WORD_BYTES] = word
                 self.metadata_bytes_written += WORD_BYTES
-        self._occupied[table].add(slot)
 
-    def record_alloc(self, slot: int, handle_id: int, nvm_offset: int, size: int) -> None:
-        """Write a new object's entry into both tables (birth is eager)."""
+    def record_alloc(self, handle_id: int, nvm_offset: int, size: int) -> int:
+        """Write a new object's entry into both tables (birth is eager), in
+        the slot :meth:`free_slot` names, and return that slot."""
+        slot = heapq.heappop(self._free)
         entry = (handle_id, nvm_offset, size)
         self._write_entry(0, slot, entry)
         self._write_entry(1, slot, entry)
+        return slot
 
     def record_dealloc(self, slot: int) -> None:
-        """Clear the staging id word. The other table keeps the entry (a
+        """Clear the staging id word. The committed table keeps the entry (a
         deferred clear) until the next :meth:`commit`, so a fallback restore
         still sees the object."""
         self._clear_id(self.staging, slot)
-        other = 1 - self.staging
-        if slot in self._occupied[other]:
-            self._dead[other].add(slot)
+        self._pending.add(slot)
 
     def _clear_id(self, table: int, slot: int) -> None:
-        occupied = self._occupied[table]
-        if slot not in occupied:
-            return
         lo = slot * ENTRY_BYTES
         self.device.write(self._bases[table] + lo, ZERO_WORD)
         self._mirror[table][lo : lo + WORD_BYTES] = ZERO_WORD
         self.metadata_bytes_written += WORD_BYTES
-        occupied.discard(slot)
-        self._dead[table].discard(slot)
-        if slot not in self._occupied[1 - table]:
-            heapq.heappush(self._free, slot)
 
     def flush_delta(self, entries: dict[int, tuple[int, int, int]]) -> None:
         """Make the staging table match the truth at restore, visiting only
-        the slots that can differ from it, in ascending order.
+        the slots that can differ from it, in ascending order, then rebuild
+        the free slots from the live ones.
 
         ``entries`` maps every live slot to its entry words: after an
         uncommitted dealloc the staging table can lack a committed entry,
@@ -280,25 +259,29 @@ class CheckpointTables:
         same writes as a comparison of every live entry.
         """
         staging = self.staging
-        for slot in sorted(entries.keys() | self._dead[staging]):
+        for slot in sorted(entries.keys() | self._set_slots(staging)):
             entry = entries.get(slot)
             if entry is not None:
                 self._write_entry(staging, slot, entry)
             else:
                 self._clear_id(staging, slot)
+        self._free = [slot for slot in range(self.layout.max_objects) if slot not in entries]
 
     def commit(self) -> int:
         """Atomically publish the staging table and flip the roles, then
-        clear, in ascending order, the dead entries of the new staging table
-        (no longer the fallback). Returns the number of clears."""
+        clear, in ascending order, the pending entries of the new staging
+        table (no longer the fallback). Returns the number of clears."""
         self.device.write(COMMIT_WORD_OFFSET, _COMMIT_WORDS[self.staging])
         self.metadata_bytes_written += WORD_BYTES
         self.committed = self.staging
         self.staging = staging = 1 - self.staging
-        dead = self._dead[staging]
-        if not dead:
+        pending = self._pending
+        if not pending:
             return 0
-        slots = sorted(dead)
+        slots = sorted(pending)
+        pending.clear()
+        free = self._free
         for slot in slots:
             self._clear_id(staging, slot)
+            heapq.heappush(free, slot)
         return len(slots)

@@ -45,27 +45,31 @@ EXPECTED_PRESSURE_ERRORS = (
 
 
 def check_indexes(heap):
-    """``_modified`` holds exactly the modified residents; arrival stamps
-    strictly increase along the residents' (cache-arrival) order; the cache
-    tiers partition the residents, each in tier ``hits.bit_length()``; and
-    the two address maps name each resident by its block's start and end."""
+    """The residents are the objects ``_by_offset`` names, each at its
+    block's start, and exactly those with a cache offset; ``_by_end`` names
+    each at its block's end; ``_modified`` holds exactly the modified
+    residents; arrival stamps are distinct, so sorting by them is one
+    order; and the cache tiers partition the residents, each in tier
+    ``hits.bit_length()``."""
     metas = heap._metas
-    residents = heap._residents
+    by_offset, by_end = heap._by_offset, heap._by_end
+    residents = {m.handle_id: m for m in by_offset.values()}
+    assert len(residents) == len(by_offset) == len(by_end)
+    assert residents.keys() == {h for h, m in metas.items() if m.cache_offset >= 0}
+    for h, m in residents.items():
+        assert m is metas[h], f"object {h} is resident but not live"
+        assert by_offset[m.cache_offset] is m, f"object {h}'s start is mapped elsewhere"
+        assert by_end.get(m.cache_offset + m.block_bytes) is m, f"object {h}'s end is unmapped"
     assert heap._modified.keys() == {h for h, m in residents.items() if m.modified}
     assert all(m is metas[h] for h, m in heap._modified.items())
-    stamps = [m.arrival for m in residents.values()]
-    assert all(a < b for a, b in zip(stamps, stamps[1:])), "arrival stamps out of order"
+    assert len({m.arrival for m in residents.values()}) == len(residents), \
+        "two residents share an arrival stamp"
 
     tiered = [(t, h, m) for t, tier in enumerate(heap._tiers) for h, m in tier.items()]
     assert len(tiered) == len(residents), "a resident is in no tier or in two"
     for t, h, m in tiered:
         assert residents.get(h) is m, f"tier {t} holds object {h}, which is not resident"
         assert t == m.hits.bit_length(), f"object {h} with {m.hits} hits is in tier {t}"
-    by_offset, by_end = heap._by_offset, heap._by_end
-    assert len(by_offset) == len(by_end) == len(residents)
-    for m in residents.values():
-        assert by_offset.get(m.cache_offset) is m, f"object {m.handle_id}'s start is unmapped"
-        assert by_end.get(m.cache_offset + m.block_bytes) is m, f"object {m.handle_id}'s end is unmapped"
 
 
 def persist_cost(heap):

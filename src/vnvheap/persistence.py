@@ -12,23 +12,25 @@ size. A power failure anywhere leaves a committed checkpoint readable.
 
 persist() visits only modified objects, never the clean residents: the
 payloads come from the heap's modified index, sorted by arrival stamp (see
-:mod:`vnvheap.heap`). The clears visit only the dead entries
-(``CheckpointTables.commit``). So its host cost follows what changed, not
-how many objects are resident or live. Each payload costs one host copy, a
-slice of the cache's ``bytearray``, which the device stores without copying
-it again (see :meth:`~vnvheap.storage.StorageDevice.write`).
+:mod:`vnvheap.heap`). The clears visit only the entries deallocated since
+the last commit (``CheckpointTables.commit``). So its host cost follows
+what changed, not how many objects are resident or live. Each payload
+costs one host copy, a slice of the cache's ``bytearray``, which the device
+stores without copying it again (see
+:meth:`~vnvheap.storage.StorageDevice.write`).
 
 restore() rebuilds a heap from the committed table. Every object starts
 swapped out, whether or not a guard was held on it at persist, and loads
 lazily on first access. It then brings the staging table up to date with a
-delta flush (``CheckpointTables.flush_delta``) that has every live entry as
-a candidate, because the staging table may predate the committed one.
+delta flush (``CheckpointTables.flush_delta``) that has every live entry
+and every entry set in the staging table as a candidate, because the
+staging table may predate the committed one. Restore is the one step whose
+table work scans whole tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ConfigInvalidError, NoValidCheckpointError
@@ -39,6 +41,7 @@ from .heap import (
     ObjectHandle,
     ObjectMeta,
     VnvHeap,
+    _ARRIVAL,
 )
 from .layout import ENTRY_BYTES, ImageLayout, read_superblock
 from .storage import StorageDevice, words_for
@@ -74,9 +77,6 @@ def persist_bound(config: HeapConfig) -> int:
 def wcec_millijoules(words: int, model: EnergyModel = EnergyModel()) -> float:
     """Energy to move ``words`` at the model's transfer latency and power."""
     return model.energy_uj(words) / 1000.0
-
-
-_ARRIVAL = attrgetter("arrival")
 
 
 def persist(heap: VnvHeap) -> PersistReport:

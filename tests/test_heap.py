@@ -248,7 +248,7 @@ def test_victims_of_an_unpinned_miss_are_one_run_from_the_coldest(seed):
             heap.unload(h)  # punches a hole somewhere in the cache
             continue
         residents = {m.handle_id: (m.cache_offset, m.cache_offset + m.block_bytes)
-                     for m in heap._residents.values()}
+                     for m in heap._by_offset.values()}
         coldest = next(m.handle_id for tier in heap._tiers for m in tier.values())
         unloaded.clear()
         heap.read(h)
@@ -416,6 +416,55 @@ def test_a_refused_dirty_rule_moves_no_word():
     guard.release()
 
 
+def test_a_refused_alloc_moves_no_word():
+    """B (300 B) is write-guarded and A (100 B) modified: 16 + 300 + 100 of
+    the 512 limit. A 200 B alloc fits the cache once A's hole is freed, but
+    not even A's sync could admit its charge, so it raises with A neither
+    synced nor unloaded."""
+    heap = make_heap(cache=512, dirty=512)
+    b = heap.alloc(b"B" * 300)  # [0, 304)
+    a = heap.alloc(b"A" * 100)  # [304, 408)
+    guard = heap.get_mut(b)
+    before = _heap_state(heap)
+    with pytest.raises(DirtyBudgetUnsatisfiableError):
+        heap.alloc(b"C" * 200)
+    assert _heap_state(heap) == before
+    assert heap._cache_alloc.free_extents() == [(408, 104)]
+    guard.release()
+    c = heap.alloc(b"C" * 200)  # the syncs of A and B now make room
+    assert not heap.object_info(a).resident
+    assert heap.read(c) == b"C" * 200
+    assert heap.dirty_bytes == expected_dirty(heap)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a get_mut or replace miss makes dirty room before the cache rule refuses")
+def test_a_miss_refused_for_cache_pressure_moves_no_word():
+    """X (300 B) is swapped out. M, P1 and P2 (100 B each) sit at 0, 104 and
+    208, with P1 write-guarded and P2 clean and read-guarded: 16 + 200 of
+    the 512 limit. A ``get_mut`` or ``replace`` of X needs M's sync for
+    dirty room, but no hole fits X's 304 B block, so the miss raises
+    ``CachePressureUnresolvableError``. It should have synced nothing."""
+    accesses = {"get_mut": lambda heap, x: heap.get_mut(x),
+                "replace": lambda heap, x: heap.replace(x, b"Y" * 300)}
+    for name, access in accesses.items():
+        heap = make_heap(cache=512, dirty=512)
+        x = heap.alloc(b"X" * 300)
+        heap.sync_object(x)
+        heap.unload(x)
+        heap.alloc(b"M" * 100)
+        p1 = heap.alloc(b"1" * 100)
+        p2 = heap.alloc(b"2" * 100)
+        heap.sync_object(p2)
+        guards = [heap.get_mut(p1), heap.get_ref(p2)]
+        before = _heap_state(heap)
+        with pytest.raises(CachePressureUnresolvableError):
+            access(heap, x)
+        assert _heap_state(heap) == before, f"the refused {name} moved words"
+        for g in guards:
+            g.release()
+
+
 def test_hits_count_accesses_survive_swap_out_and_restart_at_restore():
     heap = make_heap()
     h = heap.alloc(b"x" * 40)
@@ -566,6 +615,32 @@ def test_alloc_and_dealloc_cost_does_not_grow_with_live_objects():
         return executed
 
     assert alloc_and_dealloc_bytecodes(1) == alloc_and_dealloc_bytecodes(256)
+
+
+def test_dirty_pressure_cost_does_not_grow_with_clean_residents():
+    """A ``get_mut`` miss under dirty pressure, which syncs the oldest
+    modified object, executes the same bytecodes whether 1 or 256 clean
+    residents arrived before it."""
+
+    def miss_bytecodes(clean):
+        heap = make_heap(cache=8192, dirty=256, max_objects=300)
+        for i in range(clean):
+            heap.sync_object(heap.alloc(bytes([i % 256]) * 4))
+        target = heap.alloc(b"T" * 64)
+        heap.sync_object(target)
+        heap.unload(target)
+        oldest = heap.alloc(b"O" * 64)
+        heap.alloc(b"M" * 64)
+        heap.alloc(b"N" * 64)
+        assert heap.dirty_bytes == 16 + 3 * 64  # of 256: the target's 64 B need one sync
+        guard = []
+        executed = count_bytecodes(lambda: guard.append(heap.get_mut(target)))
+        assert not heap.object_info(oldest).modified
+        assert heap.stats().resident_count == clean + 4
+        guard[0].release()
+        return executed
+
+    assert miss_bytecodes(1) == miss_bytecodes(256)
 
 
 # -- whole-object replace ----------------------------------------------------------

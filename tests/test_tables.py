@@ -6,8 +6,9 @@ a table word by word, then clear every other occupied slot. At a persist the
 table being committed must already match it (it holds no dead entry) and
 the clears after the commit word must equal it for the table that stops
 being committed; the restore flush must issue exactly its writes. After
-every persist both tables, their volatile mirrors and the derived slot sets
-must agree with a fresh recomputation from the live objects.
+every persist, dealloc burst and restore, both tables, their volatile mirrors,
+the pending clears and the free slots must agree with a fresh recomputation
+from the live objects.
 """
 
 import random
@@ -67,28 +68,26 @@ def device_table(dev, heap, table):
 
 
 def check_tables(heap, dev):
-    """Mirrors, device bytes and derived sets agree with the live objects."""
+    """Mirrors agree with the device; both tables hold every live entry;
+    the staging table holds nothing else; the other table holds exactly the
+    pending clears besides; and the free-slot heap holds exactly the slots
+    free in both tables."""
     tables = heap.tables
     truth = truth_of(heap)
     slots = range(heap.layout.max_objects)
+    occupied = []
     for t in (0, 1):
         raw = bytes(tables._mirror[t])
         assert raw == device_table(dev, heap, t), f"table {t} mirror drifted from the device"
-        occupied = {s for s in slots if raw[s * ENTRY_BYTES : s * ENTRY_BYTES + 4] != ZERO_WORD}
-        assert tables._occupied[t] == occupied
-        assert tables._dead[t] == occupied - set(truth)
-        assert set(truth) <= occupied, "a live entry is missing from a table"
-    free = [s for s in slots if s not in tables._occupied[0] and s not in tables._occupied[1]]
+        occupied.append({s for s in slots if raw[s * ENTRY_BYTES : s * ENTRY_BYTES + 4] != ZERO_WORD})
+        for s, entry in truth.items():
+            assert raw[s * ENTRY_BYTES : (s + 1) * ENTRY_BYTES] == entry, f"table {t} slot {s} stale"
+    staging = tables.staging
+    assert occupied[staging] == set(truth), "the staging table holds a dead entry"
+    assert tables._pending == occupied[1 - staging] - set(truth)
+    free = [s for s in slots if s not in occupied[0] and s not in occupied[1]]
+    assert sorted(tables._free) == free
     assert tables.free_slot() == (free[0] if free else None)
-    assert set(free) <= set(tables._free)
-    if tables.committed is not None:
-        committed = bytes(tables._mirror[tables.committed])
-        for s in slots:
-            entry = committed[s * ENTRY_BYTES : (s + 1) * ENTRY_BYTES]
-            if s in truth:
-                assert entry == truth[s], f"slot {s} committed stale"
-            else:
-                assert entry[:4] == ZERO_WORD, f"dead slot {s} still committed"
 
 
 class TableOracleMachine(TraceMachine):
@@ -106,6 +105,7 @@ class TableOracleMachine(TraceMachine):
     def op_dealloc_burst(self):
         for _ in range(self.rng.randint(3, 12)):
             self.op_dealloc()
+        check_tables(self.heap, self.dev)
 
     def op_persist(self):
         heap = self.heap
@@ -119,6 +119,7 @@ class TableOracleMachine(TraceMachine):
         assert table_writes(self.log, heap, staging) == []
         clears = reference_flush(committed, truth)
         assert table_writes(self.log, heap, 1 - staging) == clears
+        assert not heap.tables._pending, "the commit left a clear pending"
         check_tables(heap, self.dev)
         check_indexes(heap)
 
