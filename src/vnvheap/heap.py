@@ -45,8 +45,9 @@ modified cannot fail afterwards. (When the cache rule then refuses, the
 dirty rule's syncs have already moved words: a known defect.) ``replace``
 gives the result of ``get_mut`` + ``write`` + ``release``, but a miss skips
 the device read; ``read`` gives the result of ``get_ref`` + ``read`` +
-``release`` without building a guard. A clean object's dealloc charges its
-entry's clear, so it too may sync victims or be refused.
+``release`` without building a guard, and a miss returns the very bytes the
+device read, with no second copy out of the cache. A clean object's dealloc
+charges its entry's clear, so it too may sync victims or be refused.
 
 The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit is always persisted within
@@ -163,10 +164,6 @@ class ObjectMeta:
         self.block_bytes = (self.size_bytes + META_CHARGE_BYTES + WORD_BYTES - 1) & -WORD_BYTES
         self.charge = (self.size_bytes + WORD_BYTES - 1) & -WORD_BYTES
 
-    @property
-    def pinned(self) -> bool:
-        return self.pin_count > 0
-
 
 @dataclass(frozen=True)
 class ObjectInfo:
@@ -247,7 +244,10 @@ class _Guard:
             raise GuardReleasedError(_RELEASED)
         self._released = True
         self._view.release()
-        self._heap._release_guard(self._meta, self._writable)
+        meta = self._meta
+        meta.pin_count -= 1
+        if self._writable:
+            meta.write_guarded = False
 
     @property
     def released(self) -> bool:
@@ -300,7 +300,8 @@ class VnvHeap:
         self.device = device
         self.layout = _adopt_layout or ImageLayout.compute(device.capacity_bytes, max_objects)
         self._cache = bytearray(cache_size_bytes)
-        # Guards slice these views; the cache is never resized.
+        # Guards slice these views; the cache is never resized. Bytes are
+        # stored through _view: a bytearray store copies them once more first.
         self._view = memoryview(self._cache)
         self._ro_view = self._view.toreadonly()
         self._cache_alloc = FirstFitAllocator(0, cache_size_bytes)
@@ -345,7 +346,7 @@ class VnvHeap:
             size_bytes=m.size_bytes,
             resident=m.cache_offset >= 0,
             modified=m.modified,
-            pinned=m.pinned,
+            pinned=m.pin_count > 0,
             cache_offset=m.cache_offset,
             nvm_offset=m.nvm_offset,
             hits=m.hits,
@@ -414,7 +415,7 @@ class VnvHeap:
 
         meta = ObjectMeta(handle_id, slot, nvm_offset, size, modified=True,
                           cache_offset=cache_offset, arrival=next(self._stamps))
-        self._cache[cache_offset : cache_offset + size] = payload
+        self._view[cache_offset : cache_offset + size] = payload
         self._metas[handle_id] = meta
         self._tiers[1][handle_id] = meta
         self._by_offset[cache_offset] = meta
@@ -480,12 +481,14 @@ class VnvHeap:
         if meta.write_guarded:
             raise WriteGuardActiveError(f"object {meta.handle_id} has a live write guard")
         if meta.cache_offset < 0:
-            self._ensure_resident(meta)
+            payload = self._ensure_resident(meta)
+        else:
+            start = meta.cache_offset
+            payload = self._view[start : start + meta.size_bytes].tobytes()
         hits = meta.hits = meta.hits + 1
         if not hits & (hits - 1):
             self._promote(meta)
-        start = meta.cache_offset
-        return self._view[start : start + meta.size_bytes].tobytes()
+        return payload
 
     def get_mut(self, handle: ObjectHandle) -> WriteGuard:
         """Exclusive write access. Charges the whole object to the dirty
@@ -495,7 +498,7 @@ class VnvHeap:
         meta = self._metas.get(handle.id)
         if meta is None or handle._heap is not self:
             meta = self._resolve(handle)
-        if meta.pinned:
+        if meta.pin_count:
             raise GuardActiveError(f"object {meta.handle_id} is already guarded")
         limit = self.config.max_modified_state_bytes
         if meta.charge + HEADER_CHARGE_BYTES > limit:
@@ -524,7 +527,7 @@ class VnvHeap:
         meta = self._metas.get(handle.id)
         if meta is None or handle._heap is not self:
             meta = self._resolve(handle)
-        if meta.pinned:
+        if meta.pin_count:
             raise GuardActiveError(f"object {meta.handle_id} is already guarded")
         payload = bytes(payload)
         size = meta.size_bytes
@@ -545,12 +548,7 @@ class VnvHeap:
         if not hits & (hits - 1):
             self._promote(meta)
         start = meta.cache_offset
-        self._cache[start : start + size] = payload
-
-    def _release_guard(self, meta: ObjectMeta, writable: bool) -> None:
-        meta.pin_count -= 1
-        if writable:
-            meta.write_guarded = False
+        self._view[start : start + size] = payload
 
     # -- explicit state management -------------------------------------------
 
@@ -570,7 +568,7 @@ class VnvHeap:
         meta = self._resolve(handle)
         if meta.cache_offset < 0:
             raise PreconditionError("object is not resident")
-        if meta.pinned:
+        if meta.pin_count:
             raise StillPinnedError("pinned objects cannot be unloaded")
         if meta.modified:
             raise PreconditionError("sync the object before unloading it")
@@ -591,22 +589,25 @@ class VnvHeap:
             raise StaleHandleError(f"object {handle.id} was deallocated")
         return meta
 
-    def _ensure_resident(self, meta: ObjectMeta, fetch: bool = True) -> None:
-        """Load a swapped-out object (callers test ``meta.cache_offset``).
-        Without ``fetch`` the block is left as it was, for a caller that
-        overwrites every byte. Residency charges nothing to the dirty budget."""
+    def _ensure_resident(self, meta: ObjectMeta, fetch: bool = True) -> bytes | None:
+        """Load a swapped-out object (callers test ``meta.cache_offset``) and
+        return the bytes the device read. Without ``fetch`` the block is left
+        as it was, for a caller that overwrites every byte, and None is
+        returned. Residency charges nothing to the dirty budget."""
         offset = self._cache_alloc.alloc(meta.block_bytes)
         if offset is None:
             offset = self._make_cache_room(meta.block_bytes)
+        payload = None
         if fetch:
             payload = self.device.read(meta.nvm_offset, meta.size_bytes)
-            self._cache[offset : offset + meta.size_bytes] = payload
+            self._view[offset : offset + meta.size_bytes] = payload
         meta.arrival = next(self._stamps)
         meta.cache_offset = offset
         handle_id = meta.handle_id
         self._tiers[meta.hits.bit_length()][handle_id] = meta
         self._by_offset[offset] = meta
         self._by_end[offset + meta.block_bytes] = meta
+        return payload
 
     def _promote(self, meta: ObjectMeta) -> None:
         """Move a resident whose count just reached a power of two to the

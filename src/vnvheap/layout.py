@@ -58,8 +58,9 @@ UPDATE_ORDER = (0, 1, 2)
 _SB = struct.Struct("<4sHBBIIII")
 _WORDS = struct.Struct(f"<{ENTRY_WORDS}I")  # an entry as its words
 _WORD = struct.Struct("<I")
-# The superblock's second word after a commit that makes table ``i`` active.
-_COMMIT_WORDS = tuple(struct.pack("<HBB", VERSION, i, 1) for i in (0, 1))
+# The superblock's second word after a commit that makes table ``i`` active,
+# as a bytearray: the device stores one without a temporary copy.
+_COMMIT_WORDS = tuple(bytearray(struct.pack("<HBB", VERSION, i, 1)) for i in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -267,21 +268,19 @@ class CheckpointTables:
                 self._clear_id(staging, slot)
         self._free = [slot for slot in range(self.layout.max_objects) if slot not in entries]
 
-    def commit(self) -> int:
+    def commit(self) -> None:
         """Atomically publish the staging table and flip the roles, then
         clear, in ascending order, the pending entries of the new staging
-        table (no longer the fallback). Returns the number of clears."""
+        table (no longer the fallback)."""
         self.device.write(COMMIT_WORD_OFFSET, _COMMIT_WORDS[self.staging])
         self.metadata_bytes_written += WORD_BYTES
         self.committed = self.staging
         self.staging = staging = 1 - self.staging
         pending = self._pending
-        if not pending:
-            return 0
-        slots = sorted(pending)
-        pending.clear()
-        free = self._free
-        for slot in slots:
-            self._clear_id(staging, slot)
-            heapq.heappush(free, slot)
-        return len(slots)
+        if pending:
+            slots = sorted(pending)
+            pending.clear()
+            free = self._free
+            for slot in slots:
+                self._clear_id(staging, slot)
+                heapq.heappush(free, slot)

@@ -17,7 +17,8 @@ the last commit (``CheckpointTables.commit``). So its host cost follows
 what changed, not how many objects are resident or live. Each payload
 costs one host copy, a slice of the cache's ``bytearray``, which the device
 stores without copying it again (see
-:meth:`~vnvheap.storage.StorageDevice.write`).
+:meth:`~vnvheap.storage.StorageDevice.write`). The payloads go out in one
+loop, and the bookkeeping is settled once, after the commit.
 
 restore() rebuilds a heap from the committed table. Every object starts
 swapped out, whether or not a guard was held on it at persist, and loads
@@ -35,7 +36,6 @@ from typing import NamedTuple
 
 from .errors import ConfigInvalidError, NoValidCheckpointError
 from .heap import (
-    CLEAR_CHARGE_BYTES,
     HEADER_CHARGE_BYTES,
     HeapConfig,
     ObjectHandle,
@@ -88,25 +88,30 @@ def persist(heap: VnvHeap) -> PersistReport:
         heap._check_usable()
     write = device.write
     # A payload is a slice of the bytearray, its one host copy, not of
-    # heap._view: the device stores a memoryview slower than it saves.
+    # heap._view: the device stores a bytearray fastest.
     cache = heap._cache
     tables = heap.tables
     meter = device.cost_meter
     written_before = meter.words_written
     metadata_before = tables.metadata_bytes_written
-    modified = heap._modified
     # Cache-arrival order: the order in which the residents are held.
-    payloads = sorted(modified.values(), key=_ARRIVAL)
+    payloads = sorted(heap._modified.values(), key=_ARRIVAL)
     for meta in payloads:
-        start = meta.cache_offset
-        write(meta.nvm_offset, cache[start : start + meta.size_bytes])
-        if not meta.write_guarded:
-            # A live write guard keeps the object charged as modified:
-            # its holder can keep writing after we return.
+        write(meta.nvm_offset, cache[meta.cache_offset : meta.cache_offset + meta.size_bytes])
+    tables.commit()
+    # Settle the bookkeeping once the commit has landed. A live write guard
+    # keeps its object modified and charged: its holder can keep writing
+    # after we return. The commit wrote every pending clear.
+    guarded = {}
+    dirty = HEADER_CHARGE_BYTES
+    for meta in payloads:
+        if meta.write_guarded:
+            guarded[meta.handle_id] = meta
+            dirty += meta.charge
+        else:
             meta.modified = False
-            del modified[meta.handle_id]
-            heap._dirty -= meta.charge
-    heap._dirty -= CLEAR_CHARGE_BYTES * tables.commit()
+    heap._modified = guarded
+    heap._dirty = dirty
     # The commit published every deallocation, so quarantined extents are
     # safe to reuse now.
     quarantine = heap._quarantine

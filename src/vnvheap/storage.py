@@ -8,18 +8,21 @@ budget; the transfer after the budget is exhausted raises
 before it durable and the failing word untouched. The device then reports
 ``power_failed`` until ``reopen()``, the reboot, hands out a fresh one.
 
-A transfer costs one host copy. ``write`` takes any byte buffer (``bytes``,
-``bytearray`` or a ``'B'`` memoryview) and reads it only during the call:
-the backing store's own store is the copy, so a caller may reuse or mutate
-its buffer once ``write`` returns. ``read`` returns a fresh ``bytes``.
+There is one transfer path, in :class:`StorageDevice`: ``write`` stores into
+``_buf``, the device's bytes (a ``bytearray``, or the ``mmap`` of a file),
+and ``read`` slices ``_view``, a memoryview of them. A transfer costs one
+host copy. ``write`` takes any byte buffer (``bytes``, ``bytearray`` or a
+``'B'`` memoryview) and reads it only during the call, so a caller may reuse
+or mutate its buffer once ``write`` returns. ``read`` returns a fresh ``bytes``.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 from dataclasses import dataclass
 
-from .errors import OutOfRangeError, PowerFailureInjected
+from .errors import OutOfRangeError, PowerFailureInjected, PreconditionError
 
 WORD_BYTES = 4
 
@@ -31,7 +34,7 @@ def words_for(length_bytes: int) -> int:
     return (length_bytes + WORD_BYTES - 1) // WORD_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class CostMeter:
     """Counts word transfers performed by one device."""
 
@@ -51,10 +54,9 @@ class CostMeter:
 
 
 class StorageDevice:
-    """Base class: bounds checks, metering, and fault injection.
-
-    Subclasses provide ``_read_raw``/``_write_raw`` over their backing store.
-    """
+    """Bounds checks, metering, fault injection and the one transfer path. A
+    subclass sets ``_buf``, ``capacity_bytes`` of writable bytes, and
+    ``_view``, a memoryview of it that stays live while the device is open."""
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
@@ -99,7 +101,8 @@ class StorageDevice:
     def read(self, offset: int, length: int) -> bytes:
         if length < 0 or offset < 0 or offset + length > self.capacity_bytes:
             self._check_range(offset, length)
-        words = (length + WORD_BYTES - 1) // WORD_BYTES
+        data = self._view[offset : offset + length].tobytes()
+        words = -(-length // WORD_BYTES)
         budget = self._budget_words
         if budget is not None:
             if budget < words:
@@ -109,35 +112,44 @@ class StorageDevice:
                 raise self._exhausted("reading", offset, length)
             self._budget_words = budget - words
         self.cost_meter.words_read += words
-        return self._read_raw(offset, length) if length else b""
+        return data
 
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
         """Store ``data``, any byte buffer (``bytes``, ``bytearray`` or a
         ``'B'`` memoryview), at ``offset``, metering ``len(data)`` bytes.
-        A memoryview of another format must be cast to ``'B'`` first.
+        A buffer the store refuses, such as a memoryview of another format,
+        raises :class:`~vnvheap.errors.PreconditionError` with no word
+        metered and none of the budget spent.
 
-        The buffer is read only during the call, never kept: the backing
-        store's own store is the one host copy, and the caller may change
+        The buffer is read only during the call, never kept: the store into
+        the device's buffer is the one host copy, and the caller may change
         the buffer once this returns. An armed write that the budget cuts
         stores exactly the buffer's durable prefix.
         """
         length = len(data)
-        if offset < 0 or offset + length > self.capacity_bytes:
+        end = offset + length
+        if offset < 0 or end > self.capacity_bytes:
             self._check_range(offset, length)
-        words = (length + WORD_BYTES - 1) // WORD_BYTES
-        budget = self._budget_words
-        if budget is not None:
+        words = -(-length // WORD_BYTES)
+        if self._budget_words is not None and self._budget_words < words:
+            # The durable prefix lands whole; the failing word and every
+            # word after it stay untouched.
+            data = data[: self._budget_words * WORD_BYTES]
+            end = offset + len(data)
+        # Store first, so that a buffer the store refuses is metered nowhere.
+        # The live view keeps a bytearray from being resized, so a buffer
+        # whose byte length is not ``len(data)`` is refused too.
+        try:
+            self._buf[offset:end] = data
+        except (BufferError, IndexError, TypeError, ValueError) as exc:
+            raise PreconditionError(f"cannot store {type(data).__name__}: {exc}") from None
+        if self._budget_words is not None:
+            budget = self._budget_words
             if budget < words:
-                # The durable prefix lands whole; the failing word and every
-                # word after it stay untouched.
-                if budget:
-                    self._write_raw(offset, data[: budget * WORD_BYTES])
                 self.cost_meter.words_written += budget
                 raise self._exhausted("writing", offset, length)
             self._budget_words = budget - words
         self.cost_meter.words_written += words
-        if length:
-            self._write_raw(offset, data)
 
     def _exhausted(self, verb: str, offset: int, length: int) -> PowerFailureInjected:
         """Spend the rest of the budget, record the failure and name the
@@ -148,14 +160,6 @@ class StorageDevice:
         end = min(pos + WORD_BYTES, offset + length)
         return PowerFailureInjected(f"transfer budget exhausted {verb} [{pos}, {end})")
 
-    # -- backing store hooks ------------------------------------------------
-
-    def _read_raw(self, offset: int, length: int) -> bytes:
-        raise NotImplementedError
-
-    def _write_raw(self, offset: int, data: bytes | bytearray | memoryview) -> None:
-        raise NotImplementedError
-
 
 class SimulatedNvm(StorageDevice):
     """In-memory device. Deterministic, zero-filled at creation."""
@@ -163,15 +167,7 @@ class SimulatedNvm(StorageDevice):
     def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES) -> None:
         super().__init__(capacity_bytes)
         self._buf = bytearray(capacity_bytes)
-        # Reads slice this view, so a read copies its bytes once. The buffer
-        # is never resized, which a live view would forbid.
         self._view = memoryview(self._buf)
-
-    def _read_raw(self, offset: int, length: int) -> bytes:
-        return self._view[offset : offset + length].tobytes()
-
-    def _write_raw(self, offset: int, data: bytes | bytearray | memoryview) -> None:
-        self._buf[offset : offset + len(data)] = data
 
     def reopen(self) -> "SimulatedNvm":
         """Simulate a reboot: same bytes, fresh meter, no armed failure."""
@@ -181,34 +177,32 @@ class SimulatedNvm(StorageDevice):
 
 
 class FileBackedNvm(StorageDevice):
-    """Device persisted as a raw byte image on disk (no header).
+    """Device persisted as a raw byte image on disk (no header), mapped into
+    memory with ``mmap``: a store reaches the file through the shared mapping,
+    and ``close()`` flushes it to disk.
 
     A missing or short file is zero-extended to the requested capacity; an
-    existing longer file keeps its full size as the capacity.
+    existing longer file keeps its full size as the capacity. After
+    ``close()`` every transfer raises and meters nothing.
     """
 
     def __init__(self, path: str | os.PathLike, capacity_bytes: int = DEFAULT_CAPACITY_BYTES) -> None:
         self.path = os.fspath(path)
         existing = os.path.getsize(self.path) if os.path.exists(self.path) else 0
         super().__init__(max(capacity_bytes, existing))
-        mode = "r+b" if existing else "w+b"
-        self._file = open(self.path, mode)
-        if existing < self.capacity_bytes:
-            self._file.truncate(self.capacity_bytes)
-
-    def _read_raw(self, offset: int, length: int) -> bytes:
-        self._file.seek(offset)
-        return self._file.read(length)
-
-    def _write_raw(self, offset: int, data: bytes | bytearray | memoryview) -> None:
-        self._file.seek(offset)
-        self._file.write(data)
-        self._file.flush()
+        with open(self.path, "r+b" if existing else "w+b") as file:
+            if existing < self.capacity_bytes:
+                file.truncate(self.capacity_bytes)
+            # The mapping keeps its own handle, so the file can close now.
+            self._buf = mmap.mmap(file.fileno(), self.capacity_bytes)
+        self._view = memoryview(self._buf)
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
+        if not self._buf.closed:
+            # A map with a live view cannot be closed.
+            self._view.release()
+            self._buf.flush()
+            self._buf.close()
 
     def reopen(self) -> "FileBackedNvm":
         self.close()

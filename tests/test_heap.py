@@ -837,6 +837,33 @@ def test_read_raises_the_errors_of_get_ref_in_its_order():
                 access(handle)
 
 
+def test_a_read_miss_returns_the_bytes_the_device_read():
+    """A miss hands back the very ``bytes`` object the device's read made,
+    with no second copy out of the cache; a later hit copies out equal
+    bytes, and a ``get_ref`` miss loads the object the same way."""
+    heap = make_heap()
+    payload = b"payload!" * 4
+    h = heap.alloc(payload)
+    heap.sync_object(h)
+    heap.unload(h)
+    produced = []
+    device_read = heap.device.read
+
+    def read(offset, length):
+        produced.append(device_read(offset, length))
+        return produced[-1]
+
+    heap.device.read = read
+    got = heap.read(h)
+    assert len(produced) == 1 and got is produced[0] and got == payload
+    hit = heap.read(h)
+    assert len(produced) == 1 and type(hit) is bytes and hit == payload
+    heap.unload(h)
+    with heap.get_ref(h) as g:
+        assert g.read() == payload
+    assert len(produced) == 2 and produced[1] == payload
+
+
 # -- stats -----------------------------------------------------------------------
 
 def test_stats_reflect_the_world():

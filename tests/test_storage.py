@@ -1,12 +1,16 @@
 """Word-granular storage devices: metering, bounds, and power-failure injection."""
 
+from array import array
+
 import pytest
 
 from vnvheap import (
     FileBackedNvm,
     OutOfRangeError,
     PowerFailureInjected,
+    PreconditionError,
     SimulatedNvm,
+    StorageDevice,
     WORD_BYTES,
     words_for,
 )
@@ -218,10 +222,49 @@ def test_file_backed_zero_extends_short_image(tmp_path):
 
 def test_file_backed_longer_image_wins_capacity(tmp_path):
     path = tmp_path / "long.img"
-    path.write_bytes(bytes(2048))
+    path.write_bytes(bytes(2000) + b"tail")
     dev = FileBackedNvm(path, capacity_bytes=128)
-    assert dev.capacity_bytes == 2048
+    assert dev.capacity_bytes == 2004
+    assert dev.read(2000, 4) == b"tail"
+    dev.write(2000, b"TAIL")
     dev.close()
+    assert path.read_bytes() == bytes(2000) + b"TAIL"
+
+
+def test_file_backed_writes_reach_the_file_by_close_and_by_reopen(tmp_path):
+    """The device maps its image: what it stores is in the file, as a plain
+    read sees it, once the device is closed or rebooted."""
+    path = tmp_path / "nvm.img"
+    dev = FileBackedNvm(path, capacity_bytes=64)
+    dev.write(8, b"closed")
+    dev.close()
+    assert path.read_bytes() == bytes(8) + b"closed" + bytes(50)
+    dev = FileBackedNvm(path, capacity_bytes=64)
+    dev.write(20, b"reopened")
+    dev2 = dev.reopen()
+    with open(path, "rb") as f:
+        assert f.read() == bytes(8) + b"closed" + bytes(6) + b"reopened" + bytes(36)
+    assert dev2.read(20, 8) == b"reopened"
+    dev2.close()
+
+
+def test_a_transfer_on_a_closed_file_device_raises_and_meters_nothing(tmp_path):
+    dev = FileBackedNvm(tmp_path / "nvm.img", capacity_bytes=64)
+    dev.close()
+    dev.close()  # closing twice is harmless
+    with pytest.raises(ValueError):
+        dev.read(0, 4)
+    with pytest.raises(PreconditionError):
+        dev.write(0, b"abcd")
+    assert dev.cost_meter.snapshot() == (0, 0)
+
+
+def test_one_transfer_path_serves_every_device():
+    """``read`` and ``write`` live in ``StorageDevice`` alone; a device
+    supplies only its buffer."""
+    for cls in (SimulatedNvm, FileBackedNvm):
+        assert "read" not in vars(cls) and "write" not in vars(cls)
+        assert cls.read is StorageDevice.read and cls.write is StorageDevice.write
 
 
 # -- the transfer contract: any byte buffer in, read during the call only ------------
@@ -277,3 +320,22 @@ def test_read_returns_bytes(device):
     got = device.read(0, 4)
     assert type(got) is bytes and got == b"abcd"
     assert type(device.read(0, 0)) is bytes
+
+
+@pytest.mark.parametrize("budget", [None, 1, 8])
+@pytest.mark.parametrize("items", [[1, 2], [1, 2, 3, 4, 5]])
+def test_a_buffer_the_store_refuses_is_a_precondition_error_that_moves_nothing(device, items, budget):
+    """A memoryview of another format than 'B' has ``len`` in elements, not
+    bytes. Unarmed, armed with room, or armed to cut it (1 word of 2), the
+    write raises PreconditionError, meters no word, spends no budget and
+    stores nothing."""
+    device.write(0, b"." * 32)
+    if budget is not None:
+        device.arm_power_failure(budget)
+    with pytest.raises(PreconditionError):
+        device.write(4, memoryview(array("I", items)))
+    assert device.cost_meter.snapshot() == (0, 8)
+    assert device.remaining_budget_words == budget
+    assert not device.power_failed
+    device.disarm_power_failure()
+    assert device.read(0, 32) == b"." * 32
