@@ -20,12 +20,12 @@ class FirstFitAllocator:
     """Manages free extents of ``[start, start + size)`` in address order.
 
     ``alloc`` returns the lowest-addressed fit (deterministic). ``free``
-    merges the freed block with its free neighbours and returns the start
-    and length of the free extent that now holds it, so a caller that frees
-    until a block fits learns when it does, and what borders the hole,
-    without another scan. All requests are rounded
-    up to whole words, so callers must free with the same length they
-    allocated.
+    merges the freed block with its free neighbours. A caller that would
+    free blocks until one fits plans first, with the free space untouched:
+    ``freed_span`` names the free extent that freeing a block would leave,
+    and ``claim_span`` then takes a whole planned span in one step. All
+    requests are rounded up to whole words, so callers must free with the
+    same length they allocated.
     """
 
     def __init__(self, start: int, size: int) -> None:
@@ -62,9 +62,47 @@ class FirstFitAllocator:
                 return
         raise ValueError(f"extent [{offset}, {offset + need}) is not free")
 
-    def free(self, offset: int, nbytes: int) -> tuple[int, int]:
-        """Return ``[offset, offset + nbytes)`` to the free space and return
-        ``(start, length)`` of the free extent that now contains it."""
+    def freed_span(self, offset: int, nbytes: int) -> tuple[int, int]:
+        """``(start, end)`` of the free extent that would hold the allocated
+        ``[offset, offset + nbytes)`` once freed, which is not freed. One
+        bisection finds the free extents just below and just above it. (Both
+        span methods align inline: a cache miss calls them per victim.)"""
+        free = self._free
+        i = bisect_left(free, offset, key=_START)
+        start, end = offset, offset + ((nbytes + WORD_BYTES - 1) & -WORD_BYTES)
+        if i:
+            prev = free[i - 1]
+            if prev[0] + prev[1] == offset:
+                start = prev[0]
+        if i < len(free) and free[i][0] == end:
+            end += free[i][1]
+        return start, end
+
+    def claim_span(self, start: int, end: int, nbytes: int) -> int:
+        """Allocate ``nbytes`` at ``start`` of the span ``[start, end)``,
+        whose allocated blocks the caller gives up without freeing them:
+        the free extents inside the span give way to the tail after the new
+        block, the last of them taking its place. Returns ``start``."""
+        need = (nbytes + WORD_BYTES - 1) & -WORD_BYTES
+        free = self._free
+        i = j = bisect_left(free, start, key=_START)
+        n = len(free)
+        while j < n and free[j][0] < end:
+            j += 1
+        rest = end - start - need
+        if rest and j > i:
+            j -= 1
+            tail = free[j]
+            tail[0] = end - rest
+            tail[1] = rest
+            if j > i:
+                del free[i:j]
+        else:
+            free[i:j] = [[end - rest, rest]] if rest else []
+        return start
+
+    def free(self, offset: int, nbytes: int) -> None:
+        """Return ``[offset, offset + nbytes)`` to the free space."""
         assert nbytes > 0
         length = align_up(nbytes)
         end = offset + length
@@ -84,13 +122,12 @@ class FirstFitAllocator:
                 if nxt is not None and nxt[0] == end:
                     prev[1] += nxt[1]
                     del free[i]
-                return prev[0], prev[1]
+                return
         if nxt is not None and nxt[0] == end:
             nxt[0] = offset
             nxt[1] += length
-            return offset, nxt[1]
+            return
         free.insert(i, [offset, length])
-        return offset, length
 
     def total_free(self) -> int:
         return sum(length for _, length in self._free)

@@ -17,37 +17,44 @@ Two budgets constrain every operation:
   must never exceed ``max_modified_state_bytes``; residency is free.
 
 Eviction follows one rule for each budget. Each rule is one loop over the
-heap's own indexes, ``VnvHeap._make_cache_room`` or
-``VnvHeap._make_dirty_room``, so a cache miss costs O(victims), plus the
-residents of any walled hole, and dirty pressure costs a sort of the
-modified objects; neither visits the clean residents otherwise:
+heap's own indexes that plans its victims and changes nothing until they
+make room, ``VnvHeap._make_cache_room`` or ``VnvHeap._dirty_victims``, so
+a cache miss costs O(victims), plus the residents of any walled hole, and
+dirty pressure costs a sort of the modified objects; neither visits the
+clean residents otherwise:
 
 * cache pressure - when no free extent fits the new block, the coldest
-  unpinned resident is freed into the allocator: the first of the lowest
-  tier (see below). The hole it merged into then grows into the colder of
-  its two unpinned address neighbours, the one with fewer hits (the upper
-  one on a tie), until it fits the block. When pinned blocks or the cache
-  ends wall the hole in first, its blocks are given back to their residents
-  and the next coldest resident starts another hole. The hole that fits is
-  then the only fit, so it is where first fit places the block.
+  unpinned resident anchors a hole: the first of the lowest tier (see
+  below). The hole, its block and the free extents beside it, then grows
+  into the colder of its two unpinned address neighbours, the one with
+  fewer hits (the upper one on a tie), until it fits the block. The plan
+  frees nothing: it reads each victim's free neighbours from the
+  allocator. When pinned blocks or
+  the cache ends wall the hole in first, it is passed over, with the
+  allocator and its residents untouched, and the next coldest resident
+  starts another hole. The hole that fits is the only fit, so it is where
+  first fit would place the block; one slice store claims it.
 * dirty pressure - one pass over the modified objects in arrival order, the
   order persist writes them in, chooses the unpinned ones until the new
   state fits. Syncing changes no residency, so the pass never restarts.
 
-Only the victims that make room are synced and unloaded: a rule that falls
-short raises having moved no word. An alloc runs the cache rule first, then
-the dirty rule; once the cache rule has found the hole that fits, it refuses
-the alloc, with the hole given back, if no sync could admit the new charge,
-so a refused alloc moves no word either. A ``get_ref`` miss meets the cache
-rule alone. A ``get_mut`` or ``replace`` miss makes dirty room before it
-takes a cache block; eviction only lowers the charge, so marking the object
-modified cannot fail afterwards. (When the cache rule then refuses, the
-dirty rule's syncs have already moved words: a known defect.) ``replace``
-gives the result of ``get_mut`` + ``write`` + ``release``, but a miss skips
-the device read; ``read`` gives the result of ``get_ref`` + ``read`` +
-``release`` without building a guard, and a miss returns the very bytes the
-device read, with no second copy out of the cache. A clean object's dealloc
-charges its entry's clear, so it too may sync victims or be refused.
+Plan, then commit: a rule acts, syncing and unloading its victims, only
+once its plan makes room, so a rule that falls short raises having moved no
+word. An alloc runs the cache rule first, then the dirty rule; once the
+cache rule has planned the hole that fits, it refuses the alloc if no sync
+could admit the new charge, so a refused alloc moves no word either. A
+``get_ref`` miss meets the cache rule alone. A ``get_mut`` or ``replace``
+miss plans both rules, the dirty rule first, before it acts on either: it
+syncs the dirty victims, then evicts the hole, syncing only those of its
+victims still modified. So a refusal by either rule moves no word, and a
+miss that succeeds writes the dirty victims first, then the hole's, each in
+the order its rule chose them. Eviction only lowers the charge, so marking
+the object modified cannot fail afterwards. ``replace`` gives the result of
+``get_mut`` + ``write`` + ``release``, but a miss skips the device read;
+``read`` gives the result of ``get_ref`` + ``read`` + ``release`` without
+building a guard, and a miss returns the very bytes the device read, with
+no second copy out of the cache. A clean object's dealloc charges its
+entry's clear, so it too may sync victims or be refused.
 
 The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit is always persisted within
@@ -88,7 +95,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
 
@@ -150,19 +157,22 @@ class ObjectMeta:
     entry_slot: int
     nvm_offset: int
     size_bytes: int
+    # Sizes never change, so these two are computed once, by the creator.
+    block_bytes: int  # cache bytes while resident: align_up(size + META_CHARGE_BYTES)
+    charge: int  # dirty bytes while modified, its payload words: align_up(size)
     modified: bool = False
     pin_count: int = 0
     write_guarded: bool = False
     cache_offset: int = -1  # where the object is cached; -1 when not resident
     arrival: int = 0  # stamp of the latest time the object became resident
     hits: int = 1  # accesses since alloc or restore, the alloc counting as one
-    block_bytes: int = field(init=False)  # cache bytes while resident
-    charge: int = field(init=False)  # dirty bytes while modified: its payload words
 
-    def __post_init__(self) -> None:
-        # Sizes never change, so both are computed once (align_up, inline).
-        self.block_bytes = (self.size_bytes + META_CHARGE_BYTES + WORD_BYTES - 1) & -WORD_BYTES
-        self.charge = (self.size_bytes + WORD_BYTES - 1) & -WORD_BYTES
+    @classmethod
+    def swapped_out(cls, handle_id: int, entry_slot: int, nvm_offset: int,
+                    size: int) -> "ObjectMeta":
+        """The meta of a clean object that is not resident (restore)."""
+        return cls(handle_id, entry_slot, nvm_offset, size,
+                   align_up(size + META_CHARGE_BYTES), align_up(size))
 
 
 @dataclass(frozen=True)
@@ -373,14 +383,15 @@ class VnvHeap:
         size = len(payload)
         if size == 0:
             raise PreconditionError("zero-sized objects are not representable")
-        block = align_up(size + META_CHARGE_BYTES)
+        # align_up, inline, here and for the charge: the meta takes both.
+        block = (size + META_CHARGE_BYTES + WORD_BYTES - 1) & -WORD_BYTES
         config = self.config
         if block > config.cache_size_bytes:
             raise ObjectTooLargeError(
                 f"{size} B object cannot ever be cached "
                 f"(cache is {config.cache_size_bytes} B)"
             )
-        charge = align_up(size)
+        charge = (size + WORD_BYTES - 1) & -WORD_BYTES
         limit = config.max_modified_state_bytes
         if charge + HEADER_CHARGE_BYTES > limit:
             raise DirtyBudgetUnsatisfiableError(
@@ -413,8 +424,10 @@ class VnvHeap:
         # persist() then only ever touches deferred clears.
         slot = tables.record_alloc(handle_id, nvm_offset, size)
 
-        meta = ObjectMeta(handle_id, slot, nvm_offset, size, modified=True,
-                          cache_offset=cache_offset, arrival=next(self._stamps))
+        # Positional: a call with keywords costs twice as much. Resident and
+        # modified, unpinned, at a fresh arrival stamp.
+        meta = ObjectMeta(handle_id, slot, nvm_offset, size, block, charge,
+                          True, 0, False, cache_offset, next(self._stamps))
         self._view[cache_offset : cache_offset + size] = payload
         self._metas[handle_id] = meta
         self._tiers[1][handle_id] = meta
@@ -506,9 +519,8 @@ class VnvHeap:
                 f"{meta.size_bytes} B object cannot fit the modified-state limit"
             )
         if meta.cache_offset < 0:
-            if self._dirty + meta.charge > limit:
-                self._make_dirty_room(meta.charge)
-            self._ensure_resident(meta)
+            victims = self._dirty_victims(meta.charge) if self._dirty + meta.charge > limit else ()
+            self._ensure_resident(meta, True, victims)
         if not meta.modified:
             self._mark_modified(meta)
         hits = meta.hits = meta.hits + 1
@@ -539,9 +551,8 @@ class VnvHeap:
                 f"{size} B object cannot fit the modified-state limit"
             )
         if meta.cache_offset < 0:
-            if self._dirty + meta.charge > limit:
-                self._make_dirty_room(meta.charge)
-            self._ensure_resident(meta, fetch=False)
+            victims = self._dirty_victims(meta.charge) if self._dirty + meta.charge > limit else ()
+            self._ensure_resident(meta, False, victims)
         if not meta.modified:
             self._mark_modified(meta)
         hits = meta.hits = meta.hits + 1
@@ -589,14 +600,23 @@ class VnvHeap:
             raise StaleHandleError(f"object {handle.id} was deallocated")
         return meta
 
-    def _ensure_resident(self, meta: ObjectMeta, fetch: bool = True) -> bytes | None:
+    def _ensure_resident(self, meta: ObjectMeta, fetch: bool = True,
+                         dirty_victims=()) -> bytes | None:
         """Load a swapped-out object (callers test ``meta.cache_offset``) and
         return the bytes the device read. Without ``fetch`` the block is left
         as it was, for a caller that overwrites every byte, and None is
-        returned. Residency charges nothing to the dirty budget."""
-        offset = self._cache_alloc.alloc(meta.block_bytes)
+        returned. Residency charges nothing to the dirty budget.
+
+        ``dirty_victims`` is a write access's plan from
+        :meth:`_dirty_victims`, synced once the cache rule has found room
+        (see :meth:`_make_cache_room`)."""
+        block = meta.block_bytes
+        offset = self._cache_alloc.alloc(block)
         if offset is None:
-            offset = self._make_cache_room(meta.block_bytes)
+            offset = self._make_cache_room(block, 0, dirty_victims)
+        elif dirty_victims:
+            for victim in dirty_victims:
+                self._sync(victim)
         payload = None
         if fetch:
             payload = self.device.read(meta.nvm_offset, meta.size_bytes)
@@ -628,60 +648,73 @@ class VnvHeap:
         self._modified[meta.handle_id] = meta
         self._dirty += meta.charge
 
-    def _make_cache_room(self, block: int, short: int = 0) -> int:
+    def _make_cache_room(self, block: int, short: int = 0, dirty_victims=()) -> int:
         """Evict until ``block`` fits and allocate it. Callers call this only
-        once a first-fit probe for ``block`` has failed. A hole that is
-        walled in before it fits is given back whole; only the victims of
-        the hole that fits are synced and unloaded.
+        once a first-fit probe for ``block`` has failed.
+
+        It plans, then acts. The plan changes nothing: each victim's free
+        neighbours come from :meth:`FirstFitAllocator.freed_span`, so a hole
+        that is walled in before it fits is passed over with the allocator
+        untouched. Once a hole fits, ``dirty_victims``, a write access's plan
+        from :meth:`_dirty_victims`, are synced, then the hole's victims
+        (only those still modified) are synced and unloaded, and one
+        :meth:`FirstFitAllocator.claim_span` allocates the block at the
+        hole's start, where first fit would place it, since the hole is its
+        only fit. So a refusal by either rule moves no word.
 
         An alloc passes ``short``, the bytes by which its charge would
         overrun the modified-state limit. When syncing every modified,
-        unpinned object could not make them up, the hole that fits is given
-        back too and the alloc is refused before any victim is synced. The
-        test is exact because the victims are unpinned, so the dirty rule
-        could have synced each modified one."""
+        unpinned object could not make them up, the alloc is refused before
+        any victim is synced. The test is exact because the victims are
+        unpinned, so the dirty rule could have synced each modified one."""
         allocator = self._cache_alloc
+        freed_span = allocator.freed_span
         by_offset, by_end = self._by_offset, self._by_end
         walled = set()
         for tier in self._tiers:
             for meta in tier.values():
                 if meta.pin_count or meta.handle_id in walled:
                     continue
-                hole = []
-                while meta is not None:
-                    hole.append(meta)
-                    start, length = allocator.free(meta.cache_offset, meta.block_bytes)
-                    if length >= block:
-                        if short > 0 and short > sum(
-                            m.charge for m in self._modified.values() if not m.pin_count
-                        ):
-                            for victim in hole:
-                                allocator.allocate_at(victim.cache_offset, victim.block_bytes)
-                            raise DirtyBudgetUnsatisfiableError(
-                                f"{short} B over the modified-state limit cannot be synced away"
-                            )
-                        for victim in hole:
-                            if victim.modified:
-                                self._sync(victim)
-                            self._unload(victim)
-                        return allocator.alloc(block)
+                hole = [meta]
+                start, end = freed_span(meta.cache_offset, meta.block_bytes)
+                while end - start < block:
                     # Free extents are maximal, so a hole is bordered by
                     # residents (never by one of its victims) or a cache end.
-                    meta = _colder(by_end.get(start), by_offset.get(start + length))
+                    meta = _colder(by_end.get(start), by_offset.get(end))
+                    if meta is None:
+                        break
+                    hole.append(meta)
+                    lo, hi = freed_span(meta.cache_offset, meta.block_bytes)
+                    if lo < start:
+                        start = lo
+                    if hi > end:
+                        end = hi
+                else:
+                    if short > 0 and short > sum(
+                        m.charge for m in self._modified.values() if not m.pin_count
+                    ):
+                        raise DirtyBudgetUnsatisfiableError(
+                            f"{short} B over the modified-state limit cannot be synced away"
+                        )
+                    for victim in dirty_victims:
+                        self._sync(victim)
+                    for victim in hole:
+                        if victim.modified:
+                            self._sync(victim)
+                        self._unload(victim)
+                    return allocator.claim_span(start, end, block)
                 # Every unpinned resident between the walls is in the hole,
                 # so none of them can anchor one that fits.
-                for victim in hole:
-                    allocator.allocate_at(victim.cache_offset, victim.block_bytes)
-                    walled.add(victim.handle_id)
+                walled.update(m.handle_id for m in hole)
         raise CachePressureUnresolvableError(
             f"no unpinned resident to evict for a {block} B block"
         )
 
-    def _make_dirty_room(self, extra: int) -> None:
-        """Sync the modified, unpinned residents in arrival order until
-        ``extra`` more bytes of modified state fit. Callers call this only
-        once they have found that they do not fit yet. The victims are synced
-        only once they make room; when they cannot, nothing is."""
+    def _dirty_victims(self, extra: int) -> list[ObjectMeta]:
+        """Plan the dirty rule, changing nothing: the modified, unpinned
+        residents, in arrival order, whose syncs let ``extra`` more bytes of
+        modified state fit. Callers call this only once they have found that
+        they do not fit yet."""
         dirty = self._dirty
         limit = self.config.max_modified_state_bytes - extra
         victims = []
@@ -690,12 +723,15 @@ class VnvHeap:
                 victims.append(meta)
                 dirty -= meta.charge
                 if dirty <= limit:
-                    for victim in victims:
-                        self._sync(victim)
-                    return
+                    return victims
         raise DirtyBudgetUnsatisfiableError(
             f"{extra} B of new modified state cannot be admitted"
         )
+
+    def _make_dirty_room(self, extra: int) -> None:
+        """Sync the victims of :meth:`_dirty_victims`."""
+        for victim in self._dirty_victims(extra):
+            self._sync(victim)
 
     def _sync(self, meta: ObjectMeta) -> None:
         start = meta.cache_offset

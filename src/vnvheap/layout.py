@@ -17,8 +17,11 @@ object's identity, fixed for its life. A handle id of zero marks a free
 entry slot. The table code handles an entry as its three little-endian
 words, and every table write is one of those words: a delta compares the
 entry's words with the mirrored slot's as ints and writes only those that
-differ. No volatile state (pins, cache offsets) is recorded, so a restored
-object always starts swapped out.
+differ. Each word written is a 4-byte ``bytearray``, a slice of the entry
+packed once or :data:`ZERO_WORD`, so neither the device nor the volatile
+mirror copies it into a temporary before the store. No volatile state
+(pins, cache offsets) is recorded, so a restored object always starts
+swapped out.
 
 Commit protocol: version, active-slot and commit-flag share the superblock's
 second word, so a single atomic word write publishes a new checkpoint. The
@@ -48,7 +51,7 @@ SUPERBLOCK_BYTES = 24
 COMMIT_WORD_OFFSET = 4  # version u16 | active u8 | commit u8, one word
 ENTRY_BYTES = 12
 ENTRY_WORDS = ENTRY_BYTES // WORD_BYTES
-ZERO_WORD = bytes(WORD_BYTES)
+ZERO_WORD = bytearray(WORD_BYTES)  # a bytearray, as every table word is
 # Orders in which an entry's words are written. A birth (the slot's id word
 # is zero) writes the id word last, so a power failure in the middle leaves
 # the slot reading as free, never as a torn half-written object.
@@ -57,7 +60,6 @@ UPDATE_ORDER = (0, 1, 2)
 
 _SB = struct.Struct("<4sHBBIIII")
 _WORDS = struct.Struct(f"<{ENTRY_WORDS}I")  # an entry as its words
-_WORD = struct.Struct("<I")
 # The superblock's second word after a commit that makes table ``i`` active,
 # as a bytearray: the device stores one without a temporary copy.
 _COMMIT_WORDS = tuple(bytearray(struct.pack("<HBB", VERSION, i, 1)) for i in (0, 1))
@@ -125,11 +127,13 @@ class CheckpointTables:
     """Owns the two metadata slots and the commit word.
 
     Volatile mirrors of both slots let every NVM table write be a minimal
-    word-granular delta. Callers pass each entry as its three words, the
-    tuple ``(handle id, nvm offset, size)``; a write unpacks the mirror slot
-    once, compares word with word as ints and sends only the words that
-    differ, in a fixed order (:data:`BIRTH_ORDER` when the slot's id word is
-    zero, else :data:`UPDATE_ORDER`).
+    word-granular delta. Callers pass each entry as its three words,
+    ``(handle id, nvm offset, size)``, which are packed once into a
+    ``bytearray``; a write unpacks the mirror slot and the packed entry,
+    compares word with word as ints and sends only the words that differ,
+    each a 4-byte slice of the packed entry, in a fixed order
+    (:data:`BIRTH_ORDER` when the slot's id word is zero, else
+    :data:`UPDATE_ORDER`).
 
     An entry never changes after allocation, births are written to both
     tables and a dealloc clears the staging id word at once. So outside
@@ -163,7 +167,7 @@ class CheckpointTables:
             lay.table_b_offset, lay.table_bytes,
         )
         self.device.write(0, sb)
-        zeros = bytes(lay.table_bytes)
+        zeros = bytearray(lay.table_bytes)
         self.device.write(lay.table_a_offset, zeros)
         self.device.write(lay.table_b_offset, zeros)
         self.staging = 0
@@ -208,29 +212,32 @@ class CheckpointTables:
 
     # -- writes (all word-granular, metered by the device) ------------------
 
-    def _write_entry(self, table: int, slot: int, entry: tuple[int, ...]) -> None:
-        """Bring one slot of ``table`` to the live ``entry`` words."""
+    def _write_entry(self, table: int, slot: int, entry: bytearray) -> None:
+        """Bring one slot of ``table`` to the live ``entry``, packed: each
+        differing word goes to the device and the mirror as a 4-byte slice
+        of ``entry``."""
         mirror = self._mirror[table]
         base = slot * ENTRY_BYTES
         old = _WORDS.unpack_from(mirror, base)
-        if old == entry:
+        new = _WORDS.unpack(entry)
+        if old == new:
             return
         write = self.device.write
-        pack = _WORD.pack
-        at = self._bases[table]
+        at = self._bases[table] + base
         for w in UPDATE_ORDER if old[0] else BIRTH_ORDER:
-            if old[w] != entry[w]:
-                word = pack(entry[w])
-                lo = base + w * WORD_BYTES
+            if old[w] != new[w]:
+                lo = w * WORD_BYTES
+                word = entry[lo : lo + WORD_BYTES]
                 write(at + lo, word)
-                mirror[lo : lo + WORD_BYTES] = word
+                mirror[base + lo : base + lo + WORD_BYTES] = word
                 self.metadata_bytes_written += WORD_BYTES
 
     def record_alloc(self, handle_id: int, nvm_offset: int, size: int) -> int:
         """Write a new object's entry into both tables (birth is eager), in
-        the slot :meth:`free_slot` names, and return that slot."""
+        the slot :meth:`free_slot` names, and return that slot. The entry is
+        packed once, for both tables."""
         slot = heapq.heappop(self._free)
-        entry = (handle_id, nvm_offset, size)
+        entry = bytearray(_WORDS.pack(handle_id, nvm_offset, size))
         self._write_entry(0, slot, entry)
         self._write_entry(1, slot, entry)
         return slot
@@ -260,12 +267,14 @@ class CheckpointTables:
         same writes as a comparison of every live entry.
         """
         staging = self.staging
+        mirror = self._mirror[staging]
         for slot in sorted(entries.keys() | self._set_slots(staging)):
             entry = entries.get(slot)
-            if entry is not None:
-                self._write_entry(staging, slot, entry)
-            else:
+            if entry is None:
                 self._clear_id(staging, slot)
+            elif _WORDS.unpack_from(mirror, slot * ENTRY_BYTES) != entry:
+                # Packed only when some word differs: most live slots match.
+                self._write_entry(staging, slot, bytearray(_WORDS.pack(*entry)))
         self._free = [slot for slot in range(self.layout.max_objects) if slot not in entries]
 
     def commit(self) -> None:

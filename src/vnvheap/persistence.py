@@ -171,7 +171,7 @@ def restore(
             # A zero-sized extent reserves nothing, so the next alloc would
             # hand out the same offset.
             raise NoValidCheckpointError(f"object {handle_id} is committed with size 0")
-        meta = ObjectMeta(handle_id, slot, nvm_offset, size)
+        meta = ObjectMeta.swapped_out(handle_id, slot, nvm_offset, size)
         if meta.block_bytes > cache_size_bytes:
             # No eviction could ever make room to load it.
             raise NoValidCheckpointError(

@@ -111,17 +111,18 @@ def test_randomized_against_byte_map_oracle():
     for _ in range(2000):
         if live and rng.random() < 0.45:
             off, n = live.pop(rng.randrange(len(live)))
-            merged = a.free(off, n)
+            span = a.freed_span(off, n)
+            a.free(off, n)
             block = align_up(n)
             occupied[off : off + block] = bytes(block)
-            # free returns the start and length of the oracle's free run
-            # holding the block
+            # freed_span named, before the free, the oracle's free run that
+            # now holds the block
             lo, hi = off, off + block
             while lo > 0 and not occupied[lo - 1]:
                 lo -= 1
             while hi < size and not occupied[hi]:
                 hi += 1
-            assert merged == (lo, hi - lo)
+            assert span == (lo, hi)
         else:
             n = rng.randint(1, 40)
             off = a.alloc(n)
@@ -135,3 +136,40 @@ def test_randomized_against_byte_map_oracle():
                 occupied[off : off + block] = b"\x01" * block
                 live.append((off, n))
         check()
+
+
+def test_claim_span_is_free_then_first_fit():
+    """A span planned with ``freed_span`` over a run of adjacent blocks, then
+    claimed, leaves the same free extents and offset as freeing the run and
+    allocating first fit, whenever nothing outside the span fits."""
+    rng = random.Random(0xC1A1)
+    compared = 0
+    for _ in range(300):
+        a = FirstFitAllocator(0, 512)
+        live = []
+        while (off := a.alloc(n := rng.randint(1, 40))) is not None:
+            live.append((off, n))
+        for off, n in rng.sample(live, len(live) // 3):
+            a.free(off, n)
+            live.remove((off, n))
+        live.sort()
+        i = rng.randrange(len(live))
+        run = live[i : i + rng.randint(1, 4)]
+        start, end = a.freed_span(*run[0])
+        for off, n in run[1:]:
+            if off != end:  # a free extent must not separate the run
+                break
+            lo, hi = a.freed_span(off, n)
+            start, end = min(start, lo), max(end, hi)
+        else:
+            block = align_up(rng.randint(1, end - start))
+            if any(length >= block for _, length in a.free_extents()):
+                continue
+            twin = FirstFitAllocator(0, 512)
+            twin._free = [list(ext) for ext in a._free]
+            for off, n in run:
+                twin.free(off, n)
+            assert a.claim_span(start, end, block) == twin.alloc(block) == start
+            assert a.free_extents() == twin.free_extents()
+            compared += 1
+    assert compared >= 50

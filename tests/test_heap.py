@@ -437,8 +437,6 @@ def test_a_refused_alloc_moves_no_word():
     assert heap.dirty_bytes == expected_dirty(heap)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a get_mut or replace miss makes dirty room before the cache rule refuses")
 def test_a_miss_refused_for_cache_pressure_moves_no_word():
     """X (300 B) is swapped out. M, P1 and P2 (100 B each) sit at 0, 104 and
     208, with P1 write-guarded and P2 clean and read-guarded: 16 + 200 of
@@ -461,6 +459,55 @@ def test_a_miss_refused_for_cache_pressure_moves_no_word():
         with pytest.raises(CachePressureUnresolvableError):
             access(heap, x)
         assert _heap_state(heap) == before, f"the refused {name} moved words"
+        for g in guards:
+            g.release()
+
+
+def _count_allocator_calls(allocator):
+    """Count the ``free`` and ``allocate_at`` calls made on ``allocator``."""
+    calls = {"free": 0, "allocate_at": 0}
+    for name in calls:
+        inner = getattr(allocator, name)
+
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        setattr(allocator, name, counted)
+    return calls
+
+
+def test_a_miss_meeting_a_walled_hole_leaves_the_allocator_untouched():
+    """A, the coldest resident, is walled in by the cache start and the
+    read-guarded P: its hole is too small for T. The cache rule passes over
+    it without freeing A's block or carving it back, then evicts B and Q,
+    whose hole fits. With P's neighbour Q pinned as well, no hole fits and
+    the refused miss leaves the free extents exactly as they were."""
+    for q_pinned in (False, True):
+        heap = make_heap(cache=512, dirty=512)
+        a = heap.alloc(b"A" * 100)  # [0, 104)
+        p = heap.alloc(b"P" * 100)  # [104, 208)
+        t = heap.alloc(b"T" * 200)  # [208, 412), then swapped out
+        heap.sync_object(t)
+        heap.unload(t)
+        b = heap.alloc(b"B" * 100)  # [208, 312)
+        q = heap.alloc(b"Q" * 196)  # [312, 512)
+        guards = [heap.get_ref(p)] + ([heap.get_ref(q)] if q_pinned else [])
+        extents = heap._cache_alloc.free_extents()
+        calls = _count_allocator_calls(heap._cache_alloc)
+        if q_pinned:
+            before = _heap_state(heap)
+            with pytest.raises(CachePressureUnresolvableError):
+                heap.read(t)
+            assert _heap_state(heap) == before
+            assert heap._cache_alloc.free_extents() == extents == []
+        else:
+            assert heap.read(t) == b"T" * 200
+            assert heap.object_info(t).cache_offset == 208
+            assert heap.object_info(a).resident
+            assert not heap.object_info(b).resident and not heap.object_info(q).resident
+            assert heap._cache_alloc.free_extents() == [(412, 100)]
+        assert calls == {"free": 0, "allocate_at": 0}
         for g in guards:
             g.release()
 

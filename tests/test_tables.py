@@ -14,8 +14,10 @@ from the live objects.
 import random
 import struct
 
+import pytest
+
 from traceutil import log_writes
-from vnvheap import SimulatedNvm, VnvHeap, persist
+from vnvheap import PowerFailureInjected, SimulatedNvm, VnvHeap, persist, restore
 from vnvheap.layout import ENTRY_BYTES, ENTRY_WORDS
 from vnvheap.oracle import TraceMachine, check_indexes, dead_entries
 from vnvheap.storage import WORD_BYTES
@@ -165,3 +167,82 @@ def test_free_slot_reuses_the_lowest_slot_once_both_tables_drop_it():
     check_tables(heap, dev)
     used = {heap._metas[h.id].entry_slot for h in live}
     assert heap.tables.free_slot() == min(set(range(16)) - used)
+
+
+def test_every_table_write_stores_a_four_byte_bytearray():
+    """Births, dealloc clears, a persist's deferred clears and restore's
+    delta flush each pass the device a 4-byte bytearray per table word, the
+    buffer it stores without a temporary copy, and leave the tables right."""
+    dev = SimulatedNvm(64 * 1024)
+    heap = VnvHeap(dev, cache_size_bytes=2048, max_modified_state_bytes=1024, max_objects=16)
+    lay = heap.layout
+    sources = []
+
+    def watch(dev):
+        write = dev.write
+
+        def watched(offset, data):
+            if lay.table_a_offset <= offset < lay.object_offset:
+                sources.append((type(data), len(data)))
+            return write(offset, data)
+
+        dev.write = watched
+
+    def step(name, fn):
+        del sources[:]
+        result = fn()
+        assert sources, f"{name} wrote no table word"
+        assert set(sources) == {(bytearray, WORD_BYTES)}, name
+        return result
+
+    watch(dev)
+    a, b, c = step("alloc", lambda: [heap.alloc(bytes([i]) * 24) for i in range(3)])
+    check_tables(heap, dev)
+    persist(heap)  # the commit word alone
+    for name, fn in [("dealloc", lambda: heap.dealloc(b)),
+                     ("persist with a deferred clear", lambda: persist(heap)),
+                     ("dealloc", lambda: heap.dealloc(c)),
+                     ("alloc into a slot with stale words", lambda: heap.alloc(b"d" * 40))]:
+        step(name, fn)
+        check_tables(heap, dev)
+    rebooted = dev.reopen()
+    watch(rebooted)
+    heap, handles = step("restore's delta flush", lambda: restore(rebooted, 2048, 1024))
+    check_tables(heap, rebooted)
+    assert c.id in handles  # the dealloc was not committed
+
+
+def test_a_birth_cut_at_any_word_leaves_its_slot_free():
+    """Slot 1 is free in both tables but holds the stale offset and size
+    words of S, dead and cleared since the last commit. An alloc into it
+    writes six words: offset, size, then the id, into table 0 and then into
+    table 1. Table 1 is the committed one, so whatever word the power fails
+    at, the committed id word is never reached: restore reads slot 1 as
+    free and returns the last commit's objects."""
+    for budget in range(6):
+        dev = SimulatedNvm(64 * 1024)
+        heap = VnvHeap(dev, cache_size_bytes=2048, max_modified_state_bytes=1024, max_objects=4)
+        a = heap.alloc(b"a" * 24)  # slot 0
+        s = heap.alloc(b"s" * 24)  # slot 1
+        b = heap.alloc(b"b" * 24)  # slot 2, so a larger object lands past S's extent
+        stale = (0, heap._metas[s.id].nvm_offset, 24)
+        persist(heap)
+        heap.dealloc(s)
+        persist(heap)
+        assert heap.tables.committed == 1 and heap.tables.free_slot() == 1
+        assert [_ENTRY.unpack_from(heap.tables._mirror[t], ENTRY_BYTES) for t in (0, 1)] == [stale] * 2
+        log = log_writes(dev)
+        dev.arm_power_failure(budget)
+        with pytest.raises(PowerFailureInjected):
+            heap.alloc(b"n" * 40)
+        lay = heap.layout
+        order = [lay.table_offset(t) + ENTRY_BYTES + w * WORD_BYTES for t in (0, 1) for w in (1, 2, 0)]
+        assert [offset for offset, _ in log] == order[: budget + 1]  # the id word last
+        rebooted = dev.reopen()
+        committed = rebooted.read(lay.table_offset(1) + ENTRY_BYTES, WORD_BYTES)
+        assert committed == bytes(WORD_BYTES), f"budget {budget}: slot 1 reads as live"
+        heap2, handles = restore(rebooted, 2048, 1024)
+        assert sorted(handles) == [a.id, b.id]
+        assert heap2.read(handles[a.id]) == b"a" * 24 and heap2.read(handles[b.id]) == b"b" * 24
+        assert heap2.tables.free_slot() == 1
+        check_tables(heap2, rebooted)
