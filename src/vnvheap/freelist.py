@@ -49,8 +49,12 @@ class FirstFitAllocator:
         return None
 
     def allocate_at(self, offset: int, nbytes: int) -> None:
-        """Carve a specific extent out of the free space (restore path)."""
+        """Carve a specific extent out of the free space (restore path). No
+        allocated extent starts off a word boundary, so such an extent is
+        not free either."""
         need = align_up(nbytes)
+        if offset % WORD_BYTES:
+            raise ValueError(f"extent [{offset}, {offset + need}) is not free: not word-aligned")
         for i, (off, length) in enumerate(self._free):
             if off <= offset and offset + need <= off + length:
                 del self._free[i]

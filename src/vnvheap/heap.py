@@ -12,9 +12,9 @@ Two budgets constrain every operation:
   the cache buffer (3 bytes model the packed per-object metadata that lives
   beside the payload).
 * modified state - ``dirty_bytes`` is 4 bytes per word the next persist
-  writes, plus 3 words held for a commit record: a 16-byte header,
-  ``align4(size)`` per modified object and 4 per pending entry clear. It
-  must never exceed ``max_modified_state_bytes``; residency is free.
+  writes, plus 3 words held for a commit record: a 16-byte header and
+  ``align4(size)`` per modified object. It must never exceed
+  ``max_modified_state_bytes``; residency and deallocation are free.
 
 Eviction follows one rule for each budget. Each rule is one loop over the
 heap's own indexes that plans its victims and changes nothing until they
@@ -53,8 +53,7 @@ the object modified cannot fail afterwards. ``replace`` gives the result of
 ``get_mut`` + ``write`` + ``release``, but a miss skips the device read;
 ``read`` gives the result of ``get_ref`` + ``read`` + ``release`` without
 building a guard, and a miss returns the very bytes the device read, with
-no second copy out of the cache. A clean object's dealloc charges its
-entry's clear, so it too may sync victims or be refused.
+no second copy out of the cache.
 
 The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit is always persisted within
@@ -118,9 +117,8 @@ from .freelist import FirstFitAllocator, align_up
 from .layout import CheckpointTables, ImageLayout
 from .storage import StorageDevice, WORD_BYTES
 
-HEADER_CHARGE_BYTES = 16  # the commit word and 3 words held for a commit record
+HEADER_CHARGE_BYTES = 16  # the epoch word and 3 words held for a commit record
 META_CHARGE_BYTES = 3  # cache only: packed per-object metadata
-CLEAR_CHARGE_BYTES = WORD_BYTES  # a dead entry's pending clear
 _ARRIVAL = attrgetter("arrival")  # sorts residents into cache-arrival order
 
 
@@ -326,11 +324,10 @@ class VnvHeap:
         self._by_end: dict[int, ObjectMeta] = {}  # residents by cache block end
         self._stamps = count(1)  # arrival stamps
         self._dirty = HEADER_CHARGE_BYTES
-        self._quarantine: list[tuple[int, int]] = []
         self._next_id = 1
-        self.tables = CheckpointTables(device, self.layout)
+        self.tables = CheckpointTables(device, self.layout, self._nvm_alloc.free)
         if _adopt_layout is None:
-            self.tables.format()
+            self.tables.format(cache_size_bytes, max_modified_state_bytes)
 
     # -- inspection ---------------------------------------------------------
 
@@ -420,8 +417,8 @@ class VnvHeap:
 
         handle_id = self._next_id
         self._next_id = handle_id + 1
-        # Entry identity never changes, so it is written to both tables now;
-        # persist() then only ever touches deferred clears.
+        # Entry identity never changes, so it is written once, now; persist()
+        # then writes only the epoch word.
         slot = tables.record_alloc(handle_id, nvm_offset, size)
 
         # Positional: a call with keywords costs twice as much. Resident and
@@ -438,9 +435,10 @@ class VnvHeap:
         return ObjectHandle(handle_id, size, self)
 
     def dealloc(self, handle: ObjectHandle) -> None:
-        """Drop an object. Its extent is quarantined until the next commit so
-        a checkpoint fallback can still restore it. The clear of its entry,
-        written by the next commit, is charged like modified state."""
+        """Drop an object. Its entry is stamped dead from the next epoch on.
+        An object of the last commit keeps its slot and extent until the next
+        commit, so a fallback to that checkpoint can still restore it; one
+        born since is freed at once. Charges nothing and needs no room."""
         if self.device.power_failed:
             self._check_usable()
         meta = self._metas.get(handle.id)
@@ -450,18 +448,13 @@ class VnvHeap:
             raise StillPinnedError(f"object {meta.handle_id} has a live guard")
         handle_id = meta.handle_id
         if meta.modified:
-            # Its charge is at least a word, so this never needs room.
             del self._modified[handle_id]
             self._dirty -= meta.charge
-        elif self._dirty + CLEAR_CHARGE_BYTES > self.config.max_modified_state_bytes:
-            self._make_dirty_room(CLEAR_CHARGE_BYTES)
         if meta.cache_offset >= 0:
             self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
             self._unload(meta)
         del self._metas[handle_id]
-        self._quarantine.append((meta.nvm_offset, meta.size_bytes))
-        self.tables.record_dealloc(meta.entry_slot)
-        self._dirty += CLEAR_CHARGE_BYTES
+        self.tables.record_dealloc(meta.entry_slot, meta.nvm_offset, meta.size_bytes)
 
     # -- access -------------------------------------------------------------
 

@@ -1,39 +1,32 @@
-"""On-device image layout and the double-buffered metadata table manager.
+"""On-device image layout and the epoch-stamped metadata table.
 
-Image layout (all integers little-endian):
+Image layout (every field a little-endian u32 word):
 
 ====================  =======================================================
-offset 0              superblock, 24 bytes:
-                      magic ``VNVH`` (4) | version u16 | active-slot u8 |
-                      commit-flag u8 | slot A offset u32 | slot A length u32 |
-                      slot B offset u32 | slot B length u32
-24                    metadata slot A (``max_objects`` entries of 12 bytes)
-24 + table length     metadata slot B (same shape)
-after slot B          object region (payload extents)
+offset 0              superblock, 28 bytes: magic ``VNVH`` | version |
+                      epoch | table offset | table length | cache size |
+                      modified-state limit
+28                    metadata table (``max_objects`` entries of 20 bytes)
+after the table       object region (payload extents)
 ====================  =======================================================
 
-A metadata entry is ``handle id u32 | nvm offset u32 | size u32``: the
-object's identity, fixed for its life. A handle id of zero marks a free
-entry slot. The table code handles an entry as its three little-endian
-words, and every table write is one of those words: a delta compares the
-entry's words with the mirrored slot's as ints and writes only those that
-differ. Each word written is a 4-byte ``bytearray``, a slice of the entry
-packed once or :data:`ZERO_WORD`, so neither the device nor the volatile
-mirror copies it into a temporary before the store. No volatile state
+An entry is ``born | handle id | nvm offset | size | died``: the object's
+identity, fixed for its life, between the epochs of its birth and its
+death. The epoch word counts commits, and an entry is live at epoch ``e``
+exactly when ``0 < born <= e`` and ``died`` is 0 or greater than ``e``; a
+``born`` of zero marks a free slot. Between the commits of epochs ``e`` and
+``e + 1``, a birth writes its whole entry in one transfer with
+``born = e + 1`` as its first word, a deallocation writes ``died = e + 1``,
+and the commit writes ``e + 1`` into the epoch word, which publishes every
+birth and death of the epoch at once. A power failure before that word
+lands leaves each stamp it wrote above the committed epoch, whatever prefix
+of a birth is durable, so no cut changes what the committed epoch decodes
+to. Restore sets those stamps back to zero before the heap writes new ones.
+
+The superblock also records the cache size and modified-state limit the
+image was formatted with, which restore uses by default. No volatile state
 (pins, cache offsets) is recorded, so a restored object always starts
 swapped out.
-
-Commit protocol: version, active-slot and commit-flag share the superblock's
-second word, so a single atomic word write publishes a new checkpoint. The
-slot being committed must be fully written before that word; the other slot
-("staging") is where all between-checkpoint entry writes go, keeping the
-committed table untouched until the next flip. Births are the exception:
-they are written to both slots at allocation.
-
-A deallocation clears the staging id word and leaves a deferred clear in
-the committed table, so a fallback restore still sees the object. The commit
-clears those right after its commit word, once that table is no longer the
-fallback. See :class:`CheckpointTables`.
 """
 
 from __future__ import annotations
@@ -46,31 +39,24 @@ from .errors import ConfigInvalidError, NoValidCheckpointError
 from .storage import StorageDevice, WORD_BYTES
 
 MAGIC = b"VNVH"
-VERSION = 2
-SUPERBLOCK_BYTES = 24
-COMMIT_WORD_OFFSET = 4  # version u16 | active u8 | commit u8, one word
-ENTRY_BYTES = 12
+VERSION = 3
+SUPERBLOCK_BYTES = 28
+EPOCH_OFFSET = 8
+ENTRY_BYTES = 20
 ENTRY_WORDS = ENTRY_BYTES // WORD_BYTES
-ZERO_WORD = bytearray(WORD_BYTES)  # a bytearray, as every table word is
-# Orders in which an entry's words are written. A birth (the slot's id word
-# is zero) writes the id word last, so a power failure in the middle leaves
-# the slot reading as free, never as a torn half-written object.
-BIRTH_ORDER = (1, 2, 0)
-UPDATE_ORDER = (0, 1, 2)
+BORN_AT, DIED_AT = 0, 16  # byte offsets of the two stamps in an entry
+ZERO_WORD = bytearray(WORD_BYTES)  # a bytearray, as every table write is
 
-_SB = struct.Struct("<4sHBBIIII")
-_WORDS = struct.Struct(f"<{ENTRY_WORDS}I")  # an entry as its words
-# The superblock's second word after a commit that makes table ``i`` active,
-# as a bytearray: the device stores one without a temporary copy.
-_COMMIT_WORDS = tuple(bytearray(struct.pack("<HBB", VERSION, i, 1)) for i in (0, 1))
+_SB = struct.Struct("<4sIIIIII")
+_AFTER_BORN = struct.Struct(f"<{ENTRY_WORDS - 1}I")  # an entry's words after its born stamp
+_WORD = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
 class ImageLayout:
     capacity_bytes: int
     max_objects: int
-    table_a_offset: int
-    table_b_offset: int
+    table_offset: int
     table_bytes: int
     object_offset: int
     object_bytes: int
@@ -80,7 +66,7 @@ class ImageLayout:
         if max_objects < 1:
             raise ConfigInvalidError("max_objects must be >= 1")
         table_bytes = max_objects * ENTRY_BYTES
-        object_offset = SUPERBLOCK_BYTES + 2 * table_bytes
+        object_offset = SUPERBLOCK_BYTES + table_bytes
         object_bytes = capacity_bytes - object_offset
         object_bytes -= object_bytes % WORD_BYTES
         if object_bytes < WORD_BYTES:
@@ -91,205 +77,166 @@ class ImageLayout:
         return cls(
             capacity_bytes=capacity_bytes,
             max_objects=max_objects,
-            table_a_offset=SUPERBLOCK_BYTES,
-            table_b_offset=SUPERBLOCK_BYTES + table_bytes,
+            table_offset=SUPERBLOCK_BYTES,
             table_bytes=table_bytes,
             object_offset=object_offset,
             object_bytes=object_bytes,
         )
 
-    def table_offset(self, index: int) -> int:
-        return self.table_a_offset if index == 0 else self.table_b_offset
-
 
 @dataclass
 class Superblock:
     version: int
-    active_slot: int
-    committed: bool
-    a_offset: int
-    a_length: int
-    b_offset: int
-    b_length: int
+    epoch: int
+    table_offset: int
+    table_bytes: int
+    cache_size_bytes: int
+    max_modified_state_bytes: int
 
 
 def read_superblock(device: StorageDevice) -> Superblock:
-    raw = device.read(0, SUPERBLOCK_BYTES)
-    magic, version, active, commit, a_off, a_len, b_off, b_len = _SB.unpack(raw)
-    if magic != MAGIC or version != VERSION:
+    magic, *words = _SB.unpack(device.read(0, SUPERBLOCK_BYTES))
+    if magic != MAGIC or words[0] != VERSION:
         raise NoValidCheckpointError("device holds no recognizable heap image")
-    if active > 1:
-        raise NoValidCheckpointError(f"active-slot byte is {active}, not 0 or 1")
-    return Superblock(version, active, commit == 1, a_off, a_len, b_off, b_len)
+    return Superblock(*words)
 
 
 class CheckpointTables:
-    """Owns the two metadata slots and the commit word.
+    """Owns the metadata table and the epoch word.
 
-    Volatile mirrors of both slots let every NVM table write be a minimal
-    word-granular delta. Callers pass each entry as its three words,
-    ``(handle id, nvm offset, size)``, which are packed once into a
-    ``bytearray``; a write unpacks the mirror slot and the packed entry,
-    compares word with word as ints and sends only the words that differ,
-    each a 4-byte slice of the packed entry, in a fixed order
-    (:data:`BIRTH_ORDER` when the slot's id word is zero, else
-    :data:`UPDATE_ORDER`).
+    Every write is one transfer from a ``bytearray``: a birth is its whole
+    entry, a death and a commit one stamp word, and :meth:`adopt` one zero
+    word per stamp of an epoch that never committed. Nothing reads the table
+    between restores, so no copy of it is kept in memory.
 
-    An entry never changes after allocation, births are written to both
-    tables and a dealloc clears the staging id word at once. So outside
-    restore the staging table holds exactly the live entries, and the other
-    table holds them plus ``_pending``: the slots deallocated since the last
-    commit, whose clears are deferred. :meth:`commit` clears exactly those,
-    so it costs O(deallocations), not O(live objects), and pushes each onto
-    ``_free``, the exact min-heap of the slots free in both tables, which
-    :meth:`record_alloc` pops. :meth:`format` or :meth:`adopt` must run
-    before any other method; after :meth:`adopt`, only
-    :meth:`committed_entries` and then :meth:`flush_delta`, which scan the
-    mirrors and rebuild ``_free``.
+    ``_stamp`` is the next epoch's stamp word, which births, deaths and the
+    commit write; ``epoch``, the last committed epoch, is derived from it.
+    ``_free`` is the exact min-heap of the slots live neither at ``epoch``
+    nor at ``epoch + 1``, which :meth:`record_alloc` pops. ``_born`` holds
+    the slots born since the last commit, and ``_deaths`` the ``(slot, nvm
+    offset, size)`` of every object of the last commit deallocated since:
+    its slot and extent still belong to that checkpoint, so :meth:`commit`
+    releases them. A slot born and freed in one epoch is released at once,
+    with its extent. So the table must hold the live objects plus those
+    deallocated since the last commit. ``release_extent`` takes an extent
+    back into the object region's free space. :meth:`format` or
+    :meth:`adopt` must run before any other method.
     """
 
-    def __init__(self, device: StorageDevice, layout: ImageLayout) -> None:
+    def __init__(self, device: StorageDevice, layout: ImageLayout, release_extent) -> None:
         self.device = device
         self.layout = layout
-        self._bases = (layout.table_a_offset, layout.table_b_offset)
-        self.staging = 0
-        self.committed: int | None = None
+        self._base = layout.table_offset
+        self._release_extent = release_extent
+        self._entry = bytearray(ENTRY_BYTES)  # a birth's entry, packed in place
         self.metadata_bytes_written = 0  # cumulative, callers diff it
 
-    # -- formatting / adoption ---------------------------------------------
-
-    def format(self) -> None:
-        """Write a fresh superblock (no commit) and zero both tables."""
+    def format(self, cache_size_bytes: int, max_modified_state_bytes: int) -> None:
+        """Write a superblock at epoch 0 (no commit) and zero the table."""
         lay = self.layout
-        sb = _SB.pack(
-            MAGIC, VERSION, 0, 0,
-            lay.table_a_offset, lay.table_bytes,
-            lay.table_b_offset, lay.table_bytes,
-        )
-        self.device.write(0, sb)
-        zeros = bytearray(lay.table_bytes)
-        self.device.write(lay.table_a_offset, zeros)
-        self.device.write(lay.table_b_offset, zeros)
-        self.staging = 0
-        self.committed = None
-        self._mirror = [bytearray(lay.table_bytes), bytearray(lay.table_bytes)]
-        self._pending: set[int] = set()
-        self._free = list(range(lay.max_objects))  # ascending, so a heap
+        self.device.write(0, _SB.pack(
+            MAGIC, VERSION, 0, lay.table_offset, lay.table_bytes,
+            cache_size_bytes, max_modified_state_bytes,
+        ))
+        self.device.write(lay.table_offset, bytearray(lay.table_bytes))
+        self._start(0, list(range(lay.max_objects)))  # ascending, so a heap
 
-    def adopt(self, superblock: Superblock) -> None:
-        """Load mirrors from a device that already holds a committed image.
+    def adopt(self, epoch: int) -> list[tuple[int, int, int, int]]:
+        """Read the table of an image committed at ``epoch`` and return its
+        live entries, ``(slot, handle id, nvm offset, size)`` by slot.
 
-        Restore brings back every committed entry, so those are live and
-        none is pending. The caller must then flush the truth of every live
-        slot (see :meth:`flush_delta`), since the staging slot may predate
-        the committed one and hold entries that are not live.
+        Every stamp above ``epoch`` was written by an epoch that never
+        committed; each is set back to zero, in slot order, so that the next
+        commit cannot publish it. These writes change nothing that decoding
+        at ``epoch`` reads, so a restore cut among them and run again decodes
+        the same entries.
         """
         lay = self.layout
-        self._mirror = [bytearray(self.device.read(base, lay.table_bytes)) for base in self._bases]
-        self.committed = superblock.active_slot
-        self.staging = 1 - superblock.active_slot
-        self._pending = set()
+        raw = self.device.read(self._base, lay.table_bytes)
+        words = struct.unpack(f"<{lay.max_objects * ENTRY_WORDS}I", raw)
+        live, free = [], []
+        for slot in range(lay.max_objects):
+            at = slot * ENTRY_WORDS
+            born, handle_id, nvm_offset, size, died = words[at : at + ENTRY_WORDS]
+            if born > epoch:
+                self._write_word(slot * ENTRY_BYTES + BORN_AT, ZERO_WORD)
+                born = 0
+            if died > epoch:
+                self._write_word(slot * ENTRY_BYTES + DIED_AT, ZERO_WORD)
+                died = 0
+            if born and not died:
+                live.append((slot, handle_id, nvm_offset, size))
+            else:
+                free.append(slot)
+        self._start(epoch, free)
+        return live
 
-    # -- entry access -------------------------------------------------------
+    def _start(self, epoch: int, free: list[int]) -> None:
+        self._stamp = bytearray(_WORD.pack(epoch + 1))
+        self._free = free
+        self._born: set[int] = set()
+        self._deaths: list[tuple[int, int, int]] = []
 
-    def _set_slots(self, table: int) -> list[int]:
-        """Slots of ``table`` whose id word is set, ascending, from the
-        mirror. A zero test does not depend on byte order."""
-        ids = memoryview(self._mirror[table]).cast("I")[::ENTRY_WORDS]
-        return [slot for slot, v in enumerate(ids) if v]
-
-    def committed_entries(self) -> list[tuple[int, tuple[int, int, int]]]:
-        """``(slot, entry words)`` of every committed entry, by slot."""
-        assert self.committed is not None
-        table = self._mirror[self.committed]
-        unpack = _WORDS.unpack_from
-        return [(slot, unpack(table, slot * ENTRY_BYTES))
-                for slot in self._set_slots(self.committed)]
+    @property
+    def epoch(self) -> int:
+        """The last committed epoch."""
+        return _WORD.unpack(self._stamp)[0] - 1
 
     def free_slot(self) -> int | None:
-        """Lowest slot free in both tables, hence not live either."""
+        """Lowest slot live neither at the committed epoch nor at the next."""
         return self._free[0] if self._free else None
 
-    # -- writes (all word-granular, metered by the device) ------------------
+    # -- writes (metered by the device) --------------------------------------
 
-    def _write_entry(self, table: int, slot: int, entry: bytearray) -> None:
-        """Bring one slot of ``table`` to the live ``entry``, packed: each
-        differing word goes to the device and the mirror as a 4-byte slice
-        of ``entry``."""
-        mirror = self._mirror[table]
-        base = slot * ENTRY_BYTES
-        old = _WORDS.unpack_from(mirror, base)
-        new = _WORDS.unpack(entry)
-        if old == new:
-            return
-        write = self.device.write
-        at = self._bases[table] + base
-        for w in UPDATE_ORDER if old[0] else BIRTH_ORDER:
-            if old[w] != new[w]:
-                lo = w * WORD_BYTES
-                word = entry[lo : lo + WORD_BYTES]
-                write(at + lo, word)
-                mirror[base + lo : base + lo + WORD_BYTES] = word
-                self.metadata_bytes_written += WORD_BYTES
+    def _write_word(self, offset: int, word: bytearray) -> None:
+        self.device.write(self._base + offset, word)
+        self.metadata_bytes_written += WORD_BYTES
 
     def record_alloc(self, handle_id: int, nvm_offset: int, size: int) -> int:
-        """Write a new object's entry into both tables (birth is eager), in
-        the slot :meth:`free_slot` names, and return that slot. The entry is
-        packed once, for both tables."""
+        """Write a new object's entry, born in the next epoch, into the slot
+        :meth:`free_slot` names, in one transfer, and return the slot."""
         slot = heapq.heappop(self._free)
-        entry = bytearray(_WORDS.pack(handle_id, nvm_offset, size))
-        self._write_entry(0, slot, entry)
-        self._write_entry(1, slot, entry)
+        entry = self._entry
+        entry[:WORD_BYTES] = self._stamp
+        _AFTER_BORN.pack_into(entry, WORD_BYTES, handle_id, nvm_offset, size, 0)
+        self.device.write(self._base + slot * ENTRY_BYTES, entry)
+        self.metadata_bytes_written += ENTRY_BYTES
+        self._born.add(slot)
         return slot
 
-    def record_dealloc(self, slot: int) -> None:
-        """Clear the staging id word. The committed table keeps the entry (a
-        deferred clear) until the next :meth:`commit`, so a fallback restore
-        still sees the object."""
-        self._clear_id(self.staging, slot)
-        self._pending.add(slot)
-
-    def _clear_id(self, table: int, slot: int) -> None:
-        lo = slot * ENTRY_BYTES
-        self.device.write(self._bases[table] + lo, ZERO_WORD)
-        self._mirror[table][lo : lo + WORD_BYTES] = ZERO_WORD
-        self.metadata_bytes_written += WORD_BYTES
-
-    def flush_delta(self, entries: dict[int, tuple[int, int, int]]) -> None:
-        """Make the staging table match the truth at restore, visiting only
-        the slots that can differ from it, in ascending order, then rebuild
-        the free slots from the live ones.
-
-        ``entries`` maps every live slot to its entry words: after an
-        uncommitted dealloc the staging table can lack a committed entry,
-        and it can hold the dead entries of an older checkpoint. A slot
-        outside these candidates needs no write, so the device sees the
-        same writes as a comparison of every live entry.
-        """
-        staging = self.staging
-        mirror = self._mirror[staging]
-        for slot in sorted(entries.keys() | self._set_slots(staging)):
-            entry = entries.get(slot)
-            if entry is None:
-                self._clear_id(staging, slot)
-            elif _WORDS.unpack_from(mirror, slot * ENTRY_BYTES) != entry:
-                # Packed only when some word differs: most live slots match.
-                self._write_entry(staging, slot, bytearray(_WORDS.pack(*entry)))
-        self._free = [slot for slot in range(self.layout.max_objects) if slot not in entries]
+    def record_dealloc(self, slot: int, nvm_offset: int, size: int) -> None:
+        """Stamp the entry's death with the next epoch. An entry born in
+        that epoch too is live at no epoch, so its slot and extent are free
+        at once; any other is the last commit's until :meth:`commit`."""
+        self._write_word(slot * ENTRY_BYTES + DIED_AT, self._stamp)
+        born = self._born
+        if slot in born:
+            born.discard(slot)
+            heapq.heappush(self._free, slot)
+            self._release_extent(nvm_offset, size)
+        else:
+            self._deaths.append((slot, nvm_offset, size))
 
     def commit(self) -> None:
-        """Atomically publish the staging table and flip the roles, then
-        clear, in ascending order, the pending entries of the new staging
-        table (no longer the fallback)."""
-        self.device.write(COMMIT_WORD_OFFSET, _COMMIT_WORDS[self.staging])
+        """Publish the next epoch with one word, then release the slots and
+        extents of the deaths it committed, in the order they died."""
+        stamp = self._stamp
+        self.device.write(EPOCH_OFFSET, stamp)
         self.metadata_bytes_written += WORD_BYTES
-        self.committed = self.staging
-        self.staging = staging = 1 - self.staging
-        pending = self._pending
-        if pending:
-            slots = sorted(pending)
-            pending.clear()
+        # Count the stamp up to the next epoch in place, with no int epoch
+        # to keep: a fresh pack would cost a persist about 1% more.
+        low = stamp[0]
+        if low < 255:
+            stamp[0] = low + 1
+        else:
+            _WORD.pack_into(stamp, 0, _WORD.unpack(stamp)[0] + 1)
+        if self._born:
+            self._born.clear()
+        deaths = self._deaths
+        if deaths:
+            self._deaths = []
             free = self._free
-            for slot in slots:
-                self._clear_id(staging, slot)
+            release = self._release_extent
+            for slot, nvm_offset, size in deaths:
                 heapq.heappush(free, slot)
+                release(nvm_offset, size)

@@ -4,10 +4,12 @@ The machine drives a heap with seeded operations, holding guards across
 steps, persists and power cycles, and keeps a plain dict of what every
 object must contain. Every read and power cycle compares bytes with it;
 every persist is armed at exactly ``persist_bound`` and must write exactly
-the dry run of :func:`persist_cost`. Every access, sync, unload and
-dealloc is refused for a guard exactly when the machine's own guards say
-so, and any use of a released guard is refused; ``refusals`` counts each
-kind. :meth:`TraceMachine.check` re-derives the invariants from scratch:
+the dry run of :func:`persist_cost`. A power cut runs one drawn op with the
+device armed at a random word count; after a cut, restore, itself cut
+once, must return exactly the ids of the last commit. Every access, sync,
+unload and dealloc is refused for a guard exactly when the machine's own
+guards say so, and any use of a released guard is refused; ``refusals``
+counts each kind. :meth:`TraceMachine.check` re-derives the invariants from scratch:
 the dirty total is 4 bytes per word of the next persist plus 3 words and
 within the limit, the cost is within the bound, modified and pinned objects
 are resident, a guarded object stays where its guard found it, cache blocks
@@ -18,7 +20,6 @@ check. The checks are ``assert`` statements: they vanish under ``python -O``.
 """
 
 import random
-import struct
 from collections import Counter
 
 from .errors import (
@@ -27,13 +28,14 @@ from .errors import (
     GuardActiveError,
     GuardReleasedError,
     OutOfNvmError,
+    PowerFailureInjected,
     PreconditionError,
     StillPinnedError,
     WriteGuardActiveError,
 )
 from .freelist import align_up
 from .heap import HEADER_CHARGE_BYTES, META_CHARGE_BYTES, VnvHeap
-from .layout import ENTRY_WORDS
+from .layout import SUPERBLOCK_BYTES
 from .persistence import persist, persist_bound, restore
 from .storage import WORD_BYTES, SimulatedNvm, words_for
 
@@ -74,21 +76,10 @@ def check_indexes(heap):
 
 def persist_cost(heap):
     """Words the next ``persist(heap)`` writes, as a dry run: the payload
-    words of every modified object, the commit word, and one clear for each
-    dead entry of the table that is not staging (the commit clears them
-    once it has flipped the roles). Derived from each object's own flag and
-    size and the raw table mirror, not from the modified index or the
-    dirty counter."""
-    payload = sum(words_for(m.size_bytes) for m in heap._metas.values() if m.modified)
-    return payload + 1 + len(dead_entries(heap, 1 - heap.tables.staging))
-
-
-def dead_entries(heap, table):
-    """Slots of ``table`` whose raw id word names no live object."""
-    raw = heap.tables._mirror[table]
-    ids = struct.unpack(f"<{len(raw) // WORD_BYTES}I", raw)[::ENTRY_WORDS]
-    live = heap._metas
-    return [slot for slot, hid in enumerate(ids) if hid and hid not in live]
+    words of every modified object and the epoch word. Derived from each
+    object's own flag and size, not from the modified index or the dirty
+    counter."""
+    return sum(words_for(m.size_bytes) for m in heap._metas.values() if m.modified) + 1
 
 
 class TraceMachine:
@@ -107,7 +98,9 @@ class TraceMachine:
         self.handles = {}       # handle id -> ObjectHandle
         self.guards = []        # (handle id, guard, writable, cache offset at grant)
         self.refusals = Counter()  # guard refusals by operation
+        self.committed = None   # the shadow's ids at the last commit
         self._ops = [n for n, w in self.OPS for _ in range(w)]
+        self._cut_ops = [n for n in self._ops if n != "op_power_cut"]
 
     # -- invariants ----------------------------------------------------------
 
@@ -172,10 +165,6 @@ class TraceMachine:
         except StillPinnedError:
             assert self.guarded(hid), f"dealloc of object {hid} refused without a guard"
             self.refusals["dealloc"] += 1
-            return
-        except DirtyBudgetUnsatisfiableError:
-            # No room for the clear of a clean object's entry.
-            assert not self.heap.object_info(self.handles[hid]).modified
             return
         assert not self.guarded(hid), f"dealloc of guarded object {hid} granted"
         del self.shadow[hid], self.handles[hid]
@@ -286,10 +275,54 @@ class TraceMachine:
         expected = persist_cost(self.heap)
         self.dev.arm_power_failure(persist_bound(self.heap.config))
         try:
-            words = persist(self.heap).words_transferred
+            words = self.persist()
         finally:
             self.dev.disarm_power_failure()
         assert words == expected, f"persist wrote {words} words, the dry run {expected}"
+
+    def persist(self):
+        """Persist, note the shadow's ids as the last commit's and return
+        the words written."""
+        words = persist(self.heap).words_transferred
+        self.committed = set(self.shadow)
+        return words
+
+    def op_power_cut(self):
+        """Run one drawn op with the device armed at a random word count. If
+        the power fails, reboot and restore with the device armed again, at
+        a budget that may cut restore's own writes, then reboot and restore
+        once more: the ids must be exactly the last commit's. Before the
+        first commit there is no checkpoint to fall back to, so no op is cut.
+
+        The restored payloads are not compared: a write-back goes over its
+        object's committed extent in place, so a cut sync or persist can
+        leave a torn payload. The shadow takes the bytes restored."""
+        if self.committed is None:
+            return
+        name = self.rng.choice(self._cut_ops)
+        op = self.persist if name == "op_persist" else getattr(self, name)
+        self.dev.arm_power_failure(self.rng.randrange(1 << self.rng.randrange(10)))
+        try:
+            op()
+        except PowerFailureInjected:
+            pass
+        else:
+            self.dev.disarm_power_failure()
+            return
+        self.guards.clear()
+        self.dev = self.reboot()
+        reads = words_for(SUPERBLOCK_BYTES + self.heap.layout.table_bytes)
+        self.dev.arm_power_failure(reads + self.rng.randrange(4))
+        try:
+            restore(self.dev)
+        except PowerFailureInjected:
+            pass
+        self.dev = self.reboot()
+        self.heap, self.handles = restore(self.dev)
+        assert self.handles.keys() == self.committed, \
+            f"restored ids {sorted(self.handles)}, committed {sorted(self.committed)}"
+        self.shadow = {hid: bytearray(self.heap.read(self.handles[hid]))
+                       for hid in sorted(self.handles)}
 
     def guarded(self, hid, writable=False):
         """Whether the machine holds a guard on ``hid`` (a write guard, with
@@ -313,6 +346,7 @@ class TraceMachine:
         ("op_sync", 1),
         ("op_unload", 1),
         ("op_persist", 1),
+        ("op_power_cut", 1),
     ]
 
     def step(self):

@@ -2,31 +2,30 @@
 power cycle, and bound/estimate the cost of doing so.
 
 persist() writes, in order: every modified payload (in cache-arrival order),
-one commit word that atomically publishes the staging table, then the
-deferred clears of the entries deallocated since the previous commit. An
-entry records only an object's identity, written at allocation, so no live
-object's entry is written at persist, guarded or not. Every one of these
-words is charged to the modified-state budget, so a persist writes exactly
-``dirty_bytes / 4 - 3`` words, within ``persist_bound()`` whatever the cache
-size. A power failure anywhere leaves a committed checkpoint readable.
+then the one epoch word that commits the checkpoint (see
+:mod:`vnvheap.layout`). Entries were written at allocation and stamped at
+deallocation, so no entry is written at persist, guarded or not. Every one
+of these words is charged to the modified-state budget, so a persist writes
+exactly ``dirty_bytes / 4 - 3`` words, within ``persist_bound()`` whatever
+the cache size. A power failure anywhere leaves the last committed
+checkpoint readable.
 
 persist() visits only modified objects, never the clean residents: the
 payloads come from the heap's modified index, sorted by arrival stamp (see
-:mod:`vnvheap.heap`). The clears visit only the entries deallocated since
-the last commit (``CheckpointTables.commit``). So its host cost follows
-what changed, not how many objects are resident or live. Each payload
-costs one host copy, a slice of the cache's ``bytearray``, which the device
-stores without copying it again (see
+:mod:`vnvheap.heap`). The commit then releases the slots and extents of the
+objects deallocated since the last commit (``CheckpointTables.commit``).
+So its host cost follows what changed, not how many objects are resident or
+live. Each payload costs one host copy, a slice of the cache's
+``bytearray``, which the device stores without copying it again (see
 :meth:`~vnvheap.storage.StorageDevice.write`). The payloads go out in one
 loop, and the bookkeeping is settled once, after the commit.
 
-restore() rebuilds a heap from the committed table. Every object starts
-swapped out, whether or not a guard was held on it at persist, and loads
-lazily on first access. It then brings the staging table up to date with a
-delta flush (``CheckpointTables.flush_delta``) that has every live entry
-and every entry set in the staging table as a candidate, because the
-staging table may predate the committed one. Restore is the one step whose
-table work scans whole tables.
+restore() reads the superblock and the table, rebuilds a heap from the
+entries live at the committed epoch, and sets the stamps of the epoch that
+never committed back to zero (``CheckpointTables.adopt``). Every object
+starts swapped out, whether or not a guard was held on it at persist, and
+loads lazily on first access. Restore is the one step that reads the whole
+table.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ def persist(heap: VnvHeap) -> PersistReport:
     tables.commit()
     # Settle the bookkeeping once the commit has landed. A live write guard
     # keeps its object modified and charged: its holder can keep writing
-    # after we return. The commit wrote every pending clear.
+    # after we return.
     guarded = {}
     dirty = HEADER_CHARGE_BYTES
     for meta in payloads:
@@ -112,14 +111,6 @@ def persist(heap: VnvHeap) -> PersistReport:
             meta.modified = False
     heap._modified = guarded
     heap._dirty = dirty
-    # The commit published every deallocation, so quarantined extents are
-    # safe to reuse now.
-    quarantine = heap._quarantine
-    if quarantine:
-        free = heap._nvm_alloc.free
-        for offset, size in quarantine:
-            free(offset, size)
-        quarantine.clear()
     return PersistReport(
         meter.words_written - written_before,
         len(payloads),
@@ -129,30 +120,38 @@ def persist(heap: VnvHeap) -> PersistReport:
 
 def restore(
     device: StorageDevice,
-    cache_size_bytes: int = 4096,
-    max_modified_state_bytes: int = 2048,
+    cache_size_bytes: int | None = None,
+    max_modified_state_bytes: int | None = None,
 ) -> tuple[VnvHeap, dict[int, ObjectHandle]]:
     """Rebuild a heap from the device's committed checkpoint.
 
-    Returns the heap and a handle per surviving object, keyed by the stable
-    handle id the application saw before the power cycle. Every object comes
-    back swapped out and unpinned. Raises :class:`NoValidCheckpointError`
-    for an image with no committed checkpoint or one it cannot trust.
+    The cache size and modified-state limit default to the ones the image
+    was formatted with; an argument overrides its recorded value. Returns
+    the heap and a handle per surviving object, keyed by the stable handle
+    id the application saw before the power cycle. Every object comes back
+    swapped out and unpinned. Raises :class:`NoValidCheckpointError` for an
+    image with no committed checkpoint or one it cannot trust.
     """
     superblock = read_superblock(device)
-    if not superblock.committed:
+    if not superblock.epoch:
         raise NoValidCheckpointError("device was formatted but never persisted")
-    if superblock.a_length != superblock.b_length or superblock.a_length % ENTRY_BYTES:
-        raise NoValidCheckpointError("metadata slot geometry is inconsistent")
-    max_objects = superblock.a_length // ENTRY_BYTES
+    if superblock.table_bytes % ENTRY_BYTES:
+        raise NoValidCheckpointError("metadata table length is not whole entries")
+    max_objects = superblock.table_bytes // ENTRY_BYTES
     try:
         layout = ImageLayout.compute(device.capacity_bytes, max_objects)
+        # The recorded configuration must be one a heap could have had.
+        HeapConfig(superblock.cache_size_bytes, superblock.max_modified_state_bytes)
     except ConfigInvalidError as exc:
-        # The table length came from the image, so a geometry it cannot
-        # have is a corrupt image, not a bad configuration.
-        raise NoValidCheckpointError(f"metadata slot length: {exc}") from None
-    if (layout.table_a_offset, layout.table_b_offset) != (superblock.a_offset, superblock.b_offset):
-        raise NoValidCheckpointError("metadata slot offsets do not match the device size")
+        # These values came from the image, so one a heap cannot have marks
+        # a corrupt image, not a bad configuration.
+        raise NoValidCheckpointError(f"image records an impossible heap: {exc}") from None
+    if layout.table_offset != superblock.table_offset:
+        raise NoValidCheckpointError("metadata table offset does not match the layout")
+    if cache_size_bytes is None:
+        cache_size_bytes = superblock.cache_size_bytes
+    if max_modified_state_bytes is None:
+        max_modified_state_bytes = superblock.max_modified_state_bytes
 
     heap = VnvHeap(
         device,
@@ -161,10 +160,7 @@ def restore(
         max_objects=max_objects,
         _adopt_layout=layout,
     )
-    heap.tables.adopt(superblock)
-
-    committed = heap.tables.committed_entries()
-    for slot, (handle_id, nvm_offset, size) in committed:
+    for slot, handle_id, nvm_offset, size in heap.tables.adopt(superblock.epoch):
         if handle_id in heap._metas:
             raise NoValidCheckpointError(f"handle id {handle_id} is committed twice")
         if not size:
@@ -182,10 +178,6 @@ def restore(
             raise NoValidCheckpointError(f"object {handle_id}: {exc}") from None
         heap._metas[handle_id] = meta
         heap._next_id = max(heap._next_id, handle_id + 1)
-
-    # Bring the staging table up to date now so the next persist stays a
-    # minimal delta (the staging slot may predate this checkpoint).
-    heap.tables.flush_delta(dict(committed))
 
     handles = {
         handle_id: ObjectHandle(handle_id, meta.size_bytes, heap)

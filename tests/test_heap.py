@@ -28,8 +28,6 @@ from vnvheap import (
     words_for,
 )
 from vnvheap.freelist import align_up
-from vnvheap.oracle import dead_entries
-from vnvheap.storage import WORD_BYTES
 
 from traceutil import count_bytecodes, log_writes
 
@@ -41,15 +39,15 @@ def make_heap(cache=4096, dirty=2048, max_objects=64, capacity=256 * 1024):
 
 
 def expected_dirty(heap):
-    """Recompute the dirty total from first principles: the header, the
-    whole words of each modified object, and a word per dead entry that the
-    next commit clears. Residency is free."""
+    """Recompute the dirty total from first principles: the header and the
+    whole words of each modified object. Residency and deallocation are
+    free."""
     total = HEADER_CHARGE_BYTES
     for hid in heap.live_handle_ids():
         info = heap.object_info(heap.handle(hid))
         if info.modified:
             total += align_up(info.size_bytes)
-    return total + WORD_BYTES * len(dead_entries(heap, 1 - heap.tables.staging))
+    return total
 
 
 # -- configuration -----------------------------------------------------------
@@ -133,15 +131,18 @@ def test_dealloc_frees_everything():
     h = heap.alloc(bytes(100))
     heap.dealloc(h)
     after = heap.stats()
-    # the entry's clear stays charged until the next commit writes it
-    assert before.dirty_bytes == HEADER_CHARGE_BYTES
-    assert after.dirty_bytes == HEADER_CHARGE_BYTES + WORD_BYTES == expected_dirty(heap)
-    assert after.cache_free_bytes == before.cache_free_bytes
+    # born and freed in one epoch: no checkpoint holds it, so it is all free
+    assert after == before
     assert heap.live_handle_ids() == []
-    # NVM extent stays quarantined until the next checkpoint commit
-    assert after.nvm_free_bytes == before.nvm_free_bytes - align_up(100)
-    assert persist(heap).words_transferred == 2  # the commit word, then the clear
-    assert heap.dirty_bytes == HEADER_CHARGE_BYTES
+    kept = heap.alloc(bytes(100))
+    persist(heap)
+    heap.dealloc(kept)
+    # the last commit holds it: its extent stays reserved until the next one
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES == expected_dirty(heap)
+    assert heap.stats().cache_free_bytes == before.cache_free_bytes
+    assert heap.stats().nvm_free_bytes == before.nvm_free_bytes - align_up(100)
+    assert persist(heap).words_transferred == 1  # the epoch word alone
+    assert heap.stats() == before
 
 
 def test_dealloc_then_use_raises_stale_handle():
@@ -366,9 +367,9 @@ def test_dirty_pressure_syncs_oldest_modified_first():
     # 16 + 2*400 = 816; a 250 B object (252 more) busts the budget
     written_before = dev.cost_meter.words_written
     h3 = heap.alloc(b"3" * 250)
-    # h1 was synced (100 words) to make room; plus the new entry's identity
-    # words (3 per table). All three stay resident.
-    assert dev.cost_meter.words_written - written_before == 100 + 6
+    # h1 was synced (100 words) to make room; plus the new entry's five
+    # words. All three stay resident.
+    assert dev.cost_meter.words_written - written_before == 100 + 5
     assert not heap.object_info(h1).modified
     assert heap.object_info(h1).resident
     assert heap.object_info(h2).modified
@@ -587,7 +588,7 @@ def test_dealloc_of_nonresident_object():
     heap.unload(h)
     heap.dealloc(h)
     assert heap.live_handle_ids() == []
-    assert heap.dirty_bytes == HEADER_CHARGE_BYTES + WORD_BYTES  # the pending clear
+    assert heap.dirty_bytes == HEADER_CHARGE_BYTES
 
 
 # -- miss cost -------------------------------------------------------------------

@@ -1,14 +1,13 @@
-"""Checkpoint tables: the table writes of persist and restore against an
-O(live) reference.
+"""The checkpoint table: one table of epoch-stamped entries, checked against
+the live objects and the last commit.
 
-The reference flush is the original algorithm: compare every live entry with
-a table word by word, then clear every other occupied slot. At a persist the
-table being committed must already match it (it holds no dead entry) and
-the clears after the commit word must equal it for the table that stops
-being committed; the restore flush must issue exactly its writes. After
-every persist, dealloc burst and restore, both tables, their volatile mirrors,
-the pending clears and the free slots must agree with a fresh recomputation
-from the live objects.
+After every step of an adversarial trace, the device table decoded at the
+committed epoch must give exactly the ids and extents of the last commit,
+decoded at the next epoch exactly the live objects, and the free-slot heap
+must hold exactly the slots live at neither; the free NVM space must be
+exactly what neither of those two object sets holds. Then each kind of
+table write is cut at every word: a birth, a death, the epoch word and
+restore's own writes. Each cut must restore exactly the last commit.
 """
 
 import random
@@ -18,87 +17,69 @@ import pytest
 
 from traceutil import log_writes
 from vnvheap import PowerFailureInjected, SimulatedNvm, VnvHeap, persist, restore
-from vnvheap.layout import ENTRY_BYTES, ENTRY_WORDS
-from vnvheap.oracle import TraceMachine, check_indexes, dead_entries
-from vnvheap.storage import WORD_BYTES
+from vnvheap.layout import ENTRY_BYTES, EPOCH_OFFSET, SUPERBLOCK_BYTES
+from vnvheap.oracle import TraceMachine
+from vnvheap.storage import WORD_BYTES, words_for
 
-ZERO_WORD = bytes(WORD_BYTES)
-_ENTRY = struct.Struct(f"<{ENTRY_WORDS}I")
-
-
-def truth_of(heap):
-    """Slot -> entry bytes of every live object, recomputed from its metadata."""
-    return {
-        m.entry_slot: _ENTRY.pack(m.handle_id, m.nvm_offset, m.size_bytes)
-        for m in heap._metas.values()
-    }
+_ENTRY = struct.Struct("<5I")
 
 
-def reference_flush(staging, truth):
-    """Table-relative writes of the O(live) flush of ``truth`` into ``staging``."""
-    table = bytearray(staging)
-    writes = []
-
-    def put(lo, word):
-        if table[lo : lo + WORD_BYTES] != word:
-            writes.append((lo, word))
-            table[lo : lo + WORD_BYTES] = word
-
-    occupied = {s for s in range(len(table) // ENTRY_BYTES)
-                if table[s * ENTRY_BYTES : s * ENTRY_BYTES + 4] != ZERO_WORD}
-    for slot in sorted(set(truth) | occupied):
-        base = slot * ENTRY_BYTES
-        if slot not in truth:
-            put(base, ZERO_WORD)
-            continue
-        order = list(range(ENTRY_WORDS))
-        if table[base : base + 4] == ZERO_WORD:
-            order = order[1:] + order[:1]  # birth: id word last
-        for w in order:
-            put(base + w * WORD_BYTES, truth[slot][w * WORD_BYTES : (w + 1) * WORD_BYTES])
-    return writes
+def peek(dev, offset, length):
+    """Device bytes, read without metering a transfer."""
+    return bytes(dev._buf[offset : offset + length])
 
 
-def table_writes(log, heap, table):
-    lo = heap.layout.table_offset(table)
-    hi = lo + heap.layout.table_bytes
-    return [(off - lo, data) for off, data in log if lo <= off < hi]
+def decode(dev, layout, epoch):
+    """``{handle id: (slot, nvm offset, size)}`` of the device table's
+    entries live at ``epoch``: ``0 < born <= epoch`` and ``died`` 0 or later."""
+    raw = peek(dev, layout.table_offset, layout.table_bytes)
+    entries = {}
+    for slot in range(layout.max_objects):
+        born, hid, offset, size, died = _ENTRY.unpack_from(raw, slot * ENTRY_BYTES)
+        if 0 < born <= epoch and not 0 < died <= epoch:
+            assert hid not in entries, f"id {hid} is live twice at epoch {epoch}"
+            entries[hid] = (slot, offset, size)
+    return entries
 
 
-def device_table(dev, heap, table):
-    return dev.reopen().read(heap.layout.table_offset(table), heap.layout.table_bytes)
+def extents_of(heap):
+    """``{handle id: (slot, nvm offset, size)}`` of the live objects."""
+    return {m.handle_id: (m.entry_slot, m.nvm_offset, m.size_bytes) for m in heap._metas.values()}
 
 
-def check_tables(heap, dev):
-    """Mirrors agree with the device; both tables hold every live entry;
-    the staging table holds nothing else; the other table holds exactly the
-    pending clears besides; and the free-slot heap holds exactly the slots
-    free in both tables."""
-    tables = heap.tables
-    truth = truth_of(heap)
-    slots = range(heap.layout.max_objects)
-    occupied = []
-    for t in (0, 1):
-        raw = bytes(tables._mirror[t])
-        assert raw == device_table(dev, heap, t), f"table {t} mirror drifted from the device"
-        occupied.append({s for s in slots if raw[s * ENTRY_BYTES : s * ENTRY_BYTES + 4] != ZERO_WORD})
-        for s, entry in truth.items():
-            assert raw[s * ENTRY_BYTES : (s + 1) * ENTRY_BYTES] == entry, f"table {t} slot {s} stale"
-    staging = tables.staging
-    assert occupied[staging] == set(truth), "the staging table holds a dead entry"
-    assert tables._pending == occupied[1 - staging] - set(truth)
-    free = [s for s in slots if s not in occupied[0] and s not in occupied[1]]
+def check_table(heap, committed):
+    """The table decodes to ``committed`` at the committed epoch and to the
+    live objects at the next; the free slots and the free NVM space are
+    exactly what neither holds."""
+    dev, lay, tables = heap.device, heap.layout, heap.tables
+    epoch = tables.epoch
+    assert peek(dev, EPOCH_OFFSET, WORD_BYTES) == struct.pack("<I", epoch)
+    at_commit = decode(dev, lay, epoch)
+    assert at_commit == committed, "the committed epoch decodes to another object set"
+    live = decode(dev, lay, epoch + 1)
+    assert live == extents_of(heap), "the next epoch decodes to another object set"
+    held = {**at_commit, **live}.values()
+    used = {slot for slot, _, _ in held}
+    free = [slot for slot in range(lay.max_objects) if slot not in used]
     assert sorted(tables._free) == free
     assert tables.free_slot() == (free[0] if free else None)
+    gaps, at = [], lay.object_offset
+    for _, offset, size in sorted(set(held), key=lambda e: e[1]):
+        if offset > at:
+            gaps.append((at, offset - at))
+        at = offset + words_for(size) * WORD_BYTES
+    if at < lay.object_offset + lay.object_bytes:
+        gaps.append((at, lay.object_offset + lay.object_bytes - at))
+    assert heap._nvm_alloc.free_extents() == gaps, "an extent is held or free out of turn"
 
 
 class TableOracleMachine(TraceMachine):
     """Guards held across persists, dealloc bursts, small objects that churn
-    table slots, and power cycles taken while guards are held."""
+    table slots, and power cuts, with the table checked after every step."""
 
     def __init__(self, seed):
         super().__init__(seed, cache=2048, dirty=1024, max_objects=40)
-        self.log = log_writes(self.dev)
+        self.last_commit = {}
         self.persists = 0
 
     def alloc_size(self):
@@ -107,53 +88,31 @@ class TableOracleMachine(TraceMachine):
     def op_dealloc_burst(self):
         for _ in range(self.rng.randint(3, 12)):
             self.op_dealloc()
-        check_tables(self.heap, self.dev)
 
-    def op_persist(self):
-        heap = self.heap
-        staging = heap.tables.staging
-        assert not dead_entries(heap, staging), "the table to commit holds a dead entry"
-        committed = bytes(heap.tables._mirror[1 - staging])
-        del self.log[:]
-        super().op_persist()
+    def persist(self):
+        words = super().persist()
         self.persists += 1
-        truth = truth_of(heap)
-        assert table_writes(self.log, heap, staging) == []
-        clears = reference_flush(committed, truth)
-        assert table_writes(self.log, heap, 1 - staging) == clears
-        assert not heap.tables._pending, "the commit left a clear pending"
-        check_tables(heap, self.dev)
-        check_indexes(heap)
+        self.last_commit = extents_of(self.heap)
+        return words
 
-    def reboot(self):
-        dev = super().reboot()
-        self.log = log_writes(dev)
-        return dev
-
-    def op_power_cycle(self):
-        """A power cycle with guards held; the restore flush must issue
-        exactly the reference writes into the table it stages."""
-        old = self.heap
-        self.power_cycle()
-        staging = 1 - old.tables.committed
-        before = bytes(old.tables._mirror[staging])  # the device table at reboot
-        assert table_writes(self.log, self.heap, staging) == reference_flush(before, truth_of(self.heap))
-        check_tables(self.heap, self.dev)
+    def check(self):
+        super().check()
+        check_table(self.heap, self.last_commit)
 
     OPS = TraceMachine.OPS + [("op_dealloc_burst", 1), ("op_hold_guard", 3),
-                              ("op_persist", 3), ("op_power_cycle", 1)]
+                              ("op_persist", 3), ("op_power_cut", 2)]
 
 
-def test_delta_flush_matches_the_reference_on_adversarial_traces():
+def test_the_table_decodes_to_the_last_commit_and_the_live_objects_on_adversarial_traces():
     for seed in range(6):
         m = TableOracleMachine(seed)
         m.run(500)
         assert m.persists >= 40
         m.op_persist()
-        m.op_persist()
+        m.check()
 
 
-def test_free_slot_reuses_the_lowest_slot_once_both_tables_drop_it():
+def test_free_slot_reuses_the_lowest_slot_once_the_commit_drops_it():
     rng = random.Random(7)
     dev = SimulatedNvm(64 * 1024)
     heap = VnvHeap(dev, cache_size_bytes=2048, max_modified_state_bytes=1024, max_objects=16)
@@ -162,87 +121,166 @@ def test_free_slot_reuses_the_lowest_slot_once_both_tables_drop_it():
     for h in rng.sample(live, 8):
         heap.dealloc(h)
         live.remove(h)
-    persist(heap)
-    persist(heap)
-    check_tables(heap, dev)
     used = {heap._metas[h.id].entry_slot for h in live}
+    assert heap.tables.free_slot() == 12  # the dead are the last commit's until the next
+    persist(heap)
+    check_table(heap, extents_of(heap))
     assert heap.tables.free_slot() == min(set(range(16)) - used)
 
 
-def test_every_table_write_stores_a_four_byte_bytearray():
-    """Births, dealloc clears, a persist's deferred clears and restore's
-    delta flush each pass the device a 4-byte bytearray per table word, the
-    buffer it stores without a temporary copy, and leave the tables right."""
+def test_every_table_write_stores_a_bytearray():
+    """A birth passes the device its whole 20 B entry, and a death, the
+    epoch word and restore's undo writes a 4 B word, each a bytearray, the
+    buffer the device stores without a temporary copy."""
     dev = SimulatedNvm(64 * 1024)
     heap = VnvHeap(dev, cache_size_bytes=2048, max_modified_state_bytes=1024, max_objects=16)
-    lay = heap.layout
     sources = []
 
     def watch(dev):
         write = dev.write
 
         def watched(offset, data):
-            if lay.table_a_offset <= offset < lay.object_offset:
+            if offset < heap.layout.object_offset:
                 sources.append((type(data), len(data)))
             return write(offset, data)
 
         dev.write = watched
 
-    def step(name, fn):
+    def step(fn, size):
         del sources[:]
         result = fn()
-        assert sources, f"{name} wrote no table word"
-        assert set(sources) == {(bytearray, WORD_BYTES)}, name
+        assert sources and set(sources) == {(bytearray, size)}
         return result
 
     watch(dev)
-    a, b, c = step("alloc", lambda: [heap.alloc(bytes([i]) * 24) for i in range(3)])
-    check_tables(heap, dev)
-    persist(heap)  # the commit word alone
-    for name, fn in [("dealloc", lambda: heap.dealloc(b)),
-                     ("persist with a deferred clear", lambda: persist(heap)),
-                     ("dealloc", lambda: heap.dealloc(c)),
-                     ("alloc into a slot with stale words", lambda: heap.alloc(b"d" * 40))]:
-        step(name, fn)
-        check_tables(heap, dev)
+    a, b, c = step(lambda: [heap.alloc(bytes([i]) * 24) for i in range(3)], ENTRY_BYTES)
+    step(lambda: persist(heap), WORD_BYTES)
+    step(lambda: heap.dealloc(b), WORD_BYTES)
+    step(lambda: persist(heap), WORD_BYTES)
+    step(lambda: heap.dealloc(c), WORD_BYTES)
+    step(lambda: heap.alloc(b"d" * 40), ENTRY_BYTES)
     rebooted = dev.reopen()
     watch(rebooted)
-    heap, handles = step("restore's delta flush", lambda: restore(rebooted, 2048, 1024))
-    check_tables(heap, rebooted)
-    assert c.id in handles  # the dealloc was not committed
+    heap, handles = step(lambda: restore(rebooted), WORD_BYTES)
+    assert sorted(handles) == [a.id, c.id]  # c's death and d's birth were not committed
 
 
-def test_a_birth_cut_at_any_word_leaves_its_slot_free():
-    """Slot 1 is free in both tables but holds the stale offset and size
-    words of S, dead and cleared since the last commit. An alloc into it
-    writes six words: offset, size, then the id, into table 0 and then into
-    table 1. Table 1 is the committed one, so whatever word the power fails
-    at, the committed id word is never reached: restore reads slot 1 as
-    free and returns the last commit's objects."""
-    for budget in range(6):
-        dev = SimulatedNvm(64 * 1024)
-        heap = VnvHeap(dev, cache_size_bytes=2048, max_modified_state_bytes=1024, max_objects=4)
-        a = heap.alloc(b"a" * 24)  # slot 0
-        s = heap.alloc(b"s" * 24)  # slot 1
-        b = heap.alloc(b"b" * 24)  # slot 2, so a larger object lands past S's extent
-        stale = (0, heap._metas[s.id].nvm_offset, 24)
-        persist(heap)
-        heap.dealloc(s)
-        persist(heap)
-        assert heap.tables.committed == 1 and heap.tables.free_slot() == 1
-        assert [_ENTRY.unpack_from(heap.tables._mirror[t], ENTRY_BYTES) for t in (0, 1)] == [stale] * 2
+def assert_restores(dev, contents):
+    """A reboot of ``dev`` restores exactly ``contents`` (id -> bytes)."""
+    heap, handles = restore(dev.reopen())
+    assert {hid: heap.read(h) for hid, h in handles.items()} == contents
+    return heap
+
+
+def _image_with_a_stale_slot():
+    """a, s and b in slots 0-2; s deallocated and committed, so slot 1 is
+    free but holds s's dead entry."""
+    dev = SimulatedNvm(64 * 1024)
+    heap = VnvHeap(dev, cache_size_bytes=2048, max_modified_state_bytes=1024, max_objects=8)
+    a, s, b = (heap.alloc(bytes([ord(c)]) * 24) for c in "asb")
+    persist(heap)
+    heap.dealloc(s)
+    persist(heap)
+    assert heap.tables.free_slot() == 1
+    return dev, heap, {a.id: b"a" * 24, b.id: b"b" * 24}
+
+
+@pytest.mark.parametrize("slot_state", ["dead and committed", "born and freed this epoch"])
+def test_a_birth_cut_at_any_word_restores_the_last_commit(slot_state):
+    """A birth writes its five words in one transfer, ``born`` first. Cut at
+    every word, into a slot whose old entry is dead at the committed epoch
+    or was born and freed since, the restore is the last commit."""
+    for budget in range(ENTRY_BYTES // WORD_BYTES + 1):
+        dev, heap, committed = _image_with_a_stale_slot()
+        if slot_state == "born and freed this epoch":
+            heap.dealloc(heap.alloc(b"t" * 12))
+        slot = heap.tables.free_slot()
         log = log_writes(dev)
         dev.arm_power_failure(budget)
-        with pytest.raises(PowerFailureInjected):
+        if budget < ENTRY_BYTES // WORD_BYTES:
+            with pytest.raises(PowerFailureInjected):
+                heap.alloc(b"n" * 40)
+        else:
             heap.alloc(b"n" * 40)
-        lay = heap.layout
-        order = [lay.table_offset(t) + ENTRY_BYTES + w * WORD_BYTES for t in (0, 1) for w in (1, 2, 0)]
-        assert [offset for offset, _ in log] == order[: budget + 1]  # the id word last
-        rebooted = dev.reopen()
-        committed = rebooted.read(lay.table_offset(1) + ENTRY_BYTES, WORD_BYTES)
-        assert committed == bytes(WORD_BYTES), f"budget {budget}: slot 1 reads as live"
-        heap2, handles = restore(rebooted, 2048, 1024)
-        assert sorted(handles) == [a.id, b.id]
-        assert heap2.read(handles[a.id]) == b"a" * 24 and heap2.read(handles[b.id]) == b"b" * 24
-        assert heap2.tables.free_slot() == 1
-        check_tables(heap2, rebooted)
+        assert [(offset, len(data)) for offset, data in log] == \
+            [(heap.layout.table_offset + slot * ENTRY_BYTES, ENTRY_BYTES)]
+        restored = assert_restores(dev, committed)
+        assert restored.tables.free_slot() == 1
+        check_table(restored, extents_of(restored))
+
+
+@pytest.mark.parametrize("born", ["committed", "this epoch"])
+def test_a_death_cut_or_not_restores_the_last_commit(born):
+    """A death is one word. Cut or landed, it is not committed: the restore
+    brings back a committed object and not one born since."""
+    for budget in (0, 1):
+        dev, heap, committed = _image_with_a_stale_slot()
+        victim = next(iter(committed)) if born == "committed" else heap.alloc(b"t" * 12).id
+        dev.arm_power_failure(budget)
+        if budget:
+            heap.dealloc(heap.handle(victim))
+        else:
+            with pytest.raises(PowerFailureInjected):
+                heap.dealloc(heap.handle(victim))
+        assert_restores(dev, committed)
+
+
+def test_an_epoch_word_cut_restores_the_last_commit_and_one_that_lands_the_new():
+    """The epoch word publishes every birth and death of the epoch at once."""
+    for budget in (0, 1):
+        dev, heap, committed = _image_with_a_stale_slot()
+        heap.dealloc(heap.handle(min(committed)))
+        n = heap.alloc(b"n" * 40)
+        heap.sync_object(n)  # so that the persist writes the epoch word alone
+        dev.arm_power_failure(budget)
+        if budget:
+            persist(heap)
+            assert_restores(dev, {max(committed): b"b" * 24, n.id: b"n" * 40})
+        else:
+            with pytest.raises(PowerFailureInjected):
+                persist(heap)
+            assert_restores(dev, committed)
+
+
+def test_restore_cut_at_any_of_its_writes_restores_the_last_commit():
+    """Restore sets each stamp of the epoch that never committed back to
+    zero. Cut at each of those writes and run again, it restores the same
+    objects; a commit after it then publishes nothing of the lost epoch."""
+    dev, heap, committed = _image_with_a_stale_slot()
+    heap.dealloc(heap.handle(min(committed)))  # slot 0: a died stamp
+    t = heap.alloc(b"t" * 12)                  # slot 1
+    heap.alloc(b"u" * 12)                      # slot 3: a born stamp
+    heap.dealloc(t)                            # slot 1: born and died stamps
+    image = dev.reopen()
+    reads = words_for(SUPERBLOCK_BYTES + heap.layout.table_bytes)
+    undo = 4
+    for budget in range(reads, reads + undo + 1):
+        dev = image.reopen()
+        log = log_writes(dev)
+        dev.arm_power_failure(budget)
+        if budget < reads + undo:
+            with pytest.raises(PowerFailureInjected):
+                restore(dev)
+        else:
+            restore(dev)
+        assert all(data == bytes(WORD_BYTES) for _, data in log)
+        assert len(log) == min(budget - reads + 1, undo)
+        restored = assert_restores(dev, committed)
+        persist(restored)
+        assert_restores(restored.device, committed)
+
+
+
+def test_the_epoch_word_counts_commits_past_a_carry_out_of_its_low_byte():
+    """The commit counts the next stamp up in place; a death after 600
+    commits stamps the 601st epoch, and a reboot restores at the 600th."""
+    dev = SimulatedNvm(64 * 1024)
+    heap = VnvHeap(dev, cache_size_bytes=2048, max_modified_state_bytes=1024, max_objects=8)
+    h = heap.alloc(b"h" * 8)
+    for epoch in range(1, 601):
+        persist(heap)
+        assert peek(dev, EPOCH_OFFSET, WORD_BYTES) == struct.pack("<I", epoch)
+    log = log_writes(dev)
+    heap.dealloc(h)
+    assert log == [(heap.layout.table_offset + ENTRY_BYTES - WORD_BYTES, struct.pack("<I", 601))]
+    assert_restores(dev, {h.id: b"h" * 8})
