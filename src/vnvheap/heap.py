@@ -17,11 +17,10 @@ Two budgets constrain every operation:
   ``max_modified_state_bytes``; residency and deallocation are free.
 
 Eviction follows one rule for each budget. Each rule is one loop over the
-heap's own indexes that plans its victims and changes nothing until they
-make room, ``VnvHeap._make_cache_room`` or ``VnvHeap._dirty_victims``, so
-a cache miss costs O(victims), plus the residents of any walled hole, and
-dirty pressure costs a sort of the modified objects; neither visits the
-clean residents otherwise:
+heap's own indexes that plans its victims and changes nothing, so a cache
+miss costs O(victims), plus the residents of any walled hole, and dirty
+pressure costs a sort of the modified objects; neither visits the clean
+residents otherwise:
 
 * cache pressure - when no free extent fits the new block, the coldest
   unpinned resident anchors a hole: the first of the lowest tier (see
@@ -38,22 +37,19 @@ clean residents otherwise:
   order persist writes them in, chooses the unpinned ones until the new
   state fits. Syncing changes no residency, so the pass never restarts.
 
-Plan, then commit: a rule acts, syncing and unloading its victims, only
-once its plan makes room, so a rule that falls short raises having moved no
-word. An alloc runs the cache rule first, then the dirty rule; once the
-cache rule has planned the hole that fits, it refuses the alloc if no sync
-could admit the new charge, so a refused alloc moves no word either. A
-``get_ref`` miss meets the cache rule alone. A ``get_mut`` or ``replace``
-miss plans both rules, the dirty rule first, before it acts on either: it
-syncs the dirty victims, then evicts the hole, syncing only those of its
-victims still modified. So a refusal by either rule moves no word, and a
-miss that succeeds writes the dirty victims first, then the hole's, each in
-the order its rule chose them. Eviction only lowers the charge, so marking
-the object modified cannot fail afterwards. ``replace`` gives the result of
-``get_mut`` + ``write`` + ``release``, but a miss skips the device read;
-``read`` gives the result of ``get_ref`` + ``read`` + ``release`` without
-building a guard, and a miss returns the very bytes the device read, with
-no second copy out of the cache.
+Plan, then act, in one order for every operation (``VnvHeap._make_room``):
+an alloc, a miss and a first write plan the hole they need, if any, then
+the dirty rule, which counts the hole's modified victims as synced and
+never chooses a resident inside the hole. Only once both plans make room
+are the hole's victims synced and unloaded, the block claimed and the
+dirty victims synced. So cache pressure is refused before dirty pressure,
+a refusal moves no word, and the same heap state syncs the same objects
+whichever operation meets it. Without pressure, one first-fit probe is
+the whole cost. ``replace`` gives the result of ``get_mut`` + ``write`` +
+``release``, but a miss skips the device read; ``read`` gives the result
+of ``get_ref`` + ``read`` + ``release`` without building a guard, and a
+miss returns the very bytes the device read, with no second copy out of
+the cache.
 
 The bound matters because checkpointing writes only modified state: a heap
 that keeps ``dirty_bytes`` under the limit is always persisted within
@@ -73,8 +69,10 @@ Counts never decay, so when the hot set moves, its old members leave the
 cache only once the colder tiers are drained.
 
 An object is resident exactly when its ``cache_offset`` is ``>= 0``; no
-other field records residency. A guarded object is always resident. The
-heap keeps these indexes of the residents, one per question it asks:
+other field records residency. Its ``pin_count`` is its guard state, as in
+a reader-writer lock's state word: the number of live read guards, -1
+under the write guard, 0 unguarded. A guarded object is always resident.
+The heap keeps these indexes of the residents, one per question it asks:
 
 * ``_by_offset`` and ``_by_end``, every resident by the cache offset where
   its block starts and where it ends, so a hole finds its neighbours.
@@ -82,9 +80,9 @@ heap keeps these indexes of the residents, one per question it asks:
 * ``_tiers``, the residents of each tier in the order they entered it.
 * ``_modified``, every modified resident by handle id, so that a persist
   and the dirty rule visit only the objects they may write and never the
-  clean residents. An object enters it when it is allocated or first
-  written, and leaves it when it is synced, deallocated, or cleared by a
-  persist.
+  clean residents. Membership is the modified state; no field records it.
+  An object enters it when it is allocated or first written, and leaves it
+  when it is synced, deallocated, or cleared by a persist.
 
 Each object also carries an ``arrival`` stamp, taken from a heap-wide
 counter every time it becomes resident (at allocation and on load). Stamps
@@ -158,9 +156,7 @@ class ObjectMeta:
     # Sizes never change, so these two are computed once, by the creator.
     block_bytes: int  # cache bytes while resident: align_up(size + META_CHARGE_BYTES)
     charge: int  # dirty bytes while modified, its payload words: align_up(size)
-    modified: bool = False
-    pin_count: int = 0
-    write_guarded: bool = False
+    pin_count: int = 0  # live read guards, or -1 under the write guard
     cache_offset: int = -1  # where the object is cached; -1 when not resident
     arrival: int = 0  # stamp of the latest time the object became resident
     hits: int = 1  # accesses since alloc or restore, the alloc counting as one
@@ -253,9 +249,10 @@ class _Guard:
         self._released = True
         self._view.release()
         meta = self._meta
-        meta.pin_count -= 1
         if self._writable:
-            meta.write_guarded = False
+            meta.pin_count = 0
+        else:
+            meta.pin_count -= 1
 
     @property
     def released(self) -> bool:
@@ -352,8 +349,8 @@ class VnvHeap:
             handle_id=m.handle_id,
             size_bytes=m.size_bytes,
             resident=m.cache_offset >= 0,
-            modified=m.modified,
-            pinned=m.pin_count > 0,
+            modified=m.handle_id in self._modified,
+            pinned=m.pin_count != 0,
             cache_offset=m.cache_offset,
             nvm_offset=m.nvm_offset,
             hits=m.hits,
@@ -400,20 +397,14 @@ class VnvHeap:
         nvm_offset = self._nvm_alloc.alloc(size)
         if nvm_offset is None:
             raise OutOfNvmError(f"no free NVM extent of {size} B")
-        # Without cache or dirty pressure, neither eviction path is called.
+        # Without cache or dirty pressure, no room is made: one first-fit probe.
         cache_offset = self._cache_alloc.alloc(block)
-        try:
-            if cache_offset is None:
-                cache_offset = self._make_cache_room(block, self._dirty + charge - limit)
-            if self._dirty + charge > limit:
-                try:
-                    self._make_dirty_room(charge)
-                except Exception:
-                    self._cache_alloc.free(cache_offset, block)
-                    raise
-        except Exception:
-            self._nvm_alloc.free(nvm_offset, size)
-            raise
+        if cache_offset is None or self._dirty + charge > limit:
+            try:
+                cache_offset = self._make_room(block, charge, cache_offset)
+            except Exception:
+                self._nvm_alloc.free(nvm_offset, size)
+                raise
 
         handle_id = self._next_id
         self._next_id = handle_id + 1
@@ -424,7 +415,7 @@ class VnvHeap:
         # Positional: a call with keywords costs twice as much. Resident and
         # modified, unpinned, at a fresh arrival stamp.
         meta = ObjectMeta(handle_id, slot, nvm_offset, size, block, charge,
-                          True, 0, False, cache_offset, next(self._stamps))
+                          0, cache_offset, next(self._stamps))
         self._view[cache_offset : cache_offset + size] = payload
         self._metas[handle_id] = meta
         self._tiers[1][handle_id] = meta
@@ -447,8 +438,7 @@ class VnvHeap:
         if meta.pin_count:
             raise StillPinnedError(f"object {meta.handle_id} has a live guard")
         handle_id = meta.handle_id
-        if meta.modified:
-            del self._modified[handle_id]
+        if self._modified.pop(handle_id, None) is not None:
             self._dirty -= meta.charge
         if meta.cache_offset >= 0:
             self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
@@ -465,7 +455,7 @@ class VnvHeap:
         meta = self._metas.get(handle.id)
         if meta is None or handle._heap is not self:
             meta = self._resolve(handle)
-        if meta.write_guarded:
+        if meta.pin_count < 0:
             raise WriteGuardActiveError(f"object {meta.handle_id} has a live write guard")
         if meta.cache_offset < 0:
             self._ensure_resident(meta)
@@ -484,7 +474,7 @@ class VnvHeap:
         meta = self._metas.get(handle.id)
         if meta is None or handle._heap is not self:
             meta = self._resolve(handle)
-        if meta.write_guarded:
+        if meta.pin_count < 0:
             raise WriteGuardActiveError(f"object {meta.handle_id} has a live write guard")
         if meta.cache_offset < 0:
             payload = self._ensure_resident(meta)
@@ -506,21 +496,18 @@ class VnvHeap:
             meta = self._resolve(handle)
         if meta.pin_count:
             raise GuardActiveError(f"object {meta.handle_id} is already guarded")
-        limit = self.config.max_modified_state_bytes
-        if meta.charge + HEADER_CHARGE_BYTES > limit:
+        if meta.charge + HEADER_CHARGE_BYTES > self.config.max_modified_state_bytes:
             raise DirtyBudgetUnsatisfiableError(
                 f"{meta.size_bytes} B object cannot fit the modified-state limit"
             )
         if meta.cache_offset < 0:
-            victims = self._dirty_victims(meta.charge) if self._dirty + meta.charge > limit else ()
-            self._ensure_resident(meta, True, victims)
-        if not meta.modified:
+            self._ensure_resident(meta, True, meta.charge)
+        if meta.handle_id not in self._modified:
             self._mark_modified(meta)
         hits = meta.hits = meta.hits + 1
         if not hits & (hits - 1):
             self._promote(meta)
-        meta.pin_count = 1
-        meta.write_guarded = True
+        meta.pin_count = -1
         return WriteGuard(self, meta)
 
     def replace(self, handle: ObjectHandle, payload: bytes | bytearray | memoryview) -> None:
@@ -538,15 +525,13 @@ class VnvHeap:
         size = meta.size_bytes
         if len(payload) != size:
             raise SizeMismatchError(f"value is {len(payload)} B, object is {size} B")
-        limit = self.config.max_modified_state_bytes
-        if meta.charge + HEADER_CHARGE_BYTES > limit:
+        if meta.charge + HEADER_CHARGE_BYTES > self.config.max_modified_state_bytes:
             raise DirtyBudgetUnsatisfiableError(
                 f"{size} B object cannot fit the modified-state limit"
             )
         if meta.cache_offset < 0:
-            victims = self._dirty_victims(meta.charge) if self._dirty + meta.charge > limit else ()
-            self._ensure_resident(meta, False, victims)
-        if not meta.modified:
+            self._ensure_resident(meta, False, meta.charge)
+        if meta.handle_id not in self._modified:
             self._mark_modified(meta)
         hits = meta.hits = meta.hits + 1
         if not hits & (hits - 1):
@@ -560,9 +545,9 @@ class VnvHeap:
         """Write a modified resident object back to its extent."""
         self._check_usable()
         meta = self._resolve(handle)
-        if meta.write_guarded:
+        if meta.pin_count < 0:
             raise GuardActiveError("cannot sync under a live write guard")
-        if not meta.modified:  # a modified object is always resident
+        if meta.handle_id not in self._modified:  # a modified object is always resident
             raise PreconditionError("sync requires a modified, resident object")
         self._sync(meta)
 
@@ -574,7 +559,7 @@ class VnvHeap:
             raise PreconditionError("object is not resident")
         if meta.pin_count:
             raise StillPinnedError("pinned objects cannot be unloaded")
-        if meta.modified:
+        if meta.handle_id in self._modified:
             raise PreconditionError("sync the object before unloading it")
         self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
         self._unload(meta)
@@ -594,22 +579,17 @@ class VnvHeap:
         return meta
 
     def _ensure_resident(self, meta: ObjectMeta, fetch: bool = True,
-                         dirty_victims=()) -> bytes | None:
+                         extra: int = 0) -> bytes | None:
         """Load a swapped-out object (callers test ``meta.cache_offset``) and
         return the bytes the device read. Without ``fetch`` the block is left
         as it was, for a caller that overwrites every byte, and None is
-        returned. Residency charges nothing to the dirty budget.
-
-        ``dirty_victims`` is a write access's plan from
-        :meth:`_dirty_victims`, synced once the cache rule has found room
-        (see :meth:`_make_cache_room`)."""
+        returned. Residency charges nothing to the dirty budget; a write
+        access passes the object's charge as ``extra``, so that one
+        :meth:`_make_room` also makes the dirty room for it."""
         block = meta.block_bytes
         offset = self._cache_alloc.alloc(block)
-        if offset is None:
-            offset = self._make_cache_room(block, 0, dirty_victims)
-        elif dirty_victims:
-            for victim in dirty_victims:
-                self._sync(victim)
+        if offset is None or self._dirty + extra > self.config.max_modified_state_bytes:
+            offset = self._make_room(block, extra, offset)
         payload = None
         if fetch:
             payload = self.device.read(meta.nvm_offset, meta.size_bytes)
@@ -634,34 +614,73 @@ class VnvHeap:
         tiers[tier][handle_id] = meta
 
     def _mark_modified(self, meta: ObjectMeta) -> None:
-        """Charge a clean resident as modified (callers test ``meta.modified``)."""
-        if self._dirty + meta.charge > self.config.max_modified_state_bytes:
-            self._make_dirty_room(meta.charge)
-        meta.modified = True
+        """Charge a clean resident as modified (callers test membership in
+        ``_modified``), syncing the dirty rule's victims first when the
+        charge does not fit (see :meth:`_make_room`)."""
+        charge = meta.charge
+        if self._dirty + charge > self.config.max_modified_state_bytes:
+            self._make_room(0, charge)
         self._modified[meta.handle_id] = meta
-        self._dirty += meta.charge
+        self._dirty += charge
 
-    def _make_cache_room(self, block: int, short: int = 0, dirty_victims=()) -> int:
-        """Evict until ``block`` fits and allocate it. Callers call this only
-        once a first-fit probe for ``block`` has failed.
+    def _make_room(self, block: int, extra: int, offset: int | None = None) -> int | None:
+        """Make room in the cache for ``block`` bytes (0 for none) and in the
+        dirty budget for ``extra`` more bytes of modified state, and return
+        the block's offset. ``offset`` is where the caller's first-fit probe
+        placed the block, or None; callers call this only once that probe
+        has failed or the charge does not fit.
 
-        It plans, then acts. The plan changes nothing: each victim's free
+        It plans both rules, then acts. The cache rule plans first, when the
+        probe failed (:meth:`_plan_hole`), so cache pressure is refused
+        before dirty pressure. The dirty rule then counts the hole's
+        modified victims as synced and passes over the pinned residents and
+        every resident inside the hole. Only once both plans make room does
+        it act: it syncs and unloads the hole's victims, claims the block
+        at the hole's start with one :meth:`FirstFitAllocator.claim_span`,
+        where first fit would place it, since the hole is its only fit, and
+        syncs the dirty rule's victims. So a refusal by either rule moves no
+        word, and a probe's block is given back."""
+        hole, start, end = (), 0, 0
+        if offset is None and block:
+            hole, start, end = self._plan_hole(block)
+        modified = self._modified
+        over = self._dirty + extra - self.config.max_modified_state_bytes
+        victims = []
+        if over > 0:
+            for meta in hole:
+                if meta.handle_id in modified:
+                    over -= meta.charge
+            if over > 0:
+                for meta in sorted(modified.values(), key=_ARRIVAL):
+                    if not meta.pin_count and not start <= meta.cache_offset < end:
+                        victims.append(meta)
+                        over -= meta.charge
+                        if over <= 0:
+                            break
+                else:
+                    if offset is not None:
+                        self._cache_alloc.free(offset, block)
+                    raise DirtyBudgetUnsatisfiableError(
+                        f"{extra} B of new modified state cannot be admitted"
+                    )
+        for meta in hole:
+            if meta.handle_id in modified:
+                self._sync(meta)
+            self._unload(meta)
+        if hole:
+            offset = self._cache_alloc.claim_span(start, end, block)
+        for meta in victims:
+            self._sync(meta)
+        return offset
+
+    def _plan_hole(self, block: int) -> tuple[list[ObjectMeta], int, int]:
+        """Plan the cache rule, changing nothing: the victims whose blocks,
+        with the free extents beside them, span a ``[start, end)`` that fits
+        ``block``, returned as ``(victims, start, end)``. Each victim's free
         neighbours come from :meth:`FirstFitAllocator.freed_span`, so a hole
         that is walled in before it fits is passed over with the allocator
-        untouched. Once a hole fits, ``dirty_victims``, a write access's plan
-        from :meth:`_dirty_victims`, are synced, then the hole's victims
-        (only those still modified) are synced and unloaded, and one
-        :meth:`FirstFitAllocator.claim_span` allocates the block at the
-        hole's start, where first fit would place it, since the hole is its
-        only fit. So a refusal by either rule moves no word.
-
-        An alloc passes ``short``, the bytes by which its charge would
-        overrun the modified-state limit. When syncing every modified,
-        unpinned object could not make them up, the alloc is refused before
-        any victim is synced. The test is exact because the victims are
-        unpinned, so the dirty rule could have synced each modified one."""
-        allocator = self._cache_alloc
-        freed_span = allocator.freed_span
+        untouched."""
+        freed_span = self._cache_alloc.freed_span
         by_offset, by_end = self._by_offset, self._by_end
         walled = set()
         for tier in self._tiers:
@@ -683,19 +702,7 @@ class VnvHeap:
                     if hi > end:
                         end = hi
                 else:
-                    if short > 0 and short > sum(
-                        m.charge for m in self._modified.values() if not m.pin_count
-                    ):
-                        raise DirtyBudgetUnsatisfiableError(
-                            f"{short} B over the modified-state limit cannot be synced away"
-                        )
-                    for victim in dirty_victims:
-                        self._sync(victim)
-                    for victim in hole:
-                        if victim.modified:
-                            self._sync(victim)
-                        self._unload(victim)
-                    return allocator.claim_span(start, end, block)
+                    return hole, start, end
                 # Every unpinned resident between the walls is in the hole,
                 # so none of them can anchor one that fits.
                 walled.update(m.handle_id for m in hole)
@@ -703,33 +710,9 @@ class VnvHeap:
             f"no unpinned resident to evict for a {block} B block"
         )
 
-    def _dirty_victims(self, extra: int) -> list[ObjectMeta]:
-        """Plan the dirty rule, changing nothing: the modified, unpinned
-        residents, in arrival order, whose syncs let ``extra`` more bytes of
-        modified state fit. Callers call this only once they have found that
-        they do not fit yet."""
-        dirty = self._dirty
-        limit = self.config.max_modified_state_bytes - extra
-        victims = []
-        for meta in sorted(self._modified.values(), key=_ARRIVAL):
-            if not meta.pin_count:
-                victims.append(meta)
-                dirty -= meta.charge
-                if dirty <= limit:
-                    return victims
-        raise DirtyBudgetUnsatisfiableError(
-            f"{extra} B of new modified state cannot be admitted"
-        )
-
-    def _make_dirty_room(self, extra: int) -> None:
-        """Sync the victims of :meth:`_dirty_victims`."""
-        for victim in self._dirty_victims(extra):
-            self._sync(victim)
-
     def _sync(self, meta: ObjectMeta) -> None:
         start = meta.cache_offset
         self.device.write(meta.nvm_offset, self._cache[start : start + meta.size_bytes])
-        meta.modified = False
         del self._modified[meta.handle_id]
         self._dirty -= meta.charge
 

@@ -12,7 +12,9 @@ guards say so, and any use of a released guard is refused; ``refusals``
 counts each kind. :meth:`TraceMachine.check` re-derives the invariants from scratch:
 the dirty total is 4 bytes per word of the next persist plus 3 words and
 within the limit, the cost is within the bound, modified and pinned objects
-are resident, a guarded object stays where its guard found it, cache blocks
+are resident, each object's pin count is the number of read guards the
+machine holds on it, or -1 under its write guard, a guarded object stays
+where its guard found it, cache blocks
 are disjoint and inside the cache, and the heap's indexes and totals agree
 with the per-object state. The test suite and the ``check``/``crash``
 commands drive this one machine, each deciding how often to run the full
@@ -49,8 +51,8 @@ EXPECTED_PRESSURE_ERRORS = (
 def check_indexes(heap):
     """The residents are the objects ``_by_offset`` names, each at its
     block's start, and exactly those with a cache offset; ``_by_end`` names
-    each at its block's end; ``_modified`` holds exactly the modified
-    residents; arrival stamps are distinct, so sorting by them is one
+    each at its block's end; every object in ``_modified``, whose members
+    are the modified objects, is resident; arrival stamps are distinct, so sorting by them is one
     order; and the cache tiers partition the residents, each in tier
     ``hits.bit_length()``."""
     metas = heap._metas
@@ -62,7 +64,7 @@ def check_indexes(heap):
         assert m is metas[h], f"object {h} is resident but not live"
         assert by_offset[m.cache_offset] is m, f"object {h}'s start is mapped elsewhere"
         assert by_end.get(m.cache_offset + m.block_bytes) is m, f"object {h}'s end is unmapped"
-    assert heap._modified.keys() == {h for h, m in residents.items() if m.modified}
+    assert heap._modified.keys() <= residents.keys(), "a modified object is not resident"
     assert all(m is metas[h] for h, m in heap._modified.items())
     assert len({m.arrival for m in residents.values()}) == len(residents), \
         "two residents share an arrival stamp"
@@ -77,9 +79,10 @@ def check_indexes(heap):
 def persist_cost(heap):
     """Words the next ``persist(heap)`` writes, as a dry run: the payload
     words of every modified object and the epoch word. Derived from each
-    object's own flag and size, not from the modified index or the dirty
-    counter."""
-    return sum(words_for(m.size_bytes) for m in heap._metas.values() if m.modified) + 1
+    live object's membership in the modified index and its size, not from
+    the dirty counter."""
+    modified = heap._modified
+    return sum(words_for(m.size_bytes) for h, m in heap._metas.items() if h in modified) + 1
 
 
 class TraceMachine:
@@ -110,16 +113,22 @@ class TraceMachine:
         assert metas.keys() == self.shadow.keys() == self.handles.keys(), \
             "the live objects differ from the shadow's"
 
+        # A write guard is pin count -1; read guards count up from 0.
+        pins = Counter()
+        for hid, _, writable, _ in self.guards:
+            pins[hid] = -1 if writable else pins[hid] + 1
         blocks = []
         pinned = resident_bytes = 0
         for hid, m in metas.items():
+            assert m.pin_count == pins[hid], \
+                f"object {hid} has pin count {m.pin_count}, the machine's guards say {pins[hid]}"
             if m.cache_offset < 0:
-                assert not m.modified, f"object {hid} modified but not resident"
+                assert hid not in heap._modified, f"object {hid} modified but not resident"
                 assert not m.pin_count, f"object {hid} pinned but not resident"
                 continue
             assert m.cache_offset + m.size_bytes <= self.cache
             blocks.append((m.cache_offset, align_up(m.size_bytes + META_CHARGE_BYTES)))
-            pinned += m.pin_count > 0
+            pinned += m.pin_count != 0
             resident_bytes += m.size_bytes
         cost = persist_cost(heap)
         assert heap.dirty_bytes == WORD_BYTES * (cost + 3) <= self.dirty, \
@@ -173,16 +182,16 @@ class TraceMachine:
         hid = self.pick()
         if hid is None:
             return
-        write_guarded = self.guarded(hid, writable=True)
+        write_held = self.guarded(hid, writable=True)
         try:
             self.verify_content(hid)
         except WriteGuardActiveError:
-            assert write_guarded, f"read of object {hid} refused without a write guard"
+            assert write_held, f"read of object {hid} refused without a write guard"
             self.refusals["get_ref"] += 1
         except EXPECTED_PRESSURE_ERRORS:
-            assert not write_guarded, f"read of write-guarded object {hid} met pressure"
+            assert not write_held, f"read of write-guarded object {hid} met pressure"
         else:
-            assert not write_guarded, f"read of object {hid} granted beside a write guard"
+            assert not write_held, f"read of object {hid} granted beside a write guard"
 
     def op_write(self):
         hid = self.pick()
@@ -240,24 +249,24 @@ class TraceMachine:
         hid = self.pick()
         if hid is None:
             return
-        write_guarded = self.guarded(hid, writable=True)
-        modified = self.heap._metas[hid].modified
+        write_held = self.guarded(hid, writable=True)
+        modified = hid in self.heap._modified
         try:
             self.heap.sync_object(self.handles[hid])
         except GuardActiveError:
-            assert write_guarded, f"sync of object {hid} refused without a write guard"
+            assert write_held, f"sync of object {hid} refused without a write guard"
             self.refusals["sync"] += 1
         except PreconditionError:
             assert not modified, f"sync of modified object {hid} refused"
         else:
-            assert modified and not write_guarded, f"sync of object {hid} granted"
+            assert modified and not write_held, f"sync of object {hid} granted"
 
     def op_unload(self):
         hid = self.pick()
         if hid is None:
             return
         meta = self.heap._metas[hid]
-        resident, modified = meta.cache_offset >= 0, meta.modified
+        resident, modified = meta.cache_offset >= 0, hid in self.heap._modified
         guarded = self.guarded(hid)
         try:
             self.heap.unload(self.handles[hid])

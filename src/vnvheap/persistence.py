@@ -18,7 +18,9 @@ So its host cost follows what changed, not how many objects are resident or
 live. Each payload costs one host copy, a slice of the cache's
 ``bytearray``, which the device stores without copying it again (see
 :meth:`~vnvheap.storage.StorageDevice.write`). The payloads go out in one
-loop, and the bookkeeping is settled once, after the commit.
+loop, and the bookkeeping is settled once, after the commit: the modified
+index is rebuilt from the write-guarded payloads (pin count -1) alone, so
+no object has a flag to clear.
 
 restore() reads the superblock and the table, rebuilds a heap from the
 entries live at the committed epoch, and sets the stamps of the epoch that
@@ -80,8 +82,8 @@ def wcec_millijoules(words: int, model: EnergyModel = EnergyModel()) -> float:
 
 def persist(heap: VnvHeap) -> PersistReport:
     """Checkpoint the heap. The heap stays usable afterwards: guards stay
-    live, residents stay resident, and only the modified flags of objects
-    without a live write guard are cleared."""
+    live, residents stay resident, and every object leaves the modified
+    index except those under a live write guard."""
     device = heap.device
     if device.power_failed:
         heap._check_usable()
@@ -104,11 +106,9 @@ def persist(heap: VnvHeap) -> PersistReport:
     guarded = {}
     dirty = HEADER_CHARGE_BYTES
     for meta in payloads:
-        if meta.write_guarded:
+        if meta.pin_count < 0:
             guarded[meta.handle_id] = meta
             dirty += meta.charge
-        else:
-            meta.modified = False
     heap._modified = guarded
     heap._dirty = dirty
     return PersistReport(
@@ -161,6 +161,9 @@ def restore(
         _adopt_layout=layout,
     )
     for slot, handle_id, nvm_offset, size in heap.tables.adopt(superblock.epoch):
+        if not handle_id:
+            # Ids start at 1, so no heap ever handed out id 0.
+            raise NoValidCheckpointError(f"slot {slot} is committed with handle id 0")
         if handle_id in heap._metas:
             raise NoValidCheckpointError(f"handle id {handle_id} is committed twice")
         if not size:

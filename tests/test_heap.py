@@ -464,6 +464,87 @@ def test_a_miss_refused_for_cache_pressure_moves_no_word():
             g.release()
 
 
+def test_a_write_miss_counts_the_syncs_of_its_hole_as_dirty_room():
+    """512 B cache, 400 B limit. X (200 B) is swapped out; O (100 B, at
+    [0, 104)) is modified and hot, C (196 B, [104, 304)) clean and V (200 B,
+    [304, 508)) modified: 16 + 300 of the limit. X's 204 B block takes the
+    hole of C and V, and X's charge needs 116 B synced, which V's sync, made
+    for the hole anyway, covers. So a ``get_mut`` or ``replace`` of X writes
+    V's payload alone and O stays modified."""
+    accesses = {"get_mut": lambda heap, x: heap.get_mut(x).release(),
+                "replace": lambda heap, x: heap.replace(x, b"Y" * 200)}
+    for name, access in accesses.items():
+        heap = make_heap(cache=512, dirty=400)
+        x = heap.alloc(b"X" * 200)
+        heap.sync_object(x)
+        heap.unload(x)
+        o = heap.alloc(b"O" * 100)
+        c = heap.alloc(b"C" * 196)
+        heap.sync_object(c)
+        v = heap.alloc(b"V" * 200)
+        heap.read(o)  # O is hot, so the hole grows from C into V
+        assert [heap.object_info(h).cache_offset for h in (o, c, v)] == [0, 104, 304]
+        log = log_writes(heap.device)
+        access(heap, x)
+        assert log == [(heap.object_info(v).nvm_offset, b"V" * 200)], f"{name} wrote {log}"
+        assert heap.object_info(o).modified
+        assert heap.object_info(x).cache_offset == 104
+        assert heap.dirty_bytes == expected_dirty(heap) == 16 + 100 + 200
+
+
+def test_cache_pressure_is_refused_before_dirty_pressure():
+    """512 B cache, 400 B limit. X (300 B) is swapped out, P (200 B) is
+    write-guarded and Q (100 B) clean and read-guarded. No hole fits a
+    304 B block, and no sync can admit a 300 B charge beside P's 200 B, so
+    both rules refuse: a miss of X and a 300 B alloc each raise the cache
+    rule's error with no word moved."""
+    accesses = {"get_mut": lambda heap, x: heap.get_mut(x),
+                "replace": lambda heap, x: heap.replace(x, b"Y" * 300),
+                "alloc": lambda heap, x: heap.alloc(b"Z" * 300)}
+    for name, access in accesses.items():
+        heap = make_heap(cache=512, dirty=400)
+        x = heap.alloc(b"X" * 300)
+        heap.sync_object(x)
+        heap.unload(x)
+        p = heap.alloc(b"P" * 200)
+        q = heap.alloc(b"Q" * 100)
+        heap.sync_object(q)
+        guards = [heap.get_mut(p), heap.get_ref(q)]
+        before = _heap_state(heap)
+        extents = heap._cache_alloc.free_extents()
+        with pytest.raises(CachePressureUnresolvableError):
+            access(heap, x)
+        assert _heap_state(heap) == before, f"the refused {name} moved words"
+        assert heap._cache_alloc.free_extents() == extents
+        for g in guards:
+            g.release()
+
+
+def test_without_pressure_no_room_is_made():
+    """A read miss, a replace miss, a first write of a resident and an
+    alloc that each fit by first fit, with dirty room to spare, succeed
+    without calling ``_make_room``: one probe is their whole cost."""
+    heap = make_heap(cache=1024, dirty=512)
+    a, b = heap.alloc(b"A" * 100), heap.alloc(b"B" * 100)
+    for h in (a, b):
+        heap.sync_object(h)
+        heap.unload(h)
+    c = heap.alloc(b"C" * 100)
+    heap.sync_object(c)
+
+    def refuse(*args):
+        raise AssertionError("room was made without pressure")
+
+    heap._make_room = refuse
+    assert heap.read(a) == b"A" * 100
+    heap.replace(b, b"b" * 100)
+    with heap.get_mut(c) as w:
+        w.write(b"c")
+    d = heap.alloc(b"D" * 100)
+    assert [heap.read(h) for h in (b, c, d)] == [b"b" * 100, b"c" + b"C" * 99, b"D" * 100]
+    assert heap.dirty_bytes == expected_dirty(heap) == 16 + 3 * 100
+
+
 def _count_allocator_calls(allocator):
     """Count the ``free`` and ``allocate_at`` calls made on ``allocator``."""
     calls = {"free": 0, "allocate_at": 0}

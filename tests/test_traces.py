@@ -40,3 +40,25 @@ def test_every_step_is_charged_exactly_what_the_next_persist_writes():
     whatever the seed (step 24 of this trace)."""
     m = TraceMachine(2, cache=1024, dirty=512, max_objects=32)
     m.run(1000)
+
+
+def test_check_holds_each_pin_count_to_the_machines_guards():
+    """The full check fails when an object's pin count is not the number of
+    read guards the machine holds on it, or -1 under its write guard."""
+    m = TraceMachine(1)
+    for hid in (1, 2):
+        payload = bytes([hid]) * 8
+        h = m.heap.alloc(payload)
+        m.shadow[h.id], m.handles[h.id] = bytearray(payload), h
+    for hid, take, writable in ((1, m.heap.get_ref, False), (1, m.heap.get_ref, False),
+                                (2, m.heap.get_mut, True)):
+        g = take(m.handles[hid])
+        m.guards.append((hid, g, writable, m.heap._metas[hid].cache_offset))
+    m.check()
+    for hid, wrong in ((1, 1), (1, -1), (2, 1), (2, 0)):
+        meta = m.heap._metas[hid]
+        right, meta.pin_count = meta.pin_count, wrong
+        with pytest.raises(AssertionError, match="pin count"):
+            m.check()
+        meta.pin_count = right
+    m.check()

@@ -16,7 +16,7 @@ from traceutil import log_writes
 
 # SHA-256 over every (offset, data) the trace below passes to the device's
 # public ``write``.
-KV_WRITES_SHA256 = "7a5a1e3cf80226571febda2f6b3998bfeaca91e664ea8e4d55bd1e32355ce09b"
+KV_WRITES_SHA256 = "0ec8dc974fc221a5ad8ba02396a8bbcd8e5357b9d65c0709c2c1e5c18788baaa"
 # The meter's (words_read, words_written) at the end of the trace.
 KV_WORDS = (55136, 45518)
 
