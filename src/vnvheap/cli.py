@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--page-size", type=int, default=0,
                    help=f"ms backend page size; 0 sweeps {MS_PAGE_SIZES}")
     p.add_argument("--n-ops", type=_count, default=4096)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_count, default=42)  # numpy's PCG64 takes no negative seed
     p.add_argument("--nvm-capacity", type=int, default=bench.DEFAULT_NVM_CAPACITY)
     _add_csv_flags(p)
 

@@ -3,7 +3,8 @@ object region. Offsets and lengths are kept word-aligned."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
+from collections.abc import Iterable
 from operator import itemgetter
 
 from .storage import WORD_BYTES
@@ -28,11 +29,20 @@ class FirstFitAllocator:
     same length they allocated.
     """
 
-    def __init__(self, start: int, size: int) -> None:
+    def __init__(self, start: int, size: int, used: Iterable[tuple[int, int]] = ()) -> None:
+        """Manage ``[start, start + size)``, free but for the sorted,
+        disjoint ``(offset, nbytes)`` extents of ``used``."""
         assert start % WORD_BYTES == 0 and size % WORD_BYTES == 0
         self.start = start
         self.size = size
-        self._free: list[list[int]] = [[start, size]] if size else []
+        self._free: list[list[int]] = []
+        at = start
+        for offset, nbytes in used:
+            if offset > at:
+                self._free.append([at, offset - at])
+            at = offset + align_up(nbytes)
+        if at < start + size:
+            self._free.append([at, start + size - at])
 
     def alloc(self, nbytes: int) -> int | None:
         """Return the offset of a new extent, or None if nothing fits."""
@@ -47,24 +57,6 @@ class FirstFitAllocator:
                     self._free.remove(ext)
                 return offset
         return None
-
-    def allocate_at(self, offset: int, nbytes: int) -> None:
-        """Carve a specific extent out of the free space (restore path). No
-        allocated extent starts off a word boundary, so such an extent is
-        not free either."""
-        need = align_up(nbytes)
-        if offset % WORD_BYTES:
-            raise ValueError(f"extent [{offset}, {offset + need}) is not free: not word-aligned")
-        for i, (off, length) in enumerate(self._free):
-            if off <= offset and offset + need <= off + length:
-                del self._free[i]
-                if offset > off:
-                    insort(self._free, [off, offset - off])
-                tail = (off + length) - (offset + need)
-                if tail:
-                    insort(self._free, [offset + need, tail])
-                return
-        raise ValueError(f"extent [{offset}, {offset + need}) is not free")
 
     def freed_span(self, offset: int, nbytes: int) -> tuple[int, int]:
         """``(start, end)`` of the free extent that would hold the allocated

@@ -310,7 +310,6 @@ class VnvHeap:
         self._view = memoryview(self._cache)
         self._ro_view = self._view.toreadonly()
         self._cache_alloc = FirstFitAllocator(0, cache_size_bytes)
-        self._nvm_alloc = FirstFitAllocator(self.layout.object_offset, self.layout.object_bytes)
         self._metas: dict[int, ObjectMeta] = {}
         self._modified: dict[int, ObjectMeta] = {}
         # _tiers[t] holds the residents of tier t >= 1 in the order they
@@ -322,7 +321,7 @@ class VnvHeap:
         self._stamps = count(1)  # arrival stamps
         self._dirty = HEADER_CHARGE_BYTES
         self._next_id = 1
-        self.tables = CheckpointTables(device, self.layout, self._nvm_alloc.free)
+        self.tables = CheckpointTables(device, self.layout)
         if _adopt_layout is None:
             self.tables.format(cache_size_bytes, max_modified_state_bytes)
 
@@ -340,7 +339,7 @@ class VnvHeap:
             resident_count=len(residents),
             pinned_count=sum(1 for m in residents if m.pin_count),
             cache_free_bytes=self._cache_alloc.total_free(),
-            nvm_free_bytes=self._nvm_alloc.total_free(),
+            nvm_free_bytes=self.tables.extents.total_free(),
         )
 
     def object_info(self, handle: ObjectHandle) -> ObjectInfo:
@@ -394,7 +393,7 @@ class VnvHeap:
         tables = self.tables
         if tables.free_slot() is None:
             raise OutOfNvmError("metadata table is full")
-        nvm_offset = self._nvm_alloc.alloc(size)
+        nvm_offset = tables.extents.alloc(size)
         if nvm_offset is None:
             raise OutOfNvmError(f"no free NVM extent of {size} B")
         # Without cache or dirty pressure, no room is made: one first-fit probe.
@@ -403,7 +402,7 @@ class VnvHeap:
             try:
                 cache_offset = self._make_room(block, charge, cache_offset)
             except Exception:
-                self._nvm_alloc.free(nvm_offset, size)
+                tables.extents.free(nvm_offset, size)
                 raise
 
         handle_id = self._next_id
@@ -496,10 +495,6 @@ class VnvHeap:
             meta = self._resolve(handle)
         if meta.pin_count:
             raise GuardActiveError(f"object {meta.handle_id} is already guarded")
-        if meta.charge + HEADER_CHARGE_BYTES > self.config.max_modified_state_bytes:
-            raise DirtyBudgetUnsatisfiableError(
-                f"{meta.size_bytes} B object cannot fit the modified-state limit"
-            )
         if meta.cache_offset < 0:
             self._ensure_resident(meta, True, meta.charge)
         if meta.handle_id not in self._modified:
@@ -525,10 +520,6 @@ class VnvHeap:
         size = meta.size_bytes
         if len(payload) != size:
             raise SizeMismatchError(f"value is {len(payload)} B, object is {size} B")
-        if meta.charge + HEADER_CHARGE_BYTES > self.config.max_modified_state_bytes:
-            raise DirtyBudgetUnsatisfiableError(
-                f"{size} B object cannot fit the modified-state limit"
-            )
         if meta.cache_offset < 0:
             self._ensure_resident(meta, False, meta.charge)
         if meta.handle_id not in self._modified:

@@ -34,8 +34,10 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ConfigInvalidError, NoValidCheckpointError
+from .freelist import FirstFitAllocator, align_up
 from .storage import StorageDevice, WORD_BYTES
 
 MAGIC = b"VNVH"
@@ -118,16 +120,15 @@ class CheckpointTables:
     its slot and extent still belong to that checkpoint, so :meth:`commit`
     releases them. A slot born and freed in one epoch is released at once,
     with its extent. So the table must hold the live objects plus those
-    deallocated since the last commit. ``release_extent`` takes an extent
-    back into the object region's free space. :meth:`format` or
-    :meth:`adopt` must run before any other method.
+    deallocated since the last commit. ``extents`` is the object region's
+    free space: the heap allocates from it, and only the tables free into
+    it. :meth:`format` or :meth:`adopt` must run before any other method.
     """
 
-    def __init__(self, device: StorageDevice, layout: ImageLayout, release_extent) -> None:
+    def __init__(self, device: StorageDevice, layout: ImageLayout) -> None:
         self.device = device
         self.layout = layout
         self._base = layout.table_offset
-        self._release_extent = release_extent
         self._entry = bytearray(ENTRY_BYTES)  # a birth's entry, packed in place
         self.metadata_bytes_written = 0  # cumulative, callers diff it
 
@@ -139,39 +140,66 @@ class CheckpointTables:
             cache_size_bytes, max_modified_state_bytes,
         ))
         self.device.write(lay.table_offset, bytearray(lay.table_bytes))
-        self._start(0, list(range(lay.max_objects)))  # ascending, so a heap
+        self._start(0, list(range(lay.max_objects)), [])  # ascending, so a heap
 
     def adopt(self, epoch: int) -> list[tuple[int, int, int, int]]:
-        """Read the table of an image committed at ``epoch`` and return its
-        live entries, ``(slot, handle id, nvm offset, size)`` by slot.
+        """Read the table of an image committed at ``epoch``, check it, and
+        return its live entries, ``(slot, handle id, nvm offset, size)`` by
+        slot. Raises :class:`NoValidCheckpointError`, having written
+        nothing, for a table no heap could have committed: a handle id 0,
+        an id live twice, a size 0, or an extent that is not word-aligned,
+        leaves the object region or overlaps another live extent.
 
         Every stamp above ``epoch`` was written by an epoch that never
-        committed; each is set back to zero, in slot order, so that the next
-        commit cannot publish it. These writes change nothing that decoding
-        at ``epoch`` reads, so a restore cut among them and run again decodes
-        the same entries.
+        committed; each is then set back to zero, in slot order, so that the
+        next commit cannot publish it. These writes change nothing that
+        decoding at ``epoch`` reads, so a restore cut among them and run
+        again decodes the same entries.
         """
         lay = self.layout
         raw = self.device.read(self._base, lay.table_bytes)
         words = struct.unpack(f"<{lay.max_objects * ENTRY_WORDS}I", raw)
-        live, free = [], []
+        live, free, undo, ids = [], [], [], set()
         for slot in range(lay.max_objects):
             at = slot * ENTRY_WORDS
             born, handle_id, nvm_offset, size, died = words[at : at + ENTRY_WORDS]
             if born > epoch:
-                self._write_word(slot * ENTRY_BYTES + BORN_AT, ZERO_WORD)
+                undo.append(slot * ENTRY_BYTES + BORN_AT)
                 born = 0
             if died > epoch:
-                self._write_word(slot * ENTRY_BYTES + DIED_AT, ZERO_WORD)
+                undo.append(slot * ENTRY_BYTES + DIED_AT)
                 died = 0
-            if born and not died:
-                live.append((slot, handle_id, nvm_offset, size))
-            else:
+            if not born or died:
                 free.append(slot)
-        self._start(epoch, free)
+                continue
+            if not handle_id:
+                # Ids start at 1, so no heap ever handed out id 0.
+                raise NoValidCheckpointError(f"slot {slot} is committed with handle id 0")
+            if handle_id in ids:
+                raise NoValidCheckpointError(f"handle id {handle_id} is committed twice")
+            if not size:
+                # A zero-sized extent reserves nothing, so the next alloc
+                # would hand out the same offset.
+                raise NoValidCheckpointError(f"object {handle_id} is committed with size 0")
+            ids.add(handle_id)
+            live.append((slot, handle_id, nvm_offset, size))
+        used = []
+        at, region_end = lay.object_offset, lay.object_offset + lay.object_bytes
+        for _, handle_id, nvm_offset, size in sorted(live, key=itemgetter(2)):
+            end = nvm_offset + align_up(size)
+            if nvm_offset < at or end > region_end or nvm_offset % WORD_BYTES:
+                raise NoValidCheckpointError(
+                    f"object {handle_id}: extent [{nvm_offset}, {end}) is not free")
+            used.append((nvm_offset, size))
+            at = end
+        for offset in undo:
+            self._write_word(offset, ZERO_WORD)
+        self._start(epoch, free, used)
         return live
 
-    def _start(self, epoch: int, free: list[int]) -> None:
+    def _start(self, epoch: int, free: list[int], used: list[tuple[int, int]]) -> None:
+        lay = self.layout
+        self.extents = FirstFitAllocator(lay.object_offset, lay.object_bytes, used)
         self._stamp = bytearray(_WORD.pack(epoch + 1))
         self._free = free
         self._born: set[int] = set()
@@ -213,7 +241,7 @@ class CheckpointTables:
         if slot in born:
             born.discard(slot)
             heapq.heappush(self._free, slot)
-            self._release_extent(nvm_offset, size)
+            self.extents.free(nvm_offset, size)
         else:
             self._deaths.append((slot, nvm_offset, size))
 
@@ -236,7 +264,7 @@ class CheckpointTables:
         if deaths:
             self._deaths = []
             free = self._free
-            release = self._release_extent
+            release = self.extents.free
             for slot, nvm_offset, size in deaths:
                 heapq.heappush(free, slot)
                 release(nvm_offset, size)

@@ -22,12 +22,13 @@ loop, and the bookkeeping is settled once, after the commit: the modified
 index is rebuilt from the write-guarded payloads (pin count -1) alone, so
 no object has a flag to clear.
 
-restore() reads the superblock and the table, rebuilds a heap from the
-entries live at the committed epoch, and sets the stamps of the epoch that
-never committed back to zero (``CheckpointTables.adopt``). Every object
-starts swapped out, whether or not a guard was held on it at persist, and
-loads lazily on first access. Restore is the one step that reads the whole
-table.
+restore() checks the superblock, then ``CheckpointTables.adopt`` reads and
+checks the table, rebuilds the object region's free space from the entries
+live at the committed epoch in one sort, and sets the stamps of the epoch
+that never committed back to zero; restore builds a heap of those entries.
+Every object starts swapped out, whether or not a guard was held on it at
+persist, and loads lazily on first access. Restore is the one step that
+reads the whole table.
 """
 
 from __future__ import annotations
@@ -160,30 +161,14 @@ def restore(
         max_objects=max_objects,
         _adopt_layout=layout,
     )
+    metas, handles = heap._metas, {}
     for slot, handle_id, nvm_offset, size in heap.tables.adopt(superblock.epoch):
-        if not handle_id:
-            # Ids start at 1, so no heap ever handed out id 0.
-            raise NoValidCheckpointError(f"slot {slot} is committed with handle id 0")
-        if handle_id in heap._metas:
-            raise NoValidCheckpointError(f"handle id {handle_id} is committed twice")
-        if not size:
-            # A zero-sized extent reserves nothing, so the next alloc would
-            # hand out the same offset.
-            raise NoValidCheckpointError(f"object {handle_id} is committed with size 0")
         meta = ObjectMeta.swapped_out(handle_id, slot, nvm_offset, size)
         if meta.block_bytes > cache_size_bytes:
             # No eviction could ever make room to load it.
             raise NoValidCheckpointError(
                 f"object {handle_id}: {size} B cannot fit the {cache_size_bytes} B cache")
-        try:
-            heap._nvm_alloc.allocate_at(nvm_offset, size)
-        except ValueError as exc:
-            raise NoValidCheckpointError(f"object {handle_id}: {exc}") from None
-        heap._metas[handle_id] = meta
-        heap._next_id = max(heap._next_id, handle_id + 1)
-
-    handles = {
-        handle_id: ObjectHandle(handle_id, meta.size_bytes, heap)
-        for handle_id, meta in heap._metas.items()
-    }
+        metas[handle_id] = meta
+        handles[handle_id] = ObjectHandle(handle_id, size, heap)
+    heap._next_id = max(metas, default=0) + 1
     return heap, handles

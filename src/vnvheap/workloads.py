@@ -142,10 +142,13 @@ class VnvQueue:
 
 
 class NvmQueue:
-    """Every element read from / written to storage directly; no cache."""
+    """Every element read from / written to storage directly; no cache. The
+    state word packs the head and the length as a u16 each."""
 
     def __init__(self, device: StorageDevice, capacity: int = 1024,
                  element_size: int = QUEUE_ELEMENT_BYTES) -> None:
+        if capacity > 0xFFFF:
+            raise PreconditionError(f"a raw-NVM queue holds at most 65535 elements, not {capacity}")
         self.device = device
         self.element_size = element_size
         self.capacity = capacity

@@ -268,6 +268,7 @@ def test_a_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
     ("crash", "--iterations", "-2"),
     ("queue", "--reps", "-1"),
     ("queue", "--length", "-3"),
+    ("kvs", "--seed", "-1"),
 ], ids=" ".join)
 def test_a_negative_count_is_rejected_at_parse_time(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -276,6 +277,16 @@ def test_a_negative_count_is_rejected_at_parse_time(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {argv[1]}: must not be negative" in captured.err
+
+
+def test_a_raw_nvm_queue_too_long_for_its_state_word_is_an_error(capsys):
+    # Length 32768 asks for a 65536-element ring, one more than a u16 counts.
+    code = main(["queue", "--backend", "nvm", "--length", "32768", "--reps", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "65535" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_an_unwritable_out_path_fails_before_any_benchmark(tmp_path, capsys, monkeypatch):

@@ -64,20 +64,11 @@ def test_free_overlapping_a_free_extent_by_one_word_is_a_bug(offset):
     assert a.free_extents() == [(8, 8)]
 
 
-def test_allocate_at_carves_an_exact_range():
-    a = FirstFitAllocator(100, 100)
-    a.allocate_at(120, 20)
-    assert a.total_free() == 80
-    # the carved range is gone
-    got = {a.alloc(40) for _ in range(2)}
-    assert 120 not in got
-
-
-def test_allocate_at_rejects_occupied_ranges():
-    a = FirstFitAllocator(0, 64)
-    a.allocate_at(0, 16)
-    with pytest.raises(ValueError):
-        a.allocate_at(12, 8)
+def test_the_free_space_is_built_around_the_extents_in_use():
+    a = FirstFitAllocator(100, 100, [(104, 8), (112, 5), (140, 60)])
+    assert a.free_extents() == [(100, 4), (120, 20)]
+    assert FirstFitAllocator(0, 64, [(0, 64)]).free_extents() == []
+    assert FirstFitAllocator(0, 64).free_extents() == [(0, 64)]
 
 
 def test_randomized_against_byte_map_oracle():

@@ -546,8 +546,8 @@ def test_without_pressure_no_room_is_made():
 
 
 def _count_allocator_calls(allocator):
-    """Count the ``free`` and ``allocate_at`` calls made on ``allocator``."""
-    calls = {"free": 0, "allocate_at": 0}
+    """Count the ``free`` calls made on ``allocator``."""
+    calls = {"free": 0}
     for name in calls:
         inner = getattr(allocator, name)
 
@@ -589,7 +589,7 @@ def test_a_miss_meeting_a_walled_hole_leaves_the_allocator_untouched():
             assert heap.object_info(a).resident
             assert not heap.object_info(b).resident and not heap.object_info(q).resident
             assert heap._cache_alloc.free_extents() == [(412, 100)]
-        assert calls == {"free": 0, "allocate_at": 0}
+        assert calls == {"free": 0}
         for g in guards:
             g.release()
 

@@ -1,12 +1,14 @@
 """Checkpointing: the persist cost bound, crash fallback, and restore."""
 
 import io
+import random
 import struct
 
 import pytest
 
 from traceutil import count_bytecodes, log_writes
 from vnvheap import (
+    DirtyBudgetUnsatisfiableError,
     EnergyModel,
     HEADER_CHARGE_BYTES,
     HeapConfig,
@@ -16,6 +18,7 @@ from vnvheap import (
     PowerFailureInjected,
     SimulatedNvm,
     VnvHeap,
+    VnvHeapError,
     persist,
     persist_bound,
     restore,
@@ -578,6 +581,108 @@ def test_restore_reads_the_superblock_and_five_words_per_slot():
     restore(dev)
     assert SUPERBLOCK_BYTES // 4 == 7
     assert dev.cost_meter.snapshot() == (7 + 5 * 128, 0) == (647, 0)
+
+
+def _unordered_image(live):
+    """A power-cycled 1024-slot image committing ``live`` objects whose
+    extents are out of slot order: every other object of a first commit is
+    deallocated, and a larger object, placed above all the others, takes
+    its slot."""
+    dev, heap = fresh(max_objects=1024)
+    handles = [heap.alloc(b"a" * 8) for _ in range(live)]
+    persist(heap)
+    for h in handles[::2]:
+        heap.dealloc(h)
+    persist(heap)
+    for _ in handles[::2]:
+        heap.alloc(b"b" * 12)
+    persist(heap)
+    by_slot = [m.nvm_offset for m in sorted(heap._metas.values(), key=lambda m: m.entry_slot)]
+    assert by_slot != sorted(by_slot)
+    return dev.reopen()
+
+
+def test_restore_costs_the_same_bytecodes_per_object_at_any_live_count():
+    """Restore checks and rebuilds each live entry in a fixed number of
+    steps, plus one sort by offset, so its cost per object is the same
+    between 256 and 512 live objects as between 64 and 128."""
+    cost = {live: count_bytecodes(restore, _unordered_image(live)) for live in (64, 128, 256, 512)}
+    low = (cost[128] - cost[64]) / 64
+    high = (cost[512] - cost[256]) / 256
+    assert abs(high - low) <= 0.05 * low
+
+
+def test_an_object_over_a_smaller_limit_restores_readable_but_not_writable():
+    """Restored under a limit its charge cannot fit, an object still reads;
+    a get_mut or replace of it, swapped out or resident, is refused by the
+    room plan and moves no word."""
+    dev, heap = fresh(dirty=1024)
+    payload = b"w" * 200
+    hid = heap.alloc(payload).id
+    persist(heap)
+    heap, handles = restore(dev.reopen(), max_modified_state_bytes=64)
+    h = handles[hid]
+    for resident in (False, True):
+        if resident:
+            assert heap.read(h) == payload
+        words = heap.device.cost_meter.snapshot()
+        state = heap.stats(), heap.object_info(h)
+        with pytest.raises(DirtyBudgetUnsatisfiableError):
+            heap.get_mut(h)
+        with pytest.raises(DirtyBudgetUnsatisfiableError):
+            heap.replace(h, b"v" * 200)
+        assert heap.device.cost_meter.snapshot() == words
+        assert (heap.stats(), heap.object_info(h)) == state
+
+
+def _tolerate(fn, *args):
+    """Run ``fn(*args)``; return its result, or None if it raised a
+    ``VnvHeapError``. Any other exception propagates."""
+    try:
+        return fn(*args)
+    except VnvHeapError:
+        return None
+
+
+def test_restore_of_a_bit_flipped_image_refuses_it_or_returns_a_working_heap():
+    """1 to 3 bits flipped in the superblock and table of a committed image,
+    500 times: each restore refuses the image with a ``VnvHeapError``, or
+    returns a heap on which read, replace, dealloc, alloc, persist and a
+    second restore raise no other exception. Whether that heap holds
+    exactly a committed state is beyond what the table's format rules can
+    tell. The cache size is passed, because the recorded one sizes the
+    host's cache buffer: a flipped high bit would ask for gigabytes."""
+    dev, heap = fresh(cache=1024, dirty=512, max_objects=12, capacity=4096)
+    handles = [heap.alloc(bytes([i]) * (8 + 12 * i)) for i in range(8)]
+    persist(heap)
+    heap.dealloc(handles[1])
+    heap.replace(handles[2], b"r" * 32)
+    heap.alloc(b"n" * 40)
+    persist(heap)
+    heap.dealloc(handles[3])  # a death and a birth that never commit
+    heap.alloc(b"u" * 16)
+    image = dev.reopen()
+    flip_bits = (SUPERBLOCK_BYTES + heap.layout.table_bytes) * 8
+    rng = random.Random(23)
+    refused = 0
+    for _ in range(500):
+        dev = image.reopen()
+        for bit in rng.sample(range(flip_bits), rng.randint(1, 3)):
+            dev._buf[bit // 8] ^= 1 << bit % 8
+        restored = _tolerate(restore, dev, 1024)
+        if restored is None:
+            refused += 1
+            continue
+        heap, handles = restored
+        for h in handles.values():
+            _tolerate(heap.read, h)
+            _tolerate(heap.replace, h, b"x" * h.size_bytes)
+        if handles:
+            _tolerate(heap.dealloc, handles[min(handles)])
+        _tolerate(heap.alloc, b"y" * 24)
+        _tolerate(persist, heap)
+        _tolerate(restore, dev.reopen(), 1024)
+    assert 100 < refused < 400
 
 
 def test_an_image_taken_under_many_guards_restores_at_a_small_limit():

@@ -70,7 +70,7 @@ def check_table(heap, committed):
         at = offset + words_for(size) * WORD_BYTES
     if at < lay.object_offset + lay.object_bytes:
         gaps.append((at, lay.object_offset + lay.object_bytes - at))
-    assert heap._nvm_alloc.free_extents() == gaps, "an extent is held or free out of turn"
+    assert heap.tables.extents.free_extents() == gaps, "an extent is held or free out of turn"
 
 
 class TableOracleMachine(TraceMachine):

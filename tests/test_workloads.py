@@ -182,6 +182,14 @@ def test_nvm_queue_ring_wraps_and_costs_are_flat():
     assert (r - before[0], w - before[1]) == (30 * 16, 30 * 18)
 
 
+def test_nvm_queue_refuses_a_capacity_its_state_word_cannot_count():
+    # Head and length are a u16 each: 65535 elements fit, 65536 do not.
+    dev = SimulatedNvm(64 * 1024)
+    assert NvmQueue(dev, capacity=0xFFFF, element_size=64).capacity == 0xFFFF
+    with pytest.raises(PreconditionError, match="at most 65535"):
+        NvmQueue(dev, capacity=0x10000, element_size=64)
+
+
 # -- key-value stores -----------------------------------------------------------
 
 
