@@ -17,7 +17,7 @@ from contextlib import nullcontext
 
 from . import bench
 from .baselines import MS_PAGE_SIZES
-from .errors import VnvHeapError
+from .errors import PreconditionError, VnvHeapError
 from .persistence import EnergyModel
 from .workloads import PATTERNS, RamQueue
 
@@ -157,15 +157,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args) -> int:
-    if args.command in ("crash", "check") and not __debug__:
-        # The oracle checks with assert statements, which -O strips.
-        print(f"error: {args.command} needs assert statements; run it without python -O",
-              file=sys.stderr)
-        return 2
-    if args.command == "crash":
-        reports = [bench.run_crash_suite(args.seed, iterations=args.iterations)]
-    elif args.command == "check":
-        reports = bench.run_check(args.seed, quick=args.quick)
+    if args.command in ("crash", "check"):
+        try:
+            reports = (bench.run_check(args.seed, quick=args.quick) if args.command == "check"
+                       else [bench.run_crash_suite(args.seed, iterations=args.iterations)])
+        except PreconditionError as exc:  # python -O strips the asserts the suites check with
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         # The output is opened first, so a bad path costs no benchmark run.
         try:

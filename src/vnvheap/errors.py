@@ -23,7 +23,7 @@ class PowerFailureInjected(VnvHeapError):
 
 
 class OutOfNvmError(VnvHeapError):
-    """No free extent (or no free table slot) large enough for the request."""
+    """No free extent, table slot, handle id or epoch left for the request."""
 
 
 class ObjectTooLargeError(VnvHeapError):

@@ -112,7 +112,7 @@ from .errors import (
     WriteGuardActiveError,
 )
 from .freelist import FirstFitAllocator, align_up
-from .layout import CheckpointTables, ImageLayout
+from .layout import CheckpointTables
 from .storage import StorageDevice, WORD_BYTES
 
 HEADER_CHARGE_BYTES = 16  # the epoch word and 3 words held for a commit record
@@ -299,11 +299,14 @@ class VnvHeap:
         cache_size_bytes: int = 4096,
         max_modified_state_bytes: int = 2048,
         max_objects: int = 1024,
-        _adopt_layout: ImageLayout | None = None,
+        _tables: CheckpointTables | None = None,
     ) -> None:
         self.config = HeapConfig(cache_size_bytes, max_modified_state_bytes, max_objects)
         self.device = device
-        self.layout = _adopt_layout or ImageLayout.compute(device.capacity_bytes, max_objects)
+        # A new image, unless restore passes the tables of the one it adopts.
+        self.tables = _tables or CheckpointTables.format(
+            device, max_objects, cache_size_bytes, max_modified_state_bytes)
+        self.layout = self.tables.layout
         self._cache = bytearray(cache_size_bytes)
         # Guards slice these views; the cache is never resized. Bytes are
         # stored through _view: a bytearray store copies them once more first.
@@ -320,10 +323,6 @@ class VnvHeap:
         self._by_end: dict[int, ObjectMeta] = {}  # residents by cache block end
         self._stamps = count(1)  # arrival stamps
         self._dirty = HEADER_CHARGE_BYTES
-        self._next_id = 1
-        self.tables = CheckpointTables(device, self.layout)
-        if _adopt_layout is None:
-            self.tables.format(cache_size_bytes, max_modified_state_bytes)
 
     # -- inspection ---------------------------------------------------------
 
@@ -391,8 +390,7 @@ class VnvHeap:
                 f"{size} B object cannot fit the modified-state limit"
             )
         tables = self.tables
-        if tables.free_slot() is None:
-            raise OutOfNvmError("metadata table is full")
+        tables.check_birth()
         nvm_offset = tables.extents.alloc(size)
         if nvm_offset is None:
             raise OutOfNvmError(f"no free NVM extent of {size} B")
@@ -405,11 +403,9 @@ class VnvHeap:
                 tables.extents.free(nvm_offset, size)
                 raise
 
-        handle_id = self._next_id
-        self._next_id = handle_id + 1
         # Entry identity never changes, so it is written once, now; persist()
         # then writes only the epoch word.
-        slot = tables.record_alloc(handle_id, nvm_offset, size)
+        slot, handle_id = tables.record_alloc(nvm_offset, size)
 
         # Positional: a call with keywords costs twice as much. Resident and
         # modified, unpinned, at a fresh arrival stamp.

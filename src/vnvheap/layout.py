@@ -36,7 +36,7 @@ import struct
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import ConfigInvalidError, NoValidCheckpointError
+from .errors import ConfigInvalidError, NoValidCheckpointError, OutOfNvmError
 from .freelist import FirstFitAllocator, align_up
 from .storage import StorageDevice, WORD_BYTES
 
@@ -48,15 +48,15 @@ ENTRY_BYTES = 20
 ENTRY_WORDS = ENTRY_BYTES // WORD_BYTES
 BORN_AT, DIED_AT = 0, 16  # byte offsets of the two stamps in an entry
 ZERO_WORD = bytearray(WORD_BYTES)  # a bytearray, as every table write is
+LAST_WORD = 0xFFFFFFFF  # the largest handle id, and one past the last committed epoch
 
 _SB = struct.Struct("<4sIIIIII")
-_AFTER_BORN = struct.Struct(f"<{ENTRY_WORDS - 1}I")  # an entry's words after its born stamp
+_ENTRY = struct.Struct(f"<{ENTRY_WORDS}I")
 _WORD = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
 class ImageLayout:
-    capacity_bytes: int
     max_objects: int
     table_offset: int
     table_bytes: int
@@ -64,7 +64,7 @@ class ImageLayout:
     object_bytes: int
 
     @classmethod
-    def compute(cls, capacity_bytes: int, max_objects: int) -> "ImageLayout":
+    def compute(cls, capacity_bytes: int, max_objects: int, cache_size_bytes: int) -> "ImageLayout":
         if max_objects < 1:
             raise ConfigInvalidError("max_objects must be >= 1")
         table_bytes = max_objects * ENTRY_BYTES
@@ -76,8 +76,10 @@ class ImageLayout:
                 f"device of {capacity_bytes} B leaves no object region for "
                 f"{max_objects} metadata entries"
             )
+        if cache_size_bytes > capacity_bytes:  # no heap needs more cache than device
+            raise ConfigInvalidError(
+                f"cache of {cache_size_bytes} B exceeds the {capacity_bytes} B device")
         return cls(
-            capacity_bytes=capacity_bytes,
             max_objects=max_objects,
             table_offset=SUPERBLOCK_BYTES,
             table_bytes=table_bytes,
@@ -86,77 +88,98 @@ class ImageLayout:
         )
 
 
-@dataclass
-class Superblock:
-    version: int
-    epoch: int
-    table_offset: int
-    table_bytes: int
-    cache_size_bytes: int
-    max_modified_state_bytes: int
-
-
-def read_superblock(device: StorageDevice) -> Superblock:
-    magic, *words = _SB.unpack(device.read(0, SUPERBLOCK_BYTES))
-    if magic != MAGIC or words[0] != VERSION:
-        raise NoValidCheckpointError("device holds no recognizable heap image")
-    return Superblock(*words)
-
-
 class CheckpointTables:
-    """Owns the metadata table and the epoch word.
+    """Owns every field of the image: the superblock, the metadata table and
+    the epoch word. It issues the handle ids, 1 to ``LAST_WORD``, and the
+    epochs, committing 1 to ``LAST_WORD - 1``: epoch ``LAST_WORD`` would
+    leave its births no stamp above it.
 
     Every write is one transfer from a ``bytearray``: a birth is its whole
     entry, a death and a commit one stamp word, and :meth:`adopt` one zero
     word per stamp of an epoch that never committed. Nothing reads the table
     between restores, so no copy of it is kept in memory.
 
-    ``_stamp`` is the next epoch's stamp word, which births, deaths and the
-    commit write; ``epoch``, the last committed epoch, is derived from it.
-    ``_free`` is the exact min-heap of the slots live neither at ``epoch``
-    nor at ``epoch + 1``, which :meth:`record_alloc` pops. ``_born`` holds
-    the slots born since the last commit, and ``_deaths`` the ``(slot, nvm
+    ``epoch`` is the last committed epoch, and ``_stamp`` the next epoch's
+    stamp word, which deaths and the commit write. ``_free`` is the
+    exact min-heap of the slots live neither at ``epoch`` nor at
+    ``epoch + 1``, which :meth:`record_alloc` pops. ``_born`` holds the
+    slots born since the last commit, and ``_deaths`` the ``(slot, nvm
     offset, size)`` of every object of the last commit deallocated since:
     its slot and extent still belong to that checkpoint, so :meth:`commit`
     releases them. A slot born and freed in one epoch is released at once,
     with its extent. So the table must hold the live objects plus those
     deallocated since the last commit. ``extents`` is the object region's
     free space: the heap allocates from it, and only the tables free into
-    it. :meth:`format` or :meth:`adopt` must run before any other method.
+    it. Tables come from :meth:`format`, or from :meth:`open` then
+    :meth:`adopt`.
     """
 
-    def __init__(self, device: StorageDevice, layout: ImageLayout) -> None:
+    def __init__(self, device: StorageDevice, layout: ImageLayout, epoch: int = 0) -> None:
         self.device = device
         self.layout = layout
+        self.epoch = epoch
         self._base = layout.table_offset
         self._entry = bytearray(ENTRY_BYTES)  # a birth's entry, packed in place
         self.metadata_bytes_written = 0  # cumulative, callers diff it
 
-    def format(self, cache_size_bytes: int, max_modified_state_bytes: int) -> None:
-        """Write a superblock at epoch 0 (no commit) and zero the table."""
-        lay = self.layout
-        self.device.write(0, _SB.pack(
+    @classmethod
+    def format(cls, device: StorageDevice, max_objects: int, cache_size_bytes: int,
+               max_modified_state_bytes: int) -> "CheckpointTables":
+        """The tables of a new image: a superblock at epoch 0 (no commit)
+        and a zeroed table."""
+        lay = ImageLayout.compute(device.capacity_bytes, max_objects, cache_size_bytes)
+        device.write(0, _SB.pack(
             MAGIC, VERSION, 0, lay.table_offset, lay.table_bytes,
             cache_size_bytes, max_modified_state_bytes,
         ))
-        self.device.write(lay.table_offset, bytearray(lay.table_bytes))
-        self._start(0, list(range(lay.max_objects)), [])  # ascending, so a heap
+        device.write(lay.table_offset, bytearray(lay.table_bytes))
+        tables = cls(device, lay)
+        tables._start(list(range(max_objects)), [], 1)  # ascending, so a heap
+        return tables
 
-    def adopt(self, epoch: int) -> list[tuple[int, int, int, int]]:
-        """Read the table of an image committed at ``epoch``, check it, and
-        return its live entries, ``(slot, handle id, nvm offset, size)`` by
-        slot. Raises :class:`NoValidCheckpointError`, having written
-        nothing, for a table no heap could have committed: a handle id 0,
-        an id live twice, a size 0, or an extent that is not word-aligned,
-        leaves the object region or overlaps another live extent.
+    @classmethod
+    def open(cls, device: StorageDevice) -> "CheckpointTables":
+        """The tables of the device's committed image, with its recorded
+        epoch, cache size and limit. Raises :class:`NoValidCheckpointError`,
+        having written nothing, for an image with no commit or a superblock
+        no heap could have written."""
+        magic, version, epoch, table_offset, table_bytes, cache, limit = _SB.unpack(
+            device.read(0, SUPERBLOCK_BYTES))
+        if magic != MAGIC or version != VERSION:
+            raise NoValidCheckpointError("device holds no recognizable heap image")
+        if not epoch:
+            raise NoValidCheckpointError("device was formatted but never persisted")
+        if epoch == LAST_WORD:
+            raise NoValidCheckpointError(f"epoch {epoch} is past the last one an image commits")
+        if table_bytes % ENTRY_BYTES:
+            raise NoValidCheckpointError("metadata table length is not whole entries")
+        try:
+            layout = ImageLayout.compute(device.capacity_bytes, table_bytes // ENTRY_BYTES, cache)
+        except ConfigInvalidError as exc:
+            # These values came from the image, so one a heap cannot have
+            # marks a corrupt image, not a bad configuration.
+            raise NoValidCheckpointError(f"image records an impossible heap: {exc}") from None
+        if table_offset != layout.table_offset:
+            raise NoValidCheckpointError("metadata table offset does not match the layout")
+        tables = cls(device, layout, epoch)
+        tables.cache_size_bytes, tables.max_modified_state_bytes = cache, limit
+        return tables
 
-        Every stamp above ``epoch`` was written by an epoch that never
+    def adopt(self) -> list[tuple[int, int, int, int]]:
+        """Read the table of the image :meth:`open` checked, check it, and
+        return the entries live at its epoch, ``(slot, handle id, nvm
+        offset, size)`` by slot. Raises :class:`NoValidCheckpointError`,
+        having written nothing, for a table no heap could have committed: a
+        handle id 0, an id live twice, a size 0, or an extent that is not
+        word-aligned, leaves the object region or overlaps another one.
+
+        Every stamp above the epoch was written by an epoch that never
         committed; each is then set back to zero, in slot order, so that the
         next commit cannot publish it. These writes change nothing that
-        decoding at ``epoch`` reads, so a restore cut among them and run
+        decoding at the epoch reads, so a restore cut among them and run
         again decodes the same entries.
         """
-        lay = self.layout
+        lay, epoch = self.layout, self.epoch
         raw = self.device.read(self._base, lay.table_bytes)
         words = struct.unpack(f"<{lay.max_objects * ENTRY_WORDS}I", raw)
         live, free, undo, ids = [], [], [], set()
@@ -194,25 +217,29 @@ class CheckpointTables:
             at = end
         for offset in undo:
             self._write_word(offset, ZERO_WORD)
-        self._start(epoch, free, used)
+        self._start(free, used, max(ids, default=0) + 1)
         return live
 
-    def _start(self, epoch: int, free: list[int], used: list[tuple[int, int]]) -> None:
+    def _start(self, free: list[int], used: list[tuple[int, int]], next_id: int) -> None:
         lay = self.layout
         self.extents = FirstFitAllocator(lay.object_offset, lay.object_bytes, used)
-        self._stamp = bytearray(_WORD.pack(epoch + 1))
+        self._stamp = bytearray(_WORD.pack(self.epoch + 1))
         self._free = free
+        self._next_id = next_id
         self._born: set[int] = set()
         self._deaths: list[tuple[int, int, int]] = []
 
-    @property
-    def epoch(self) -> int:
-        """The last committed epoch."""
-        return _WORD.unpack(self._stamp)[0] - 1
+    def check_birth(self) -> None:
+        """Raise :class:`OutOfNvmError` unless a slot and an id are left."""
+        if not self._free:
+            raise OutOfNvmError("metadata table is full")
+        if self._next_id > LAST_WORD:
+            raise OutOfNvmError("every handle id a word can hold has been issued")
 
-    def free_slot(self) -> int | None:
-        """Lowest slot live neither at the committed epoch nor at the next."""
-        return self._free[0] if self._free else None
+    def check_commit(self) -> None:
+        """Raise :class:`OutOfNvmError` once the last epoch has committed."""
+        if self.epoch == LAST_WORD - 1:
+            raise OutOfNvmError(f"the image has committed its last epoch, {self.epoch}")
 
     # -- writes (metered by the device) --------------------------------------
 
@@ -220,17 +247,19 @@ class CheckpointTables:
         self.device.write(self._base + offset, word)
         self.metadata_bytes_written += WORD_BYTES
 
-    def record_alloc(self, handle_id: int, nvm_offset: int, size: int) -> int:
-        """Write a new object's entry, born in the next epoch, into the slot
-        :meth:`free_slot` names, in one transfer, and return the slot."""
+    def record_alloc(self, nvm_offset: int, size: int) -> tuple[int, int]:
+        """Write a new object's entry, born in the next epoch, into the
+        lowest free slot, in one transfer, and return the slot and the next
+        handle id, which it issues. :meth:`check_birth` must pass first."""
         slot = heapq.heappop(self._free)
+        handle_id = self._next_id
+        self._next_id = handle_id + 1
         entry = self._entry
-        entry[:WORD_BYTES] = self._stamp
-        _AFTER_BORN.pack_into(entry, WORD_BYTES, handle_id, nvm_offset, size, 0)
+        _ENTRY.pack_into(entry, 0, self.epoch + 1, handle_id, nvm_offset, size, 0)
         self.device.write(self._base + slot * ENTRY_BYTES, entry)
         self.metadata_bytes_written += ENTRY_BYTES
         self._born.add(slot)
-        return slot
+        return slot, handle_id
 
     def record_dealloc(self, slot: int, nvm_offset: int, size: int) -> None:
         """Stamp the entry's death with the next epoch. An entry born in
@@ -247,17 +276,13 @@ class CheckpointTables:
 
     def commit(self) -> None:
         """Publish the next epoch with one word, then release the slots and
-        extents of the deaths it committed, in the order they died."""
+        extents of the deaths it committed, in the order they died.
+        :meth:`check_commit` must pass first."""
         stamp = self._stamp
         self.device.write(EPOCH_OFFSET, stamp)
         self.metadata_bytes_written += WORD_BYTES
-        # Count the stamp up to the next epoch in place, with no int epoch
-        # to keep: a fresh pack would cost a persist about 1% more.
-        low = stamp[0]
-        if low < 255:
-            stamp[0] = low + 1
-        else:
-            _WORD.pack_into(stamp, 0, _WORD.unpack(stamp)[0] + 1)
+        epoch = self.epoch = self.epoch + 1
+        _WORD.pack_into(stamp, 0, epoch + 1)
         if self._born:
             self._born.clear()
         deaths = self._deaths

@@ -22,10 +22,10 @@ loop, and the bookkeeping is settled once, after the commit: the modified
 index is rebuilt from the write-guarded payloads (pin count -1) alone, so
 no object has a flag to clear.
 
-restore() checks the superblock, then ``CheckpointTables.adopt`` reads and
-checks the table, rebuilds the object region's free space from the entries
-live at the committed epoch in one sort, and sets the stamps of the epoch
-that never committed back to zero; restore builds a heap of those entries.
+restore() has ``CheckpointTables.open`` check the superblock and ``adopt``
+check the table, rebuild the object region's free space from the live
+entries in one sort and zero the stamps of the epoch that never committed;
+restore picks the configuration and builds a heap of those entries.
 Every object starts swapped out, whether or not a guard was held on it at
 persist, and loads lazily on first access. Restore is the one step that
 reads the whole table.
@@ -45,7 +45,7 @@ from .heap import (
     VnvHeap,
     _ARRIVAL,
 )
-from .layout import ENTRY_BYTES, ImageLayout, read_superblock
+from .layout import CheckpointTables
 from .storage import StorageDevice, words_for
 
 
@@ -84,7 +84,8 @@ def wcec_millijoules(words: int, model: EnergyModel = EnergyModel()) -> float:
 def persist(heap: VnvHeap) -> PersistReport:
     """Checkpoint the heap. The heap stays usable afterwards: guards stay
     live, residents stay resident, and every object leaves the modified
-    index except those under a live write guard."""
+    index except those under a live write guard. Once the image has
+    committed its last epoch, raises :class:`OutOfNvmError` instead."""
     device = heap.device
     if device.power_failed:
         heap._check_usable()
@@ -96,6 +97,7 @@ def persist(heap: VnvHeap) -> PersistReport:
     meter = device.cost_meter
     written_before = meter.words_written
     metadata_before = tables.metadata_bytes_written
+    tables.check_commit()
     # Cache-arrival order: the order in which the residents are held.
     payloads = sorted(heap._modified.values(), key=_ARRIVAL)
     for meta in payloads:
@@ -133,36 +135,26 @@ def restore(
     swapped out and unpinned. Raises :class:`NoValidCheckpointError` for an
     image with no committed checkpoint or one it cannot trust.
     """
-    superblock = read_superblock(device)
-    if not superblock.epoch:
-        raise NoValidCheckpointError("device was formatted but never persisted")
-    if superblock.table_bytes % ENTRY_BYTES:
-        raise NoValidCheckpointError("metadata table length is not whole entries")
-    max_objects = superblock.table_bytes // ENTRY_BYTES
+    tables = CheckpointTables.open(device)
     try:
-        layout = ImageLayout.compute(device.capacity_bytes, max_objects)
         # The recorded configuration must be one a heap could have had.
-        HeapConfig(superblock.cache_size_bytes, superblock.max_modified_state_bytes)
+        HeapConfig(tables.cache_size_bytes, tables.max_modified_state_bytes)
     except ConfigInvalidError as exc:
-        # These values came from the image, so one a heap cannot have marks
-        # a corrupt image, not a bad configuration.
         raise NoValidCheckpointError(f"image records an impossible heap: {exc}") from None
-    if layout.table_offset != superblock.table_offset:
-        raise NoValidCheckpointError("metadata table offset does not match the layout")
     if cache_size_bytes is None:
-        cache_size_bytes = superblock.cache_size_bytes
+        cache_size_bytes = tables.cache_size_bytes
     if max_modified_state_bytes is None:
-        max_modified_state_bytes = superblock.max_modified_state_bytes
+        max_modified_state_bytes = tables.max_modified_state_bytes
 
     heap = VnvHeap(
         device,
         cache_size_bytes=cache_size_bytes,
         max_modified_state_bytes=max_modified_state_bytes,
-        max_objects=max_objects,
-        _adopt_layout=layout,
+        max_objects=tables.layout.max_objects,
+        _tables=tables,
     )
     metas, handles = heap._metas, {}
-    for slot, handle_id, nvm_offset, size in heap.tables.adopt(superblock.epoch):
+    for slot, handle_id, nvm_offset, size in tables.adopt():
         meta = ObjectMeta.swapped_out(handle_id, slot, nvm_offset, size)
         if meta.block_bytes > cache_size_bytes:
             # No eviction could ever make room to load it.
@@ -170,5 +162,4 @@ def restore(
                 f"object {handle_id}: {size} B cannot fit the {cache_size_bytes} B cache")
         metas[handle_id] = meta
         handles[handle_id] = ObjectHandle(handle_id, size, heap)
-    heap._next_id = max(metas, default=0) + 1
     return heap, handles

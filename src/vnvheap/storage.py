@@ -72,7 +72,7 @@ class StorageDevice:
     def arm_power_failure(self, budget_words: int) -> None:
         """Permit exactly ``budget_words`` further word transfers."""
         if budget_words < 0:
-            raise ValueError("budget_words must be >= 0")
+            raise PreconditionError("budget_words must be >= 0")
         self._budget_words = budget_words
 
     def disarm_power_failure(self) -> None:

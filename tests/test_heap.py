@@ -68,8 +68,15 @@ def test_config_rejects_nonsense():
 
 def test_config_rejects_device_too_small_for_tables():
     dev = SimulatedNvm(1024)
-    with pytest.raises(ConfigInvalidError):
-        VnvHeap(dev, max_objects=1024)  # tables alone need 40 KiB
+    with pytest.raises(ConfigInvalidError, match="leaves no object region"):
+        VnvHeap(dev, max_objects=1024)  # tables alone need 20 KiB
+
+
+def test_config_rejects_a_cache_larger_than_the_device():
+    dev = SimulatedNvm(2048)
+    with pytest.raises(ConfigInvalidError, match="exceeds the 2048 B device"):
+        VnvHeap(dev, cache_size_bytes=4096, max_objects=8)
+    assert dev.cost_meter.snapshot() == (0, 0)
 
 
 def test_default_config():
@@ -110,7 +117,7 @@ def test_alloc_rejects_object_that_can_never_be_dirty():
 
 
 def test_alloc_exhausts_nvm():
-    heap = make_heap(max_objects=8, capacity=2048)
+    heap = make_heap(cache=2048, max_objects=8, capacity=2048)
     region = heap.layout.object_bytes
     heap.alloc(bytes(align_up(region // 2)))
     with pytest.raises(OutOfNvmError):

@@ -15,6 +15,7 @@ from vnvheap import (
     HeapPoisonedError,
     NoValidCheckpointError,
     FileBackedNvm,
+    OutOfNvmError,
     PowerFailureInjected,
     SimulatedNvm,
     VnvHeap,
@@ -466,6 +467,39 @@ def test_restore_rejects_a_forged_handle_id(forged, error):
         restore(dev)
 
 
+def test_an_image_at_its_last_epoch_restores_but_refuses_to_persist():
+    """At epoch 2^32 - 2 the next epoch word would leave the following
+    epoch no stamp, so persist refuses before it writes a word, and the
+    heap stays usable."""
+    dev, _ = _committed_image([b"AAAAAAAA"])
+    dev.write(EPOCH_OFFSET, struct.pack("<I", 0xFFFFFFFE))
+    heap, handles = restore(dev)
+    heap.replace(handles[1], b"BBBBBBBB")
+    before = dev.cost_meter.snapshot()
+    with pytest.raises(OutOfNvmError, match="last epoch"):
+        persist(heap)
+    assert dev.cost_meter.snapshot() == before
+    assert dev.read(EPOCH_OFFSET, 4) == struct.pack("<I", 0xFFFFFFFE)
+    assert heap.read(handles[1]) == b"BBBBBBBB"
+    heap.alloc(b"CCCC")
+    restored, _ = restore(dev.reopen())
+    assert restored.live_handle_ids() == [1]
+
+
+def test_an_alloc_past_the_last_handle_id_is_refused_before_it_takes_room():
+    dev, table = _committed_image([b"AAAAAAAA"])
+    dev.write(_entry_word(table, 0, ID_WORD), struct.pack("<I", 0xFFFFFFFF))
+    heap, handles = restore(dev)
+    assert list(handles) == [0xFFFFFFFF]
+    before, words = heap.stats(), dev.cost_meter.snapshot()
+    with pytest.raises(OutOfNvmError, match="handle id"):
+        heap.alloc(b"n" * 8)
+    assert dev.cost_meter.snapshot() == words
+    after = heap.stats()
+    assert (after.nvm_free_bytes, after.cache_free_bytes) == (before.nvm_free_bytes,
+                                                              before.cache_free_bytes)
+
+
 @pytest.mark.parametrize("nvm_offset", [
     "overlap",       # slot 1's extent starts inside slot 0's
     "unaligned",     # 2 B past slot 1's own extent, off a word boundary
@@ -546,7 +580,10 @@ def test_restore_rejects_an_image_of_another_layout_version():
     (12, 32, "offset does not match"),               # the table offset
     (20, 0, "cache cannot hold"),                    # the recorded cache size
     (24, 8192, "exceeds the cache size"),           # the recorded limit, over the cache
-], ids=["no slots", "table too long", "torn entry", "table offset", "cache size", "limit"])
+    (20, 1 << 31, "exceeds the 65536 B device"),    # bit 31 of the recorded cache size
+    (8, 0xFFFFFFFF, "past the last one"),           # an epoch that leaves no stamp above it
+], ids=["no slots", "table too long", "torn entry", "table offset", "cache size", "limit",
+        "cache over the device", "last word epoch"])
 def test_restore_rejects_a_superblock_no_heap_could_have_written(offset, value, error):
     dev, heap = fresh(max_objects=16, capacity=64 * 1024)
     heap.alloc(b"AAAAAAAA")
@@ -650,8 +687,7 @@ def test_restore_of_a_bit_flipped_image_refuses_it_or_returns_a_working_heap():
     returns a heap on which read, replace, dealloc, alloc, persist and a
     second restore raise no other exception. Whether that heap holds
     exactly a committed state is beyond what the table's format rules can
-    tell. The cache size is passed, because the recorded one sizes the
-    host's cache buffer: a flipped high bit would ask for gigabytes."""
+    tell."""
     dev, heap = fresh(cache=1024, dirty=512, max_objects=12, capacity=4096)
     handles = [heap.alloc(bytes([i]) * (8 + 12 * i)) for i in range(8)]
     persist(heap)
@@ -669,7 +705,7 @@ def test_restore_of_a_bit_flipped_image_refuses_it_or_returns_a_working_heap():
         dev = image.reopen()
         for bit in rng.sample(range(flip_bits), rng.randint(1, 3)):
             dev._buf[bit // 8] ^= 1 << bit % 8
-        restored = _tolerate(restore, dev, 1024)
+        restored = _tolerate(restore, dev)
         if restored is None:
             refused += 1
             continue
@@ -681,7 +717,7 @@ def test_restore_of_a_bit_flipped_image_refuses_it_or_returns_a_working_heap():
             _tolerate(heap.dealloc, handles[min(handles)])
         _tolerate(heap.alloc, b"y" * 24)
         _tolerate(persist, heap)
-        _tolerate(restore, dev.reopen(), 1024)
+        _tolerate(restore, dev.reopen())
     assert 100 < refused < 400
 
 

@@ -77,6 +77,12 @@ class TestPowerFailureInjection:
         dev.read(0, 4)  # 1 word
         assert dev.remaining_budget_words == 0
 
+    def test_a_negative_budget_is_a_precondition_error(self):
+        dev = SimulatedNvm(1024)
+        with pytest.raises(PreconditionError):
+            dev.arm_power_failure(-1)
+        assert not dev.armed
+
     def test_failure_fires_on_the_word_after_the_budget(self):
         dev = SimulatedNvm(1024)
         dev.write(0, bytes(16))

@@ -62,7 +62,7 @@ def check_table(heap, committed):
     used = {slot for slot, _, _ in held}
     free = [slot for slot in range(lay.max_objects) if slot not in used]
     assert sorted(tables._free) == free
-    assert tables.free_slot() == (free[0] if free else None)
+    assert tables._free[:1] == free[:1]  # a min-heap: the lowest slot is born next
     gaps, at = [], lay.object_offset
     for _, offset, size in sorted(set(held), key=lambda e: e[1]):
         if offset > at:
@@ -122,10 +122,10 @@ def test_free_slot_reuses_the_lowest_slot_once_the_commit_drops_it():
         heap.dealloc(h)
         live.remove(h)
     used = {heap._metas[h.id].entry_slot for h in live}
-    assert heap.tables.free_slot() == 12  # the dead are the last commit's until the next
+    assert heap.tables._free[0] == 12  # the dead are the last commit's until the next
     persist(heap)
     check_table(heap, extents_of(heap))
-    assert heap.tables.free_slot() == min(set(range(16)) - used)
+    assert heap.tables._free[0] == min(set(range(16)) - used)
 
 
 def test_every_table_write_stores_a_bytearray():
@@ -181,7 +181,7 @@ def _image_with_a_stale_slot():
     persist(heap)
     heap.dealloc(s)
     persist(heap)
-    assert heap.tables.free_slot() == 1
+    assert heap.tables._free[0] == 1
     return dev, heap, {a.id: b"a" * 24, b.id: b"b" * 24}
 
 
@@ -194,7 +194,7 @@ def test_a_birth_cut_at_any_word_restores_the_last_commit(slot_state):
         dev, heap, committed = _image_with_a_stale_slot()
         if slot_state == "born and freed this epoch":
             heap.dealloc(heap.alloc(b"t" * 12))
-        slot = heap.tables.free_slot()
+        slot = heap.tables._free[0]
         log = log_writes(dev)
         dev.arm_power_failure(budget)
         if budget < ENTRY_BYTES // WORD_BYTES:
@@ -205,7 +205,7 @@ def test_a_birth_cut_at_any_word_restores_the_last_commit(slot_state):
         assert [(offset, len(data)) for offset, data in log] == \
             [(heap.layout.table_offset + slot * ENTRY_BYTES, ENTRY_BYTES)]
         restored = assert_restores(dev, committed)
-        assert restored.tables.free_slot() == 1
+        assert restored.tables._free[0] == 1
         check_table(restored, extents_of(restored))
 
 
@@ -272,8 +272,8 @@ def test_restore_cut_at_any_of_its_writes_restores_the_last_commit():
 
 
 def test_the_epoch_word_counts_commits_past_a_carry_out_of_its_low_byte():
-    """The commit counts the next stamp up in place; a death after 600
-    commits stamps the 601st epoch, and a reboot restores at the 600th."""
+    """Each commit repacks the next stamp; a death after 600 commits
+    stamps the 601st epoch, and a reboot restores at the 600th."""
     dev = SimulatedNvm(64 * 1024)
     heap = VnvHeap(dev, cache_size_bytes=2048, max_modified_state_bytes=1024, max_objects=8)
     h = heap.alloc(b"h" * 8)
