@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 from .baselines import MS_PAGE_SIZES, ManagedStatePool, ModuleSwapApp, UnmanagedRam
 from .errors import PowerFailureInjected, PreconditionError
-from .heap import HEADER_CHARGE_BYTES, VnvHeap
+from .heap import HEADER_CHARGE_BYTES, VnvHeap, persist, restore
 from .oracle import TraceMachine
-from .persistence import EnergyModel, persist, restore
-from .storage import SimulatedNvm, words_for
+from .storage import EnergyModel, SimulatedNvm, words_for
 from .workloads import (
     MsKvStore,
     NvmQueue,

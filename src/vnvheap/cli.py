@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from . import bench
 from .baselines import MS_PAGE_SIZES
 from .errors import PreconditionError, VnvHeapError
-from .persistence import EnergyModel
+from .storage import EnergyModel
 from .workloads import PATTERNS, RamQueue
 
 
@@ -35,9 +35,11 @@ def _count(text: str) -> int:
 
 def _add_csv_flags(parser: argparse.ArgumentParser) -> None:
     """The energy model and output path of the four CSV subcommands."""
-    parser.add_argument("--word-latency-us", type=float, default=1.0,
+    default = EnergyModel()
+    parser.add_argument("--word-latency-us", type=float,
+                        default=default.word_transfer_seconds * 1e6,
                         help="time to move one 4-byte word (microseconds)")
-    parser.add_argument("--power-mw", type=float, default=132.0,
+    parser.add_argument("--power-mw", type=float, default=default.power_milliwatts,
                         help="device power while transferring (milliwatts)")
     parser.add_argument("--out", default="-",
                         help="CSV output path ('-' for stdout)")
@@ -165,11 +167,14 @@ def _run(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        # The output is opened first, so a bad path costs no benchmark run.
+        # The model is built and the output opened first, so a bad value
+        # or path costs no benchmark run.
         try:
+            model = EnergyModel(power_milliwatts=args.power_mw,
+                                word_transfer_seconds=args.word_latency_us * 1e-6)
             out = (nullcontext(sys.stdout) if args.out == "-"
                    else open(args.out, "w", newline=""))
-        except OSError as exc:
+        except (OSError, VnvHeapError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         with out as fh:
@@ -178,8 +183,6 @@ def _run(args) -> int:
             except VnvHeapError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
-            model = EnergyModel(power_milliwatts=args.power_mw,
-                                word_transfer_seconds=args.word_latency_us * 1e-6)
             bench.write_csv(records, model, fh)
         return 0
 

@@ -51,9 +51,25 @@ of ``get_ref`` + ``read`` + ``release`` without building a guard, and a
 miss returns the very bytes the device read, with no second copy out of
 the cache.
 
-The bound matters because checkpointing writes only modified state: a heap
-that keeps ``dirty_bytes`` under the limit is always persisted within
-``max_modified_state_bytes // 4 - 3`` words, 7 under ``persist_bound``.
+Checkpointing writes only modified state. :func:`persist` writes every
+modified payload, in cache-arrival order, then the one epoch word that
+commits the checkpoint (see :mod:`vnvheap.layout`). Entries are written at
+alloc and stamped at dealloc, so a persist writes no entry, guarded or not,
+and a power failure anywhere leaves the last committed checkpoint readable.
+A heap that keeps ``dirty_bytes`` under the limit is therefore always
+persisted within ``max_modified_state_bytes // 4 - 3`` words, 7 under
+:func:`persist_bound`, whatever the cache size. A persist visits the
+modified index alone, so its host cost follows what changed, not how many
+objects are resident or live; each payload costs one host copy, a slice of
+the cache's ``bytearray``. The commit releases the slots and extents of the
+objects deallocated since the last commit, and only then is the bookkeeping
+settled, once: the modified index keeps just the write-guarded objects,
+whose holders can keep writing.
+
+:func:`restore` is the one step that reads the whole table:
+``CheckpointTables.open`` checks the superblock and ``adopt`` the table.
+Every live entry comes back clean, swapped out and unpinned, whether or not
+a guard was held on it at persist, and loads lazily on first access.
 
 A power failure marks the device it cuts (``StorageDevice.power_failed``).
 The volatile bookkeeping may then be out of step with NVM, so from then on
@@ -95,6 +111,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import (
     CachePressureUnresolvableError,
@@ -103,6 +120,7 @@ from .errors import (
     GuardActiveError,
     GuardReleasedError,
     HeapPoisonedError,
+    NoValidCheckpointError,
     ObjectTooLargeError,
     OutOfNvmError,
     PreconditionError,
@@ -113,7 +131,7 @@ from .errors import (
 )
 from .freelist import FirstFitAllocator, align_up
 from .layout import CheckpointTables
-from .storage import StorageDevice, WORD_BYTES
+from .storage import StorageDevice, WORD_BYTES, words_for
 
 HEADER_CHARGE_BYTES = 16  # the epoch word and 3 words held for a commit record
 META_CHARGE_BYTES = 3  # cache only: packed per-object metadata
@@ -160,13 +178,6 @@ class ObjectMeta:
     cache_offset: int = -1  # where the object is cached; -1 when not resident
     arrival: int = 0  # stamp of the latest time the object became resident
     hits: int = 1  # accesses since alloc or restore, the alloc counting as one
-
-    @classmethod
-    def swapped_out(cls, handle_id: int, entry_slot: int, nvm_offset: int,
-                    size: int) -> "ObjectMeta":
-        """The meta of a clean object that is not resident (restore)."""
-        return cls(handle_id, entry_slot, nvm_offset, size,
-                   align_up(size + META_CHARGE_BYTES), align_up(size))
 
 
 @dataclass(frozen=True)
@@ -296,9 +307,9 @@ class VnvHeap:
     def __init__(
         self,
         device: StorageDevice,
-        cache_size_bytes: int = 4096,
-        max_modified_state_bytes: int = 2048,
-        max_objects: int = 1024,
+        cache_size_bytes: int = HeapConfig.cache_size_bytes,
+        max_modified_state_bytes: int = HeapConfig.max_modified_state_bytes,
+        max_objects: int = HeapConfig.max_objects,
         _tables: CheckpointTables | None = None,
     ) -> None:
         self.config = HeapConfig(cache_size_bytes, max_modified_state_bytes, max_objects)
@@ -722,3 +733,97 @@ def _colder(left: ObjectMeta | None, right: ObjectMeta | None) -> ObjectMeta | N
         return left
     return right
 
+
+class PersistReport(NamedTuple):
+    words_transferred: int
+    objects_synced: int
+    metadata_bytes_written: int
+
+
+def persist_bound(config: HeapConfig) -> int:
+    """Worst-case words one persist may transfer. Depends only on the
+    modified-state limit (plus the fixed header), never on cache size. The
+    modified-state charge keeps every persist at least 7 words under it."""
+    return words_for(config.max_modified_state_bytes + HEADER_CHARGE_BYTES)
+
+
+def persist(heap: VnvHeap) -> PersistReport:
+    """Checkpoint the heap. The heap stays usable afterwards: guards stay
+    live, residents stay resident, and every object leaves the modified
+    index except those under a live write guard. Once the image has
+    committed its last epoch, raises :class:`OutOfNvmError` instead."""
+    device = heap.device
+    if device.power_failed:
+        heap._check_usable()
+    write = device.write
+    # A payload is a slice of the bytearray, its one host copy, not of
+    # heap._view: the device stores a bytearray fastest.
+    cache = heap._cache
+    tables = heap.tables
+    meter = device.cost_meter
+    written_before = meter.words_written
+    metadata_before = tables.metadata_bytes_written
+    tables.check_commit()
+    # Cache-arrival order: the order in which the residents are held.
+    payloads = sorted(heap._modified.values(), key=_ARRIVAL)
+    for meta in payloads:
+        write(meta.nvm_offset, cache[meta.cache_offset : meta.cache_offset + meta.size_bytes])
+    tables.commit()
+    # Settle the bookkeeping once the commit has landed. A live write guard
+    # keeps its object modified and charged: its holder can keep writing
+    # after we return.
+    guarded = {}
+    dirty = HEADER_CHARGE_BYTES
+    for meta in payloads:
+        if meta.pin_count < 0:
+            guarded[meta.handle_id] = meta
+            dirty += meta.charge
+    heap._modified = guarded
+    heap._dirty = dirty
+    return PersistReport(
+        meter.words_written - written_before,
+        len(payloads),
+        tables.metadata_bytes_written - metadata_before,
+    )
+
+
+def restore(
+    device: StorageDevice,
+    cache_size_bytes: int | None = None,
+    max_modified_state_bytes: int | None = None,
+) -> tuple[VnvHeap, dict[int, ObjectHandle]]:
+    """Rebuild a heap from the device's committed checkpoint.
+
+    The cache size and modified-state limit default to the ones the image
+    was formatted with; an argument overrides its recorded value. Returns
+    the heap and a handle per surviving object, keyed by the stable handle
+    id the application saw before the power cycle. Every object comes back
+    swapped out and unpinned. Raises :class:`NoValidCheckpointError` for an
+    image with no committed checkpoint or one it cannot trust.
+    """
+    tables = CheckpointTables.open(device)
+    try:
+        # The recorded configuration must be one a heap could have had.
+        HeapConfig(tables.cache_size_bytes, tables.max_modified_state_bytes)
+    except ConfigInvalidError as exc:
+        raise NoValidCheckpointError(f"image records an impossible heap: {exc}") from None
+    if cache_size_bytes is None:
+        cache_size_bytes = tables.cache_size_bytes
+    if max_modified_state_bytes is None:
+        max_modified_state_bytes = tables.max_modified_state_bytes
+
+    heap = VnvHeap(device, cache_size_bytes, max_modified_state_bytes,
+                   tables.layout.max_objects, tables)
+    metas, handles = heap._metas, {}
+    for slot, handle_id, nvm_offset, size in tables.adopt():
+        # align_up, inline, as in alloc.
+        block = (size + META_CHARGE_BYTES + WORD_BYTES - 1) & -WORD_BYTES
+        if block > cache_size_bytes:
+            # No eviction could ever make room to load it.
+            raise NoValidCheckpointError(
+                f"object {handle_id}: {size} B cannot fit the {cache_size_bytes} B cache")
+        # Positional, as in alloc: clean, not resident, unpinned.
+        metas[handle_id] = ObjectMeta(handle_id, slot, nvm_offset, size, block,
+                                      (size + WORD_BYTES - 1) & -WORD_BYTES)
+        handles[handle_id] = ObjectHandle(handle_id, size, heap)
+    return heap, handles

@@ -36,9 +36,8 @@ from .errors import (
     WriteGuardActiveError,
 )
 from .freelist import align_up
-from .heap import HEADER_CHARGE_BYTES, META_CHARGE_BYTES, VnvHeap
+from .heap import HEADER_CHARGE_BYTES, META_CHARGE_BYTES, VnvHeap, persist, persist_bound, restore
 from .layout import SUPERBLOCK_BYTES
-from .persistence import persist, persist_bound, restore
 from .storage import WORD_BYTES, SimulatedNvm, words_for
 
 EXPECTED_PRESSURE_ERRORS = (

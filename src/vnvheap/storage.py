@@ -14,15 +14,20 @@ and ``read`` slices ``_view``, a memoryview of them. A transfer costs one
 host copy. ``write`` takes any byte buffer (``bytes``, ``bytearray`` or a
 ``'B'`` memoryview) and reads it only during the call, so a caller may reuse
 or mutate its buffer once ``write`` returns. ``read`` returns a fresh ``bytes``.
+
+Each device's :class:`CostMeter` counts the words it moved, and
+:class:`EnergyModel` is the one formula that turns words into time and
+energy: the CSV columns and a persist's worst-case energy both use it.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 from dataclasses import dataclass
 
-from .errors import OutOfRangeError, PowerFailureInjected, PreconditionError
+from .errors import ConfigInvalidError, OutOfRangeError, PowerFailureInjected, PreconditionError
 
 WORD_BYTES = 4
 
@@ -51,6 +56,31 @@ class CostMeter:
 
     def snapshot(self) -> tuple[int, int]:
         return (self.words_read, self.words_written)
+
+
+@dataclass(frozen=True)
+class EnergyModel:
+    """Worst-case transfer parameters, and the one words -> time -> energy formula."""
+
+    power_milliwatts: float = 132.0
+    word_transfer_seconds: float = 1e-6
+
+    def __post_init__(self) -> None:
+        for name in ("power_milliwatts", "word_transfer_seconds"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigInvalidError(f"{name} must be finite and not negative, got {value}")
+
+    def time_us(self, words: int) -> float:
+        return words * self.word_transfer_seconds * 1e6
+
+    def energy_uj(self, words: int) -> float:
+        return self.time_us(words) * self.power_milliwatts / 1000.0  # mW * us = nJ
+
+
+def wcec_millijoules(words: int, model: EnergyModel = EnergyModel()) -> float:
+    """Energy to move ``words`` at the model's transfer latency and power."""
+    return model.energy_uj(words) / 1000.0
 
 
 class StorageDevice:
@@ -101,7 +131,10 @@ class StorageDevice:
     def read(self, offset: int, length: int) -> bytes:
         if length < 0 or offset < 0 or offset + length > self.capacity_bytes:
             self._check_range(offset, length)
-        data = self._view[offset : offset + length].tobytes()
+        try:
+            data = self._view[offset : offset + length].tobytes()
+        except ValueError:  # the view of a closed device is released
+            raise PreconditionError("device is closed") from None
         words = -(-length // WORD_BYTES)
         budget = self._budget_words
         if budget is not None:
@@ -183,7 +216,8 @@ class FileBackedNvm(StorageDevice):
 
     A missing or short file is zero-extended to the requested capacity; an
     existing longer file keeps its full size as the capacity. After
-    ``close()`` every transfer raises and meters nothing.
+    ``close()`` every transfer raises :class:`~vnvheap.errors.PreconditionError`
+    and meters nothing.
     """
 
     def __init__(self, path: str | os.PathLike, capacity_bytes: int = DEFAULT_CAPACITY_BYTES) -> None:

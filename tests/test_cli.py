@@ -298,3 +298,22 @@ def test_an_unwritable_out_path_fails_before_any_benchmark(tmp_path, capsys, mon
     assert ran == []
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--power-mw", "-5"),
+    ("--word-latency-us", "-1", "--power-mw", "nan"),
+], ids=" ".join)
+def test_an_impossible_energy_model_fails_before_any_benchmark(tmp_path, capsys, monkeypatch,
+                                                                flags):
+    ran = []
+    monkeypatch.setattr(bench, "run_access_bench", lambda *args: ran.append(args))
+    out = tmp_path / "x.csv"
+    code = main(["access", "--case", "worst", "--object-size", "32", "--system", "vnv",
+                 *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert ran == [] and not out.exists()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -5,6 +5,8 @@ from array import array
 import pytest
 
 from vnvheap import (
+    ConfigInvalidError,
+    EnergyModel,
     FileBackedNvm,
     OutOfRangeError,
     PowerFailureInjected,
@@ -24,6 +26,17 @@ def test_words_for_rounds_up():
     # oracle: count 4-byte chunks directly
     for n in range(0, 64):
         assert words_for(n) == len(range(0, n, WORD_BYTES))
+
+
+@pytest.mark.parametrize("value", [-5.0, -1e-9, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["power_milliwatts", "word_transfer_seconds"])
+def test_an_energy_model_refuses_a_negative_or_non_finite_value(field, value):
+    with pytest.raises(ConfigInvalidError, match=field):
+        EnergyModel(**{field: value})
+
+
+def test_an_energy_model_of_zero_costs_nothing():
+    assert EnergyModel(0.0, 0.0).energy_uj(516) == 0.0
 
 
 def test_read_write_round_trip_and_meter():
@@ -258,7 +271,7 @@ def test_a_transfer_on_a_closed_file_device_raises_and_meters_nothing(tmp_path):
     dev = FileBackedNvm(tmp_path / "nvm.img", capacity_bytes=64)
     dev.close()
     dev.close()  # closing twice is harmless
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         dev.read(0, 4)
     with pytest.raises(PreconditionError):
         dev.write(0, b"abcd")
