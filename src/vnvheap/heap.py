@@ -33,9 +33,9 @@ residents otherwise:
   allocator and its residents untouched, and the next coldest resident
   starts another hole. The hole that fits is the only fit, so it is where
   first fit would place the block; one slice store claims it.
-* dirty pressure - one pass over the modified objects in arrival order, the
-  order persist writes them in, chooses the unpinned ones until the new
-  state fits. Syncing changes no residency, so the pass never restarts.
+* dirty pressure - one pass over the modified objects in cache-arrival
+  order (see the arrival stamps below) chooses the unpinned ones until the
+  new state fits. Syncing changes no residency, so the pass never restarts.
 
 Plan, then act, in one order for every operation (``VnvHeap._make_room``):
 an alloc, a miss and a first write plan the hole they need, if any, then
@@ -52,10 +52,11 @@ miss returns the very bytes the device read, with no second copy out of
 the cache.
 
 Checkpointing writes only modified state. :func:`persist` writes every
-modified payload, in cache-arrival order, then the one epoch word that
-commits the checkpoint (see :mod:`vnvheap.layout`). Entries are written at
-alloc and stamped at dealloc, so a persist writes no entry, guarded or not,
-and a power failure anywhere leaves the last committed checkpoint readable.
+modified payload in one pass over the modified index, in its own order
+(modification order, see below), then the one epoch word that commits the
+checkpoint (see :mod:`vnvheap.layout`). Entries are written at alloc and
+stamped at dealloc, so a persist writes no entry, guarded or not, and a
+power failure anywhere leaves the last committed checkpoint readable.
 A heap that keeps ``dirty_bytes`` under the limit is therefore always
 persisted within ``max_modified_state_bytes // 4 - 3`` words, 7 under
 :func:`persist_bound`, whatever the cache size. A persist visits the
@@ -98,12 +99,17 @@ The heap keeps these indexes of the residents, one per question it asks:
   and the dirty rule visit only the objects they may write and never the
   clean residents. Membership is the modified state; no field records it.
   An object enters it when it is allocated or first written, and leaves it
-  when it is synced, deallocated, or cleared by a persist.
+  when it is synced, deallocated, or cleared by a persist. Its order, the
+  order they entered it, is modification order: the write-guarded objects
+  the last persist kept come first, then the others by their first
+  modification since (a synced object enters again at its next write).
 
 Each object also carries an ``arrival`` stamp, taken from a heap-wide
 counter every time it becomes resident (at allocation and on load). Stamps
 are distinct, so sorting the modified index by stamp yields cache-arrival
-order.
+order, the dirty rule's order. It differs from modification order whenever
+a resident loaded earlier is first written later. Only the dirty rule
+sorts; a persist writes in modification order, with no sort.
 """
 
 from __future__ import annotations
@@ -135,7 +141,7 @@ from .storage import StorageDevice, WORD_BYTES, words_for
 
 HEADER_CHARGE_BYTES = 16  # the epoch word and 3 words held for a commit record
 META_CHARGE_BYTES = 3  # cache only: packed per-object metadata
-_ARRIVAL = attrgetter("arrival")  # sorts residents into cache-arrival order
+_ARRIVAL = attrgetter("arrival")  # the dirty rule's order: cache arrival
 
 
 @dataclass(frozen=True)
@@ -764,25 +770,25 @@ def persist(heap: VnvHeap) -> PersistReport:
     written_before = meter.words_written
     metadata_before = tables.metadata_bytes_written
     tables.check_commit()
-    # Cache-arrival order: the order in which the residents are held.
-    payloads = sorted(heap._modified.values(), key=_ARRIVAL)
-    for meta in payloads:
-        write(meta.nvm_offset, cache[meta.cache_offset : meta.cache_offset + meta.size_bytes])
-    tables.commit()
-    # Settle the bookkeeping once the commit has landed. A live write guard
-    # keeps its object modified and charged: its holder can keep writing
-    # after we return.
+    # One pass in the index's own order, modification order, with no sort.
+    # A live write guard keeps its object modified and charged, since its
+    # holder can keep writing after we return; the pass collects those, and
+    # the heap takes them only once the commit has landed.
+    modified = heap._modified
     guarded = {}
     dirty = HEADER_CHARGE_BYTES
-    for meta in payloads:
+    for meta in modified.values():
+        start = meta.cache_offset
+        write(meta.nvm_offset, cache[start : start + meta.size_bytes])
         if meta.pin_count < 0:
             guarded[meta.handle_id] = meta
             dirty += meta.charge
+    tables.commit()
     heap._modified = guarded
     heap._dirty = dirty
     return PersistReport(
         meter.words_written - written_before,
-        len(payloads),
+        len(modified),
         tables.metadata_bytes_written - metadata_before,
     )
 

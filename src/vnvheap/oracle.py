@@ -51,9 +51,9 @@ def check_indexes(heap):
     """The residents are the objects ``_by_offset`` names, each at its
     block's start, and exactly those with a cache offset; ``_by_end`` names
     each at its block's end; every object in ``_modified``, whose members
-    are the modified objects, is resident; arrival stamps are distinct, so sorting by them is one
-    order; and the cache tiers partition the residents, each in tier
-    ``hits.bit_length()``."""
+    are the modified objects, is resident; arrival stamps are distinct, so
+    the dirty rule's sort by them is one order; and the cache tiers
+    partition the residents, each in tier ``hits.bit_length()``."""
     metas = heap._metas
     by_offset, by_end = heap._by_offset, heap._by_end
     residents = {m.handle_id: m for m in by_offset.values()}

@@ -135,7 +135,7 @@ class StorageDevice:
             data = self._view[offset : offset + length].tobytes()
         except ValueError:  # the view of a closed device is released
             raise PreconditionError("device is closed") from None
-        words = -(-length // WORD_BYTES)
+        words = -(-length // 4)  # words_for(length), inline; a word is 4 bytes
         budget = self._budget_words
         if budget is not None:
             if budget < words:
@@ -163,11 +163,12 @@ class StorageDevice:
         end = offset + length
         if offset < 0 or end > self.capacity_bytes:
             self._check_range(offset, length)
-        words = -(-length // WORD_BYTES)
-        if self._budget_words is not None and self._budget_words < words:
+        words = -(-length // 4)  # words_for(length), inline; a word is 4 bytes
+        budget = self._budget_words
+        if budget is not None and budget < words:
             # The durable prefix lands whole; the failing word and every
             # word after it stay untouched.
-            data = data[: self._budget_words * WORD_BYTES]
+            data = data[: budget * WORD_BYTES]
             end = offset + len(data)
         # Store first, so that a buffer the store refuses is metered nowhere.
         # The live view keeps a bytearray from being resized, so a buffer
@@ -176,8 +177,7 @@ class StorageDevice:
             self._buf[offset:end] = data
         except (BufferError, IndexError, TypeError, ValueError) as exc:
             raise PreconditionError(f"cannot store {type(data).__name__}: {exc}") from None
-        if self._budget_words is not None:
-            budget = self._budget_words
+        if budget is not None:
             if budget < words:
                 self.cost_meter.words_written += budget
                 raise self._exhausted("writing", offset, length)

@@ -25,6 +25,7 @@ from .errors import (
     QueueEmptyError,
     RamCapacityExceededError,
     SizeMismatchError,
+    StaleHandleError,
 )
 from .baselines import ManagedStatePool
 from .heap import ObjectHandle, VnvHeap
@@ -126,19 +127,46 @@ class VnvQueue:
     @classmethod
     def attach(cls, heap: VnvHeap, handles: dict[int, ObjectHandle],
                control_id: int) -> "VnvQueue":
-        """Rebuild a queue from a restored heap and its handle directory."""
-        control = handles[control_id]
+        """Rebuild a queue from a restored heap and its handle directory.
+
+        Raises :class:`StaleHandleError` for a control or element id that
+        ``handles`` does not hold, and :class:`PreconditionError` for a
+        control record that contradicts its objects (an element object
+        passed as the control, say): a size that holds no whole id list, an
+        element size of 0, a capacity other than the ids it holds, more live
+        elements than ids, or an element object of another size."""
+        control = _restored(handles, control_id, "control object")
+        total, odd = divmod(control.size_bytes - _CONTROL_HEADER.size, 4)
+        if total < 0 or odd:
+            raise PreconditionError(
+                f"object {control_id} ({control.size_bytes} B) is not a queue control record")
         with heap.get_ref(control) as g:
             element_size, capacity, live_count, _ = _CONTROL_HEADER.unpack(
                 g.read(0, _CONTROL_HEADER.size))
-            total = (control.size_bytes - _CONTROL_HEADER.size) // 4
             ids = struct.unpack(f"<{total}I", g.read(_CONTROL_HEADER.size))
         slot_ids = [i for i in ids if i]  # zero-padded tail = unallocated
-        slots = [handles[i] for i in slot_ids]
+        if not element_size or capacity != total or live_count > len(slot_ids):
+            raise PreconditionError(
+                f"object {control_id} is not a queue control record: element size "
+                f"{element_size}, capacity {capacity} for {total} ids, "
+                f"{live_count} live of {len(slot_ids)} ids")
+        slots = [_restored(handles, i, "element") for i in slot_ids]
+        for slot in slots:
+            if slot.size_bytes != element_size:
+                raise PreconditionError(
+                    f"queue element {slot.id} is {slot.size_bytes} B, "
+                    f"the control record says {element_size} B")
         live = list(range(live_count))
         free = list(reversed(range(live_count, len(slot_ids))))
         return cls(heap, element_size,
                    _attach=(slots, live, free, control, capacity))
+
+
+def _restored(handles: dict[int, ObjectHandle], handle_id: int, what: str) -> ObjectHandle:
+    handle = handles.get(handle_id)
+    if handle is None:
+        raise StaleHandleError(f"queue {what} {handle_id} is not among the restored objects")
+    return handle
 
 
 class NvmQueue:

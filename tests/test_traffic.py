@@ -3,6 +3,7 @@
 import hashlib
 
 from vnvheap import PowerFailureInjected, SimulatedNvm, VnvHeap, persist, restore
+from vnvheap.layout import EPOCH_OFFSET
 from vnvheap.workloads import (
     WORKLOAD_KEYS,
     VnvKvStore,
@@ -15,8 +16,11 @@ from test_tables import TableOracleMachine
 from traceutil import log_writes
 
 # SHA-256 over every (offset, data) the trace below passes to the device's
-# public ``write``.
-KV_WRITES_SHA256 = "0ec8dc974fc221a5ad8ba02396a8bbcd8e5357b9d65c0709c2c1e5c18788baaa"
+# public ``write``, in order.
+KV_WRITES_SHA256 = "bd35697ae9afe8b43893152a28725fe3b43fb9a4a59ea9b77873f1c09a64b6f8"
+# The same writes with the order inside each commit's run dropped (see
+# :func:`_fold_runs`).
+KV_RUNS_SHA256 = "376025c48a682f13d6d5618d355bcf69a7366bbe88f4c71ab5ab1ddd1358eb7c"
 # The meter's (words_read, words_written) at the end of the trace.
 KV_WORDS = (55136, 45518)
 
@@ -32,6 +36,8 @@ def test_kv_trace_device_traffic_is_unchanged():
     moves reads leaves the digest as it is. A change that only makes the
     simulator faster must leave both as they are. A change that moves words
     on purpose updates them and records in CHANGES.md why the words moved.
+    The runs digest is checked first: when it holds and the ordered digest
+    does not, the same writes reached each commit in another order.
     """
     seed = 16
     dev = SimulatedNvm(512 * 1024)
@@ -51,6 +57,9 @@ def test_kv_trace_device_traffic_is_unchanged():
         if i % 256 == 0:
             persist(heap)
 
+    runs = hashlib.sha256()
+    _fold_runs(runs, log)
+    assert runs.hexdigest() == KV_RUNS_SHA256
     digest = hashlib.sha256()
     _fold(digest, log)
     assert digest.hexdigest() == KV_WRITES_SHA256
@@ -62,13 +71,16 @@ class _TablePathMachine(TableOracleMachine):
     """The table oracle's trace, with every device write folded into a digest.
 
     The log is folded in, with the meter totals, just before and just after
-    every persist and before every reboot, which starts a new device.
+    every persist and before every reboot, which starts a new device. Every
+    write is also kept in ``stream``, across reboots, with a ``PERSIST``
+    mark where each persist starts and a ``REBOOT`` mark at each reboot.
     """
 
     def __init__(self, seed):
         super().__init__(seed)
         self.digest = hashlib.sha256()
         self.log = log_writes(self.dev)
+        self.stream = log_writes(self.dev, [])
 
     def fold(self):
         _fold(self.digest, self.log)
@@ -81,10 +93,16 @@ class _TablePathMachine(TableOracleMachine):
         super().op_persist()
         self.fold()
 
+    def persist(self):
+        self.stream.append(PERSIST)
+        return super().persist()
+
     def reboot(self):
         self.fold()
+        self.stream.append(REBOOT)
         dev = super().reboot()
         self.log = log_writes(dev)
+        log_writes(dev, self.stream)
         return dev
 
 
@@ -94,9 +112,41 @@ def _fold(digest, log):
         digest.update(data)
 
 
+PERSIST, REBOOT = "persist", "reboot"  # the marks in a machine's stream
+
+
+def _fold_runs(digest, stream):
+    """Fold a write stream in with the order inside each run dropped, each
+    run as its sorted (offset, bytes) list. A run ends at an epoch-word
+    write, the commit, and also, in a machine's stream, where a persist
+    starts or the power is cut. A run that a persist starts and a power cut
+    ends goes in as a mark alone: which payloads a cut persist reaches
+    depends on the order it writes them in. So which bytes reach which
+    offset between two commits stays pinned, but not their order."""
+    run, persisting = [], False
+    for item in stream:
+        if item is PERSIST or item is REBOOT:
+            if persisting:  # the power was cut mid-persist
+                digest.update(b"cut persist;")
+            else:
+                _fold(digest, sorted(run))
+                digest.update(item.encode() + b";")
+            run, persisting = [], item is PERSIST
+            continue
+        run.append(item)
+        if item[0] == EPOCH_OFFSET:
+            _fold(digest, sorted(run))
+            digest.update(b"commit;")
+            run, persisting = [], False
+    _fold(digest, sorted(run))
+
+
 # SHA-256 of the table-path trace below: the machine's writes and meter
 # totals, then each armed alloc/dealloc's writes and the tables it leaves.
-TABLE_TRAFFIC_SHA256 = "7797a7fff4f9eced5577fc6abcef581814aed14fdae68808840cd6c713553815"
+TABLE_TRAFFIC_SHA256 = "7fa431b490f59c133b3fbf557910fb5899d6c703ea838a56011a9032a9c2d7b3"
+# The machine's writes, then each armed run's, with the order inside each
+# commit's run dropped (see :func:`_fold_runs`).
+TABLE_RUNS_SHA256 = "a923b0400db2714fab98e71e4d2bc102b6e64732797e6fef5d62219a0117e676"
 
 
 def _armed_steps(heap, handles):
@@ -119,12 +169,14 @@ def test_table_path_device_traffic_is_unchanged():
     transfer budget up to one that lets them finish, so the order of the
     table words and the durable prefix of a cut transfer are pinned too. A
     change that moves a table word on purpose updates the digest and says
-    why in CHANGES.md.
+    why in CHANGES.md. The runs digest is checked first, as in the kv trace.
     """
     m = _TablePathMachine(3)
     m.run(600)
     m.op_persist()
     digest = m.digest
+    runs = hashlib.sha256()
+    _fold_runs(runs, m.stream)
     image = m.dev
     cut = 0
     for budget in range(16):
@@ -137,8 +189,11 @@ def test_table_path_device_traffic_is_unchanged():
         except PowerFailureInjected:
             cut += 1
         _fold(digest, log)
+        runs.update(b"budget=%d;" % budget)
+        _fold_runs(runs, log)
         digest.update(dev.reopen().read(0, heap.layout.object_offset))
         meter = dev.cost_meter
         digest.update(b"read=%d write=%d" % (meter.words_read, meter.words_written))
     assert cut == 14, "the budgets must cut the steps at every word and also let them finish"
+    assert runs.hexdigest() == TABLE_RUNS_SHA256
     assert digest.hexdigest() == TABLE_TRAFFIC_SHA256

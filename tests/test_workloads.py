@@ -1,6 +1,7 @@
 """Queue backends, the key-value stores, and the access-pattern generators."""
 
 import math
+import struct
 
 import pytest
 
@@ -12,6 +13,7 @@ from vnvheap.errors import (
     QueueEmptyError,
     RamCapacityExceededError,
     SizeMismatchError,
+    StaleHandleError,
 )
 from vnvheap.workloads import (
     MsKvStore,
@@ -143,6 +145,60 @@ class TestVnvQueue:
         for i in range(6):
             q.push(element(i))
         assert len(heap.live_handle_ids()) == objects_before
+
+    # -- attach refuses what is not its queue ----------------------------------
+
+    @staticmethod
+    def restored_queue():
+        """A 3-element queue of 32 B elements and a 10 B stray object,
+        persisted and restored: the restored heap, its handles, the control
+        id and the element ids."""
+        dev, heap, q = make_vnv_queue(element_size=32)
+        for i in range(3):
+            q.push(element(i, 32))
+        stray = heap.alloc(b"not queued")
+        persist(heap)
+        heap2, handles = restore(dev.reopen())
+        elements = [h.id for h in q._slots]
+        return heap2, handles, q.control_id, elements, stray.id
+
+    def test_attach_of_an_unknown_control_id_names_it(self):
+        heap, handles, _, _, _ = self.restored_queue()
+        with pytest.raises(StaleHandleError, match="control object 9999 "):
+            VnvQueue.attach(heap, handles, 9999)
+
+    def test_attach_names_an_element_id_it_cannot_find(self):
+        heap, handles, control, elements, _ = self.restored_queue()
+        del handles[elements[1]]
+        with pytest.raises(StaleHandleError, match=f"element {elements[1]} "):
+            VnvQueue.attach(heap, handles, control)
+
+    def test_attach_refuses_an_element_object_as_the_control(self):
+        heap, handles, _, elements, stray = self.restored_queue()
+        # Element 0 holds zeros, so its header reads element size 0; element
+        # 1 holds 0x01 bytes, so its header's capacity is not its 4 ids.
+        for hid, why in ((elements[0], "element size 0,"),
+                         (elements[1], "capacity 16843009 for 4 ids")):
+            with pytest.raises(PreconditionError, match=why):
+                VnvQueue.attach(heap, handles, hid)
+        with pytest.raises(PreconditionError, match=f"object {stray} \\(10 B\\)"):
+            VnvQueue.attach(heap, handles, stray)
+
+    @pytest.mark.parametrize("header, why", [
+        ((0, 8, 3, 0), "element size 0,"),
+        ((32, 9, 3, 0), "capacity 9 for 8 ids"),
+        ((32, 8, 4, 0), "4 live of 3 ids"),
+        ((64, 8, 3, 0), "is 32 B, the control record says 64 B"),
+    ], ids=["no-element-size", "capacity", "live-count", "element-size"])
+    def test_attach_refuses_a_control_header_that_contradicts_its_objects(self, header, why):
+        heap, handles, control, elements, _ = self.restored_queue()
+        ids = struct.pack("<8I", *elements, *[0] * 5)
+        heap.replace(handles[control], struct.pack("<4I", *header) + ids)
+        with pytest.raises(PreconditionError, match=why):
+            VnvQueue.attach(heap, handles, control)
+        heap.replace(handles[control], struct.pack("<4I", 32, 8, 3, 0) + ids)
+        q = VnvQueue.attach(heap, handles, control)
+        assert [q.pop() for _ in range(3)] == [element(i, 32) for i in range(3)]
 
 
 class TestRamQueue:

@@ -1,14 +1,19 @@
-"""Device-write logging and exact bytecode counts for the tests.
+"""Device-write logging, exact bytecode counts and C-call counts for the
+tests.
 
 The randomized trace machine the tests drive lives in :mod:`vnvheap.oracle`.
 """
 
 import sys
+from collections import Counter
 
 
-def log_writes(dev):
-    """Record every public write of ``dev`` as (offset, bytes)."""
-    log = []
+def log_writes(dev, log=None):
+    """Record every public write of ``dev`` as (offset, bytes), in a new list
+    or appended to ``log``, so that one list can follow a trace across
+    reboots."""
+    if log is None:
+        log = []
     write = dev.write
 
     def logged(offset, data):
@@ -39,3 +44,25 @@ def count_bytecodes(fn, *args):
     finally:
         sys.settrace(previous)
     return executed
+
+
+def count_c_calls(fn, *args):
+    """Run ``fn(*args)`` and count the calls its Python frames made to C
+    functions, builtins and methods of builtin types, by qualified name
+    (``"sorted"``, ``"list.sort"``). ``count_bytecodes`` cannot see the work
+    done inside such a call, such as a sort, but this sees the call."""
+    calls = Counter()
+    tracing = True
+
+    def profile(frame, event, arg):
+        if event == "c_call" and tracing:
+            calls[arg.__qualname__] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        tracing = False
+        sys.setprofile(previous)
+    return calls
