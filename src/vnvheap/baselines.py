@@ -52,10 +52,11 @@ class MsToken:
         base = self.offset + at
         return bytes(self._pool.ram[base : base + length])
 
-    def write(self, data: bytes | bytearray, at: int = 0) -> None:
+    def write(self, data: bytes | bytearray | memoryview, at: int = 0) -> None:
         self._check()
         if not self.writable:
             raise PreconditionError("token was opened read-only")
+        data = bytes(data)  # a slice store must not resize the pool's RAM
         if at < 0 or at + len(data) > self.length:
             raise OutOfRangeError("write outside the opened region")
         base = self.offset + at
@@ -182,8 +183,9 @@ class ModuleSwapApp:
             raise OutOfRangeError("read outside the module")
         return bytes(self.ram[offset : offset + length])
 
-    def write(self, module: int, offset: int, data: bytes | bytearray) -> None:
+    def write(self, module: int, offset: int, data: bytes | bytearray | memoryview) -> None:
         self.ensure_active(module)
+        data = bytes(data)  # a slice store must not resize the module
         if offset < 0 or offset + len(data) > self.MODULE_SIZE:
             raise OutOfRangeError("write outside the module")
         self.ram[offset : offset + len(data)] = data

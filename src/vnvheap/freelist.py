@@ -26,7 +26,8 @@ class FirstFitAllocator:
     ``freed_span`` names the free extent that freeing a block would leave,
     and ``claim_span`` then takes a whole planned span in one step. All
     requests are rounded up to whole words, so callers must free with the
-    same length they allocated.
+    same length they allocated. The methods a cache access calls align
+    inline: a call to :func:`align_up` would cost each access a frame.
     """
 
     def __init__(self, start: int, size: int, used: Iterable[tuple[int, int]] = ()) -> None:
@@ -47,7 +48,7 @@ class FirstFitAllocator:
     def alloc(self, nbytes: int) -> int | None:
         """Return the offset of a new extent, or None if nothing fits."""
         assert nbytes > 0
-        need = align_up(nbytes)
+        need = (nbytes + WORD_BYTES - 1) & -WORD_BYTES
         for ext in self._free:
             if ext[1] >= need:
                 offset = ext[0]
@@ -61,8 +62,7 @@ class FirstFitAllocator:
     def freed_span(self, offset: int, nbytes: int) -> tuple[int, int]:
         """``(start, end)`` of the free extent that would hold the allocated
         ``[offset, offset + nbytes)`` once freed, which is not freed. One
-        bisection finds the free extents just below and just above it. (Both
-        span methods align inline: a cache miss calls them per victim.)"""
+        bisection finds the free extents just below and just above it."""
         free = self._free
         i = bisect_left(free, offset, key=_START)
         start, end = offset, offset + ((nbytes + WORD_BYTES - 1) & -WORD_BYTES)
@@ -81,10 +81,8 @@ class FirstFitAllocator:
         block, the last of them taking its place. Returns ``start``."""
         need = (nbytes + WORD_BYTES - 1) & -WORD_BYTES
         free = self._free
-        i = j = bisect_left(free, start, key=_START)
-        n = len(free)
-        while j < n and free[j][0] < end:
-            j += 1
+        i = bisect_left(free, start, key=_START)
+        j = bisect_left(free, end, i, key=_START)
         rest = end - start - need
         if rest and j > i:
             j -= 1
@@ -100,7 +98,7 @@ class FirstFitAllocator:
     def free(self, offset: int, nbytes: int) -> None:
         """Return ``[offset, offset + nbytes)`` to the free space."""
         assert nbytes > 0
-        length = align_up(nbytes)
+        length = (nbytes + WORD_BYTES - 1) & -WORD_BYTES
         end = offset + length
         assert self.start <= offset and end <= self.start + self.size
         free = self._free

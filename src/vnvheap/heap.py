@@ -4,7 +4,11 @@ Objects live in NVM extents and are staged through a fixed-size volatile
 cache at whole-object granularity. Access goes through guards: any number of
 live read guards, or exactly one write guard, never both. A guard pins its
 object in the cache; pinned objects are never evicted and keep a stable cache
-address for the guard's lifetime.
+address for the guard's lifetime. A guard holds two things, both handed
+over when it is granted: its object's meta and a view of the payload's
+cache bytes (read-only under a read guard). Releasing it drops the meta,
+and a guard without one is released; the view is released with it, so a
+``data`` view the caller kept dies with the guard.
 
 Two budgets constrain every operation:
 
@@ -44,12 +48,14 @@ never chooses a resident inside the hole. Only once both plans make room
 are the hole's victims synced and unloaded, the block claimed and the
 dirty victims synced. So cache pressure is refused before dirty pressure,
 a refusal moves no word, and the same heap state syncs the same objects
-whichever operation meets it. Without pressure, one first-fit probe is
-the whole cost. ``replace`` gives the result of ``get_mut`` + ``write`` +
-``release``, but a miss skips the device read; ``read`` gives the result
-of ``get_ref`` + ``read`` + ``release`` without building a guard, and a
-miss returns the very bytes the device read, with no second copy out of
-the cache.
+whichever operation meets it. ``_make_room`` runs only on overflow, when
+the probe finds no fit or the charge would pass the limit: without
+pressure, one first-fit probe is the whole cost of a miss or an alloc, and
+a first write adds its charge inline. ``replace`` gives the result of
+``get_mut`` + ``write`` + ``release``, but a miss skips the device read;
+``read`` gives the result of ``get_ref`` + ``read`` + ``release`` without
+building a guard, and a miss returns the very bytes the device read, with
+no second copy out of the cache.
 
 Checkpointing writes only modified state. :func:`persist` writes every
 modified payload in one pass over the modified index, in its own order
@@ -233,55 +239,58 @@ _RELEASED = "guard was already released"
 
 
 class _Guard:
-    __slots__ = ("_heap", "_meta", "_view", "_released")
-    _writable = False
+    """Its object's meta and a view of its cached payload, both handed over
+    by the heap when it grants the guard. A guard whose meta is None is
+    released; ``release`` drops the meta and releases the view, so that a
+    ``data`` view the caller kept dies with the guard."""
 
-    def __init__(self, heap: "VnvHeap", meta: ObjectMeta) -> None:
-        self._heap = heap
+    __slots__ = ("_meta", "_view")
+
+    def __init__(self, meta: ObjectMeta, view: memoryview) -> None:
         self._meta = meta
-        start = meta.cache_offset
-        view = heap._view if self._writable else heap._ro_view
-        self._view = view[start : start + meta.size_bytes]
-        self._released = False
+        self._view = view
 
     @property
     def data(self) -> memoryview:
         """Zero-copy view of the payload. Invalid after release."""
-        if self._released:
+        if self._meta is None:
             raise GuardReleasedError(_RELEASED)
         return self._view
 
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
-        if self._released:
+        meta = self._meta
+        if meta is None:
             raise GuardReleasedError(_RELEASED)
         if length is None:
-            length = self._meta.size_bytes - offset
-        if offset < 0 or length < 0 or offset + length > self._meta.size_bytes:
+            length = meta.size_bytes - offset
+        if offset < 0 or length < 0 or offset + length > meta.size_bytes:
             raise PreconditionError("read outside the object")
         return bytes(self._view[offset : offset + length])
 
     def release(self) -> None:
-        if self._released:
-            raise GuardReleasedError(_RELEASED)
-        self._released = True
-        self._view.release()
         meta = self._meta
-        if self._writable:
+        if meta is None:
+            raise GuardReleasedError(_RELEASED)
+        self._meta = None
+        self._view.release()
+        # The pin tells the guard's kind: -1 under the write guard, else
+        # the count of live read guards.
+        if meta.pin_count < 0:
             meta.pin_count = 0
         else:
             meta.pin_count -= 1
 
     @property
     def released(self) -> bool:
-        return self._released
+        return self._meta is None
 
     def __enter__(self):
-        if self._released:
+        if self._meta is None:
             raise GuardReleasedError(_RELEASED)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if not self._released:
+        if self._meta is not None:
             self.release()
 
 
@@ -295,16 +304,17 @@ class WriteGuard(_Guard):
     """Exclusive, mutable access; the object is charged as modified."""
 
     __slots__ = ()
-    _writable = True
 
     def write(self, data: bytes | bytearray | memoryview, offset: int = 0) -> None:
-        if self._released:
+        meta = self._meta
+        if meta is None:
             raise GuardReleasedError(_RELEASED)
         if type(data) is not bytes:
             data = bytes(data)
-        if offset < 0 or offset + len(data) > self._meta.size_bytes:
+        end = offset + len(data)
+        if offset < 0 or end > meta.size_bytes:
             raise PreconditionError("write outside the object")
-        self._view[offset : offset + len(data)] = data
+        self._view[offset:end] = data
 
 
 class VnvHeap:
@@ -475,7 +485,8 @@ class VnvHeap:
         if not hits & (hits - 1):
             self._promote(meta)
         meta.pin_count += 1
-        return ReadGuard(self, meta)
+        start = meta.cache_offset
+        return ReadGuard(meta, self._ro_view[start : start + meta.size_bytes])
 
     def read(self, handle: ObjectHandle) -> bytes:
         """The whole payload: the result of ``get_ref`` + ``read`` +
@@ -510,13 +521,20 @@ class VnvHeap:
             raise GuardActiveError(f"object {meta.handle_id} is already guarded")
         if meta.cache_offset < 0:
             self._ensure_resident(meta, True, meta.charge)
-        if meta.handle_id not in self._modified:
-            self._mark_modified(meta)
+        modified = self._modified
+        if meta.handle_id not in modified:
+            # A first write: the miss above already made room for the charge.
+            charge = meta.charge
+            if self._dirty + charge > self.config.max_modified_state_bytes:
+                self._make_room(0, charge)
+            modified[meta.handle_id] = meta
+            self._dirty += charge
         hits = meta.hits = meta.hits + 1
         if not hits & (hits - 1):
             self._promote(meta)
         meta.pin_count = -1
-        return WriteGuard(self, meta)
+        start = meta.cache_offset
+        return WriteGuard(meta, self._view[start : start + meta.size_bytes])
 
     def replace(self, handle: ObjectHandle, payload: bytes | bytearray | memoryview) -> None:
         """Overwrite the whole object with ``payload``: the result of
@@ -535,8 +553,13 @@ class VnvHeap:
             raise SizeMismatchError(f"value is {len(payload)} B, object is {size} B")
         if meta.cache_offset < 0:
             self._ensure_resident(meta, False, meta.charge)
-        if meta.handle_id not in self._modified:
-            self._mark_modified(meta)
+        modified = self._modified
+        if meta.handle_id not in modified:
+            charge = meta.charge
+            if self._dirty + charge > self.config.max_modified_state_bytes:
+                self._make_room(0, charge)
+            modified[meta.handle_id] = meta
+            self._dirty += charge
         hits = meta.hits = meta.hits + 1
         if not hits & (hits - 1):
             self._promote(meta)
@@ -617,22 +640,12 @@ class VnvHeap:
         del tiers[tier - 1][handle_id]
         tiers[tier][handle_id] = meta
 
-    def _mark_modified(self, meta: ObjectMeta) -> None:
-        """Charge a clean resident as modified (callers test membership in
-        ``_modified``), syncing the dirty rule's victims first when the
-        charge does not fit (see :meth:`_make_room`)."""
-        charge = meta.charge
-        if self._dirty + charge > self.config.max_modified_state_bytes:
-            self._make_room(0, charge)
-        self._modified[meta.handle_id] = meta
-        self._dirty += charge
-
     def _make_room(self, block: int, extra: int, offset: int | None = None) -> int | None:
         """Make room in the cache for ``block`` bytes (0 for none) and in the
         dirty budget for ``extra`` more bytes of modified state, and return
         the block's offset. ``offset`` is where the caller's first-fit probe
-        placed the block, or None; callers call this only once that probe
-        has failed or the charge does not fit.
+        placed the block, or None. It runs only on overflow: callers call it
+        only once that probe has failed or the charge does not fit.
 
         It plans both rules, then acts. The cache rule plans first, when the
         probe failed (:meth:`_plan_hole`), so cache pressure is refused
@@ -648,8 +661,10 @@ class VnvHeap:
         if offset is None and block:
             hole, start, end = self._plan_hole(block)
         modified = self._modified
-        over = self._dirty + extra - self.config.max_modified_state_bytes
         victims = []
+        # A read miss adds no modified state, and the heap keeps its dirty
+        # bytes under the limit, so only a charge can be over it.
+        over = extra and self._dirty + extra - self.config.max_modified_state_bytes
         if over > 0:
             for meta in hole:
                 if meta.handle_id in modified:
@@ -686,8 +701,10 @@ class VnvHeap:
         untouched."""
         freed_span = self._cache_alloc.freed_span
         by_offset, by_end = self._by_offset, self._by_end
-        walled = set()
+        walled = ()  # a set once the first hole is walled in
         for tier in self._tiers:
+            if not tier:
+                continue
             for meta in tier.values():
                 if meta.pin_count or meta.handle_id in walled:
                     continue
@@ -709,7 +726,10 @@ class VnvHeap:
                     return hole, start, end
                 # Every unpinned resident between the walls is in the hole,
                 # so none of them can anchor one that fits.
-                walled.update(m.handle_id for m in hole)
+                if walled:
+                    walled.update(m.handle_id for m in hole)
+                else:
+                    walled = {m.handle_id for m in hole}
         raise CachePressureUnresolvableError(
             f"no unpinned resident to evict for a {block} B block"
         )

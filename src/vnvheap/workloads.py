@@ -95,7 +95,8 @@ class VnvQueue:
         return len(self._live)
 
     def push(self, payload: bytes) -> None:
-        # Checked before a slot is taken, so a refused push leaks none.
+        # Checked, in bytes, before a slot is taken, so a refused push leaks none.
+        payload = bytes(payload)
         if len(payload) != self.element_size:
             raise SizeMismatchError(
                 f"queue elements are {self.element_size} B, got {len(payload)}")
@@ -193,6 +194,7 @@ class NvmQueue:
         return self.length
 
     def push(self, payload: bytes) -> None:
+        payload = bytes(payload)  # sized in bytes, not items
         if len(payload) != self.element_size:
             raise SizeMismatchError("wrong element size")
         if self.length == self.capacity:
@@ -228,6 +230,7 @@ class RamQueue:
         return self.length
 
     def push(self, payload: bytes) -> None:
+        payload = bytes(payload)  # a slice store must not resize the ring
         if len(payload) != self.element_size:
             raise SizeMismatchError("wrong element size")
         if self.length == self.capacity:
@@ -275,11 +278,21 @@ class VnvKvStore:
             raise PreconditionError(f"key {key} already present")
         self._index[key] = self.heap.alloc(value)
 
+    # get and update, the kv hot path, look the key up inline, with no frame
+    # for _handle.
     def get(self, key: int) -> bytes:
-        return self.heap.read(self._handle(key))
+        try:
+            handle = self._index[key]
+        except KeyError:
+            raise KeyNotFoundError(f"no value for key {key}") from None
+        return self.heap.read(handle)
 
     def update(self, key: int, value: bytes) -> None:
-        self.heap.replace(self._handle(key), value)
+        try:
+            handle = self._index[key]
+        except KeyError:
+            raise KeyNotFoundError(f"no value for key {key}") from None
+        self.heap.replace(handle, value)
 
     def value_size(self, key: int) -> int:
         return self._handle(key).size_bytes
@@ -305,6 +318,7 @@ class MsKvStore:
     def put(self, key: int, value: bytes) -> None:
         if key in self._index:
             raise PreconditionError(f"key {key} already present")
+        value = bytes(value)  # the region is as long as its bytes, not its items
         if self._brk + len(value) > len(self.pool.ram):
             raise RamCapacityExceededError("pool RAM exhausted")
         region = (self._brk, len(value))
@@ -319,6 +333,7 @@ class MsKvStore:
 
     def update(self, key: int, value: bytes) -> None:
         offset, length = self._region(key)
+        value = bytes(value)
         if len(value) != length:
             raise SizeMismatchError(f"value is {len(value)} B, region is {length} B")
         with self.pool.open(offset, length, mode="write") as t:

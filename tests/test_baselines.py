@@ -111,6 +111,15 @@ class TestPoolTokens:
         with pytest.raises(PreconditionError):
             pool.open(0, 1, "rw")
 
+    def test_a_non_byte_buffer_is_written_by_its_bytes(self):
+        # A view of 32-bit items has 2 items but 8 bytes: the pool's RAM
+        # keeps its size and takes the 8 bytes.
+        _, pool = make_pool(ram=256)
+        with pool.open(0, 8, "write") as t:
+            t.write(memoryview(bytes(range(8))).cast("I"))
+        assert len(pool.ram) == 256
+        assert pool.ram[:9] == bytes(range(8)) + b"\0"
+
     def test_token_window_is_relative(self):
         _, pool = make_pool()
         with pool.open(100, 16, "write") as t:
@@ -190,6 +199,16 @@ class TestModuleSwap:
         app.write(1, 10, b"one!")   # swaps module 0 out
         assert app.read(0, 10, 4) == b"zero"
         assert app.read(1, 10, 4) == b"one!"
+
+
+    def test_a_non_byte_buffer_leaves_the_next_module_alone(self):
+        dev = SimulatedNvm(16384)
+        app = ModuleSwapApp(dev, module_count=2)
+        app.write(1, 0, b"neighbour!")
+        app.write(0, 0, memoryview(bytes(range(8))).cast("I"))  # 2 items, 8 bytes
+        assert len(app.ram) == ModuleSwapApp.MODULE_SIZE
+        assert app.read(1, 0, 10) == b"neighbour!"  # the swap wrote one module
+        assert app.read(0, 0, 9) == bytes(range(8)) + b"\0"
 
 
 class TestUnmanagedRam:

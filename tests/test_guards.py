@@ -6,6 +6,7 @@ from vnvheap import (
     GuardActiveError,
     GuardReleasedError,
     PreconditionError,
+    ReadGuard,
     SimulatedNvm,
     StillPinnedError,
     VnvHeap,
@@ -110,6 +111,22 @@ def test_stale_write_guard_view_cannot_touch_the_cache(heap):
     w.release()
     with pytest.raises(ValueError):
         view[0] = 0x21
+
+
+def test_one_release_serves_both_guard_kinds(heap):
+    """A caller may bind ``ReadGuard.release`` once and call it on every
+    guard, as the benchmark's bound calls do: the pin, not the class, tells
+    a write guard's release from a read guard's."""
+    h = heap.alloc(b"both")
+    release = ReadGuard.release
+    for _ in range(2):
+        release(heap.get_mut(h))
+        assert not heap.object_info(h).pinned
+        guards = [heap.get_ref(h), heap.get_ref(h)]
+        release(guards[0])
+        assert heap.object_info(h).pinned and guards[1].read() == b"both"
+        release(guards[1])
+        assert not heap.object_info(h).pinned
 
 
 def test_context_manager_releases_once(heap):

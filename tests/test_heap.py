@@ -29,7 +29,7 @@ from vnvheap import (
 )
 from vnvheap.freelist import align_up
 
-from traceutil import count_bytecodes, log_writes
+from traceutil import count_bytecodes, count_bytecodes_by_function, log_writes
 
 
 def make_heap(cache=4096, dirty=2048, max_objects=64, capacity=256 * 1024):
@@ -777,6 +777,42 @@ def test_dirty_pressure_cost_does_not_grow_with_clean_residents():
         return executed
 
     assert miss_bytecodes(1) == miss_bytecodes(256)
+
+
+# -- access cost -------------------------------------------------------------------
+
+@pytest.mark.parametrize("case, bound", [
+    ("first write", 181),   # get_mut charges a clean resident
+    ("write again", 157),   # the resident is modified already
+    ("read", 160),
+])
+def test_guarded_access_costs_at_most_its_bytecodes(case, bound):
+    """A guarded access to a resident, granted, used once and released,
+    executes at most ``bound`` bytecodes in all. The resident's count
+    reaches 5 or 6, no power of two, so no access moves it up a tier. A
+    failure prints the count of each function, naming the one that grew."""
+    heap = make_heap()
+    h = heap.alloc(b"x" * 40)
+    for _ in range(3):
+        heap.read(h)
+    heap.sync_object(h)
+    if case == "write again":
+        heap.get_mut(h).release()
+
+    def write_once():
+        guard = heap.get_mut(h)
+        guard.write(b"y")
+        guard.release()
+
+    def read_once():
+        guard = heap.get_ref(h)
+        guard.read()
+        guard.release()
+
+    executed = count_bytecodes_by_function(read_once if case == "read" else write_once)
+    assert heap.object_info(h).hits in (5, 6)
+    assert heap.object_info(h).modified == (case != "read")
+    assert sum(executed.values()) <= bound, dict(executed)
 
 
 # -- whole-object replace ----------------------------------------------------------

@@ -81,6 +81,13 @@ class TestQueueSemantics:
         with pytest.raises(SizeMismatchError):
             q.push(bytes(65))
 
+    def test_an_element_is_sized_in_bytes_not_items(self, backend):
+        q = QUEUE_FACTORIES[backend]()
+        q.push(memoryview(element(0)).cast("I"))  # 16 items, 64 bytes
+        with pytest.raises(SizeMismatchError):
+            q.push(memoryview(bytes(256)).cast("I"))  # 64 items, 256 bytes
+        assert len(q) == 1 and q.pop() == element(0)
+
 
 class TestVnvQueue:
     def test_steady_state_cycle_is_free(self):
@@ -134,6 +141,14 @@ class TestVnvQueue:
         q.push(element(8))
         assert heap.live_handle_ids() == live
         assert [q.pop() for _ in range(8)] == [element(i) for i in range(1, 9)]
+
+    def test_a_view_of_too_many_bytes_takes_no_slot(self):
+        dev, heap, q = make_vnv_queue()
+        q.push(element(0))
+        live = heap.live_handle_ids()
+        with pytest.raises(SizeMismatchError):
+            q.push(memoryview(bytes(256)).cast("I"))  # 64 items, 256 bytes
+        assert (heap.live_handle_ids(), len(q)) == (live, 1)
 
     def test_free_slots_are_reused(self):
         dev, heap, q = make_vnv_queue()
@@ -301,6 +316,20 @@ class TestKvStore:
         build_kv_store(store, seed=11)
         with pytest.raises(SizeMismatchError):
             store.update(0, bytes(store.value_size(0) + 1))
+
+    def test_put_of_a_non_byte_value_stores_its_bytes(self, make_store):
+        store = make_store()
+        store.put(0, memoryview(bytes(range(8))).cast("I"))  # 2 items, 8 bytes
+        store.put(1, b"next")
+        assert store.value_size(0) == 8
+        assert (store.get(0), store.get(1)) == (bytes(range(8)), b"next")
+
+    def test_update_with_a_non_byte_value_stores_its_bytes(self, make_store):
+        store = make_store()
+        store.put(0, bytes(8))
+        store.put(1, b"next")
+        store.update(0, memoryview(bytes(range(8))).cast("I"))
+        assert (store.get(0), store.get(1)) == (bytes(range(8)), b"next")
 
     def test_missing_key(self, make_store):
         store = make_store()

@@ -28,13 +28,19 @@ def count_bytecodes(fn, *args):
     """Run ``fn(*args)`` and return the number of bytecodes it executed, over
     every Python frame it entered. Unlike a timer, the count is exact and
     repeatable, so a test can assert that a cost does not grow."""
-    executed = 0
+    return sum(count_bytecodes_by_function(fn, *args).values())
+
+
+def count_bytecodes_by_function(fn, *args):
+    """``count_bytecodes``, broken down by the qualified name of the function
+    (``co_qualname``) whose frame executed each bytecode, so that a test
+    whose bound is exceeded can name the function that grew."""
+    executed = Counter()
 
     def trace(frame, event, arg):
-        nonlocal executed
         frame.f_trace_opcodes = True
         if event == "opcode":
-            executed += 1
+            executed[frame.f_code.co_qualname] += 1
         return trace
 
     previous = sys.gettrace()
