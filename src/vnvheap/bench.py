@@ -34,7 +34,6 @@ ACCESS_CASES = ("best", "bad", "worst")
 PERSIST_RAM_SWEEP = (4096, 8192, 16384, 32768)
 PERSIST_LIMIT_SWEEP = (512, 1024, 2048, 4096)
 QUEUE_LENGTH_SWEEP = (4, 12, 20, 60)
-DEFAULT_NVM_CAPACITY = 512 * 1024
 KVS_CACHE_BYTES = 65536  # holds the whole 58 KiB working set
 KVS_DIRTY_BUDGET = WORKLOAD_TOTAL_BYTES // 5
 
@@ -127,19 +126,16 @@ def _element(i: int, size: int) -> bytes:
     return bytes([(i * 31 + j) % 256 for j in range(4)]) * (size // 4)
 
 
-def run_queue_bench(initial_len: int, backend: str, reps: int = 64,
-                    cache_size: int = 4096, dirty_limit: int = 4096,
-                    nvm_capacity: int = DEFAULT_NVM_CAPACITY) -> BenchRecord:
+def run_queue_bench(initial_len: int, backend: str, reps: int = 64) -> BenchRecord:
     """Average storage cost of one push+pop at a steady queue length."""
     size = 256
     if backend == "vnv":
-        dev = SimulatedNvm(nvm_capacity)
-        heap = VnvHeap(dev, cache_size_bytes=cache_size,
-                       max_modified_state_bytes=dirty_limit,
+        dev = SimulatedNvm()
+        heap = VnvHeap(dev, cache_size_bytes=4096, max_modified_state_bytes=4096,
                        max_objects=max(64, 2 * initial_len + 16))
         queue = VnvQueue(heap, size)
     elif backend == "nvm":
-        dev = SimulatedNvm(nvm_capacity)
+        dev = SimulatedNvm()
         queue = NvmQueue(dev, capacity=max(64, 2 * initial_len), element_size=size)
     elif backend == "ram":
         dev = None
@@ -228,11 +224,10 @@ def ms_dirty_page_limit(page_size: int, budget_bytes: int = KVS_DIRTY_BUDGET) ->
 
 
 def run_kvs_bench(backend: str, pattern: str, seed: int,
-                  page_size: int | None = None, n_ops: int = 4096,
-                  nvm_capacity: int = DEFAULT_NVM_CAPACITY) -> BenchRecord:
+                  page_size: int | None = None, n_ops: int = 4096) -> BenchRecord:
     """Per-update storage cost over the standard 256-object population."""
     if backend == "vnv":
-        dev = SimulatedNvm(nvm_capacity)
+        dev = SimulatedNvm()
         heap = VnvHeap(dev, cache_size_bytes=KVS_CACHE_BYTES,
                        max_modified_state_bytes=KVS_DIRTY_BUDGET, max_objects=512)
         store = VnvKvStore(heap)
@@ -240,7 +235,7 @@ def run_kvs_bench(backend: str, pattern: str, seed: int,
     elif backend == "ms":
         if page_size not in MS_PAGE_SIZES:
             raise PreconditionError(f"page size must be one of {MS_PAGE_SIZES}")
-        dev = SimulatedNvm(nvm_capacity)
+        dev = SimulatedNvm()
         pool = ManagedStatePool(dev, WORKLOAD_TOTAL_BYTES, page_size,
                                 dirty_page_limit=ms_dirty_page_limit(page_size))
         store = MsKvStore(pool)

@@ -64,9 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=_count, default=0,
                    help=f"steady queue length; 0 sweeps {bench.QUEUE_LENGTH_SWEEP}")
     p.add_argument("--reps", type=_count, default=64)
-    p.add_argument("--cache-size", type=int, default=4096)
-    p.add_argument("--dirty-limit", type=int, default=4096)
-    p.add_argument("--nvm-capacity", type=int, default=bench.DEFAULT_NVM_CAPACITY)
     _add_csv_flags(p)
 
     p = sub.add_parser("persist", help="checkpoint cost sweeps")
@@ -81,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"ms backend page size; 0 sweeps {MS_PAGE_SIZES}")
     p.add_argument("--n-ops", type=_count, default=4096)
     p.add_argument("--seed", type=_count, default=42)  # numpy's PCG64 takes no negative seed
-    p.add_argument("--nvm-capacity", type=int, default=bench.DEFAULT_NVM_CAPACITY)
     _add_csv_flags(p)
 
     p = sub.add_parser("crash", help="checkpoint/restore round-trip suite")
@@ -115,10 +111,7 @@ def _run_benchmarks(args) -> list[bench.BenchRecord]:
                 if (args.backend == "all" and backend == "ram"
                         and length > ram_capacity):
                     continue  # this backend cannot reach the operating point
-                records.append(bench.run_queue_bench(
-                    length, backend, reps=args.reps,
-                    cache_size=args.cache_size, dirty_limit=args.dirty_limit,
-                    nvm_capacity=args.nvm_capacity))
+                records.append(bench.run_queue_bench(length, backend, reps=args.reps))
     elif args.command == "persist":
         modes = ("vary_ram", "vary_limit") if args.mode == "both" else (args.mode,)
         for mode in modes:
@@ -133,12 +126,10 @@ def _run_benchmarks(args) -> list[bench.BenchRecord]:
                                   else (args.page_size,))
                     for page in page_sizes:
                         records.append(bench.run_kvs_bench(
-                            backend, pattern, args.seed, page_size=page,
-                            n_ops=args.n_ops, nvm_capacity=args.nvm_capacity))
+                            backend, pattern, args.seed, page_size=page, n_ops=args.n_ops))
                 else:
                     records.append(bench.run_kvs_bench(
-                        backend, pattern, args.seed,
-                        n_ops=args.n_ops, nvm_capacity=args.nvm_capacity))
+                        backend, pattern, args.seed, n_ops=args.n_ops))
     return records
 
 

@@ -18,7 +18,9 @@ class OutOfRangeError(VnvHeapError):
 class PowerFailureInjected(VnvHeapError):
     """Raised by a device whose armed transfer budget is exhausted.
 
-    The transfer that raised did not happen; all words before it are durable.
+    Every word of the transfers before it is durable. A cut write stores its
+    durable prefix, the words before the one that failed; a cut read returns
+    nothing.
     """
 
 
@@ -63,11 +65,13 @@ class PreconditionError(VnvHeapError):
 
 
 class NoValidCheckpointError(VnvHeapError):
-    """Restore found no committed checkpoint on the device."""
+    """Restore found no committed checkpoint on the device, or an image
+    that is corrupt or cannot be trusted."""
 
 
 class HeapPoisonedError(VnvHeapError):
-    """Heap state is unusable because a persist was interrupted mid-flight."""
+    """Heap state is unusable because a power failure cut one of its device
+    transfers, whichever operation made it; restore from a reopened device."""
 
 
 class QueueEmptyError(VnvHeapError):
@@ -75,7 +79,8 @@ class QueueEmptyError(VnvHeapError):
 
 
 class RamCapacityExceededError(VnvHeapError):
-    """RAM-only queue backend grew past its fixed capacity."""
+    """A fixed-capacity backend is full: the RAM-only queue, the raw-NVM
+    queue's region (``NvmQueue``) or the paged store's RAM (``MsKvStore``)."""
 
 
 class KeyNotFoundError(VnvHeapError, KeyError):

@@ -14,9 +14,10 @@ the dirty total is 4 bytes per word of the next persist plus 3 words and
 within the limit, the cost is within the bound, modified and pinned objects
 are resident, each object's pin count is the number of read guards the
 machine holds on it, or -1 under its write guard, a guarded object stays
-where its guard found it, cache blocks
-are disjoint and inside the cache, and the heap's indexes and totals agree
-with the per-object state. The test suite and the ``check``/``crash``
+where its guard found it, each object's block and charge are its size
+aligned with and without the meta charge, cache blocks are disjoint and
+end inside the cache, and the heap's indexes and totals agree with the
+per-object state. The test suite and the ``check``/``crash``
 commands drive this one machine, each deciding how often to run the full
 check. The checks are ``assert`` statements: they vanish under ``python -O``.
 """
@@ -121,12 +122,16 @@ class TraceMachine:
         for hid, m in metas.items():
             assert m.pin_count == pins[hid], \
                 f"object {hid} has pin count {m.pin_count}, the machine's guards say {pins[hid]}"
+            assert (m.block_bytes, m.charge) == (
+                align_up(m.size_bytes + META_CHARGE_BYTES), align_up(m.size_bytes)), \
+                f"object {hid} of {m.size_bytes} B has block {m.block_bytes}, charge {m.charge}"
             if m.cache_offset < 0:
                 assert hid not in heap._modified, f"object {hid} modified but not resident"
                 assert not m.pin_count, f"object {hid} pinned but not resident"
                 continue
-            assert m.cache_offset + m.size_bytes <= self.cache
-            blocks.append((m.cache_offset, align_up(m.size_bytes + META_CHARGE_BYTES)))
+            assert m.cache_offset + m.block_bytes <= self.cache, \
+                f"object {hid}'s cache block ends past the cache"
+            blocks.append((m.cache_offset, m.block_bytes))
             pinned += m.pin_count != 0
             resident_bytes += m.size_bytes
         cost = persist_cost(heap)

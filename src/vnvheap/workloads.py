@@ -3,10 +3,12 @@
 The queue stores each element in its own heap object so the heap's eviction
 machinery works element-wise: a short queue lives entirely in cache and moves
 nothing, a long one streams elements through the cache at the cost of one
-write-back and one load per push/pop cycle. Queue bookkeeping (element ids,
-FIFO order, free slots) lives in a separate control object that is kept under
-a write guard for the queue's whole lifetime: it is updated in place on every
-operation, survives checkpoints, and is never an eviction candidate.
+write-back and one load per push/pop cycle. The queue holds its element
+handles itself: the live ones in FIFO order, the popped ones on a stack for
+reuse. Their ids are recorded in a separate control object that is kept
+under a write guard for the queue's whole lifetime: it is updated in place
+on every operation, survives checkpoints, is never an eviction candidate,
+and is all :meth:`VnvQueue.attach` needs to rebuild the queue.
 
 The key-value store exists in two functionally identical builds, one over the
 heap and one over the page-tracking pool, so a shared trace can compare their
@@ -17,6 +19,7 @@ dict: rebuilt by the embedding application, not part of the measured state.
 from __future__ import annotations
 
 import struct
+from collections import deque
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -25,7 +28,6 @@ from .errors import (
     QueueEmptyError,
     RamCapacityExceededError,
     SizeMismatchError,
-    StaleHandleError,
 )
 from .baselines import ManagedStatePool
 from .heap import ObjectHandle, VnvHeap
@@ -43,51 +45,21 @@ _CONTROL_HEADER = struct.Struct("<IIII")  # element_size, capacity, live_count, 
 class VnvQueue:
     """FIFO queue of fixed-size elements, one heap object per element."""
 
-    def __init__(self, heap: VnvHeap, element_size: int = QUEUE_ELEMENT_BYTES,
-                 _attach: tuple | None = None) -> None:
+    def __init__(self, heap: VnvHeap, element_size: int = QUEUE_ELEMENT_BYTES) -> None:
         self.heap = heap
         self.element_size = element_size
-        if _attach is not None:
-            self._slots, self._live, self._free, self._control, self.capacity = _attach
-        else:
-            self.capacity = 8
-            self._slots: list[ObjectHandle] = []
-            self._live: list[int] = []   # slot indices, FIFO order
-            self._free: list[int] = []   # slot indices, most recently freed last
-            self._control = heap.alloc(bytes(self._control_bytes(self.capacity)))
+        self.capacity = 8  # element ids the control record holds
+        self._live: deque[ObjectHandle] = deque()  # FIFO order
+        self._free: list[ObjectHandle] = []  # a stack: most recently freed last
+        self._control = heap.alloc(bytes(_CONTROL_HEADER.size + 4 * self.capacity))
         self._guard = heap.get_mut(self._control)
         self._sync_control()
 
-    # -- bookkeeping -----------------------------------------------------------
-
-    @staticmethod
-    def _control_bytes(capacity: int) -> int:
-        return _CONTROL_HEADER.size + 4 * capacity
-
     def _sync_control(self) -> None:
-        ids = [self._slots[i].id for i in self._live]
-        ids += [self._slots[i].id for i in reversed(self._free)]
-        packed = _CONTROL_HEADER.pack(self.element_size, self.capacity,
-                                      len(self._live), 0)
-        packed += struct.pack(f"<{len(ids)}I", *ids)
-        self._guard.write(packed)
-
-    def _grow_control(self) -> None:
-        # The control object is sized for `capacity` ids; double it. This is
-        # the one queue operation that goes through the allocator.
-        self.capacity *= 2
-        self._guard.release()
-        self.heap.dealloc(self._control)
-        self._control = self.heap.alloc(bytes(self._control_bytes(self.capacity)))
-        self._guard = self.heap.get_mut(self._control)
-
-    def _take_slot(self) -> int:
-        if self._free:
-            return self._free.pop()
-        if len(self._slots) == self.capacity:
-            self._grow_control()
-        self._slots.append(self.heap.alloc(bytes(self.element_size)))
-        return len(self._slots) - 1
+        ids = [h.id for h in self._live] + [h.id for h in reversed(self._free)]
+        self._guard.write(
+            _CONTROL_HEADER.pack(self.element_size, self.capacity, len(self._live), 0)
+            + struct.pack(f"<{len(ids)}I", *ids))
 
     # -- queue interface -----------------------------------------------------------
 
@@ -95,23 +67,39 @@ class VnvQueue:
         return len(self._live)
 
     def push(self, payload: bytes) -> None:
-        # Checked, in bytes, before a slot is taken, so a refused push leaks none.
+        """Append ``payload``. The element it lands in joins the queue only
+        once it holds the payload, so a refused push leaves the queue's
+        elements and their record as they were; if it first had to double
+        a full record, the larger record lists the same elements."""
+        # Checked, in bytes, before an element is taken.
         payload = bytes(payload)
         if len(payload) != self.element_size:
             raise SizeMismatchError(
                 f"queue elements are {self.element_size} B, got {len(payload)}")
-        slot = self._take_slot()
-        self.heap.replace(self._slots[slot], payload)
-        self._live.append(slot)
+        free = self._free
+        if not free:
+            if len(self._live) == self.capacity:
+                # Double the control record, the one queue operation that
+                # reallocates it, and fill it before the element alloc.
+                self.capacity *= 2
+                self._guard.release()
+                self.heap.dealloc(self._control)
+                self._control = self.heap.alloc(
+                    bytes(_CONTROL_HEADER.size + 4 * self.capacity))
+                self._guard = self.heap.get_mut(self._control)
+                self._sync_control()
+            free.append(self.heap.alloc(bytes(self.element_size)))
+        self.heap.replace(free[-1], payload)
+        self._live.append(free.pop())
         self._sync_control()
 
     def pop(self) -> bytes:
+        """Remove and return the head. The head is read before it leaves
+        the queue, so a refused pop changes nothing."""
         if not self._live:
             raise QueueEmptyError("queue is empty")
-        slot = self._live.pop(0)
-        with self.heap.get_ref(self._slots[slot]) as g:
-            payload = g.read()
-        self._free.append(slot)
+        payload = self.heap.read(self._live[0])
+        self._free.append(self._live.popleft())
         self._sync_control()
         return payload
 
@@ -126,48 +114,44 @@ class VnvQueue:
         return self._control.id
 
     @classmethod
-    def attach(cls, heap: VnvHeap, handles: dict[int, ObjectHandle],
-               control_id: int) -> "VnvQueue":
-        """Rebuild a queue from a restored heap and its handle directory.
+    def attach(cls, heap: VnvHeap, control_id: int) -> "VnvQueue":
+        """Rebuild a queue from a restored heap: the control record names
+        each element by id, and ``heap.handle`` resolves every id.
 
         Raises :class:`StaleHandleError` for a control or element id that
-        ``handles`` does not hold, and :class:`PreconditionError` for a
-        control record that contradicts its objects (an element object
-        passed as the control, say): a size that holds no whole id list, an
-        element size of 0, a capacity other than the ids it holds, more live
+        names no live object, and :class:`PreconditionError` for a control
+        record that contradicts its objects (an element object passed as
+        the control, say): a size that holds no whole id list, an element
+        size of 0, a capacity other than the ids it holds, more live
         elements than ids, or an element object of another size."""
-        control = _restored(handles, control_id, "control object")
+        control = heap.handle(control_id)
         total, odd = divmod(control.size_bytes - _CONTROL_HEADER.size, 4)
         if total < 0 or odd:
             raise PreconditionError(
                 f"object {control_id} ({control.size_bytes} B) is not a queue control record")
-        with heap.get_ref(control) as g:
-            element_size, capacity, live_count, _ = _CONTROL_HEADER.unpack(
-                g.read(0, _CONTROL_HEADER.size))
-            ids = struct.unpack(f"<{total}I", g.read(_CONTROL_HEADER.size))
-        slot_ids = [i for i in ids if i]  # zero-padded tail = unallocated
-        if not element_size or capacity != total or live_count > len(slot_ids):
+        record = heap.read(control)
+        element_size, capacity, live_count, _ = _CONTROL_HEADER.unpack_from(record)
+        ids = struct.unpack_from(f"<{total}I", record, _CONTROL_HEADER.size)
+        ids = [i for i in ids if i]  # zero-padded tail = unallocated
+        if not element_size or capacity != total or live_count > len(ids):
             raise PreconditionError(
                 f"object {control_id} is not a queue control record: element size "
                 f"{element_size}, capacity {capacity} for {total} ids, "
-                f"{live_count} live of {len(slot_ids)} ids")
-        slots = [_restored(handles, i, "element") for i in slot_ids]
-        for slot in slots:
-            if slot.size_bytes != element_size:
+                f"{live_count} live of {len(ids)} ids")
+        elements = [heap.handle(i) for i in ids]
+        for element in elements:
+            if element.size_bytes != element_size:
                 raise PreconditionError(
-                    f"queue element {slot.id} is {slot.size_bytes} B, "
+                    f"queue element {element.id} is {element.size_bytes} B, "
                     f"the control record says {element_size} B")
-        live = list(range(live_count))
-        free = list(reversed(range(live_count, len(slot_ids))))
-        return cls(heap, element_size,
-                   _attach=(slots, live, free, control, capacity))
-
-
-def _restored(handles: dict[int, ObjectHandle], handle_id: int, what: str) -> ObjectHandle:
-    handle = handles.get(handle_id)
-    if handle is None:
-        raise StaleHandleError(f"queue {what} {handle_id} is not among the restored objects")
-    return handle
+        queue = cls.__new__(cls)
+        queue.heap, queue.element_size, queue.capacity = heap, element_size, capacity
+        queue._live = deque(elements[:live_count])
+        queue._free = elements[live_count:][::-1]  # the record lists the top first
+        queue._control = control
+        queue._guard = heap.get_mut(control)
+        queue._sync_control()
+        return queue
 
 
 class NvmQueue:

@@ -253,6 +253,8 @@ def test_suite_output_is_unchanged(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("access", "--seed", "9"),
     ("persist", "--nvm-capacity", "4"),
+    ("queue", "--cache-size", "8192"),
+    ("kvs", "--nvm-capacity", "4"),
     ("crash", "--power-mw", "66"),
     ("check", "--out", "x.csv"),
 ], ids=" ".join)

@@ -99,9 +99,16 @@ def test_use_after_release_fails_loudly(heap):
         g.data
     with pytest.raises(GuardReleasedError):
         g.release()
+    with pytest.raises(GuardReleasedError):
+        with g:
+            pass
     # even a stashed raw view is dead, not silently stale
     with pytest.raises(ValueError):
         view[0]
+    w = heap.get_mut(h)
+    w.release()
+    with pytest.raises(GuardReleasedError):
+        w.write(b"late")
 
 
 def test_stale_write_guard_view_cannot_touch_the_cache(heap):

@@ -62,6 +62,8 @@ def test_config_rejects_nonsense():
         VnvHeap(dev, max_modified_state_bytes=0)
     with pytest.raises(ConfigInvalidError):
         VnvHeap(dev, cache_size_bytes=1024, max_modified_state_bytes=2048)
+    with pytest.raises(ConfigInvalidError, match="fixed persist header"):
+        VnvHeap(dev, max_modified_state_bytes=HEADER_CHARGE_BYTES - 4)
     with pytest.raises(ConfigInvalidError):
         VnvHeap(dev, max_objects=0)
 
@@ -998,13 +1000,17 @@ def test_read_raises_the_errors_of_get_ref_in_its_order():
             with pytest.raises(error):
                 access(handle)
             assert _heap_state(heap) == before
+    before = _heap_state(heap)
+    with pytest.raises(StaleHandleError):  # get_mut, too, checks the heap first
+        heap.get_mut(foreign)
+    assert _heap_state(heap) == before
     read_guard.release()
     heap.device.arm_power_failure(0)
     with pytest.raises(PowerFailureInjected):
         heap.sync_object(other)
     heap.device.disarm_power_failure()
     for _, handle in cases:  # a poisoned heap comes first
-        for access in (heap.get_ref, heap.read):
+        for access in (heap.get_ref, heap.read, heap.get_mut):
             with pytest.raises(HeapPoisonedError):
                 access(handle)
 

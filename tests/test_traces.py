@@ -34,10 +34,10 @@ def test_trace_generous_configuration():
 
 def test_every_step_is_charged_exactly_what_the_next_persist_writes():
     """Cache 1024, limit 512, 32 slots: every step checks that the dirty
-    total is exactly 4 bytes per word of the next persist, plus 3 words. The
-    dealloc of a clean object owes one word, the clear of its entry, so a
-    heap that leaves the clear uncharged fails at the first such dealloc,
-    whatever the seed (step 24 of this trace)."""
+    total is exactly 4 bytes per word of the next persist, plus 3 words. A
+    dealloc writes its entry's death stamp at once and owes the next persist
+    nothing, so a heap that charged the dealloc of a clean object would fail
+    at the first such dealloc."""
     m = TraceMachine(2, cache=1024, dirty=512, max_objects=32)
     m.run(1000)
 
@@ -61,4 +61,25 @@ def test_check_holds_each_pin_count_to_the_machines_guards():
         with pytest.raises(AssertionError, match="pin count"):
             m.check()
         meta.pin_count = right
+    m.check()
+
+
+def test_check_holds_each_block_to_its_size_and_the_cache():
+    """The full check fails when an object's block or charge is not its
+    size aligned with and without the meta charge, or when its block ends
+    past the cache, even with the payload inside it."""
+    m = TraceMachine(1)
+    payload = bytes(8)
+    h = m.heap.alloc(payload)
+    m.shadow[h.id], m.handles[h.id] = bytearray(payload), h
+    m.check()
+    meta = m.heap._metas[h.id]
+    for field, wrong, match in (("block_bytes", 8, "has block"),
+                                ("charge", 12, "has block"),
+                                ("cache_offset", m.cache - 8, "ends past the cache")):
+        right = getattr(meta, field)
+        setattr(meta, field, wrong)
+        with pytest.raises(AssertionError, match=match):
+            m.check()
+        setattr(meta, field, right)
     m.check()

@@ -8,7 +8,9 @@ import pytest
 from vnvheap import SimulatedNvm, VnvHeap, persist, restore
 from vnvheap.baselines import ManagedStatePool
 from vnvheap.errors import (
+    CachePressureUnresolvableError,
     KeyNotFoundError,
+    OutOfNvmError,
     PreconditionError,
     QueueEmptyError,
     RamCapacityExceededError,
@@ -109,15 +111,34 @@ class TestVnvQueue:
         assert q.capacity == 16
         assert [q.pop() for _ in range(9)] == [element(i) for i in range(9)]
 
+    def test_a_push_refused_after_the_record_grew_keeps_a_valid_record(self):
+        """Nine table slots hold the control record and 8 elements: the 9th
+        push doubles the record, then finds no slot for its element. The
+        larger record already lists the 8 elements, so they persist and
+        come back through ``attach``."""
+        dev = SimulatedNvm(64 * 1024)
+        heap = VnvHeap(dev, cache_size_bytes=4096, max_modified_state_bytes=4096,
+                       max_objects=9)
+        q = VnvQueue(heap, 32)
+        for i in range(8):
+            q.push(element(i, 32))
+        with pytest.raises(OutOfNvmError):
+            q.push(element(8, 32))
+        assert (len(q), q.capacity) == (8, 16)
+        persist(heap)
+        heap2, _ = restore(dev.reopen())
+        q2 = VnvQueue.attach(heap2, q.control_id)
+        assert [q2.pop() for _ in range(8)] == [element(i, 32) for i in range(8)]
+
     def test_queue_survives_a_power_cycle(self):
         dev, heap, q = make_vnv_queue(element_size=32)
         for i in range(7):
             q.push(element(i, 32))
         q.pop()
         persist(heap)
-        heap2, handles = restore(dev.reopen(), cache_size_bytes=4096,
-                                 max_modified_state_bytes=4096)
-        q2 = VnvQueue.attach(heap2, handles, q.control_id)
+        heap2, _ = restore(dev.reopen(), cache_size_bytes=4096,
+                           max_modified_state_bytes=4096)
+        q2 = VnvQueue.attach(heap2, q.control_id)
         assert len(q2) == 6
         assert [q2.pop() for _ in range(6)] == [element(i, 32) for i in range(1, 7)]
         q2.push(element(40, 32))
@@ -161,43 +182,87 @@ class TestVnvQueue:
             q.push(element(i))
         assert len(heap.live_handle_ids()) == objects_before
 
+    def test_a_refused_push_or_pop_changes_nothing(self):
+        """Read guards pin every other resident, so a miss cannot make room:
+        a pop of the swapped-out head and a push onto a swapped-out free
+        element each raise, and leave the length, the FIFO order and the
+        control record's bytes as they were. Once the guards go, the pops
+        return every element in order, and the record still lists every
+        element object."""
+        dev, heap, q = make_vnv_queue(cache=1024)
+        for i in range(20):
+            q.push(element(i))
+        for i in range(3):
+            assert q.pop() == element(i)
+
+        def state():
+            record = q._guard.read()
+            live = struct.unpack_from("<I", record, 8)[0]
+            ids = struct.unpack_from(f"<{live + 1}I", record, 16)
+            return len(q), ids[:live], record, ids[live]  # ids[live]: the free top
+
+        before = state()
+        head, free_top = heap.handle(before[1][0]), heap.handle(before[3])
+        heap.unload(free_top)  # clean: the pop loaded it
+        filler = heap.alloc(bytes(64))  # takes the hole the free element left
+        guards = [heap.get_ref(heap.handle(hid)) for hid in heap.live_handle_ids()
+                  if heap.object_info(heap.handle(hid)).resident
+                  and not heap.object_info(heap.handle(hid)).pinned]
+        assert not heap.object_info(head).resident
+        assert heap.stats().cache_free_bytes < 68  # no hole fits a 64 B element
+        with pytest.raises(CachePressureUnresolvableError):
+            q.pop()
+        assert state() == before
+        with pytest.raises(CachePressureUnresolvableError):
+            q.push(element(20))
+        assert state() == before
+        for g in guards:
+            g.release()
+        heap.dealloc(filler)
+        q.push(element(20))  # onto the free top: every element stays listed
+        record = q._guard.read()
+        listed = struct.unpack_from(f"<{(len(record) - 16) // 4}I", record, 16)
+        elements = set(heap.live_handle_ids()) - {q.control_id}
+        assert {hid for hid in listed if hid} == elements and len(elements) == 20
+        assert [q.pop() for _ in range(18)] == [element(i) for i in range(3, 21)]
+
     # -- attach refuses what is not its queue ----------------------------------
 
     @staticmethod
     def restored_queue():
         """A 3-element queue of 32 B elements and a 10 B stray object,
-        persisted and restored: the restored heap, its handles, the control
-        id and the element ids."""
+        persisted and restored: the restored heap, the control id and the
+        element ids."""
         dev, heap, q = make_vnv_queue(element_size=32)
         for i in range(3):
             q.push(element(i, 32))
         stray = heap.alloc(b"not queued")
         persist(heap)
-        heap2, handles = restore(dev.reopen())
-        elements = [h.id for h in q._slots]
-        return heap2, handles, q.control_id, elements, stray.id
+        heap2, _ = restore(dev.reopen())
+        elements = [h.id for h in q._live]
+        return heap2, q.control_id, elements, stray.id
 
     def test_attach_of_an_unknown_control_id_names_it(self):
-        heap, handles, _, _, _ = self.restored_queue()
-        with pytest.raises(StaleHandleError, match="control object 9999 "):
-            VnvQueue.attach(heap, handles, 9999)
+        heap, _, _, _ = self.restored_queue()
+        with pytest.raises(StaleHandleError, match="id 9999$"):
+            VnvQueue.attach(heap, 9999)
 
     def test_attach_names_an_element_id_it_cannot_find(self):
-        heap, handles, control, elements, _ = self.restored_queue()
-        del handles[elements[1]]
-        with pytest.raises(StaleHandleError, match=f"element {elements[1]} "):
-            VnvQueue.attach(heap, handles, control)
+        heap, control, elements, _ = self.restored_queue()
+        heap.dealloc(heap.handle(elements[1]))
+        with pytest.raises(StaleHandleError, match=f"id {elements[1]}$"):
+            VnvQueue.attach(heap, control)
 
     def test_attach_refuses_an_element_object_as_the_control(self):
-        heap, handles, _, elements, stray = self.restored_queue()
+        heap, _, elements, stray = self.restored_queue()
         # Element 0 holds zeros, so its header reads element size 0; element
         # 1 holds 0x01 bytes, so its header's capacity is not its 4 ids.
         for hid, why in ((elements[0], "element size 0,"),
                          (elements[1], "capacity 16843009 for 4 ids")):
             with pytest.raises(PreconditionError, match=why):
-                VnvQueue.attach(heap, handles, hid)
+                VnvQueue.attach(heap, hid)
         with pytest.raises(PreconditionError, match=f"object {stray} \\(10 B\\)"):
-            VnvQueue.attach(heap, handles, stray)
+            VnvQueue.attach(heap, stray)
 
     @pytest.mark.parametrize("header, why", [
         ((0, 8, 3, 0), "element size 0,"),
@@ -206,13 +271,13 @@ class TestVnvQueue:
         ((64, 8, 3, 0), "is 32 B, the control record says 64 B"),
     ], ids=["no-element-size", "capacity", "live-count", "element-size"])
     def test_attach_refuses_a_control_header_that_contradicts_its_objects(self, header, why):
-        heap, handles, control, elements, _ = self.restored_queue()
+        heap, control, elements, _ = self.restored_queue()
         ids = struct.pack("<8I", *elements, *[0] * 5)
-        heap.replace(handles[control], struct.pack("<4I", *header) + ids)
+        heap.replace(heap.handle(control), struct.pack("<4I", *header) + ids)
         with pytest.raises(PreconditionError, match=why):
-            VnvQueue.attach(heap, handles, control)
-        heap.replace(handles[control], struct.pack("<4I", 32, 8, 3, 0) + ids)
-        q = VnvQueue.attach(heap, handles, control)
+            VnvQueue.attach(heap, control)
+        heap.replace(heap.handle(control), struct.pack("<4I", 32, 8, 3, 0) + ids)
+        q = VnvQueue.attach(heap, control)
         assert [q.pop() for _ in range(3)] == [element(i, 32) for i in range(3)]
 
 
