@@ -74,7 +74,9 @@ settled, once: the modified index keeps just the write-guarded objects,
 whose holders can keep writing.
 
 :func:`restore` is the one step that reads the whole table:
-``CheckpointTables.open`` checks the superblock and ``adopt`` the table.
+``CheckpointTables.open`` checks the superblock, :func:`restore` checks the
+configuration it records as :class:`HeapConfig` does, and ``adopt`` checks
+the table.
 Every live entry comes back clean, swapped out and unpinned, whether or not
 a guard was held on it at persist, and loads lazily on first access.
 
@@ -333,7 +335,8 @@ class VnvHeap:
         # A new image, unless restore passes the tables of the one it adopts.
         self.tables = _tables or CheckpointTables.format(
             device, max_objects, cache_size_bytes, max_modified_state_bytes)
-        self.layout = self.tables.layout
+        # The tables hold the geometry; perfbench/tracing.py reads it here.
+        self.layout = self.tables
         self._cache = bytearray(cache_size_bytes)
         # Guards slice these views; the cache is never resized. Bytes are
         # stored through _view: a bytearray store copies them once more first.
@@ -827,10 +830,11 @@ def restore(
     swapped out and unpinned. Raises :class:`NoValidCheckpointError` for an
     image with no committed checkpoint or one it cannot trust.
     """
-    tables = CheckpointTables.open(device)
     try:
-        # The recorded configuration must be one a heap could have had.
-        HeapConfig(tables.cache_size_bytes, tables.max_modified_state_bytes)
+        # The recorded configuration must be one a heap could have had: it
+        # came from the image, so one no heap can have marks a corrupt image.
+        tables = CheckpointTables.open(device)
+        HeapConfig(tables.cache_size_bytes, tables.max_modified_state_bytes, tables.max_objects)
     except ConfigInvalidError as exc:
         raise NoValidCheckpointError(f"image records an impossible heap: {exc}") from None
     if cache_size_bytes is None:
@@ -839,7 +843,7 @@ def restore(
         max_modified_state_bytes = tables.max_modified_state_bytes
 
     heap = VnvHeap(device, cache_size_bytes, max_modified_state_bytes,
-                   tables.layout.max_objects, tables)
+                   tables.max_objects, tables)
     metas, handles = heap._metas, {}
     for slot, handle_id, nvm_offset, size in tables.adopt():
         # align_up, inline, as in alloc.

@@ -6,9 +6,14 @@ Image layout (every field a little-endian u32 word):
 offset 0              superblock, 28 bytes: magic ``VNVH`` | version |
                       epoch | table offset | table length | cache size |
                       modified-state limit
-28                    metadata table (``max_objects`` entries of 20 bytes)
-after the table       object region (payload extents)
+28, ``table_offset``  metadata table, ``table_bytes``: ``max_objects``
+                      entries of 20 bytes
+``object_offset``     object region (payload extents), ``object_bytes``:
+                      the rest of the device in whole words, at least one
 ====================  =======================================================
+
+The :class:`CheckpointTables` constructor computes this geometry, for a new
+image and a recorded one alike, and refuses a cache larger than the device.
 
 An entry is ``born | handle id | nvm offset | size | died``: the object's
 identity, fixed for its life, between the epochs of its birth and its
@@ -33,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 import struct
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ConfigInvalidError, NoValidCheckpointError, OutOfNvmError
@@ -53,39 +57,6 @@ LAST_WORD = 0xFFFFFFFF  # the largest handle id, and one past the last committed
 _SB = struct.Struct("<4sIIIIII")
 _ENTRY = struct.Struct(f"<{ENTRY_WORDS}I")
 _WORD = struct.Struct("<I")
-
-
-@dataclass(frozen=True)
-class ImageLayout:
-    max_objects: int
-    table_offset: int
-    table_bytes: int
-    object_offset: int
-    object_bytes: int
-
-    @classmethod
-    def compute(cls, capacity_bytes: int, max_objects: int, cache_size_bytes: int) -> "ImageLayout":
-        if max_objects < 1:
-            raise ConfigInvalidError("max_objects must be >= 1")
-        table_bytes = max_objects * ENTRY_BYTES
-        object_offset = SUPERBLOCK_BYTES + table_bytes
-        object_bytes = capacity_bytes - object_offset
-        object_bytes -= object_bytes % WORD_BYTES
-        if object_bytes < WORD_BYTES:
-            raise ConfigInvalidError(
-                f"device of {capacity_bytes} B leaves no object region for "
-                f"{max_objects} metadata entries"
-            )
-        if cache_size_bytes > capacity_bytes:  # no heap needs more cache than device
-            raise ConfigInvalidError(
-                f"cache of {cache_size_bytes} B exceeds the {capacity_bytes} B device")
-        return cls(
-            max_objects=max_objects,
-            table_offset=SUPERBLOCK_BYTES,
-            table_bytes=table_bytes,
-            object_offset=object_offset,
-            object_bytes=object_bytes,
-        )
 
 
 class CheckpointTables:
@@ -111,14 +82,29 @@ class CheckpointTables:
     deallocated since the last commit. ``extents`` is the object region's
     free space: the heap allocates from it, and only the tables free into
     it. Tables come from :meth:`format`, or from :meth:`open` then
-    :meth:`adopt`.
+    :meth:`adopt`, each through the constructor: it holds the geometry and
+    the configuration the superblock records.
     """
 
-    def __init__(self, device: StorageDevice, layout: ImageLayout, epoch: int = 0) -> None:
-        self.device = device
-        self.layout = layout
-        self.epoch = epoch
-        self._base = layout.table_offset
+    table_offset = SUPERBLOCK_BYTES  # the table follows the superblock
+
+    def __init__(self, device: StorageDevice, max_objects: int, cache_size_bytes: int,
+                 max_modified_state_bytes: int, epoch: int = 0) -> None:
+        capacity = device.capacity_bytes
+        self.table_bytes = max_objects * ENTRY_BYTES
+        self.object_offset = SUPERBLOCK_BYTES + self.table_bytes
+        rest = capacity - self.object_offset
+        self.object_bytes = rest - rest % WORD_BYTES
+        if self.object_bytes < WORD_BYTES:
+            raise ConfigInvalidError(
+                f"device of {capacity} B leaves no object region for "
+                f"{max_objects} metadata entries")
+        if cache_size_bytes > capacity:  # no heap needs more cache than device
+            raise ConfigInvalidError(
+                f"cache of {cache_size_bytes} B exceeds the {capacity} B device")
+        self.device, self.max_objects, self.epoch = device, max_objects, epoch
+        self.cache_size_bytes = cache_size_bytes
+        self.max_modified_state_bytes = max_modified_state_bytes
         self._entry = bytearray(ENTRY_BYTES)  # a birth's entry, packed in place
         self.metadata_bytes_written = 0  # cumulative, callers diff it
 
@@ -127,13 +113,12 @@ class CheckpointTables:
                max_modified_state_bytes: int) -> "CheckpointTables":
         """The tables of a new image: a superblock at epoch 0 (no commit)
         and a zeroed table."""
-        lay = ImageLayout.compute(device.capacity_bytes, max_objects, cache_size_bytes)
+        tables = cls(device, max_objects, cache_size_bytes, max_modified_state_bytes)
         device.write(0, _SB.pack(
-            MAGIC, VERSION, 0, lay.table_offset, lay.table_bytes,
+            MAGIC, VERSION, 0, SUPERBLOCK_BYTES, tables.table_bytes,
             cache_size_bytes, max_modified_state_bytes,
         ))
-        device.write(lay.table_offset, bytearray(lay.table_bytes))
-        tables = cls(device, lay)
+        device.write(SUPERBLOCK_BYTES, bytearray(tables.table_bytes))
         tables._start(list(range(max_objects)), [], 1)  # ascending, so a heap
         return tables
 
@@ -141,8 +126,12 @@ class CheckpointTables:
     def open(cls, device: StorageDevice) -> "CheckpointTables":
         """The tables of the device's committed image, with its recorded
         epoch, cache size and limit. Raises :class:`NoValidCheckpointError`,
-        having written nothing, for an image with no commit or a superblock
-        no heap could have written."""
+        having written nothing, for a device with no room for a superblock
+        (read nothing either), an image with no commit, or a superblock whose
+        words disagree. It maps no :class:`ConfigInvalidError` of the
+        constructor: ``restore`` checks a recorded configuration in one place."""
+        if device.capacity_bytes < SUPERBLOCK_BYTES:
+            raise NoValidCheckpointError("device holds no recognizable heap image")
         magic, version, epoch, table_offset, table_bytes, cache, limit = _SB.unpack(
             device.read(0, SUPERBLOCK_BYTES))
         if magic != MAGIC or version != VERSION:
@@ -153,17 +142,9 @@ class CheckpointTables:
             raise NoValidCheckpointError(f"epoch {epoch} is past the last one an image commits")
         if table_bytes % ENTRY_BYTES:
             raise NoValidCheckpointError("metadata table length is not whole entries")
-        try:
-            layout = ImageLayout.compute(device.capacity_bytes, table_bytes // ENTRY_BYTES, cache)
-        except ConfigInvalidError as exc:
-            # These values came from the image, so one a heap cannot have
-            # marks a corrupt image, not a bad configuration.
-            raise NoValidCheckpointError(f"image records an impossible heap: {exc}") from None
-        if table_offset != layout.table_offset:
+        if table_offset != SUPERBLOCK_BYTES:
             raise NoValidCheckpointError("metadata table offset does not match the layout")
-        tables = cls(device, layout, epoch)
-        tables.cache_size_bytes, tables.max_modified_state_bytes = cache, limit
-        return tables
+        return cls(device, table_bytes // ENTRY_BYTES, cache, limit, epoch)
 
     def adopt(self) -> list[tuple[int, int, int, int]]:
         """Read the table of the image :meth:`open` checked, check it, and
@@ -179,11 +160,11 @@ class CheckpointTables:
         decoding at the epoch reads, so a restore cut among them and run
         again decodes the same entries.
         """
-        lay, epoch = self.layout, self.epoch
-        raw = self.device.read(self._base, lay.table_bytes)
-        words = struct.unpack(f"<{lay.max_objects * ENTRY_WORDS}I", raw)
+        epoch, max_objects = self.epoch, self.max_objects
+        raw = self.device.read(SUPERBLOCK_BYTES, self.table_bytes)
+        words = struct.unpack(f"<{max_objects * ENTRY_WORDS}I", raw)
         live, free, undo, ids = [], [], [], set()
-        for slot in range(lay.max_objects):
+        for slot in range(max_objects):
             at = slot * ENTRY_WORDS
             born, handle_id, nvm_offset, size, died = words[at : at + ENTRY_WORDS]
             if born > epoch:
@@ -207,7 +188,7 @@ class CheckpointTables:
             ids.add(handle_id)
             live.append((slot, handle_id, nvm_offset, size))
         used = []
-        at, region_end = lay.object_offset, lay.object_offset + lay.object_bytes
+        at, region_end = self.object_offset, self.object_offset + self.object_bytes
         for _, handle_id, nvm_offset, size in sorted(live, key=itemgetter(2)):
             end = nvm_offset + align_up(size)
             if nvm_offset < at or end > region_end or nvm_offset % WORD_BYTES:
@@ -221,8 +202,7 @@ class CheckpointTables:
         return live
 
     def _start(self, free: list[int], used: list[tuple[int, int]], next_id: int) -> None:
-        lay = self.layout
-        self.extents = FirstFitAllocator(lay.object_offset, lay.object_bytes, used)
+        self.extents = FirstFitAllocator(self.object_offset, self.object_bytes, used)
         self._stamp = bytearray(_WORD.pack(self.epoch + 1))
         self._free = free
         self._next_id = next_id
@@ -244,7 +224,7 @@ class CheckpointTables:
     # -- writes (metered by the device) --------------------------------------
 
     def _write_word(self, offset: int, word: bytearray) -> None:
-        self.device.write(self._base + offset, word)
+        self.device.write(SUPERBLOCK_BYTES + offset, word)
         self.metadata_bytes_written += WORD_BYTES
 
     def record_alloc(self, nvm_offset: int, size: int) -> tuple[int, int]:
@@ -256,7 +236,7 @@ class CheckpointTables:
         self._next_id = handle_id + 1
         entry = self._entry
         _ENTRY.pack_into(entry, 0, self.epoch + 1, handle_id, nvm_offset, size, 0)
-        self.device.write(self._base + slot * ENTRY_BYTES, entry)
+        self.device.write(SUPERBLOCK_BYTES + slot * ENTRY_BYTES, entry)
         self.metadata_bytes_written += ENTRY_BYTES
         self._born.add(slot)
         return slot, handle_id

@@ -324,7 +324,7 @@ class TraceMachine:
             return
         self.guards.clear()
         self.dev = self.reboot()
-        reads = words_for(SUPERBLOCK_BYTES + self.heap.layout.table_bytes)
+        reads = words_for(SUPERBLOCK_BYTES + self.heap.tables.table_bytes)
         self.dev.arm_power_failure(reads + self.rng.randrange(4))
         try:
             restore(self.dev)

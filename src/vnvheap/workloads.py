@@ -42,12 +42,19 @@ QUEUE_ELEMENT_BYTES = 256
 _CONTROL_HEADER = struct.Struct("<IIII")  # element_size, capacity, live_count, spare
 
 
+def _element_size(size: int) -> int:
+    """``size``, checked: every backend stores elements of at least a byte."""
+    if size < 1:
+        raise PreconditionError(f"a queue element must be at least 1 B, not {size}")
+    return size
+
+
 class VnvQueue:
     """FIFO queue of fixed-size elements, one heap object per element."""
 
     def __init__(self, heap: VnvHeap, element_size: int = QUEUE_ELEMENT_BYTES) -> None:
         self.heap = heap
-        self.element_size = element_size
+        self.element_size = _element_size(element_size)
         self.capacity = 8  # element ids the control record holds
         self._live: deque[ObjectHandle] = deque()  # FIFO order
         self._free: list[ObjectHandle] = []  # a stack: most recently freed last
@@ -123,7 +130,8 @@ class VnvQueue:
         record that contradicts its objects (an element object passed as
         the control, say): a size that holds no whole id list, an element
         size of 0, a capacity other than the ids it holds, more live
-        elements than ids, or an element object of another size."""
+        elements than ids, an id listed twice, its own id, a 0 before the
+        last id, or an element object of another size."""
         control = heap.handle(control_id)
         total, odd = divmod(control.size_bytes - _CONTROL_HEADER.size, 4)
         if total < 0 or odd:
@@ -131,13 +139,17 @@ class VnvQueue:
                 f"object {control_id} ({control.size_bytes} B) is not a queue control record")
         record = heap.read(control)
         element_size, capacity, live_count, _ = _CONTROL_HEADER.unpack_from(record)
-        ids = struct.unpack_from(f"<{total}I", record, _CONTROL_HEADER.size)
-        ids = [i for i in ids if i]  # zero-padded tail = unallocated
+        listed = struct.unpack_from(f"<{total}I", record, _CONTROL_HEADER.size)
+        ids = [i for i in listed if i]  # zero-padded tail = unallocated
         if not element_size or capacity != total or live_count > len(ids):
             raise PreconditionError(
                 f"object {control_id} is not a queue control record: element size "
                 f"{element_size}, capacity {capacity} for {total} ids, "
                 f"{live_count} live of {len(ids)} ids")
+        if 0 in listed[:len(ids)] or control_id in ids or len(set(ids)) < len(ids):
+            raise PreconditionError(
+                f"object {control_id} is not a queue control record: its ids list an "
+                "object twice, the record itself, or 0 before an element")
         elements = [heap.handle(i) for i in ids]
         for element in elements:
             if element.size_bytes != element_size:
@@ -160,10 +172,11 @@ class NvmQueue:
 
     def __init__(self, device: StorageDevice, capacity: int = 1024,
                  element_size: int = QUEUE_ELEMENT_BYTES) -> None:
-        if capacity > 0xFFFF:
-            raise PreconditionError(f"a raw-NVM queue holds at most 65535 elements, not {capacity}")
+        if not 0 <= capacity <= 0xFFFF:
+            raise PreconditionError(
+                f"a raw-NVM queue holds at most 65535 elements and at least 0, not {capacity}")
         self.device = device
-        self.element_size = element_size
+        self.element_size = _element_size(element_size)
         self.capacity = capacity
         self.head = 0
         self.length = 0
@@ -202,9 +215,11 @@ class RamQueue:
 
     def __init__(self, ram_bytes: int = 4096,
                  element_size: int = QUEUE_ELEMENT_BYTES) -> None:
-        self.element_size = element_size
+        self.element_size = _element_size(element_size)
         # 16 bytes reserved for the same head/length bookkeeping the other
         # backends keep, so capacities are comparable
+        if ram_bytes < 16:
+            raise PreconditionError(f"{ram_bytes} B of RAM cannot hold the 16 B of bookkeeping")
         self.capacity = (ram_bytes - 16) // element_size
         self._buf = bytearray(self.capacity * element_size)
         self.head = 0

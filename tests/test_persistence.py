@@ -573,6 +573,14 @@ def test_restore_rejects_an_image_of_another_layout_version():
         restore(dev)
 
 
+@pytest.mark.parametrize("capacity", [4, SUPERBLOCK_BYTES - 1])
+def test_restore_of_a_device_smaller_than_a_superblock_reads_nothing(capacity):
+    dev = SimulatedNvm(capacity)
+    with pytest.raises(NoValidCheckpointError, match="no recognizable heap image"):
+        restore(dev)
+    assert dev.cost_meter.snapshot() == (0, 0)
+
+
 @pytest.mark.parametrize("offset, value, error", [
     (16, 0, "max_objects must be >= 1"),             # no table, so no entry slots
     (16, 24_000_000, "leaves no object region"),     # a table larger than the device
@@ -857,7 +865,7 @@ def test_persist_is_one_write_per_payload_then_the_epoch_word():
     b, a, c, d = (heap.alloc(bytes([i]) * 24) for i in range(4))
     persist(heap)
     persist(heap)
-    dead = [heap.tables.layout.table_offset + heap._metas[h.id].entry_slot * ENTRY_BYTES + 16
+    dead = [heap.tables.table_offset + heap._metas[h.id].entry_slot * ENTRY_BYTES + 16
             for h in (d, c)]
     log = log_writes(dev)
     heap.dealloc(d)

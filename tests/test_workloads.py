@@ -229,13 +229,13 @@ class TestVnvQueue:
     # -- attach refuses what is not its queue ----------------------------------
 
     @staticmethod
-    def restored_queue():
-        """A 3-element queue of 32 B elements and a 10 B stray object,
-        persisted and restored: the restored heap, the control id and the
-        element ids."""
-        dev, heap, q = make_vnv_queue(element_size=32)
+    def restored_queue(element_size=32):
+        """A 3-element queue of ``element_size`` B elements and a 10 B
+        stray object, persisted and restored: the restored heap, the control
+        id and the element ids."""
+        dev, heap, q = make_vnv_queue(element_size)
         for i in range(3):
-            q.push(element(i, 32))
+            q.push(element(i, element_size))
         stray = heap.alloc(b"not queued")
         persist(heap)
         heap2, _ = restore(dev.reopen())
@@ -280,6 +280,21 @@ class TestVnvQueue:
         q = VnvQueue.attach(heap, control)
         assert [q.pop() for _ in range(3)] == [element(i, 32) for i in range(3)]
 
+    @pytest.mark.parametrize("listed", [
+        lambda control, e: [e[0], e[0], e[1]],
+        lambda control, e: [e[0], control, e[2]],
+        lambda control, e: [e[0], 0, e[1], e[2]],
+    ], ids=["an-element-twice", "the-control-itself", "a-zero-before-an-element"])
+    def test_attach_refuses_ids_that_name_no_queue(self, listed):
+        # 48 B elements, the size of the 8-id control record, so that no
+        # size check can tell the record from an element.
+        heap, control, elements, _ = self.restored_queue(element_size=48)
+        ids = listed(control, elements)
+        record = struct.pack(f"<4I{len(ids)}I", 48, 8, 3, 0, *ids)
+        heap.replace(heap.handle(control), record.ljust(48, b"\0"))
+        with pytest.raises(PreconditionError, match="twice, the record itself, or 0 before"):
+            VnvQueue.attach(heap, control)
+
 
 class TestRamQueue:
     def test_capacity_from_ram_budget(self):
@@ -316,6 +331,20 @@ def test_nvm_queue_ring_wraps_and_costs_are_flat():
     # pop reads one 16-word element and rewrites the state word;
     # push writes one element plus the state word
     assert (r - before[0], w - before[1]) == (30 * 16, 30 * 18)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RamQueue(10),
+    lambda: RamQueue(4096, 0),
+    lambda: RamQueue(4096, -4),
+    lambda: NvmQueue(SimulatedNvm(64 * 1024), capacity=-1),
+    lambda: NvmQueue(SimulatedNvm(64 * 1024), element_size=0),
+    lambda: VnvQueue(make_vnv_queue()[1], 0),
+], ids=["ram-below-bookkeeping", "ram-element-0", "ram-element-negative",
+        "nvm-capacity-negative", "nvm-element-0", "vnv-element-0"])
+def test_a_queue_refuses_a_size_it_cannot_hold(make):
+    with pytest.raises(PreconditionError):
+        make()
 
 
 def test_nvm_queue_refuses_a_capacity_its_state_word_cannot_count():
