@@ -5,10 +5,14 @@ cache at whole-object granularity. Access goes through guards: any number of
 live read guards, or exactly one write guard, never both. A guard pins its
 object in the cache; pinned objects are never evicted and keep a stable cache
 address for the guard's lifetime. A guard holds two things, both handed
-over when it is granted: its object's meta and a view of the payload's
-cache bytes (read-only under a read guard). Releasing it drops the meta,
+over when it is granted: its object's record and a view of the payload's
+cache bytes (read-only under a read guard). Releasing it drops the record,
 and a guard without one is released; the view is released with it, so a
 ``data`` view the caller kept dies with the guard.
+
+An object's record is the :class:`ObjectHandle` the application owns, so
+an access looks nothing up. It names its heap until ``dealloc`` clears
+that, so one test refuses a dead handle and another heap's alike.
 
 Two budgets constrain every operation:
 
@@ -177,21 +181,29 @@ class HeapConfig:
             raise ConfigInvalidError("max_objects must be >= 1")
 
 
-@dataclass(slots=True)
-class ObjectMeta:
-    """Per-object state record (internal)."""
+@dataclass(slots=True, eq=False, repr=False)
+class ObjectHandle:
+    """Names one allocation until it is deallocated, and is the heap's one
+    record of it, valid only with that heap. ``id`` and ``size_bytes`` are
+    public; :meth:`VnvHeap.object_info` reads the rest. The ``id`` survives
+    persist/restore cycles, which is how an application reattaches its
+    state after a power cycle. Handles compare and hash by identity."""
 
-    handle_id: int
+    id: int
+    size_bytes: int
     entry_slot: int
     nvm_offset: int
-    size_bytes: int
     # Sizes never change, so these two are computed once, by the creator.
     block_bytes: int  # cache bytes while resident: align_up(size + META_CHARGE_BYTES)
     charge: int  # dirty bytes while modified, its payload words: align_up(size)
+    _heap: VnvHeap | None  # the owning heap; None once deallocated
     pin_count: int = 0  # live read guards, or -1 under the write guard
     cache_offset: int = -1  # where the object is cached; -1 when not resident
     arrival: int = 0  # stamp of the latest time the object became resident
     hits: int = 1  # accesses since alloc or restore, the alloc counting as one
+
+    def __repr__(self) -> str:
+        return f"ObjectHandle(id={self.id}, size={self.size_bytes})"
 
 
 @dataclass(frozen=True)
@@ -218,81 +230,62 @@ class HeapStats:
     nvm_free_bytes: int
 
 
-class ObjectHandle:
-    """Names one allocation from creation to deallocation.
-
-    Only valid with the heap that produced it. The ``id`` is stable across
-    persist/restore cycles, which is how an application reattaches its state
-    after a power cycle.
-    """
-
-    __slots__ = ("id", "size_bytes", "_heap")
-
-    def __init__(self, handle_id: int, size_bytes: int, heap: "VnvHeap") -> None:
-        self.id = handle_id
-        self.size_bytes = size_bytes
-        self._heap = heap
-
-    def __repr__(self) -> str:
-        return f"ObjectHandle(id={self.id}, size={self.size_bytes})"
-
-
 _RELEASED = "guard was already released"
 
 
 class _Guard:
-    """Its object's meta and a view of its cached payload, both handed over
-    by the heap when it grants the guard. A guard whose meta is None is
-    released; ``release`` drops the meta and releases the view, so that a
-    ``data`` view the caller kept dies with the guard."""
+    """Its object's record and a view of its cached payload, both handed
+    over by the heap when it grants the guard. A guard whose record is None
+    is released; ``release`` drops the record and releases the view, so
+    that a ``data`` view the caller kept dies with the guard."""
 
-    __slots__ = ("_meta", "_view")
+    __slots__ = ("_handle", "_view")
 
-    def __init__(self, meta: ObjectMeta, view: memoryview) -> None:
-        self._meta = meta
+    def __init__(self, handle: ObjectHandle, view: memoryview) -> None:
+        self._handle = handle
         self._view = view
 
     @property
     def data(self) -> memoryview:
         """Zero-copy view of the payload. Invalid after release."""
-        if self._meta is None:
+        if self._handle is None:
             raise GuardReleasedError(_RELEASED)
         return self._view
 
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
-        meta = self._meta
-        if meta is None:
+        handle = self._handle
+        if handle is None:
             raise GuardReleasedError(_RELEASED)
         if length is None:
-            length = meta.size_bytes - offset
-        if offset < 0 or length < 0 or offset + length > meta.size_bytes:
+            length = handle.size_bytes - offset
+        if offset < 0 or length < 0 or offset + length > handle.size_bytes:
             raise PreconditionError("read outside the object")
         return bytes(self._view[offset : offset + length])
 
     def release(self) -> None:
-        meta = self._meta
-        if meta is None:
+        handle = self._handle
+        if handle is None:
             raise GuardReleasedError(_RELEASED)
-        self._meta = None
+        self._handle = None
         self._view.release()
         # The pin tells the guard's kind: -1 under the write guard, else
         # the count of live read guards.
-        if meta.pin_count < 0:
-            meta.pin_count = 0
+        if handle.pin_count < 0:
+            handle.pin_count = 0
         else:
-            meta.pin_count -= 1
+            handle.pin_count -= 1
 
     @property
     def released(self) -> bool:
-        return self._meta is None
+        return self._handle is None
 
     def __enter__(self):
-        if self._meta is None:
+        if self._handle is None:
             raise GuardReleasedError(_RELEASED)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._meta is not None:
+        if self._handle is not None:
             self.release()
 
 
@@ -308,13 +301,13 @@ class WriteGuard(_Guard):
     __slots__ = ()
 
     def write(self, data: bytes | bytearray | memoryview, offset: int = 0) -> None:
-        meta = self._meta
-        if meta is None:
+        handle = self._handle
+        if handle is None:
             raise GuardReleasedError(_RELEASED)
         if type(data) is not bytes:
             data = bytes(data)
         end = offset + len(data)
-        if offset < 0 or end > meta.size_bytes:
+        if offset < 0 or end > handle.size_bytes:
             raise PreconditionError("write outside the object")
         self._view[offset:end] = data
 
@@ -343,14 +336,14 @@ class VnvHeap:
         self._view = memoryview(self._cache)
         self._ro_view = self._view.toreadonly()
         self._cache_alloc = FirstFitAllocator(0, cache_size_bytes)
-        self._metas: dict[int, ObjectMeta] = {}
-        self._modified: dict[int, ObjectMeta] = {}
+        self._metas: dict[int, ObjectHandle] = {}  # the live records by id
+        self._modified: dict[int, ObjectHandle] = {}
         # _tiers[t] holds the residents of tier t >= 1 in the order they
         # entered it; _tiers[0] stays empty. The list grows by one tier
         # when a count first reaches the next power of two.
-        self._tiers: list[dict[int, ObjectMeta]] = [{}, {}]
-        self._by_offset: dict[int, ObjectMeta] = {}  # residents by cache offset
-        self._by_end: dict[int, ObjectMeta] = {}  # residents by cache block end
+        self._tiers: list[dict[int, ObjectHandle]] = [{}, {}]
+        self._by_offset: dict[int, ObjectHandle] = {}  # residents by cache offset
+        self._by_end: dict[int, ObjectHandle] = {}  # residents by cache block end
         self._stamps = count(1)  # arrival stamps
         self._dirty = HEADER_CHARGE_BYTES
 
@@ -363,36 +356,36 @@ class VnvHeap:
     def stats(self) -> HeapStats:
         residents = self._by_offset.values()
         return HeapStats(
-            resident_bytes=sum(m.size_bytes for m in residents),
+            resident_bytes=sum(h.size_bytes for h in residents),
             dirty_bytes=self._dirty,
             resident_count=len(residents),
-            pinned_count=sum(1 for m in residents if m.pin_count),
+            pinned_count=sum(1 for h in residents if h.pin_count),
             cache_free_bytes=self._cache_alloc.total_free(),
             nvm_free_bytes=self.tables.extents.total_free(),
         )
 
     def object_info(self, handle: ObjectHandle) -> ObjectInfo:
-        m = self._resolve(handle)
+        self._check_owned(handle)
         return ObjectInfo(
-            handle_id=m.handle_id,
-            size_bytes=m.size_bytes,
-            resident=m.cache_offset >= 0,
-            modified=m.handle_id in self._modified,
-            pinned=m.pin_count != 0,
-            cache_offset=m.cache_offset,
-            nvm_offset=m.nvm_offset,
-            hits=m.hits,
+            handle_id=handle.id,
+            size_bytes=handle.size_bytes,
+            resident=handle.cache_offset >= 0,
+            modified=handle.id in self._modified,
+            pinned=handle.pin_count != 0,
+            cache_offset=handle.cache_offset,
+            nvm_offset=handle.nvm_offset,
+            hits=handle.hits,
         )
 
     def live_handle_ids(self) -> list[int]:
         return sorted(self._metas)
 
     def handle(self, handle_id: int) -> ObjectHandle:
-        """Reattach a handle by its stable id (e.g. after restore)."""
-        meta = self._metas.get(handle_id)
-        if meta is None:
+        """The handle ``alloc`` or ``restore`` gave out, by its stable id."""
+        handle = self._metas.get(handle_id)
+        if handle is None:
             raise StaleHandleError(f"no live object with id {handle_id}")
-        return ObjectHandle(meta.handle_id, meta.size_bytes, self)
+        return handle
 
     # -- allocation ---------------------------------------------------------
 
@@ -405,7 +398,7 @@ class VnvHeap:
         size = len(payload)
         if size == 0:
             raise PreconditionError("zero-sized objects are not representable")
-        # align_up, inline, here and for the charge: the meta takes both.
+        # align_up, inline, here and for the charge: the record takes both.
         block = (size + META_CHARGE_BYTES + WORD_BYTES - 1) & -WORD_BYTES
         config = self.config
         if block > config.cache_size_bytes:
@@ -439,16 +432,16 @@ class VnvHeap:
 
         # Positional: a call with keywords costs twice as much. Resident and
         # modified, unpinned, at a fresh arrival stamp.
-        meta = ObjectMeta(handle_id, slot, nvm_offset, size, block, charge,
-                          0, cache_offset, next(self._stamps))
+        handle = ObjectHandle(handle_id, size, slot, nvm_offset, block, charge, self,
+                              0, cache_offset, next(self._stamps))
         self._view[cache_offset : cache_offset + size] = payload
-        self._metas[handle_id] = meta
-        self._tiers[1][handle_id] = meta
-        self._by_offset[cache_offset] = meta
-        self._by_end[cache_offset + block] = meta
-        self._modified[handle_id] = meta
+        self._metas[handle_id] = handle
+        self._tiers[1][handle_id] = handle
+        self._by_offset[cache_offset] = handle
+        self._by_end[cache_offset + block] = handle
+        self._modified[handle_id] = handle
         self._dirty += charge
-        return ObjectHandle(handle_id, size, self)
+        return handle
 
     def dealloc(self, handle: ObjectHandle) -> None:
         """Drop an object. Its entry is stamped dead from the next epoch on.
@@ -457,19 +450,18 @@ class VnvHeap:
         born since is freed at once. Charges nothing and needs no room."""
         if self.device.power_failed:
             self._check_usable()
-        meta = self._metas.get(handle.id)
-        if meta is None or handle._heap is not self:
-            meta = self._resolve(handle)
-        if meta.pin_count:
-            raise StillPinnedError(f"object {meta.handle_id} has a live guard")
-        handle_id = meta.handle_id
-        if self._modified.pop(handle_id, None) is not None:
-            self._dirty -= meta.charge
-        if meta.cache_offset >= 0:
-            self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
-            self._unload(meta)
-        del self._metas[handle_id]
-        self.tables.record_dealloc(meta.entry_slot, meta.nvm_offset, meta.size_bytes)
+        if handle._heap is not self:
+            self._check_owned(handle)
+        if handle.pin_count:
+            raise StillPinnedError(f"object {handle.id} has a live guard")
+        if self._modified.pop(handle.id, None) is not None:
+            self._dirty -= handle.charge
+        if handle.cache_offset >= 0:
+            self._cache_alloc.free(handle.cache_offset, handle.block_bytes)
+            self._unload(handle)
+        del self._metas[handle.id]
+        handle._heap = None
+        self.tables.record_dealloc(handle.entry_slot, handle.nvm_offset, handle.size_bytes)
 
     # -- access -------------------------------------------------------------
 
@@ -477,19 +469,18 @@ class VnvHeap:
         """Shared read access. Loads the object if it is swapped out."""
         if self.device.power_failed:
             self._check_usable()
-        meta = self._metas.get(handle.id)
-        if meta is None or handle._heap is not self:
-            meta = self._resolve(handle)
-        if meta.pin_count < 0:
-            raise WriteGuardActiveError(f"object {meta.handle_id} has a live write guard")
-        if meta.cache_offset < 0:
-            self._ensure_resident(meta)
-        hits = meta.hits = meta.hits + 1
+        if handle._heap is not self:
+            self._check_owned(handle)
+        if handle.pin_count < 0:
+            raise WriteGuardActiveError(f"object {handle.id} has a live write guard")
+        if handle.cache_offset < 0:
+            self._ensure_resident(handle)
+        hits = handle.hits = handle.hits + 1
         if not hits & (hits - 1):
-            self._promote(meta)
-        meta.pin_count += 1
-        start = meta.cache_offset
-        return ReadGuard(meta, self._ro_view[start : start + meta.size_bytes])
+            self._promote(handle)
+        handle.pin_count += 1
+        start = handle.cache_offset
+        return ReadGuard(handle, self._ro_view[start : start + handle.size_bytes])
 
     def read(self, handle: ObjectHandle) -> bytes:
         """The whole payload: the result of ``get_ref`` + ``read`` +
@@ -497,19 +488,18 @@ class VnvHeap:
         is built."""
         if self.device.power_failed:
             self._check_usable()
-        meta = self._metas.get(handle.id)
-        if meta is None or handle._heap is not self:
-            meta = self._resolve(handle)
-        if meta.pin_count < 0:
-            raise WriteGuardActiveError(f"object {meta.handle_id} has a live write guard")
-        if meta.cache_offset < 0:
-            payload = self._ensure_resident(meta)
+        if handle._heap is not self:
+            self._check_owned(handle)
+        if handle.pin_count < 0:
+            raise WriteGuardActiveError(f"object {handle.id} has a live write guard")
+        if handle.cache_offset < 0:
+            payload = self._ensure_resident(handle)
         else:
-            start = meta.cache_offset
-            payload = self._view[start : start + meta.size_bytes].tobytes()
-        hits = meta.hits = meta.hits + 1
+            start = handle.cache_offset
+            payload = self._view[start : start + handle.size_bytes].tobytes()
+        hits = handle.hits = handle.hits + 1
         if not hits & (hits - 1):
-            self._promote(meta)
+            self._promote(handle)
         return payload
 
     def get_mut(self, handle: ObjectHandle) -> WriteGuard:
@@ -517,27 +507,26 @@ class VnvHeap:
         budget up front, whether or not the caller writes."""
         if self.device.power_failed:
             self._check_usable()
-        meta = self._metas.get(handle.id)
-        if meta is None or handle._heap is not self:
-            meta = self._resolve(handle)
-        if meta.pin_count:
-            raise GuardActiveError(f"object {meta.handle_id} is already guarded")
-        if meta.cache_offset < 0:
-            self._ensure_resident(meta, True, meta.charge)
+        if handle._heap is not self:
+            self._check_owned(handle)
+        if handle.pin_count:
+            raise GuardActiveError(f"object {handle.id} is already guarded")
+        if handle.cache_offset < 0:
+            self._ensure_resident(handle, True, handle.charge)
         modified = self._modified
-        if meta.handle_id not in modified:
+        if handle.id not in modified:
             # A first write: the miss above already made room for the charge.
-            charge = meta.charge
+            charge = handle.charge
             if self._dirty + charge > self.config.max_modified_state_bytes:
                 self._make_room(0, charge)
-            modified[meta.handle_id] = meta
+            modified[handle.id] = handle
             self._dirty += charge
-        hits = meta.hits = meta.hits + 1
+        hits = handle.hits = handle.hits + 1
         if not hits & (hits - 1):
-            self._promote(meta)
-        meta.pin_count = -1
-        start = meta.cache_offset
-        return WriteGuard(meta, self._view[start : start + meta.size_bytes])
+            self._promote(handle)
+        handle.pin_count = -1
+        start = handle.cache_offset
+        return WriteGuard(handle, self._view[start : start + handle.size_bytes])
 
     def replace(self, handle: ObjectHandle, payload: bytes | bytearray | memoryview) -> None:
         """Overwrite the whole object with ``payload``: the result of
@@ -545,28 +534,27 @@ class VnvHeap:
         bytes are never read from NVM, so a miss costs no load."""
         if self.device.power_failed:
             self._check_usable()
-        meta = self._metas.get(handle.id)
-        if meta is None or handle._heap is not self:
-            meta = self._resolve(handle)
-        if meta.pin_count:
-            raise GuardActiveError(f"object {meta.handle_id} is already guarded")
+        if handle._heap is not self:
+            self._check_owned(handle)
+        if handle.pin_count:
+            raise GuardActiveError(f"object {handle.id} is already guarded")
         payload = bytes(payload)
-        size = meta.size_bytes
+        size = handle.size_bytes
         if len(payload) != size:
             raise SizeMismatchError(f"value is {len(payload)} B, object is {size} B")
-        if meta.cache_offset < 0:
-            self._ensure_resident(meta, False, meta.charge)
+        if handle.cache_offset < 0:
+            self._ensure_resident(handle, False, handle.charge)
         modified = self._modified
-        if meta.handle_id not in modified:
-            charge = meta.charge
+        if handle.id not in modified:
+            charge = handle.charge
             if self._dirty + charge > self.config.max_modified_state_bytes:
                 self._make_room(0, charge)
-            modified[meta.handle_id] = meta
+            modified[handle.id] = handle
             self._dirty += charge
-        hits = meta.hits = meta.hits + 1
+        hits = handle.hits = handle.hits + 1
         if not hits & (hits - 1):
-            self._promote(meta)
-        start = meta.cache_offset
+            self._promote(handle)
+        start = handle.cache_offset
         self._view[start : start + size] = payload
 
     # -- explicit state management -------------------------------------------
@@ -574,25 +562,25 @@ class VnvHeap:
     def sync_object(self, handle: ObjectHandle) -> None:
         """Write a modified resident object back to its extent."""
         self._check_usable()
-        meta = self._resolve(handle)
-        if meta.pin_count < 0:
+        self._check_owned(handle)
+        if handle.pin_count < 0:
             raise GuardActiveError("cannot sync under a live write guard")
-        if meta.handle_id not in self._modified:  # a modified object is always resident
+        if handle.id not in self._modified:  # a modified object is always resident
             raise PreconditionError("sync requires a modified, resident object")
-        self._sync(meta)
+        self._sync(handle)
 
     def unload(self, handle: ObjectHandle) -> None:
         """Drop a clean, unpinned object from the cache. No transfers."""
         self._check_usable()
-        meta = self._resolve(handle)
-        if meta.cache_offset < 0:
+        self._check_owned(handle)
+        if handle.cache_offset < 0:
             raise PreconditionError("object is not resident")
-        if meta.pin_count:
+        if handle.pin_count:
             raise StillPinnedError("pinned objects cannot be unloaded")
-        if meta.handle_id in self._modified:
+        if handle.id in self._modified:
             raise PreconditionError("sync the object before unloading it")
-        self._cache_alloc.free(meta.cache_offset, meta.block_bytes)
-        self._unload(meta)
+        self._cache_alloc.free(handle.cache_offset, handle.block_bytes)
+        self._unload(handle)
 
     # -- internals ------------------------------------------------------------
 
@@ -600,48 +588,43 @@ class VnvHeap:
         if self.device.power_failed:
             raise HeapPoisonedError("heap is unusable after a power failure")
 
-    def _resolve(self, handle: ObjectHandle) -> ObjectMeta:
-        if handle._heap is not self:
-            raise StaleHandleError("handle belongs to a different heap")
-        meta = self._metas.get(handle.id)
-        if meta is None:
-            raise StaleHandleError(f"object {handle.id} was deallocated")
-        return meta
+    def _check_owned(self, handle: ObjectHandle) -> None:
+        if handle._heap is not self:  # None once deallocated
+            raise StaleHandleError(f"object {handle.id} was deallocated" if handle._heap is None
+                                   else "handle belongs to a different heap")
 
-    def _ensure_resident(self, meta: ObjectMeta, fetch: bool = True,
+    def _ensure_resident(self, handle: ObjectHandle, fetch: bool = True,
                          extra: int = 0) -> bytes | None:
-        """Load a swapped-out object (callers test ``meta.cache_offset``) and
-        return the bytes the device read. Without ``fetch`` the block is left
-        as it was, for a caller that overwrites every byte, and None is
+        """Load a swapped-out object (callers test ``handle.cache_offset``)
+        and return the bytes the device read. Without ``fetch`` the block is
+        left as it was, for a caller that overwrites every byte, and None is
         returned. Residency charges nothing to the dirty budget; a write
         access passes the object's charge as ``extra``, so that one
         :meth:`_make_room` also makes the dirty room for it."""
-        block = meta.block_bytes
+        block = handle.block_bytes
         offset = self._cache_alloc.alloc(block)
         if offset is None or self._dirty + extra > self.config.max_modified_state_bytes:
             offset = self._make_room(block, extra, offset)
         payload = None
         if fetch:
-            payload = self.device.read(meta.nvm_offset, meta.size_bytes)
-            self._view[offset : offset + meta.size_bytes] = payload
-        meta.arrival = next(self._stamps)
-        meta.cache_offset = offset
-        handle_id = meta.handle_id
-        self._tiers[meta.hits.bit_length()][handle_id] = meta
-        self._by_offset[offset] = meta
-        self._by_end[offset + meta.block_bytes] = meta
+            payload = self.device.read(handle.nvm_offset, handle.size_bytes)
+            self._view[offset : offset + handle.size_bytes] = payload
+        handle.arrival = next(self._stamps)
+        handle.cache_offset = offset
+        self._tiers[handle.hits.bit_length()][handle.id] = handle
+        self._by_offset[offset] = handle
+        self._by_end[offset + block] = handle
         return payload
 
-    def _promote(self, meta: ObjectMeta) -> None:
+    def _promote(self, handle: ObjectHandle) -> None:
         """Move a resident whose count just reached a power of two to the
         end of the next tier."""
         tiers = self._tiers
-        tier = meta.hits.bit_length()
+        tier = handle.hits.bit_length()
         if tier == len(tiers):
             tiers.append({})
-        handle_id = meta.handle_id
-        del tiers[tier - 1][handle_id]
-        tiers[tier][handle_id] = meta
+        del tiers[tier - 1][handle.id]
+        tiers[tier][handle.id] = handle
 
     def _make_room(self, block: int, extra: int, offset: int | None = None) -> int | None:
         """Make room in the cache for ``block`` bytes (0 for none) and in the
@@ -669,14 +652,14 @@ class VnvHeap:
         # bytes under the limit, so only a charge can be over it.
         over = extra and self._dirty + extra - self.config.max_modified_state_bytes
         if over > 0:
-            for meta in hole:
-                if meta.handle_id in modified:
-                    over -= meta.charge
+            for handle in hole:
+                if handle.id in modified:
+                    over -= handle.charge
             if over > 0:
-                for meta in sorted(modified.values(), key=_ARRIVAL):
-                    if not meta.pin_count and not start <= meta.cache_offset < end:
-                        victims.append(meta)
-                        over -= meta.charge
+                for handle in sorted(modified.values(), key=_ARRIVAL):
+                    if not handle.pin_count and not start <= handle.cache_offset < end:
+                        victims.append(handle)
+                        over -= handle.charge
                         if over <= 0:
                             break
                 else:
@@ -685,17 +668,17 @@ class VnvHeap:
                     raise DirtyBudgetUnsatisfiableError(
                         f"{extra} B of new modified state cannot be admitted"
                     )
-        for meta in hole:
-            if meta.handle_id in modified:
-                self._sync(meta)
-            self._unload(meta)
+        for handle in hole:
+            if handle.id in modified:
+                self._sync(handle)
+            self._unload(handle)
         if hole:
             offset = self._cache_alloc.claim_span(start, end, block)
-        for meta in victims:
-            self._sync(meta)
+        for handle in victims:
+            self._sync(handle)
         return offset
 
-    def _plan_hole(self, block: int) -> tuple[list[ObjectMeta], int, int]:
+    def _plan_hole(self, block: int) -> tuple[list[ObjectHandle], int, int]:
         """Plan the cache rule, changing nothing: the victims whose blocks,
         with the free extents beside them, span a ``[start, end)`` that fits
         ``block``, returned as ``(victims, start, end)``. Each victim's free
@@ -708,19 +691,19 @@ class VnvHeap:
         for tier in self._tiers:
             if not tier:
                 continue
-            for meta in tier.values():
-                if meta.pin_count or meta.handle_id in walled:
+            for handle in tier.values():
+                if handle.pin_count or handle in walled:
                     continue
-                hole = [meta]
-                start, end = freed_span(meta.cache_offset, meta.block_bytes)
+                hole = [handle]
+                start, end = freed_span(handle.cache_offset, handle.block_bytes)
                 while end - start < block:
                     # Free extents are maximal, so a hole is bordered by
                     # residents (never by one of its victims) or a cache end.
-                    meta = _colder(by_end.get(start), by_offset.get(end))
-                    if meta is None:
+                    handle = _colder(by_end.get(start), by_offset.get(end))
+                    if handle is None:
                         break
-                    hole.append(meta)
-                    lo, hi = freed_span(meta.cache_offset, meta.block_bytes)
+                    hole.append(handle)
+                    lo, hi = freed_span(handle.cache_offset, handle.block_bytes)
                     if lo < start:
                         start = lo
                     if hi > end:
@@ -730,30 +713,29 @@ class VnvHeap:
                 # Every unpinned resident between the walls is in the hole,
                 # so none of them can anchor one that fits.
                 if walled:
-                    walled.update(m.handle_id for m in hole)
+                    walled.update(hole)
                 else:
-                    walled = {m.handle_id for m in hole}
+                    walled = set(hole)
         raise CachePressureUnresolvableError(
             f"no unpinned resident to evict for a {block} B block"
         )
 
-    def _sync(self, meta: ObjectMeta) -> None:
-        start = meta.cache_offset
-        self.device.write(meta.nvm_offset, self._cache[start : start + meta.size_bytes])
-        del self._modified[meta.handle_id]
-        self._dirty -= meta.charge
+    def _sync(self, handle: ObjectHandle) -> None:
+        start = handle.cache_offset
+        self.device.write(handle.nvm_offset, self._cache[start : start + handle.size_bytes])
+        del self._modified[handle.id]
+        self._dirty -= handle.charge
 
-    def _unload(self, meta: ObjectMeta) -> None:
-        """Drop ``meta``'s residency; the caller frees its cache block."""
-        handle_id = meta.handle_id
-        offset = meta.cache_offset
-        del self._tiers[meta.hits.bit_length()][handle_id]
+    def _unload(self, handle: ObjectHandle) -> None:
+        """Drop ``handle``'s residency; the caller frees its cache block."""
+        offset = handle.cache_offset
+        del self._tiers[handle.hits.bit_length()][handle.id]
         del self._by_offset[offset]
-        del self._by_end[offset + meta.block_bytes]
-        meta.cache_offset = -1
+        del self._by_end[offset + handle.block_bytes]
+        handle.cache_offset = -1
 
 
-def _colder(left: ObjectMeta | None, right: ObjectMeta | None) -> ObjectMeta | None:
+def _colder(left: ObjectHandle | None, right: ObjectHandle | None) -> ObjectHandle | None:
     """The colder of a hole's unpinned address neighbours, the one with
     fewer hits (the upper one on a tie), or None when both wall the hole in."""
     if left is None or left.pin_count:
@@ -800,12 +782,12 @@ def persist(heap: VnvHeap) -> PersistReport:
     modified = heap._modified
     guarded = {}
     dirty = HEADER_CHARGE_BYTES
-    for meta in modified.values():
-        start = meta.cache_offset
-        write(meta.nvm_offset, cache[start : start + meta.size_bytes])
-        if meta.pin_count < 0:
-            guarded[meta.handle_id] = meta
-            dirty += meta.charge
+    for handle in modified.values():
+        start = handle.cache_offset
+        write(handle.nvm_offset, cache[start : start + handle.size_bytes])
+        if handle.pin_count < 0:
+            guarded[handle.id] = handle
+            dirty += handle.charge
     tables.commit()
     heap._modified = guarded
     heap._dirty = dirty
@@ -824,11 +806,12 @@ def restore(
     """Rebuild a heap from the device's committed checkpoint.
 
     The cache size and modified-state limit default to the ones the image
-    was formatted with; an argument overrides its recorded value. Returns
-    the heap and a handle per surviving object, keyed by the stable handle
-    id the application saw before the power cycle. Every object comes back
-    swapped out and unpinned. Raises :class:`NoValidCheckpointError` for an
-    image with no committed checkpoint or one it cannot trust.
+    was formatted with; an argument overrides its recorded value, and an
+    invalid one raises :class:`ConfigInvalidError` before any write. Returns
+    the heap and its handles (``heap.handle(id)``) by the stable ids the
+    application saw before the power cycle. Every object comes back swapped
+    out and unpinned. Raises :class:`NoValidCheckpointError` for an image
+    with no committed checkpoint or one it cannot trust.
     """
     try:
         # The recorded configuration must be one a heap could have had: it
@@ -839,12 +822,14 @@ def restore(
         raise NoValidCheckpointError(f"image records an impossible heap: {exc}") from None
     if cache_size_bytes is None:
         cache_size_bytes = tables.cache_size_bytes
+    else:
+        tables.check_cache(cache_size_bytes)  # the caller's: ConfigInvalidError
     if max_modified_state_bytes is None:
         max_modified_state_bytes = tables.max_modified_state_bytes
 
     heap = VnvHeap(device, cache_size_bytes, max_modified_state_bytes,
                    tables.max_objects, tables)
-    metas, handles = heap._metas, {}
+    metas = heap._metas
     for slot, handle_id, nvm_offset, size in tables.adopt():
         # align_up, inline, as in alloc.
         block = (size + META_CHARGE_BYTES + WORD_BYTES - 1) & -WORD_BYTES
@@ -853,7 +838,6 @@ def restore(
             raise NoValidCheckpointError(
                 f"object {handle_id}: {size} B cannot fit the {cache_size_bytes} B cache")
         # Positional, as in alloc: clean, not resident, unpinned.
-        metas[handle_id] = ObjectMeta(handle_id, slot, nvm_offset, size, block,
-                                      (size + WORD_BYTES - 1) & -WORD_BYTES)
-        handles[handle_id] = ObjectHandle(handle_id, size, heap)
-    return heap, handles
+        metas[handle_id] = ObjectHandle(handle_id, size, slot, nvm_offset, block,
+                                        (size + WORD_BYTES - 1) & -WORD_BYTES, heap)
+    return heap, dict(metas)

@@ -13,7 +13,8 @@ offset 0              superblock, 28 bytes: magic ``VNVH`` | version |
 ====================  =======================================================
 
 The :class:`CheckpointTables` constructor computes this geometry, for a new
-image and a recorded one alike, and refuses a cache larger than the device.
+image and a recorded one alike, and :meth:`CheckpointTables.check_cache`
+refuses a cache larger than the device.
 
 An entry is ``born | handle id | nvm offset | size | died``: the object's
 identity, fixed for its life, between the epochs of its birth and its
@@ -99,14 +100,18 @@ class CheckpointTables:
             raise ConfigInvalidError(
                 f"device of {capacity} B leaves no object region for "
                 f"{max_objects} metadata entries")
-        if cache_size_bytes > capacity:  # no heap needs more cache than device
-            raise ConfigInvalidError(
-                f"cache of {cache_size_bytes} B exceeds the {capacity} B device")
         self.device, self.max_objects, self.epoch = device, max_objects, epoch
+        self.check_cache(cache_size_bytes)
         self.cache_size_bytes = cache_size_bytes
         self.max_modified_state_bytes = max_modified_state_bytes
         self._entry = bytearray(ENTRY_BYTES)  # a birth's entry, packed in place
         self.metadata_bytes_written = 0  # cumulative, callers diff it
+
+    def check_cache(self, cache_size_bytes: int) -> None:
+        """No heap needs more cache than its device holds."""
+        if cache_size_bytes > self.device.capacity_bytes:
+            raise ConfigInvalidError(f"cache of {cache_size_bytes} B exceeds the "
+                                     f"{self.device.capacity_bytes} B device")
 
     @classmethod
     def format(cls, device: StorageDevice, max_objects: int, cache_size_bytes: int,

@@ -8,8 +8,9 @@ the dry run of :func:`persist_cost`. A power cut runs one drawn op with the
 device armed at a random word count; after a cut, restore, itself cut
 once, must return exactly the ids of the last commit. Every access, sync,
 unload and dealloc is refused for a guard exactly when the machine's own
-guards say so, and any use of a released guard is refused; ``refusals``
-counts each kind. :meth:`TraceMachine.check` re-derives the invariants from scratch:
+guards say so, any use of a released guard or a deallocated handle is
+refused; ``refusals`` counts the guard refusals. :meth:`TraceMachine.check`
+re-derives the invariants from scratch: each handle is its object's record,
 the dirty total is 4 bytes per word of the next persist plus 3 words and
 within the limit, the cost is within the bound, modified and pinned objects
 are resident, each object's pin count is the number of read guards the
@@ -33,6 +34,7 @@ from .errors import (
     OutOfNvmError,
     PowerFailureInjected,
     PreconditionError,
+    StaleHandleError,
     StillPinnedError,
     WriteGuardActiveError,
 )
@@ -57,7 +59,7 @@ def check_indexes(heap):
     partition the residents, each in tier ``hits.bit_length()``."""
     metas = heap._metas
     by_offset, by_end = heap._by_offset, heap._by_end
-    residents = {m.handle_id: m for m in by_offset.values()}
+    residents = {m.id: m for m in by_offset.values()}
     assert len(residents) == len(by_offset) == len(by_end)
     assert residents.keys() == {h for h, m in metas.items() if m.cache_offset >= 0}
     for h, m in residents.items():
@@ -120,6 +122,7 @@ class TraceMachine:
         blocks = []
         pinned = resident_bytes = 0
         for hid, m in metas.items():
+            assert self.handles[hid] is m, f"object {hid}'s handle is not its record"
             assert m.pin_count == pins[hid], \
                 f"object {hid} has pin count {m.pin_count}, the machine's guards say {pins[hid]}"
             assert (m.block_bytes, m.charge) == (
@@ -173,14 +176,20 @@ class TraceMachine:
         hid = self.pick()
         if hid is None:
             return
+        handle = self.handles[hid]
         try:
-            self.heap.dealloc(self.handles[hid])
+            self.heap.dealloc(handle)
         except StillPinnedError:
             assert self.guarded(hid), f"dealloc of object {hid} refused without a guard"
             self.refusals["dealloc"] += 1
             return
         assert not self.guarded(hid), f"dealloc of guarded object {hid} granted"
         del self.shadow[hid], self.handles[hid]
+        try:
+            self.heap.read(handle)
+        except StaleHandleError:
+            return
+        raise AssertionError(f"a read of deallocated object {hid} was granted")
 
     def op_read(self):
         hid = self.pick()
@@ -269,8 +278,7 @@ class TraceMachine:
         hid = self.pick()
         if hid is None:
             return
-        meta = self.heap._metas[hid]
-        resident, modified = meta.cache_offset >= 0, hid in self.heap._modified
+        resident, modified = self.handles[hid].cache_offset >= 0, hid in self.heap._modified
         guarded = self.guarded(hid)
         try:
             self.heap.unload(self.handles[hid])

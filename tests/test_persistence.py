@@ -8,6 +8,7 @@ import pytest
 
 from traceutil import count_bytecodes, count_c_calls, log_writes
 from vnvheap import (
+    ConfigInvalidError,
     DirtyBudgetUnsatisfiableError,
     EnergyModel,
     HEADER_CHARGE_BYTES,
@@ -132,7 +133,7 @@ def test_dealloc_of_a_clean_object_under_a_full_budget_moves_its_stamp_alone():
     words = dev.cost_meter.words_total
     heap.dealloc(clean)
     assert dev.cost_meter.words_total - words == 1
-    assert heap.live_handle_ids() == [guard._meta.handle_id]
+    assert heap.live_handle_ids() == [guard._handle.id]
     assert heap.dirty_bytes == heap.config.max_modified_state_bytes
     guard.release()
 
@@ -616,6 +617,25 @@ def test_restore_defaults_to_the_recorded_configuration():
     assert (restored.config.cache_size_bytes, restored.config.max_modified_state_bytes) == (1024, 256)
 
 
+def test_restore_refuses_an_override_cache_larger_than_the_device_before_it_writes():
+    """A cache size passed to restore is the caller's input, so one larger
+    than the device is refused as ``format`` refuses it, with
+    :class:`ConfigInvalidError`, before restore sets back any stamp of an
+    epoch that never committed. The same size recorded in the superblock
+    marks a corrupt image instead (``NoValidCheckpointError``, above)."""
+    dev, heap = fresh(max_objects=16, capacity=64 * 1024)
+    heap.alloc(b"A" * 8)
+    persist(heap)
+    heap.alloc(b"B" * 8)  # born in an epoch that never commits
+    dev = dev.reopen()
+    with pytest.raises(ConfigInvalidError, match="cache of 1048576 B exceeds the 65536 B device"):
+        restore(dev, cache_size_bytes=1 << 20)
+    assert dev.cost_meter.words_written == 0
+    restored, handles = restore(dev, cache_size_bytes=64 * 1024)
+    assert restored.config.cache_size_bytes == 64 * 1024 and len(handles) == 1
+    assert dev.cost_meter.words_written == 1  # the uncommitted birth's stamp, set back
+
+
 def test_restore_reads_the_superblock_and_five_words_per_slot():
     """Restore reads no payload: every object loads on first access."""
     dev, heap = fresh(max_objects=128)
@@ -650,11 +670,13 @@ def _unordered_image(live):
 def test_restore_costs_the_same_bytecodes_per_object_at_any_live_count():
     """Restore checks and rebuilds each live entry in a fixed number of
     steps, plus one sort by offset, so its cost per object is the same
-    between 256 and 512 live objects as between 64 and 128."""
+    between 256 and 512 live objects as between 64 and 128. Each entry
+    builds one object, its handle, in at most 172.5 bytecodes."""
     cost = {live: count_bytecodes(restore, _unordered_image(live)) for live in (64, 128, 256, 512)}
     low = (cost[128] - cost[64]) / 64
     high = (cost[512] - cost[256]) / 256
     assert abs(high - low) <= 0.05 * low
+    assert high <= 172.5, high
 
 
 def test_an_object_over_a_smaller_limit_restores_readable_but_not_writable():

@@ -44,7 +44,7 @@ def decode(dev, layout, epoch):
 
 def extents_of(heap):
     """``{handle id: (slot, nvm offset, size)}`` of the live objects."""
-    return {m.handle_id: (m.entry_slot, m.nvm_offset, m.size_bytes) for m in heap._metas.values()}
+    return {m.id: (m.entry_slot, m.nvm_offset, m.size_bytes) for m in heap._metas.values()}
 
 
 def check_table(heap, committed):
