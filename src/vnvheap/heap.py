@@ -45,6 +45,23 @@ residents otherwise:
   order (see the arrival stamps below) chooses the unpinned ones until the
   new state fits. Syncing changes no residency, so the pass never restarts.
 
+A copy-out ``read`` never needs its object to stay resident, so a read miss
+whose probe finds no fit must earn its hole, as in TinyLFU's admission
+(Einziger, Friedman and Manes, ACM ToS 2017): the cache rule weighs it
+against its first anchor, the coldest unpinned resident, and admits it only
+if its count, this access included, is more than ``ADMISSION_FACTOR`` = 2
+times the anchor's. Otherwise, and also when every hole is walled in or no
+resident is unpinned, the read returns the bytes the device read and changes
+no residency, index or other object: it moves its load words alone. That is
+safe because a swapped-out object is clean, so its extent holds its bytes,
+and so a read is never refused for cache pressure. Why 2: an admitted object
+then lands at least one tier above the anchor, so a read never evicts for a
+peer of the coldest tier, and a hole often takes more than its anchor. A
+read served from NVM still counts its hit, so when the hot set moves, a new
+member is admitted after a few reads although the old members' counts never
+decay. On kv reads whose hot set moves halfway, a factor of 4 moved more
+words than admitting every read, and never evicting for a read 30% more.
+
 Plan, then act, in one order for every operation (``VnvHeap._make_room``):
 an alloc, a miss and a first write plan the hole they need, if any, then
 the dirty rule, which counts the hole's modified victims as synced and
@@ -57,9 +74,11 @@ the probe finds no fit or the charge would pass the limit: without
 pressure, one first-fit probe is the whole cost of a miss or an alloc, and
 a first write adds its charge inline. ``replace`` gives the result of
 ``get_mut`` + ``write`` + ``release``, but a miss skips the device read;
-``read`` gives the result of ``get_ref`` + ``read`` + ``release`` without
+``read`` returns the bytes of ``get_ref`` + ``read`` + ``release`` without
 building a guard, and a miss returns the very bytes the device read, with
-no second copy out of the cache.
+no second copy out of the cache. A hit, and a miss that fits or is
+admitted, moves the words ``get_ref`` would; a miss that is not admitted
+moves its load words alone, where ``get_ref`` would evict or raise.
 
 Checkpointing writes only modified state. :func:`persist` writes every
 modified payload in one pass over the modified index, in its own order
@@ -92,6 +111,7 @@ every heap on that device raises ``HeapPoisonedError``; the way back is
 Each object counts its ``hits``: 1 at alloc, one more for every
 ``get_ref``, ``get_mut``, ``replace`` and ``read`` that succeeds. The count
 is volatile: it survives a swap-out, and ``restore()`` restarts it at 1.
+A read served from NVM counts as well, with its object still swapped out.
 A resident sits in tier ``hits.bit_length()``, so an access moves it up a
 tier only when its count reaches a power of two, to the end of that tier.
 Counts never decay, so when the hot set moves, its old members leave the
@@ -154,6 +174,9 @@ from .storage import StorageDevice, WORD_BYTES, words_for
 HEADER_CHARGE_BYTES = 16  # the epoch word and 3 words held for a commit record
 META_CHARGE_BYTES = 3  # cache only: packed per-object metadata
 _ARRIVAL = attrgetter("arrival")  # the dirty rule's order: cache arrival
+# A read miss that must evict is admitted only with more than this many times
+# the hits of the coldest unpinned resident; the module docstring says why 2.
+ADMISSION_FACTOR = 2
 
 
 @dataclass(frozen=True)
@@ -483,9 +506,15 @@ class VnvHeap:
         return ReadGuard(handle, self._ro_view[start : start + handle.size_bytes])
 
     def read(self, handle: ObjectHandle) -> bytes:
-        """The whole payload: the result of ``get_ref`` + ``read`` +
-        ``release``, with the same errors in the same order, but no guard
-        is built."""
+        """The whole payload: the bytes of ``get_ref`` + ``read`` +
+        ``release``, with its errors in its order, but no guard is built
+        and no :class:`CachePressureUnresolvableError`: a read is never
+        refused for cache pressure. A miss that needs a hole is admitted
+        only with more than ``ADMISSION_FACTOR`` times the hits of the
+        coldest unpinned resident, this access counted (see the module
+        docstring). A miss that is not admitted, or finds every hole walled
+        in, is served from NVM: it moves its load words alone and leaves
+        the object swapped out and every other object as it was."""
         if self.device.power_failed:
             self._check_usable()
         if handle._heap is not self:
@@ -493,7 +522,7 @@ class VnvHeap:
         if handle.pin_count < 0:
             raise WriteGuardActiveError(f"object {handle.id} has a live write guard")
         if handle.cache_offset < 0:
-            payload = self._ensure_resident(handle)
+            payload = self._ensure_resident(handle, True, 0, handle.hits + 1)
         else:
             start = handle.cache_offset
             payload = self._view[start : start + handle.size_bytes].tobytes()
@@ -594,20 +623,25 @@ class VnvHeap:
                                    else "handle belongs to a different heap")
 
     def _ensure_resident(self, handle: ObjectHandle, fetch: bool = True,
-                         extra: int = 0) -> bytes | None:
+                         extra: int = 0, hits: int = 0) -> bytes | None:
         """Load a swapped-out object (callers test ``handle.cache_offset``)
         and return the bytes the device read. Without ``fetch`` the block is
         left as it was, for a caller that overwrites every byte, and None is
         returned. Residency charges nothing to the dirty budget; a write
         access passes the object's charge as ``extra``, so that one
-        :meth:`_make_room` also makes the dirty room for it."""
+        :meth:`_make_room` also makes the dirty room for it. A copy-out read
+        passes the object's ``hits``, this access included, for the cache's
+        admission rule (:meth:`_plan_hole`): when it is not admitted, the
+        bytes are read all the same and the object stays swapped out."""
         block = handle.block_bytes
         offset = self._cache_alloc.alloc(block)
         if offset is None or self._dirty + extra > self.config.max_modified_state_bytes:
-            offset = self._make_room(block, extra, offset)
+            offset = self._make_room(block, extra, offset, hits)
         payload = None
         if fetch:
             payload = self.device.read(handle.nvm_offset, handle.size_bytes)
+            if offset is None:  # not admitted: served from NVM
+                return payload
             self._view[offset : offset + handle.size_bytes] = payload
         handle.arrival = next(self._stamps)
         handle.cache_offset = offset
@@ -618,20 +652,27 @@ class VnvHeap:
 
     def _promote(self, handle: ObjectHandle) -> None:
         """Move a resident whose count just reached a power of two to the
-        end of the next tier."""
+        end of the next tier. An object a read left swapped out has no tier
+        to leave, but its next load files it in that tier, so the tier is
+        created all the same."""
         tiers = self._tiers
         tier = handle.hits.bit_length()
         if tier == len(tiers):
             tiers.append({})
-        del tiers[tier - 1][handle.id]
-        tiers[tier][handle.id] = handle
+        if handle.cache_offset >= 0:
+            del tiers[tier - 1][handle.id]
+            tiers[tier][handle.id] = handle
 
-    def _make_room(self, block: int, extra: int, offset: int | None = None) -> int | None:
+    def _make_room(self, block: int, extra: int, offset: int | None = None,
+                   hits: int = 0) -> int | None:
         """Make room in the cache for ``block`` bytes (0 for none) and in the
         dirty budget for ``extra`` more bytes of modified state, and return
         the block's offset. ``offset`` is where the caller's first-fit probe
         placed the block, or None. It runs only on overflow: callers call it
-        only once that probe has failed or the charge does not fit.
+        only once that probe has failed or the charge does not fit. A
+        copy-out read passes its object's ``hits`` to :meth:`_plan_hole`;
+        when that plans no hole for it, nothing is done and None is
+        returned.
 
         It plans both rules, then acts. The cache rule plans first, when the
         probe failed (:meth:`_plan_hole`), so cache pressure is refused
@@ -645,7 +686,9 @@ class VnvHeap:
         word, and a probe's block is given back."""
         hole, start, end = (), 0, 0
         if offset is None and block:
-            hole, start, end = self._plan_hole(block)
+            hole, start, end = self._plan_hole(block, hits)
+            if not hole:  # a read that is not admitted
+                return None
         modified = self._modified
         victims = []
         # A read miss adds no modified state, and the heap keeps its dirty
@@ -678,13 +721,19 @@ class VnvHeap:
             self._sync(handle)
         return offset
 
-    def _plan_hole(self, block: int) -> tuple[list[ObjectHandle], int, int]:
+    def _plan_hole(self, block: int, hits: int = 0) -> tuple[list[ObjectHandle], int, int]:
         """Plan the cache rule, changing nothing: the victims whose blocks,
         with the free extents beside them, span a ``[start, end)`` that fits
         ``block``, returned as ``(victims, start, end)``. Each victim's free
         neighbours come from :meth:`FirstFitAllocator.freed_span`, so a hole
         that is walled in before it fits is passed over with the allocator
-        untouched."""
+        untouched.
+
+        A copy-out read passes its object's ``hits``, this access included,
+        and is admitted only if they are more than ``ADMISSION_FACTOR``
+        times the first anchor's, the coldest unpinned resident's. A read
+        that is not admitted, or that finds no hole, gets an empty plan,
+        ``((), 0, 0)``: it is served from NVM, never refused."""
         freed_span = self._cache_alloc.freed_span
         by_offset, by_end = self._by_offset, self._by_end
         walled = ()  # a set once the first hole is walled in
@@ -694,6 +743,10 @@ class VnvHeap:
             for handle in tier.values():
                 if handle.pin_count or handle in walled:
                     continue
+                # No hole is walled in before the first anchor, so only the
+                # coldest unpinned resident is weighed against a read.
+                if hits and not walled and hits <= ADMISSION_FACTOR * handle.hits:
+                    return (), 0, 0
                 hole = [handle]
                 start, end = freed_span(handle.cache_offset, handle.block_bytes)
                 while end - start < block:
@@ -716,6 +769,8 @@ class VnvHeap:
                     walled.update(hole)
                 else:
                     walled = set(hole)
+        if hits:
+            return (), 0, 0
         raise CachePressureUnresolvableError(
             f"no unpinned resident to evict for a {block} B block"
         )

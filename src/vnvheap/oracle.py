@@ -2,7 +2,9 @@
 
 The machine drives a heap with seeded operations, holding guards across
 steps, persists and power cycles, and keeps a plain dict of what every
-object must contain. Every read and power cycle compares bytes with it;
+object must contain. Every read and power cycle compares bytes with it; a
+read of a swapped-out object goes through ``VnvHeap.read``, which must not
+refuse it and, when it serves it from NVM, must move its load words alone;
 every persist is armed at exactly ``persist_bound`` and must write exactly
 the dry run of :func:`persist_cost`. A power cut runs one drawn op with the
 device armed at a random word count; after a cut, restore, itself cut
@@ -55,8 +57,9 @@ def check_indexes(heap):
     block's start, and exactly those with a cache offset; ``_by_end`` names
     each at its block's end; every object in ``_modified``, whose members
     are the modified objects, is resident; arrival stamps are distinct, so
-    the dirty rule's sort by them is one order; and the cache tiers
-    partition the residents, each in tier ``hits.bit_length()``."""
+    the dirty rule's sort by them is one order; the cache tiers partition
+    the residents, each in tier ``hits.bit_length()``; and that tier exists
+    for every live object, so a swapped-out one's next load can file it."""
     metas = heap._metas
     by_offset, by_end = heap._by_offset, heap._by_end
     residents = {m.id: m for m in by_offset.values()}
@@ -76,6 +79,8 @@ def check_indexes(heap):
     for t, h, m in tiered:
         assert residents.get(h) is m, f"tier {t} holds object {h}, which is not resident"
         assert t == m.hits.bit_length(), f"object {h} with {m.hits} hits is in tier {t}"
+    top = max((m.hits.bit_length() for m in metas.values()), default=0)
+    assert top < len(heap._tiers), f"an object with {top}-bit hits has no tier"
 
 
 def persist_cost(heap):
@@ -195,16 +200,30 @@ class TraceMachine:
         hid = self.pick()
         if hid is None:
             return
+        if self.handles[hid].cache_offset < 0:
+            self.read_swapped_out(hid)
+            return
+        # A resident needs no room, so only a write guard can refuse it.
         write_held = self.guarded(hid, writable=True)
         try:
             self.verify_content(hid)
         except WriteGuardActiveError:
             assert write_held, f"read of object {hid} refused without a write guard"
             self.refusals["get_ref"] += 1
-        except EXPECTED_PRESSURE_ERRORS:
-            assert not write_held, f"read of write-guarded object {hid} met pressure"
         else:
             assert not write_held, f"read of object {hid} granted beside a write guard"
+
+    def read_swapped_out(self, hid):
+        """A copy-out ``read`` of a swapped-out, so unguarded, object. It is
+        never refused and returns the shadow's bytes; when the object was
+        not admitted, it moved only its load words and changed nothing."""
+        heap, handle, meter = self.heap, self.handles[hid], self.dev.cost_meter
+        stats, (read, written) = heap.stats(), meter.snapshot()
+        assert heap.read(handle) == self.shadow[hid], f"object {hid} content diverged"
+        if handle.cache_offset < 0:
+            assert meter.snapshot() == (read + words_for(handle.size_bytes), written), \
+                f"a read of object {hid} served from NVM moved more than its load"
+            assert heap.stats() == stats, f"a read of object {hid} served from NVM changed the heap"
 
     def op_write(self):
         hid = self.pick()

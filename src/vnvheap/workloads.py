@@ -102,7 +102,8 @@ class VnvQueue:
 
     def pop(self) -> bytes:
         """Remove and return the head. The head is read before it leaves
-        the queue, so a refused pop changes nothing."""
+        the queue, so a refused pop changes nothing. Cache pressure never
+        refuses it: ``read`` serves a head it does not admit from NVM."""
         if not self._live:
             raise QueueEmptyError("queue is empty")
         payload = self.heap.read(self._live[0])

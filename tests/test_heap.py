@@ -1,5 +1,6 @@
 """Heap behaviour: allocation, the two budgets, eviction order, state machine."""
 
+import dataclasses
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from vnvheap import (
     words_for,
 )
 from vnvheap.freelist import align_up
+from vnvheap.oracle import check_indexes
 
 from traceutil import count_bytecodes, count_bytecodes_by_function, log_writes
 
@@ -36,6 +38,23 @@ def make_heap(cache=4096, dirty=2048, max_objects=64, capacity=256 * 1024):
     dev = SimulatedNvm(capacity)
     return VnvHeap(dev, cache_size_bytes=cache,
                    max_modified_state_bytes=dirty, max_objects=max_objects)
+
+
+def _load(heap, handle):
+    """The payload, read through a guard: unlike ``heap.read``, whose
+    admission rule may serve a miss from NVM, a miss always loads."""
+    with heap.get_ref(handle) as guard:
+        return guard.read()
+
+
+def _swapped_out(heap, payload, hits=1):
+    """A clean, swapped-out object of ``payload`` with ``hits`` hits."""
+    handle = heap.alloc(payload)
+    for _ in range(hits - 1):
+        heap.get_ref(handle).release()
+    heap.sync_object(handle)
+    heap.unload(handle)
+    return handle
 
 
 def expected_dirty(heap):
@@ -279,7 +298,7 @@ def test_a_hot_object_survives_a_sweep_of_cold_loads():
         cold.append(h)
     unloaded = _log_calls(heap, "_unload")
     for i, h in enumerate(cold):
-        assert heap.read(h) == bytes([i]) * 200
+        assert _load(heap, h) == bytes([i]) * 200
     assert len(unloaded) == len(cold) - 4  # the cache holds five blocks
     assert hot.id not in unloaded
     words = heap.device.cost_meter.words_total
@@ -311,7 +330,7 @@ def test_victims_of_an_unpinned_miss_are_one_run_from_the_coldest(seed):
                      for m in heap._by_offset.values()}
         coldest = next(m.id for tier in heap._tiers for m in tier.values())
         unloaded.clear()
-        heap.read(h)
+        heap.get_ref(h).release()
         if not unloaded:
             continue
         start = min(residents[v][0] for v in unloaded)
@@ -370,7 +389,7 @@ def test_a_walled_hole_is_given_back_and_only_the_fitting_hole_is_evicted():
     guard = heap.get_ref(p)
     meter = heap.device.cost_meter
     read, written = meter.words_read, meter.words_written
-    assert heap.read(t) == b"T" * 500
+    assert _load(heap, t) == b"T" * 500
     assert meter.words_written - written == words_for(700)
     assert meter.words_read - read == words_for(500)
     assert heap.object_info(a).resident and heap.object_info(a).modified
@@ -397,14 +416,14 @@ def test_a_cache_miss_with_every_hole_walled_in_moves_no_word():
     stats = heap.stats()
     words = heap.device.cost_meter.words_total
     with pytest.raises(CachePressureUnresolvableError):
-        heap.read(t)
+        heap.get_ref(t)
     assert heap.device.cost_meter.words_total == words
     assert heap.stats() == stats
     assert heap._cache_alloc.free_extents() == [(508, 4)]
     assert all(heap.object_info(h).modified for h in (a, b))
     for g in guards:
         g.release()
-    assert heap.read(t) == b"T" * 300
+    assert _load(heap, t) == b"T" * 300
 
 
 def test_failed_alloc_rolls_back_cleanly():
@@ -639,11 +658,11 @@ def test_a_miss_meeting_a_walled_hole_leaves_the_allocator_untouched():
         if q_pinned:
             before = _heap_state(heap)
             with pytest.raises(CachePressureUnresolvableError):
-                heap.read(t)
+                heap.get_ref(t)
             assert _heap_state(heap) == before
             assert heap._cache_alloc.free_extents() == extents == []
         else:
-            assert heap.read(t) == b"T" * 200
+            assert _load(heap, t) == b"T" * 200
             assert heap.object_info(t).cache_offset == 208
             assert heap.object_info(a).resident
             assert not heap.object_info(b).resident and not heap.object_info(q).resident
@@ -873,6 +892,25 @@ def test_guarded_access_costs_at_most_its_bytecodes(case, bound):
     assert sum(executed.values()) <= bound, dict(executed)
 
 
+def test_a_read_served_from_nvm_costs_at_most_its_bytecodes():
+    """A ``read`` miss that is not admitted, the kv store's get of a cold
+    value under cache pressure: one first-fit probe, the weighing against
+    the coldest resident and the device read, with no victim planned,
+    execute at most 252 bytecodes in all. The object's count reaches 5, no
+    power of two. A failure prints the count of each function."""
+    heap = make_heap(cache=1024, dirty=1024)
+    cold = _swapped_out(heap, b"C" * 40, hits=4)
+    for i in range(5):  # 5 * 204 of 1024 B, each with 3 hits
+        h = heap.alloc(bytes([i]) * 200)
+        heap.sync_object(h)
+        for _ in range(2):
+            heap.get_ref(h).release()
+    executed = count_bytecodes_by_function(lambda: heap.read(cold))
+    assert heap.object_info(cold).hits == 5
+    assert not heap.object_info(cold).resident
+    assert sum(executed.values()) <= 252, dict(executed)
+
+
 # -- whole-object replace ----------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1001,23 +1039,49 @@ def test_replace_miss_refused_by_the_dirty_budget_stages_nothing():
 
 # -- guard-free whole-object read ---------------------------------------------------
 
+def _served_from_nvm(heap, handle, before, read):
+    """``read`` returned ``handle``'s bytes without loading it: from the
+    state ``before`` it, it moved exactly its load words and changed
+    nothing but the object's count."""
+    stats, cache, words, infos = before
+    assert not heap.object_info(handle).resident
+    assert _heap_state(heap) == (stats, cache, words + words_for(handle.size_bytes),
+                                 [dataclasses.replace(info, hits=info.hits + 1)
+                                  if info.handle_id == handle.id else info for info in infos])
+    assert heap.device.cost_meter.words_read == read + words_for(handle.size_bytes)
+
+
 def test_read_moves_the_words_of_get_ref_read_release():
     """One seeded trace of reads, writes and persists under cache and dirty
     pressure, on two heaps: A reads with ``read``, B with ``get_ref`` +
-    ``read`` + ``release``. Both return the same bytes and end in the same
-    state with the same device traffic."""
+    ``read`` + ``release``. Both return the same bytes. A hit or a miss
+    that ``read`` admits leaves both heaps in the same state with the same
+    device traffic. A miss it does not admit is served from NVM: it moves
+    its load words alone and changes nothing but the count, and B, in the
+    same state, serves it the same way, so the two stay in step."""
     rng = random.Random(5)
     sizes = [rng.choice((8, 24, 61, 100, 150, 200)) for _ in range(24)]
     heaps = [make_heap(cache=1024, dirty=512, max_objects=32) for _ in range(2)]
     logs = [log_writes(heap.device) for heap in heaps]
     handles = [[heap.alloc(bytes([i]) * n) for i, n in enumerate(sizes)] for heap in heaps]
     heap_a, heap_b = heaps
+    admitted = served = 0
     for _ in range(400):
         i = rng.randrange(len(sizes))
         r = rng.random()
         if r < 0.7:
-            with heap_b.get_ref(handles[1][i]) as g:
-                assert heap_a.read(handles[0][i]) == g.read()
+            a, b = handles[0][i], handles[1][i]
+            missed = not heap_a.object_info(a).resident
+            before, read = _heap_state(heap_a), heap_a.device.cost_meter.words_read
+            got = heap_a.read(a)
+            if missed and not heap_a.object_info(a).resident:
+                served += 1
+                _served_from_nvm(heap_a, a, before, read)
+                assert heap_b.read(b) == got
+            else:
+                admitted += missed
+                with heap_b.get_ref(b) as g:
+                    assert got == g.read()
         elif r < 0.97:
             payload = rng.randbytes(sizes[i])
             for heap, hs in zip(heaps, handles):
@@ -1026,13 +1090,17 @@ def test_read_moves_the_words_of_get_ref_read_release():
             for heap in heaps:
                 persist(heap)
         assert _heap_state(heap_a) == _heap_state(heap_b)
+    assert admitted > 10 and served > 10, (admitted, served)
     assert logs[0] == logs[1]
     assert heap_a.device.cost_meter.snapshot() == heap_b.device.cost_meter.snapshot()
 
 
 def test_read_raises_the_errors_of_get_ref_in_its_order():
     """Where several faults hold at once, ``read`` raises the one
-    ``get_ref`` raises, and neither moves a word or changes the heap."""
+    ``get_ref`` raises, and neither moves a word or changes the heap. Cache
+    pressure is the exception: ``read`` is never refused for it, so where
+    ``get_ref`` raises :class:`CachePressureUnresolvableError`, ``read``
+    serves the bytes from NVM."""
     heap = make_heap(cache=512, dirty=512)
     guarded = heap.alloc(b"g" * 200)
     swapped = heap.alloc(b"s" * 200)
@@ -1048,14 +1116,20 @@ def test_read_raises_the_errors_of_get_ref_in_its_order():
     read_guard = heap.get_ref(other)  # every resident is now pinned
     cases = ((StaleHandleError, gone),
              (StaleHandleError, foreign),          # before the write guard
-             (WriteGuardActiveError, guarded),
-             (CachePressureUnresolvableError, swapped))
+             (WriteGuardActiveError, guarded))
     for error, handle in cases:
         for access in (heap.get_ref, heap.read):
             before = _heap_state(heap)
             with pytest.raises(error):
                 access(handle)
             assert _heap_state(heap) == before
+    before = _heap_state(heap)
+    with pytest.raises(CachePressureUnresolvableError):
+        heap.get_ref(swapped)
+    assert _heap_state(heap) == before
+    read = heap.device.cost_meter.words_read
+    assert heap.read(swapped) == b"s" * 200
+    _served_from_nvm(heap, swapped, before, read)
     before = _heap_state(heap)
     with pytest.raises(StaleHandleError):  # get_mut, too, checks the heap first
         heap.get_mut(foreign)
@@ -1065,10 +1139,98 @@ def test_read_raises_the_errors_of_get_ref_in_its_order():
     with pytest.raises(PowerFailureInjected):
         heap.sync_object(other)
     heap.device.disarm_power_failure()
-    for _, handle in cases:  # a poisoned heap comes first
+    for handle in (gone, foreign, guarded, swapped):  # a poisoned heap comes first
         for access in (heap.get_ref, heap.read, heap.get_mut):
             with pytest.raises(HeapPoisonedError):
                 access(handle)
+
+
+def test_a_cold_read_under_pressure_moves_only_its_load_words():
+    """Five residents, two of them modified, fill the cache, and a cold
+    object misses: ``read`` returns its bytes with exactly ``ceil(201/4)``
+    words read and none written, and every other object stays as it was."""
+    heap = make_heap(cache=1024, dirty=1024)
+    cold = _swapped_out(heap, b"C" * 201)
+    for i in range(5):
+        h = heap.alloc(bytes([i]) * 200)  # 5 * 204 of 1024 B
+        if i > 1:
+            heap.sync_object(h)
+    before, read = _heap_state(heap), heap.device.cost_meter.words_read
+    assert heap.read(cold) == b"C" * 201
+    _served_from_nvm(heap, cold, before, read)
+    assert heap.device.cost_meter.words_read - read == 51
+
+
+@pytest.mark.parametrize("target_hits, admitted", [(4, True), (3, False)])
+def test_a_read_is_admitted_with_more_than_twice_the_anchors_hits(target_hits, admitted):
+    """Five residents with 2 hits each fill the cache; A, the first of
+    their tier, is the coldest and anchors the hole. A read of T, this
+    access its 5th hit, is more than twice A's and is admitted: it evicts
+    what a ``get_ref`` miss evicts, A alone, with the same words, and lands
+    in A's block. At 4 hits, exactly twice A's, T is served from NVM."""
+    heaps = [make_heap(cache=1024, dirty=1024) for _ in range(2)]
+    for heap in heaps:
+        _swapped_out(heap, b"T" * 200, target_hits)
+        for i in range(5):
+            heap.get_ref(heap.alloc(bytes([i]) * 200)).release()
+    heap, twin = heaps
+    target, anchor = heap.handle(1), heap.handle(2)
+    assert heap.object_info(anchor).hits == 2
+    unloaded = _log_calls(heap, "_unload")
+    before, read = _heap_state(heap), heap.device.cost_meter.words_read
+    assert heap.read(target) == b"T" * 200
+    if admitted:
+        assert unloaded == [anchor.id]
+        assert heap.object_info(target).cache_offset == before[3][1].cache_offset
+        twin.get_ref(twin.handle(1)).release()
+        assert _heap_state(heap) == _heap_state(twin)
+    else:
+        assert unloaded == []
+        _served_from_nvm(heap, target, before, read)
+
+
+@pytest.mark.parametrize("walled", [False, True])
+def test_a_read_with_no_hole_to_make_is_served_from_nvm(walled):
+    """With every resident pinned, or every unpinned one walled in by
+    pinned blocks in holes too small, a ``get_ref`` miss raises, but a
+    ``read`` of the same object, hot enough to be admitted, returns its
+    bytes from NVM with its load words alone."""
+    heap = make_heap(cache=512, dirty=512)
+    a = heap.alloc(b"A" * 100)  # [0, 104)
+    p = heap.alloc(b"P" * 100)  # [104, 208)
+    t = _swapped_out(heap, b"T" * 300, hits=8)  # [208, 512) until unloaded
+    b = heap.alloc(b"B" * 100)  # [208, 312)
+    q = heap.alloc(b"Q" * 190)  # [312, 508)
+    pinned = (p, q) if walled else (a, p, b, q)
+    guards = [heap.get_ref(h) for h in pinned]
+    before = _heap_state(heap)
+    with pytest.raises(CachePressureUnresolvableError):
+        heap.get_ref(t)
+    assert _heap_state(heap) == before
+    read = heap.device.cost_meter.words_read
+    assert heap.read(t) == b"T" * 300
+    _served_from_nvm(heap, t, before, read)
+    for g in guards:
+        g.release()
+
+
+def test_an_object_read_past_the_top_tier_loads():
+    """While every resident is pinned, reads served from NVM raise a
+    swapped-out object's count to 9, past the top tier the residents
+    reach; the next load files it in tier 4 all the same."""
+    heap = make_heap(cache=512, dirty=512)
+    t = _swapped_out(heap, b"T" * 100)
+    residents = [heap.alloc(bytes([i]) * 253) for i in range(2)]  # 2 * 256 B
+    guards = [heap.get_ref(h) for h in residents]
+    for _ in range(8):
+        assert heap.read(t) == b"T" * 100
+    assert heap.object_info(t).hits == 9
+    for g in guards:
+        g.release()
+    assert _load(heap, t) == b"T" * 100
+    assert heap.object_info(t).hits == 10
+    assert t.id in heap._tiers[4]
+    check_indexes(heap)
 
 
 def test_a_read_miss_returns_the_bytes_the_device_read():

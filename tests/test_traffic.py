@@ -17,12 +17,12 @@ from traceutil import log_writes
 
 # SHA-256 over every (offset, data) the trace below passes to the device's
 # public ``write``, in order.
-KV_WRITES_SHA256 = "bd35697ae9afe8b43893152a28725fe3b43fb9a4a59ea9b77873f1c09a64b6f8"
+KV_WRITES_SHA256 = "a83329d6ce58c5491c18dc0c1c6912e22ca95e5a1075c634746f241a03bc2f77"
 # The same writes with the order inside each commit's run dropped (see
 # :func:`_fold_runs`).
-KV_RUNS_SHA256 = "376025c48a682f13d6d5618d355bcf69a7366bbe88f4c71ab5ab1ddd1358eb7c"
+KV_RUNS_SHA256 = "067142496e9dabe963542ddb8f93311ac8cd8c948df69466a09d06fe0a695bff"
 # The meter's (words_read, words_written) at the end of the trace.
-KV_WORDS = (55136, 45518)
+KV_WORDS = (53656, 45478)
 
 
 def test_kv_trace_device_traffic_is_unchanged():
