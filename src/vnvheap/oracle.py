@@ -8,7 +8,8 @@ refuse it and, when it serves it from NVM, must move its load words alone;
 every persist is armed at exactly ``persist_bound`` and must write exactly
 the dry run of :func:`persist_cost`. A power cut runs one drawn op with the
 device armed at a random word count; after a cut, restore, itself cut
-once, must return exactly the ids of the last commit. Every access, sync,
+once, must return exactly the ids of the last commit, and byte for byte
+every committed payload not written since it. Every access, sync,
 unload and dealloc is refused for a guard exactly when the machine's own
 guards say so, any use of a released guard or a deallocated handle is
 refused; ``refusals`` counts the guard refusals. :meth:`TraceMachine.check`
@@ -108,7 +109,8 @@ class TraceMachine:
         self.handles = {}       # handle id -> ObjectHandle
         self.guards = []        # (handle id, guard, writable, cache offset at grant)
         self.refusals = Counter()  # guard refusals by operation
-        self.committed = None   # the shadow's ids at the last commit
+        self.committed = None   # handle id -> bytes at the last commit
+        self.written = set()    # ids written since the last commit
         self._ops = [n for n, w in self.OPS for _ in range(w)]
         self._cut_ops = [n for n in self._ops if n != "op_power_cut"]
 
@@ -245,6 +247,7 @@ class TraceMachine:
         except EXPECTED_PRESSURE_ERRORS:
             return
         self.shadow[hid][at : at + len(data)] = data
+        self.written.add(hid)
 
     def op_hold_guard(self):
         if len(self.guards) >= 4:
@@ -268,6 +271,7 @@ class TraceMachine:
             data = self.rng.randbytes(1)
             g.write(data, 0)
             self.shadow[hid][0:1] = data
+            self.written.add(hid)
         g.release()
         for use in (g.read, lambda: g.data, g.release):
             try:
@@ -321,22 +325,25 @@ class TraceMachine:
         assert words == expected, f"persist wrote {words} words, the dry run {expected}"
 
     def persist(self):
-        """Persist, note the shadow's ids as the last commit's and return
-        the words written."""
+        """Persist, note the shadow as the last commit and return the words
+        written."""
         words = persist(self.heap).words_transferred
-        self.committed = set(self.shadow)
+        self.committed = {hid: bytes(data) for hid, data in self.shadow.items()}
+        self.written.clear()
         return words
 
     def op_power_cut(self):
         """Run one drawn op with the device armed at a random word count. If
         the power fails, reboot and restore with the device armed again, at
         a budget that may cut restore's own writes, then reboot and restore
-        once more: the ids must be exactly the last commit's. Before the
-        first commit there is no checkpoint to fall back to, so no op is cut.
+        once more: the ids must be exactly the last commit's, and so must
+        every payload not written since it. Before the first commit there is
+        no checkpoint to fall back to, so no op is cut.
 
-        The restored payloads are not compared: a write-back goes over its
-        object's committed extent in place, so a cut sync or persist can
-        leave a torn payload. The shadow takes the bytes restored."""
+        A payload written since the commit is exempt: a write-back goes over
+        its object's committed extent in place, so a cut sync or persist can
+        leave it torn. The restored bytes then become the commit the next
+        cut is judged against, since they are what the image holds."""
         if self.committed is None:
             return
         name = self.rng.choice(self._cut_ops)
@@ -359,10 +366,15 @@ class TraceMachine:
             pass
         self.dev = self.reboot()
         self.heap, self.handles = restore(self.dev)
-        assert self.handles.keys() == self.committed, \
+        assert self.handles.keys() == self.committed.keys(), \
             f"restored ids {sorted(self.handles)}, committed {sorted(self.committed)}"
-        self.shadow = {hid: bytearray(self.heap.read(self.handles[hid]))
-                       for hid in sorted(self.handles)}
+        restored = {hid: self.heap.read(self.handles[hid]) for hid in sorted(self.handles)}
+        for hid, data in restored.items():
+            assert hid in self.written or data == self.committed[hid], \
+                f"object {hid} restored other bytes than its commit"
+        self.shadow = {hid: bytearray(data) for hid, data in restored.items()}
+        self.committed = restored
+        self.written.clear()
 
     def guarded(self, hid, writable=False):
         """Whether the machine holds a guard on ``hid`` (a write guard, with

@@ -131,10 +131,10 @@ def test_queue_backends():
 
 
 def test_crash_suite():
-    """100 persist/reboot/restore round trips agree with the shadow map; short-budget persist falls back"""
+    """100 persist/reboot/restore round trips agree with the shadow map; every power cut restores the last commit's ids and untouched payloads"""
     report = bench.run_crash_suite(seed=2024, iterations=100)
     assert report.ok, report.failures[:3]
-    assert report.checks == 101  # the +1 is the forced-fallback check
+    assert report.checks == 100
 
 
 def test_guard_contract():

@@ -237,9 +237,9 @@ def test_csv_output_is_unchanged(capsys, argv):
 # number leaves them as they are.
 SUITE_SHA256 = {
     ("check", "--quick"):
-        "ec4250c683056d3473415726777e277bd7cbac0ef0f1853b8c4ad4cdb79430b2",
+        "cc79ac5442e61c1c7830642ffc902ae899b0d7cc22b916b5bb212daef8acd76d",
     ("crash", "--iterations", "100"):
-        "9756bfc494982e7897857008fff403b09423034b578dd068ed2e954412bbc08d",
+        "2d62a0c82bc3132154d22ff158e9b8ff104a4f408886ae40ae9aa9b4d7472a23",
 }
 
 

@@ -329,23 +329,44 @@ def test_every_heap_transfer_path_poisons_the_heap(make_op):
             persist(heap)
 
 
-def test_fallback_to_previous_checkpoint():
+def _alloc_one_more(heap):
+    """One object allocated after the checkpoint, whose birth is never
+    committed: the very first transfer of the persist, its payload, dies.
+    Returns the budget and the offset of the word it cuts."""
+    b = heap.alloc(b"B" * 100)
+    return 0, heap.object_info(b).nvm_offset
+
+
+def _fill_the_limit_with_write_guards(heap):
+    """Five write-guarded 401-byte objects charge 16 + 5 * 404 = 2036 of
+    the 2048 limit bytes (the committed object is clean, so free). The
+    persist writes their 505 payload words, then the epoch word: the budget
+    covers the payloads and cuts the epoch word."""
+    for i in range(5):
+        heap.get_mut(heap.alloc(bytes(401))).write(bytes([i + 1]) * 401)
+    return 5 * words_for(401), EPOCH_OFFSET
+
+
+@pytest.mark.parametrize("committed, dirty", [
+    (b"A" * 100, _alloc_one_more),
+    (b"checkpoint one" * 4, _fill_the_limit_with_write_guards),
+], ids=["first-transfer", "epoch-word"])
+def test_fallback_to_previous_checkpoint(committed, dirty):
     """A crash during the second persist must leave the first restorable."""
     dev, heap = fresh()
-    a = heap.alloc(b"A" * 100)
+    a = heap.alloc(committed)
     persist(heap)
 
-    b = heap.alloc(b"B" * 100)  # allocated after the checkpoint
-    dev.arm_power_failure(0)  # the very first transfer of persist #2 dies
-    with pytest.raises(PowerFailureInjected):
+    budget, cut = dirty(heap)
+    dev.arm_power_failure(budget)
+    with pytest.raises(PowerFailureInjected, match=rf"writing \[{cut}, "):
         persist(heap)
     dev.disarm_power_failure()
 
     heap2, handles = restore(dev.reopen())
-    # exactly the checkpointed object is back, byte for byte: b's birth
-    # was never committed
-    assert {hid: heap2.read(h) for hid, h in handles.items()} == {a.id: b"A" * 100}
-    assert b.id not in handles
+    # exactly the checkpointed object is back, byte for byte: no birth
+    # after it was ever committed
+    assert {hid: heap2.read(h) for hid, h in handles.items()} == {a.id: committed}
 
 
 def test_fallback_resurrects_objects_deallocated_after_the_checkpoint():
