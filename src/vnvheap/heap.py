@@ -177,6 +177,9 @@ _ARRIVAL = attrgetter("arrival")  # the dirty rule's order: cache arrival
 # A read miss that must evict is admitted only with more than this many times
 # the hits of the coldest unpinned resident; the module docstring says why 2.
 ADMISSION_FACTOR = 2
+# A resident's tier is hits.bit_length(). A count grows by one per access and
+# never reaches 2**64, so tiers 0 to 64 are every tier there can be.
+_TIERS = 65
 
 
 @dataclass(frozen=True)
@@ -362,9 +365,8 @@ class VnvHeap:
         self._metas: dict[int, ObjectHandle] = {}  # the live records by id
         self._modified: dict[int, ObjectHandle] = {}
         # _tiers[t] holds the residents of tier t >= 1 in the order they
-        # entered it; _tiers[0] stays empty. The list grows by one tier
-        # when a count first reaches the next power of two.
-        self._tiers: list[dict[int, ObjectHandle]] = [{}, {}]
+        # entered it; _tiers[0] stays empty.
+        self._tiers: list[dict[int, ObjectHandle]] = [{} for _ in range(_TIERS)]
         self._by_offset: dict[int, ObjectHandle] = {}  # residents by cache offset
         self._by_end: dict[int, ObjectHandle] = {}  # residents by cache block end
         self._stamps = count(1)  # arrival stamps
@@ -652,16 +654,11 @@ class VnvHeap:
 
     def _promote(self, handle: ObjectHandle) -> None:
         """Move a resident whose count just reached a power of two to the
-        end of the next tier. An object a read left swapped out has no tier
-        to leave, but its next load files it in that tier, so the tier is
-        created all the same."""
-        tiers = self._tiers
-        tier = handle.hits.bit_length()
-        if tier == len(tiers):
-            tiers.append({})
+        end of the next tier; a swapped-out object's next load files it."""
         if handle.cache_offset >= 0:
-            del tiers[tier - 1][handle.id]
-            tiers[tier][handle.id] = handle
+            tier = handle.hits.bit_length()
+            del self._tiers[tier - 1][handle.id]
+            self._tiers[tier][handle.id] = handle
 
     def _make_room(self, block: int, extra: int, offset: int | None = None,
                    hits: int = 0) -> int | None:

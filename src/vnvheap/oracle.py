@@ -168,7 +168,12 @@ class TraceMachine:
     # -- operations ------------------------------------------------------------
 
     def alloc_size(self):
-        return self.rng.randint(1, self.dirty - HEADER_CHARGE_BYTES)
+        """Half the draws take one of four sizes, so that live objects often
+        share one and a restore that swaps two of their extents shows."""
+        top = self.dirty - HEADER_CHARGE_BYTES
+        if self.rng.random() < 0.5:
+            return self.rng.choice((1, 24, top // 8, top // 2))
+        return self.rng.randint(1, top)
 
     def op_alloc(self):
         payload = self.rng.randbytes(self.alloc_size())

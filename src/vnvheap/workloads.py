@@ -8,7 +8,8 @@ handles itself: the live ones in FIFO order, the popped ones on a stack for
 reuse. Their ids are recorded in a separate control object that is kept
 under a write guard for the queue's whole lifetime: it is updated in place
 on every operation, survives checkpoints, is never an eviction candidate,
-and is all :meth:`VnvQueue.attach` needs to rebuild the queue.
+and is all :meth:`VnvQueue.attach` needs to rebuild the queue. The record
+is ``element_size | live_count | ids...``; its length is its capacity.
 
 The key-value store exists in two functionally identical builds, one over the
 heap and one over the page-tracking pool, so a shared trace can compare their
@@ -39,7 +40,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 QUEUE_ELEMENT_BYTES = 256
-_CONTROL_HEADER = struct.Struct("<IIII")  # element_size, capacity, live_count, spare
+_CONTROL_HEADER = struct.Struct("<II")  # element_size, live_count; the ids follow
 
 
 def _element_size(size: int) -> int:
@@ -55,18 +56,21 @@ class VnvQueue:
     def __init__(self, heap: VnvHeap, element_size: int = QUEUE_ELEMENT_BYTES) -> None:
         self.heap = heap
         self.element_size = _element_size(element_size)
-        self.capacity = 8  # element ids the control record holds
         self._live: deque[ObjectHandle] = deque()  # FIFO order
         self._free: list[ObjectHandle] = []  # a stack: most recently freed last
-        self._control = heap.alloc(bytes(_CONTROL_HEADER.size + 4 * self.capacity))
+        self._control = heap.alloc(bytes(_CONTROL_HEADER.size + 4 * 8))  # 8 ids to start
         self._guard = heap.get_mut(self._control)
         self._sync_control()
 
+    @property
+    def capacity(self) -> int:
+        """The element ids the control record holds: its length, less the header."""
+        return (self._control.size_bytes - _CONTROL_HEADER.size) // 4
+
     def _sync_control(self) -> None:
         ids = [h.id for h in self._live] + [h.id for h in reversed(self._free)]
-        self._guard.write(
-            _CONTROL_HEADER.pack(self.element_size, self.capacity, len(self._live), 0)
-            + struct.pack(f"<{len(ids)}I", *ids))
+        self._guard.write(_CONTROL_HEADER.pack(self.element_size, len(self._live))
+                          + struct.pack(f"<{len(ids)}I", *ids))
 
     # -- queue interface -----------------------------------------------------------
 
@@ -74,10 +78,9 @@ class VnvQueue:
         return len(self._live)
 
     def push(self, payload: bytes) -> None:
-        """Append ``payload``. The element it lands in joins the queue only
-        once it holds the payload, so a refused push leaves the queue's
-        elements and their record as they were; if it first had to double
-        a full record, the larger record lists the same elements."""
+        """Append ``payload``. A refused push changes nothing: the element
+        joins the queue only once it holds the payload, and a full record
+        goes only once its double, listing the same elements, is allocated."""
         # Checked, in bytes, before an element is taken.
         payload = bytes(payload)
         if len(payload) != self.element_size:
@@ -88,12 +91,11 @@ class VnvQueue:
             if len(self._live) == self.capacity:
                 # Double the control record, the one queue operation that
                 # reallocates it, and fill it before the element alloc.
-                self.capacity *= 2
+                control = self.heap.alloc(
+                    bytes(2 * self._control.size_bytes - _CONTROL_HEADER.size))
                 self._guard.release()
                 self.heap.dealloc(self._control)
-                self._control = self.heap.alloc(
-                    bytes(_CONTROL_HEADER.size + 4 * self.capacity))
-                self._guard = self.heap.get_mut(self._control)
+                self._control, self._guard = control, self.heap.get_mut(control)
                 self._sync_control()
             free.append(self.heap.alloc(bytes(self.element_size)))
         self.heap.replace(free[-1], payload)
@@ -111,11 +113,6 @@ class VnvQueue:
         self._sync_control()
         return payload
 
-    def close(self) -> None:
-        """Release the control guard (e.g. before deallocating the queue)."""
-        if not self._guard.released:
-            self._guard.release()
-
     @property
     def control_id(self) -> int:
         """Stable id of the control object; the key to :meth:`attach`."""
@@ -130,23 +127,22 @@ class VnvQueue:
         names no live object, and :class:`PreconditionError` for a control
         record that contradicts its objects (an element object passed as
         the control, say): a size that holds no whole id list, an element
-        size of 0, a capacity other than the ids it holds, more live
-        elements than ids, an id listed twice, its own id, a 0 before the
-        last id, or an element object of another size."""
+        size of 0, more live elements than ids, an id listed twice, its
+        own id, a 0 before the last id, or an element object of another
+        size. The record's length is the queue's capacity."""
         control = heap.handle(control_id)
         total, odd = divmod(control.size_bytes - _CONTROL_HEADER.size, 4)
         if total < 0 or odd:
             raise PreconditionError(
                 f"object {control_id} ({control.size_bytes} B) is not a queue control record")
         record = heap.read(control)
-        element_size, capacity, live_count, _ = _CONTROL_HEADER.unpack_from(record)
+        element_size, live_count = _CONTROL_HEADER.unpack_from(record)
         listed = struct.unpack_from(f"<{total}I", record, _CONTROL_HEADER.size)
         ids = [i for i in listed if i]  # zero-padded tail = unallocated
-        if not element_size or capacity != total or live_count > len(ids):
+        if not element_size or live_count > len(ids):
             raise PreconditionError(
                 f"object {control_id} is not a queue control record: element size "
-                f"{element_size}, capacity {capacity} for {total} ids, "
-                f"{live_count} live of {len(ids)} ids")
+                f"{element_size}, {live_count} live of {len(ids)} ids")
         if 0 in listed[:len(ids)] or control_id in ids or len(set(ids)) < len(ids):
             raise PreconditionError(
                 f"object {control_id} is not a queue control record: its ids list an "
@@ -158,7 +154,7 @@ class VnvQueue:
                     f"queue element {element.id} is {element.size_bytes} B, "
                     f"the control record says {element_size} B")
         queue = cls.__new__(cls)
-        queue.heap, queue.element_size, queue.capacity = heap, element_size, capacity
+        queue.heap, queue.element_size = heap, element_size
         queue._live = deque(elements[:live_count])
         queue._free = elements[live_count:][::-1]  # the record lists the top first
         queue._control = control

@@ -111,24 +111,30 @@ class TestVnvQueue:
         assert q.capacity == 16
         assert [q.pop() for _ in range(9)] == [element(i) for i in range(9)]
 
-    def test_a_push_refused_after_the_record_grew_keeps_a_valid_record(self):
+    @pytest.mark.parametrize("persisted", [False, True], ids=["unpersisted", "persisted"])
+    def test_a_push_refused_after_the_record_grew_keeps_a_valid_record(self, persisted):
         """Nine table slots hold the control record and 8 elements: the 9th
-        push doubles the record, then finds no slot for its element. The
-        larger record already lists the 8 elements, so they persist and
-        come back through ``attach``."""
+        push must double the record and finds no slot for the larger one,
+        whether or not a persist keeps the old record's slot to the next
+        commit. The old record stays as it was, so the queue still pops,
+        and its 8 elements persist and come back through ``attach``."""
         dev = SimulatedNvm(64 * 1024)
         heap = VnvHeap(dev, cache_size_bytes=4096, max_modified_state_bytes=4096,
                        max_objects=9)
         q = VnvQueue(heap, 32)
         for i in range(8):
             q.push(element(i, 32))
+        if persisted:
+            persist(heap)
+        control = q.control_id
         with pytest.raises(OutOfNvmError):
             q.push(element(8, 32))
-        assert (len(q), q.capacity) == (8, 16)
+        assert (len(q), q.capacity, q.control_id) == (8, 8, control)
         persist(heap)
         heap2, _ = restore(dev.reopen())
-        q2 = VnvQueue.attach(heap2, q.control_id)
+        q2 = VnvQueue.attach(heap2, control)
         assert [q2.pop() for _ in range(8)] == [element(i, 32) for i in range(8)]
+        assert q.pop() == element(0, 32)
 
     def test_queue_survives_a_power_cycle(self):
         dev, heap, q = make_vnv_queue(element_size=32)
@@ -198,15 +204,15 @@ class TestVnvQueue:
 
         def state():
             record = q._guard.read()
-            live = struct.unpack_from("<I", record, 8)[0]
-            ids = struct.unpack_from(f"<{live + 1}I", record, 16)
+            live = struct.unpack_from("<I", record, 4)[0]
+            ids = struct.unpack_from(f"<{live + 1}I", record, 8)
             return len(q), ids[:live], record, ids[live]  # ids[live]: the free top
 
         before = state()
         head, free_top = heap.handle(before[1][0]), heap.handle(before[3])
         if heap.object_info(free_top).resident:  # the pop may have loaded it
             heap.unload(free_top)
-        filler = heap.alloc(bytes(64))
+        filler = heap.alloc(bytes(72))
         guards = [heap.get_ref(heap.handle(hid)) for hid in heap.live_handle_ids()
                   if heap.object_info(heap.handle(hid)).resident
                   and not heap.object_info(heap.handle(hid)).pinned]
@@ -224,7 +230,7 @@ class TestVnvQueue:
         heap.dealloc(filler)
         q.push(element(20))  # onto the free top: every element stays listed
         record = q._guard.read()
-        listed = struct.unpack_from(f"<{(len(record) - 16) // 4}I", record, 16)
+        listed = struct.unpack_from(f"<{(len(record) - 8) // 4}I", record, 8)
         elements = set(heap.live_handle_ids()) - {q.control_id}
         assert {hid for hid in listed if hid} == elements and len(elements) == 20
         assert [q.pop() for _ in range(17)] == [element(i) for i in range(4, 21)]
@@ -259,27 +265,27 @@ class TestVnvQueue:
     def test_attach_refuses_an_element_object_as_the_control(self):
         heap, _, elements, stray = self.restored_queue()
         # Element 0 holds zeros, so its header reads element size 0; element
-        # 1 holds 0x01 bytes, so its header's capacity is not its 4 ids.
+        # 1 holds 0x01 bytes, so its header counts more live elements than
+        # its 6 ids.
         for hid, why in ((elements[0], "element size 0,"),
-                         (elements[1], "capacity 16843009 for 4 ids")):
+                         (elements[1], "16843009 live of 6 ids")):
             with pytest.raises(PreconditionError, match=why):
                 VnvQueue.attach(heap, hid)
         with pytest.raises(PreconditionError, match=f"object {stray} \\(10 B\\)"):
             VnvQueue.attach(heap, stray)
 
     @pytest.mark.parametrize("header, why", [
-        ((0, 8, 3, 0), "element size 0,"),
-        ((32, 9, 3, 0), "capacity 9 for 8 ids"),
-        ((32, 8, 4, 0), "4 live of 3 ids"),
-        ((64, 8, 3, 0), "is 32 B, the control record says 64 B"),
-    ], ids=["no-element-size", "capacity", "live-count", "element-size"])
+        ((0, 3), "element size 0,"),
+        ((32, 4), "4 live of 3 ids"),
+        ((64, 3), "is 32 B, the control record says 64 B"),
+    ], ids=["no-element-size", "live-count", "element-size"])
     def test_attach_refuses_a_control_header_that_contradicts_its_objects(self, header, why):
         heap, control, elements, _ = self.restored_queue()
         ids = struct.pack("<8I", *elements, *[0] * 5)
-        heap.replace(heap.handle(control), struct.pack("<4I", *header) + ids)
+        heap.replace(heap.handle(control), struct.pack("<2I", *header) + ids)
         with pytest.raises(PreconditionError, match=why):
             VnvQueue.attach(heap, control)
-        heap.replace(heap.handle(control), struct.pack("<4I", 32, 8, 3, 0) + ids)
+        heap.replace(heap.handle(control), struct.pack("<2I", 32, 3) + ids)
         q = VnvQueue.attach(heap, control)
         assert [q.pop() for _ in range(3)] == [element(i, 32) for i in range(3)]
 
@@ -289,12 +295,12 @@ class TestVnvQueue:
         lambda control, e: [e[0], 0, e[1], e[2]],
     ], ids=["an-element-twice", "the-control-itself", "a-zero-before-an-element"])
     def test_attach_refuses_ids_that_name_no_queue(self, listed):
-        # 48 B elements, the size of the 8-id control record, so that no
+        # 40 B elements, the size of the 8-id control record, so that no
         # size check can tell the record from an element.
-        heap, control, elements, _ = self.restored_queue(element_size=48)
+        heap, control, elements, _ = self.restored_queue(element_size=40)
         ids = listed(control, elements)
-        record = struct.pack(f"<4I{len(ids)}I", 48, 8, 3, 0, *ids)
-        heap.replace(heap.handle(control), record.ljust(48, b"\0"))
+        record = struct.pack(f"<2I{len(ids)}I", 40, 3, *ids)
+        heap.replace(heap.handle(control), record.ljust(40, b"\0"))
         with pytest.raises(PreconditionError, match="twice, the record itself, or 0 before"):
             VnvQueue.attach(heap, control)
 
