@@ -15,6 +15,7 @@ def align_up(n: int) -> int:
 
 
 _START = itemgetter(0)
+_LENGTH = itemgetter(1)
 
 
 class FirstFitAllocator:
@@ -28,6 +29,13 @@ class FirstFitAllocator:
     requests are rounded up to whole words, so callers must free with the
     same length they allocated. The methods a cache access calls align
     inline: a call to :func:`align_up` would cost each access a frame.
+
+    ``max_free`` is never less than the longest free extent, so a request
+    longer than it fails without a scan, and a caller may test it before
+    calling ``alloc`` at all. ``free`` and ``claim_span`` raise it to any
+    extent they leave longer, and a scan that fails lowers it to the
+    longest extent there is: on a full cache, a failed probe is one
+    comparison.
     """
 
     def __init__(self, start: int, size: int, used: Iterable[tuple[int, int]] = ()) -> None:
@@ -44,11 +52,14 @@ class FirstFitAllocator:
             at = offset + align_up(nbytes)
         if at < start + size:
             self._free.append([at, start + size - at])
+        self.max_free = max(map(_LENGTH, self._free), default=0)
 
     def alloc(self, nbytes: int) -> int | None:
         """Return the offset of a new extent, or None if nothing fits."""
         assert nbytes > 0
         need = (nbytes + WORD_BYTES - 1) & -WORD_BYTES
+        if need > self.max_free:
+            return None
         for ext in self._free:
             if ext[1] >= need:
                 offset = ext[0]
@@ -57,6 +68,7 @@ class FirstFitAllocator:
                 if ext[1] == 0:
                     self._free.remove(ext)
                 return offset
+        self.max_free = max(map(_LENGTH, self._free), default=0)
         return None
 
     def freed_span(self, offset: int, nbytes: int) -> tuple[int, int]:
@@ -84,6 +96,8 @@ class FirstFitAllocator:
         i = bisect_left(free, start, key=_START)
         j = bisect_left(free, end, i, key=_START)
         rest = end - start - need
+        if rest > self.max_free:
+            self.max_free = rest
         if rest and j > i:
             j -= 1
             tail = free[j]
@@ -116,12 +130,18 @@ class FirstFitAllocator:
                 if nxt is not None and nxt[0] == end:
                     prev[1] += nxt[1]
                     del free[i]
+                if prev[1] > self.max_free:
+                    self.max_free = prev[1]
                 return
         if nxt is not None and nxt[0] == end:
             nxt[0] = offset
             nxt[1] += length
+            if nxt[1] > self.max_free:
+                self.max_free = nxt[1]
             return
         free.insert(i, [offset, length])
+        if length > self.max_free:
+            self.max_free = length
 
     def total_free(self) -> int:
         return sum(length for _, length in self._free)

@@ -45,22 +45,26 @@ residents otherwise:
   order (see the arrival stamps below) chooses the unpinned ones until the
   new state fits. Syncing changes no residency, so the pass never restarts.
 
-A copy-out ``read`` never needs its object to stay resident, so a read miss
-whose probe finds no fit must earn its hole, as in TinyLFU's admission
-(Einziger, Friedman and Manes, ACM ToS 2017): the cache rule weighs it
-against its first anchor, the coldest unpinned resident, and admits it only
-if its count, this access included, is more than ``ADMISSION_FACTOR`` = 2
-times the anchor's. Otherwise, and also when every hole is walled in or no
-resident is unpinned, the read returns the bytes the device read and changes
-no residency, index or other object: it moves its load words alone. That is
-safe because a swapped-out object is clean, so its extent holds its bytes,
-and so a read is never refused for cache pressure. Why 2: an admitted object
-then lands at least one tier above the anchor, so a read never evicts for a
-peer of the coldest tier, and a hole often takes more than its anchor. A
-read served from NVM still counts its hit, so when the hot set moves, a new
-member is admitted after a few reads although the old members' counts never
-decay. On kv reads whose hot set moves halfway, a factor of 4 moved more
-words than admitting every read, and never evicting for a read 30% more.
+Neither a copy-out ``read`` nor a whole-object ``replace`` needs its object
+to stay resident, so a miss of either whose probe finds no fit must earn
+its hole, as in TinyLFU's admission (Einziger, Friedman and Manes, ACM ToS
+2017): the cache rule weighs it against its first anchor, the coldest
+unpinned resident, and admits it only if its count, this access included,
+is more than ``ADMISSION_FACTOR`` = 2 times the anchor's. Otherwise, and
+also when every hole is walled in or no resident is unpinned, the access
+changes no residency, index or other object. A read returns the bytes the
+device read: it moves its load words alone. A replace writes its payload
+to the object's extent, write-around, the no-write-allocate policy
+(Jouppi, ISCA 1993): it moves its payload words alone, and the object stays
+clean and charges nothing. That is safe because a swapped-out object is
+clean, so its extent holds its bytes, and so neither is ever refused for
+cache pressure. Why 2: an admitted object then lands at least one tier
+above the anchor, so a miss never evicts for a peer of the coldest tier,
+and a hole often takes more than its anchor. A miss not admitted still
+counts its hit, so when the hot set moves, a new member is admitted after
+a few accesses although the old members' counts never decay. On kv reads
+whose hot set moves halfway, a factor of 4 moved more words than admitting
+every read, and never evicting for a read 30% more.
 
 Plan, then act, in one order for every operation (``VnvHeap._make_room``):
 an alloc, a miss and a first write plan the hole they need, if any, then
@@ -69,16 +73,24 @@ never chooses a resident inside the hole. Only once both plans make room
 are the hole's victims synced and unloaded, the block claimed and the
 dirty victims synced. So cache pressure is refused before dirty pressure,
 a refusal moves no word, and the same heap state syncs the same objects
-whichever operation meets it. ``_make_room`` runs only on overflow, when
+whichever operation meets it. A read or replace miss that is not admitted
+plans no dirty room: it is served from NVM or written around before the
+dirty rule runs, and needs none. ``_make_room`` runs only on overflow, when
 the probe finds no fit or the charge would pass the limit: without
 pressure, one first-fit probe is the whole cost of a miss or an alloc, and
-a first write adds its charge inline. ``replace`` gives the result of
-``get_mut`` + ``write`` + ``release``, but a miss skips the device read;
-``read`` returns the bytes of ``get_ref`` + ``read`` + ``release`` without
-building a guard, and a miss returns the very bytes the device read, with
-no second copy out of the cache. A hit, and a miss that fits or is
-admitted, moves the words ``get_ref`` would; a miss that is not admitted
-moves its load words alone, where ``get_ref`` would evict or raise.
+a first write adds its charge inline. A read or replace miss is weighed
+against the coldest unpinned resident before any plan, so one that is not
+admitted costs the probe (on a full cache, one comparison with the longest
+free extent), that lookup and its own transfer. ``replace`` gives the
+result of ``get_mut`` + ``write`` + ``release``; a hit, and a miss that
+fits or is admitted, moves the words they would, less the miss's device
+read, and a miss that is not admitted moves its payload words alone,
+where ``get_mut`` would evict or raise. ``read`` returns the bytes of
+``get_ref`` + ``read`` + ``release`` without building a guard, and a miss
+returns the very bytes the device read, with no second copy out of the
+cache. A hit, and a miss that fits or is admitted, moves the words
+``get_ref`` would; a miss that is not admitted moves its load words alone,
+where ``get_ref`` would evict or raise.
 
 Checkpointing writes only modified state. :func:`persist` writes every
 modified payload in one pass over the modified index, in its own order
@@ -111,7 +123,8 @@ every heap on that device raises ``HeapPoisonedError``; the way back is
 Each object counts its ``hits``: 1 at alloc, one more for every
 ``get_ref``, ``get_mut``, ``replace`` and ``read`` that succeeds. The count
 is volatile: it survives a swap-out, and ``restore()`` restarts it at 1.
-A read served from NVM counts as well, with its object still swapped out.
+A read served from NVM and a replace written around count as well, with
+their object still swapped out.
 A resident sits in tier ``hits.bit_length()``, so an access moves it up a
 tier only when its count reaches a power of two, to the end of that tier.
 Counts never decay, so when the hot set moves, its old members leave the
@@ -174,8 +187,9 @@ from .storage import StorageDevice, WORD_BYTES, words_for
 HEADER_CHARGE_BYTES = 16  # the epoch word and 3 words held for a commit record
 META_CHARGE_BYTES = 3  # cache only: packed per-object metadata
 _ARRIVAL = attrgetter("arrival")  # the dirty rule's order: cache arrival
-# A read miss that must evict is admitted only with more than this many times
-# the hits of the coldest unpinned resident; the module docstring says why 2.
+# A read or replace miss that must evict is admitted only with more than this
+# many times the hits of the coldest unpinned resident; the module docstring
+# says why 2.
 ADMISSION_FACTOR = 2
 # A resident's tier is hits.bit_length(). A count grows by one per access and
 # never reaches 2**64, so tiers 0 to 64 are every tier there can be.
@@ -561,8 +575,16 @@ class VnvHeap:
 
     def replace(self, handle: ObjectHandle, payload: bytes | bytearray | memoryview) -> None:
         """Overwrite the whole object with ``payload``: the result of
-        ``get_mut`` + ``write`` + ``release``, but a swapped-out object's old
-        bytes are never read from NVM, so a miss costs no load."""
+        ``get_mut`` + ``write`` + ``release``, with its errors, but a
+        swapped-out object's old bytes are never read from NVM, so a miss
+        costs no load, and no :class:`CachePressureUnresolvableError`: a
+        replace is never refused for cache pressure. A miss that needs a
+        hole is admitted only with more than ``ADMISSION_FACTOR`` times the
+        hits of the coldest unpinned resident, this access counted (see the
+        module docstring). A miss that is not admitted, or finds every hole
+        walled in, is written around the cache: one device write of
+        ``payload`` to the object's extent, which leaves the object swapped
+        out, clean and uncharged, and every other object as it was."""
         if self.device.power_failed:
             self._check_usable()
         if handle._heap is not self:
@@ -574,7 +596,11 @@ class VnvHeap:
         if len(payload) != size:
             raise SizeMismatchError(f"value is {len(payload)} B, object is {size} B")
         if handle.cache_offset < 0:
-            self._ensure_resident(handle, False, handle.charge)
+            self._ensure_resident(handle, False, handle.charge, handle.hits + 1)
+            if handle.cache_offset < 0:  # not admitted: written around the cache
+                self.device.write(handle.nvm_offset, payload)
+                handle.hits += 1  # a swapped-out object has no tier to move up
+                return
         modified = self._modified
         if handle.id not in modified:
             charge = handle.charge
@@ -632,19 +658,45 @@ class VnvHeap:
         returned. Residency charges nothing to the dirty budget; a write
         access passes the object's charge as ``extra``, so that one
         :meth:`_make_room` also makes the dirty room for it. A copy-out read
-        passes the object's ``hits``, this access included, for the cache's
-        admission rule (:meth:`_plan_hole`): when it is not admitted, the
-        bytes are read all the same and the object stays swapped out."""
+        or a replace passes the object's ``hits``, this access included, for
+        the cache's admission rule, which weighs them once the probe fails,
+        before any plan, against the first anchor of every hole, the coldest
+        unpinned resident, which :meth:`_plan_hole` would try first. When
+        the miss is not admitted, or :meth:`_plan_hole` finds every hole
+        walled in, this returns before it files the object, which stays
+        swapped out; a read's bytes are read all the same."""
         block = handle.block_bytes
-        offset = self._cache_alloc.alloc(block)
+        cache_alloc = self._cache_alloc
+        # A block is whole words, so one longer than every free extent
+        # cannot fit, and on a full cache most misses skip the probe's frame.
+        offset = cache_alloc.alloc(block) if block <= cache_alloc.max_free else None
+        if offset is None and hits:
+            # The admission rule, weighed before any plan against the first
+            # anchor of every hole: the coldest unpinned resident. It is
+            # found inline, as a frame would cost every miss turned away.
+            anchor = None
+            for tier in self._tiers:
+                if tier:  # most tiers are empty: skip them without an iterator
+                    for anchor in tier.values():
+                        if not anchor.pin_count:
+                            break
+                    else:
+                        anchor = None
+                    if anchor is not None:
+                        break
+            if anchor is None or hits <= ADMISSION_FACTOR * anchor.hits:
+                # Not admitted: served from NVM, or the caller writes around.
+                return self.device.read(handle.nvm_offset, handle.size_bytes) if fetch else None
         if offset is None or self._dirty + extra > self.config.max_modified_state_bytes:
-            offset = self._make_room(block, extra, offset, hits)
+            offset = self._make_room(block, extra, offset, bool(hits))
         payload = None
         if fetch:
             payload = self.device.read(handle.nvm_offset, handle.size_bytes)
-            if offset is None:  # not admitted: served from NVM
+            if offset is None:  # every hole walled in: served from NVM
                 return payload
             self._view[offset : offset + handle.size_bytes] = payload
+        elif offset is None:  # every hole walled in: the caller writes around
+            return None
         handle.arrival = next(self._stamps)
         handle.cache_offset = offset
         self._tiers[handle.hits.bit_length()][handle.id] = handle
@@ -661,15 +713,15 @@ class VnvHeap:
             self._tiers[tier][handle.id] = handle
 
     def _make_room(self, block: int, extra: int, offset: int | None = None,
-                   hits: int = 0) -> int | None:
+                   around: bool = False) -> int | None:
         """Make room in the cache for ``block`` bytes (0 for none) and in the
         dirty budget for ``extra`` more bytes of modified state, and return
         the block's offset. ``offset`` is where the caller's first-fit probe
         placed the block, or None. It runs only on overflow: callers call it
-        only once that probe has failed or the charge does not fit. A
-        copy-out read passes its object's ``hits`` to :meth:`_plan_hole`;
-        when that plans no hole for it, nothing is done and None is
-        returned.
+        only once that probe has failed or the charge does not fit. An
+        admitted copy-out read or replace, which can be served around the
+        cache, passes ``around``: when :meth:`_plan_hole` plans no hole for
+        it, nothing is done and None is returned.
 
         It plans both rules, then acts. The cache rule plans first, when the
         probe failed (:meth:`_plan_hole`), so cache pressure is refused
@@ -683,8 +735,8 @@ class VnvHeap:
         word, and a probe's block is given back."""
         hole, start, end = (), 0, 0
         if offset is None and block:
-            hole, start, end = self._plan_hole(block, hits)
-            if not hole:  # a read that is not admitted
+            hole, start, end = self._plan_hole(block, around)
+            if not hole:  # every hole of a read or replace is walled in
                 return None
         modified = self._modified
         victims = []
@@ -718,7 +770,7 @@ class VnvHeap:
             self._sync(handle)
         return offset
 
-    def _plan_hole(self, block: int, hits: int = 0) -> tuple[list[ObjectHandle], int, int]:
+    def _plan_hole(self, block: int, around: bool = False) -> tuple[list[ObjectHandle], int, int]:
         """Plan the cache rule, changing nothing: the victims whose blocks,
         with the free extents beside them, span a ``[start, end)`` that fits
         ``block``, returned as ``(victims, start, end)``. Each victim's free
@@ -726,11 +778,10 @@ class VnvHeap:
         that is walled in before it fits is passed over with the allocator
         untouched.
 
-        A copy-out read passes its object's ``hits``, this access included,
-        and is admitted only if they are more than ``ADMISSION_FACTOR``
-        times the first anchor's, the coldest unpinned resident's. A read
-        that is not admitted, or that finds no hole, gets an empty plan,
-        ``((), 0, 0)``: it is served from NVM, never refused."""
+        A copy-out read or a replace comes here only once it is admitted
+        (:meth:`_ensure_resident`) and passes ``around``: when it finds no
+        hole, it gets an empty plan, ``((), 0, 0)``, and a read is served
+        from NVM and a replace written around the cache, never refused."""
         freed_span = self._cache_alloc.freed_span
         by_offset, by_end = self._by_offset, self._by_end
         walled = ()  # a set once the first hole is walled in
@@ -740,10 +791,6 @@ class VnvHeap:
             for handle in tier.values():
                 if handle.pin_count or handle in walled:
                     continue
-                # No hole is walled in before the first anchor, so only the
-                # coldest unpinned resident is weighed against a read.
-                if hits and not walled and hits <= ADMISSION_FACTOR * handle.hits:
-                    return (), 0, 0
                 hole = [handle]
                 start, end = freed_span(handle.cache_offset, handle.block_bytes)
                 while end - start < block:
@@ -766,7 +813,7 @@ class VnvHeap:
                     walled.update(hole)
                 else:
                     walled = set(hole)
-        if hits:
+        if around:
             return (), 0, 0
         raise CachePressureUnresolvableError(
             f"no unpinned resident to evict for a {block} B block"

@@ -5,11 +5,13 @@ steps, persists and power cycles, and keeps a plain dict of what every
 object must contain. Every read and power cycle compares bytes with it; a
 read of a swapped-out object goes through ``VnvHeap.read``, which must not
 refuse it and, when it serves it from NVM, must move its load words alone;
-every persist is armed at exactly ``persist_bound`` and must write exactly
-the dry run of :func:`persist_cost`. A power cut runs one drawn op with the
-device armed at a random word count; after a cut, restore, itself cut
-once, must return exactly the ids of the last commit, and byte for byte
-every committed payload not written since it. Every access, sync,
+a whole-object ``replace`` is never refused for cache pressure and, when it
+writes a swapped-out object around the cache, must move its payload words
+alone; every persist is armed at exactly ``persist_bound`` and must write
+exactly the dry run of :func:`persist_cost`. A power cut runs one drawn op
+with the device armed at a random word count; after a cut, restore, itself
+cut once, must return exactly the ids of the last commit, and byte for
+byte every committed payload not written since it. Every access, sync,
 unload and dealloc is refused for a guard exactly when the machine's own
 guards say so, any use of a released guard or a deallocated handle is
 refused; ``refusals`` counts the guard refusals. :meth:`TraceMachine.check`
@@ -254,6 +256,46 @@ class TraceMachine:
         self.shadow[hid][at : at + len(data)] = data
         self.written.add(hid)
 
+    def op_replace(self):
+        """A whole-object ``replace`` with a random payload. A guard the
+        machine holds refuses it, and so may the dirty budget while the
+        machine holds any guard; cache pressure never does. A miss written
+        around the cache moves the payload's words alone and changes
+        nothing else."""
+        hid = self.pick()
+        if hid is None:
+            return
+        heap, handle, meter = self.heap, self.handles[hid], self.dev.cost_meter
+        payload = self.rng.randbytes(len(self.shadow[hid]))
+        if self.guarded(hid):
+            try:
+                heap.replace(handle, payload)
+            except GuardActiveError:
+                self.refusals["replace"] += 1
+                return
+            raise AssertionError(f"replace of guarded object {hid} granted")
+        swapped_out = handle.cache_offset < 0
+        stats, (read, written) = heap.stats(), meter.snapshot()
+        # Before the call, so that a cut write-around, which goes over the
+        # committed extent in place as a cut sync does, is exempt.
+        fresh = hid not in self.written
+        self.written.add(hid)
+        try:
+            heap.replace(handle, payload)
+        except DirtyBudgetUnsatisfiableError:
+            # Only a pinned modified object can keep the dirty rule from
+            # making room.
+            assert self.guards, f"replace of object {hid} refused with no guard held"
+            if fresh:
+                self.written.discard(hid)  # a refusal moves no word
+            return
+        self.shadow[hid][:] = payload
+        if swapped_out and handle.cache_offset < 0:
+            assert meter.snapshot() == (read, written + words_for(len(payload))), \
+                f"a replace of object {hid} written around moved more than its payload"
+            assert heap.stats() == stats, \
+                f"a replace of object {hid} written around changed the heap"
+
     def op_hold_guard(self):
         if len(self.guards) >= 4:
             return
@@ -398,6 +440,7 @@ class TraceMachine:
         ("op_dealloc", 2),
         ("op_read", 6),
         ("op_write", 5),
+        ("op_replace", 3),
         ("op_hold_guard", 2),
         ("op_release_guard", 2),
         ("op_sync", 1),

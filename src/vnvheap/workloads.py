@@ -80,7 +80,9 @@ class VnvQueue:
     def push(self, payload: bytes) -> None:
         """Append ``payload``. A refused push changes nothing: the element
         joins the queue only once it holds the payload, and a full record
-        goes only once its double, listing the same elements, is allocated."""
+        goes only once its double, listing the same elements, is allocated.
+        Cache pressure never refuses a push onto a free element: ``replace``
+        writes an element it does not admit around the cache."""
         # Checked, in bytes, before an element is taken.
         payload = bytes(payload)
         if len(payload) != self.element_size:

@@ -113,7 +113,7 @@ def test_kvs_cost_crossover():
 
 
 def test_queue_backends():
-    """queue cycles are free up to length 12, stay within 10% of raw NVM at 4x RAM capacity"""
+    """queue cycles are free up to length 12, cost no more than raw NVM at 4x RAM capacity"""
     with pytest.raises(Exception) as exc_info:
         bench.run_queue_bench(16, "ram")
     assert "RAM queue" in str(exc_info.value)
@@ -125,7 +125,7 @@ def test_queue_backends():
     nvm = bench.run_queue_bench(long_len, "nvm")
     vnv_cost = vnv.words_total / vnv.reps
     nvm_cost = nvm.words_total / nvm.reps
-    assert abs(vnv_cost - nvm_cost) <= 0.10 * nvm_cost, (vnv_cost, nvm_cost)
+    assert vnv_cost <= nvm_cost, (vnv_cost, nvm_cost)
     nvm_short = bench.run_queue_bench(12, "nvm")
     assert nvm_short.words_total / nvm_short.reps == nvm_cost
 
@@ -146,6 +146,7 @@ def test_guard_contract():
     refusals = machine.refusals
     assert refusals["get_ref"] >= 10, refusals
     assert refusals["get_mut"] >= 25, refusals
+    assert refusals["replace"] >= 10, refusals
     assert refusals["released"] >= 300, refusals
 
 

@@ -215,7 +215,7 @@ def test_the_cli_does_not_load_numpy():
 # and says why in CHANGES.md.
 CSV_SHA256 = {
     ("access",): "1a84d0bd4f1e2af239cf0a11135e02eb2c83df8b10191d88d85f3a72251c0e69",
-    ("queue",): "dd168d7346067fdb1320c1bf5f57458a5e6b2d1a01a8123da6a02491a82b96be",
+    ("queue",): "c0639819146a28ab4729da639fb0c901eacb27edb7a074736e8e13155e11e303",
     ("persist", "--mode", "both"):
         "6c20ca92219745773eae8903ac354b959fca0b0330941dbe1c8d75d3238a4e11",
     ("kvs", "--n-ops", "512"):

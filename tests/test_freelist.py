@@ -98,6 +98,8 @@ def test_randomized_against_byte_map_oracle():
             i = j
         assert a.free_extents() == free_from_oracle
         assert a.total_free() == sum(length for _, length in free_from_oracle)
+        # alloc fails without a scan above this bound, so it must hold
+        assert a.max_free >= max((length for _, length in free_from_oracle), default=0)
 
     for _ in range(2000):
         if live and rng.random() < 0.45:

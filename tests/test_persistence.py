@@ -1019,10 +1019,11 @@ def test_persist_sorts_nothing(modified):
     assert not calls["sorted"] and not calls["list.sort"]
 
 
-# Known defects: a write-back (an eviction sync, ``sync_object`` or a persist
-# payload) goes over its object's committed extent in place, so a power cut
-# after it restores bytes that no commit held. Each test passes once the
-# first write-back of an epoch goes to a fresh extent.
+# Known defects: a write-back (an eviction sync, ``sync_object``, a persist
+# payload or a ``replace`` written around the cache) goes over its object's
+# committed extent in place, so a power cut after it restores bytes that no
+# commit held. Each test passes once the first write-back of an epoch goes
+# to a fresh extent.
 
 def _contents(heap, handles):
     return {hid: heap.read(h) for hid, h in handles.items()}
@@ -1065,3 +1066,18 @@ def test_a_persist_cut_mid_payload_restores_the_committed_payloads():
         persist(heap)
     heap2, handles = restore(dev.reopen())
     assert _contents(heap2, handles) == {h.id: bytes([i]) * 64 for i, h in enumerate(hs)}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a replace written around the cache writes over the committed extent")
+def test_a_write_around_after_the_commit_leaves_the_committed_payload():
+    dev, heap = fresh(cache=256, dirty=256)
+    h = heap.alloc(b"A" * 100)
+    persist(heap)
+    heap.unload(h)
+    heap.alloc(b"C" * 200)  # [0, 204): no hole fits h, and C is as hot as h
+    heap.replace(h, b"B" * 100)
+    if heap.object_info(h).resident:
+        pytest.fail("the replace was admitted, not written around")
+    heap2, handles = restore(dev.reopen())
+    assert _contents(heap2, handles) == {h.id: b"A" * 100}

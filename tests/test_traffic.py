@@ -17,12 +17,12 @@ from traceutil import log_writes
 
 # SHA-256 over every (offset, data) the trace below passes to the device's
 # public ``write``, in order.
-KV_WRITES_SHA256 = "a83329d6ce58c5491c18dc0c1c6912e22ca95e5a1075c634746f241a03bc2f77"
+KV_WRITES_SHA256 = "997500e2e5198892cfb3736b48a760bf03d505071d82d62b65a8582f4f7a8ba0"
 # The same writes with the order inside each commit's run dropped (see
 # :func:`_fold_runs`).
-KV_RUNS_SHA256 = "067142496e9dabe963542ddb8f93311ac8cd8c948df69466a09d06fe0a695bff"
+KV_RUNS_SHA256 = "6b6c615b883244b78050e2caacf43e8b1f2d5799448ead98fc05cd78ac1578af"
 # The meter's (words_read, words_written) at the end of the trace.
-KV_WORDS = (53656, 45478)
+KV_WORDS = (50928, 45790)
 
 
 def test_kv_trace_device_traffic_is_unchanged():
@@ -143,10 +143,10 @@ def _fold_runs(digest, stream):
 
 # SHA-256 of the table-path trace below: the machine's writes and meter
 # totals, then each armed alloc/dealloc's writes and the tables it leaves.
-TABLE_TRAFFIC_SHA256 = "7fa431b490f59c133b3fbf557910fb5899d6c703ea838a56011a9032a9c2d7b3"
+TABLE_TRAFFIC_SHA256 = "b2e4ce77fecd7d06da127b8bf5d1e6e6c62e25c94bbbea1929e0d677076c2bb7"
 # The machine's writes, then each armed run's, with the order inside each
 # commit's run dropped (see :func:`_fold_runs`).
-TABLE_RUNS_SHA256 = "a923b0400db2714fab98e71e4d2bc102b6e64732797e6fef5d62219a0117e676"
+TABLE_RUNS_SHA256 = "dee9d230f609e71e97ac9e0c732fa06c44c6553461fc3ac0103a793705a53989"
 
 
 def _armed_steps(heap, handles):

@@ -8,7 +8,6 @@ import pytest
 from vnvheap import SimulatedNvm, VnvHeap, persist, restore
 from vnvheap.baselines import ManagedStatePool
 from vnvheap.errors import (
-    CachePressureUnresolvableError,
     KeyNotFoundError,
     OutOfNvmError,
     PreconditionError,
@@ -188,14 +187,17 @@ class TestVnvQueue:
             q.push(element(i))
         assert len(heap.live_handle_ids()) == objects_before
 
-    def test_a_refused_push_changes_nothing_and_a_pop_under_pressure_is_served(self):
-        """Read guards pin every other resident, so a miss cannot make room:
-        a push onto a swapped-out free element raises, and leaves the
-        length, the FIFO order and the control record's bytes as they were.
-        A pop of the swapped-out head is never refused for it: ``read``
-        serves the head from NVM, and it moves to the free list with the
-        head still swapped out. Once the guards go, the pops return every
-        element in order, and the record still lists every element object."""
+    def test_a_push_and_a_pop_under_cache_pressure_are_served(self):
+        """Read guards pin every other resident, so a miss cannot make room.
+        Neither a push nor a pop is refused for it. A push onto a
+        swapped-out free element is written around the cache: ``replace``
+        stores the payload in the element's extent, and the element joins
+        the queue still swapped out. A pop of the swapped-out head is served
+        from NVM by ``read``, and the head moves to the free list still
+        swapped out. A persist then commits the written-around element: the
+        queue attaches after a restore and pops every element in order, as
+        the original does once the guards go, and its record still lists
+        every element object."""
         dev, heap, q = make_vnv_queue(cache=1024)
         for i in range(20):
             q.push(element(i))
@@ -206,10 +208,10 @@ class TestVnvQueue:
             record = q._guard.read()
             live = struct.unpack_from("<I", record, 4)[0]
             ids = struct.unpack_from(f"<{live + 1}I", record, 8)
-            return len(q), ids[:live], record, ids[live]  # ids[live]: the free top
+            return len(q), ids[:live], ids[live]  # ids[live]: the free top
 
-        before = state()
-        head, free_top = heap.handle(before[1][0]), heap.handle(before[3])
+        length, live, free_top_id = state()
+        head, free_top = heap.handle(live[0]), heap.handle(free_top_id)
         if heap.object_info(free_top).resident:  # the pop may have loaded it
             heap.unload(free_top)
         filler = heap.alloc(bytes(72))
@@ -218,22 +220,26 @@ class TestVnvQueue:
                   and not heap.object_info(heap.handle(hid)).pinned]
         assert not heap.object_info(head).resident
         assert heap.stats().cache_free_bytes < 68  # no hole fits a 64 B element
-        with pytest.raises(CachePressureUnresolvableError):
-            q.push(element(20))
-        assert state() == before
+        q.push(element(20))
+        assert state()[:2] == (length + 1, live + (free_top.id,))
+        assert not heap.object_info(free_top).resident
         assert q.pop() == element(3)
         after = state()
-        assert after[:2] == (before[0] - 1, before[1][1:]) and after[3] == head.id
+        assert after == (length, live[1:] + (free_top.id,), head.id)
         assert not heap.object_info(head).resident
+        persist(heap)
+        heap2, _ = restore(dev.reopen())
+        q2 = VnvQueue.attach(heap2, q.control_id)
+        assert [q2.pop() for _ in range(17)] == [element(i) for i in range(4, 21)]
         for g in guards:
             g.release()
         heap.dealloc(filler)
-        q.push(element(20))  # onto the free top: every element stays listed
+        q.push(element(21))  # onto the free top: every element stays listed
         record = q._guard.read()
         listed = struct.unpack_from(f"<{(len(record) - 8) // 4}I", record, 8)
         elements = set(heap.live_handle_ids()) - {q.control_id}
         assert {hid for hid in listed if hid} == elements and len(elements) == 20
-        assert [q.pop() for _ in range(17)] == [element(i) for i in range(4, 21)]
+        assert [q.pop() for _ in range(18)] == [element(i) for i in range(4, 22)]
 
     # -- attach refuses what is not its queue ----------------------------------
 
