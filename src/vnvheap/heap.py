@@ -4,10 +4,12 @@ Objects live in NVM extents and are staged through a fixed-size volatile
 cache at whole-object granularity. Access goes through guards: any number of
 live read guards, or exactly one write guard, never both. A guard pins its
 object in the cache; pinned objects are never evicted and keep a stable cache
-address for the guard's lifetime. A guard holds two things, both handed
-over when it is granted: its object's record and a view of the payload's
-cache bytes (read-only under a read guard). Releasing it drops the record,
-and a guard without one is released; the view is released with it, so a
+address for the guard's lifetime. A guard holds its object's record and
+the heap's view of the whole cache (read-only under a read guard), both
+filled in when it is granted, and it reads and writes that view at the
+object's cache offset, which the pin keeps. Releasing it drops the record,
+and a guard without one is released. Its ``data``, the payload's own view,
+is sliced only when first asked for and released with the guard, so a
 ``data`` view the caller kept dies with the guard.
 
 An object's record is the :class:`ObjectHandle` the application owns, so
@@ -274,23 +276,27 @@ _RELEASED = "guard was already released"
 
 
 class _Guard:
-    """Its object's record and a view of its cached payload, both handed
-    over by the heap when it grants the guard. A guard whose record is None
-    is released; ``release`` drops the record and releases the view, so
-    that a ``data`` view the caller kept dies with the guard."""
+    """Its object's record and the heap's whole-cache view, which the heap
+    fills in when it grants the guard, with no constructor: only the heap
+    creates guards. A guard whose record is None is released. ``read`` and
+    ``write`` address the view at the object's cache offset, which a pin
+    keeps. ``data`` slices the object's bytes on first use and keeps that
+    view, which ``release`` releases, so that a ``data`` view the caller
+    kept dies with the guard."""
 
-    __slots__ = ("_handle", "_view")
-
-    def __init__(self, handle: ObjectHandle, view: memoryview) -> None:
-        self._handle = handle
-        self._view = view
+    __slots__ = ("_handle", "_view", "_data")
 
     @property
     def data(self) -> memoryview:
         """Zero-copy view of the payload. Invalid after release."""
-        if self._handle is None:
+        handle = self._handle
+        if handle is None:
             raise GuardReleasedError(_RELEASED)
-        return self._view
+        data = self._data
+        if data is None:
+            start = handle.cache_offset
+            data = self._data = self._view[start : start + handle.size_bytes]
+        return data
 
     def read(self, offset: int = 0, length: int | None = None) -> bytes:
         handle = self._handle
@@ -300,14 +306,16 @@ class _Guard:
             length = handle.size_bytes - offset
         if offset < 0 or length < 0 or offset + length > handle.size_bytes:
             raise PreconditionError("read outside the object")
-        return bytes(self._view[offset : offset + length])
+        start = handle.cache_offset + offset
+        return bytes(self._view[start : start + length])
 
     def release(self) -> None:
         handle = self._handle
         if handle is None:
             raise GuardReleasedError(_RELEASED)
         self._handle = None
-        self._view.release()
+        if self._data is not None:
+            self._data.release()
         # The pin tells the guard's kind: -1 under the write guard, else
         # the count of live read guards.
         if handle.pin_count < 0:
@@ -330,13 +338,15 @@ class _Guard:
 
 
 class ReadGuard(_Guard):
-    """Shared, immutable access to a resident object."""
+    """Shared, immutable access to a resident object. Only
+    :meth:`VnvHeap.get_ref` creates one."""
 
     __slots__ = ()
 
 
 class WriteGuard(_Guard):
-    """Exclusive, mutable access; the object is charged as modified."""
+    """Exclusive, mutable access; the object is charged as modified. Only
+    :meth:`VnvHeap.get_mut` creates one."""
 
     __slots__ = ()
 
@@ -349,7 +359,8 @@ class WriteGuard(_Guard):
         end = offset + len(data)
         if offset < 0 or end > handle.size_bytes:
             raise PreconditionError("write outside the object")
-        self._view[offset:end] = data
+        start = handle.cache_offset
+        self._view[start + offset : start + end] = data
 
 
 class VnvHeap:
@@ -371,7 +382,7 @@ class VnvHeap:
         # The tables hold the geometry; perfbench/tracing.py reads it here.
         self.layout = self.tables
         self._cache = bytearray(cache_size_bytes)
-        # Guards slice these views; the cache is never resized. Bytes are
+        # Guards hold these views; the cache is never resized. Bytes are
         # stored through _view: a bytearray store copies them once more first.
         self._view = memoryview(self._cache)
         self._ro_view = self._view.toreadonly()
@@ -518,8 +529,12 @@ class VnvHeap:
         if not hits & (hits - 1):
             self._promote(handle)
         handle.pin_count += 1
-        start = handle.cache_offset
-        return ReadGuard(handle, self._ro_view[start : start + handle.size_bytes])
+        # Filled inline: a constructor frame would cost every grant.
+        guard = ReadGuard()
+        guard._handle = handle
+        guard._view = self._ro_view
+        guard._data = None
+        return guard
 
     def read(self, handle: ObjectHandle) -> bytes:
         """The whole payload: the bytes of ``get_ref`` + ``read`` +
@@ -570,8 +585,11 @@ class VnvHeap:
         if not hits & (hits - 1):
             self._promote(handle)
         handle.pin_count = -1
-        start = handle.cache_offset
-        return WriteGuard(handle, self._view[start : start + handle.size_bytes])
+        guard = WriteGuard()
+        guard._handle = handle
+        guard._view = self._view
+        guard._data = None
+        return guard
 
     def replace(self, handle: ObjectHandle, payload: bytes | bytearray | memoryview) -> None:
         """Overwrite the whole object with ``payload``: the result of
@@ -905,8 +923,9 @@ def restore(
     """Rebuild a heap from the device's committed checkpoint.
 
     The cache size and modified-state limit default to the ones the image
-    was formatted with; an argument overrides its recorded value, and an
-    invalid one raises :class:`ConfigInvalidError` before any write. Returns
+    was formatted with; an argument overrides its recorded value, a limit
+    only downward, and an invalid one, a limit above the recorded one among
+    them, raises :class:`ConfigInvalidError` before any write. Returns
     the heap and its handles (``heap.handle(id)``) by the stable ids the
     application saw before the power cycle. Every object comes back swapped
     out and unpinned. Raises :class:`NoValidCheckpointError` for an image
@@ -925,6 +944,12 @@ def restore(
         tables.check_cache(cache_size_bytes)  # the caller's: ConfigInvalidError
     if max_modified_state_bytes is None:
         max_modified_state_bytes = tables.max_modified_state_bytes
+    elif max_modified_state_bytes > tables.max_modified_state_bytes:
+        # The recorded limit sizes every persist of the image: a restore may
+        # lower it, never raise it.
+        raise ConfigInvalidError(
+            f"modified-state limit of {max_modified_state_bytes} B exceeds the "
+            f"{tables.max_modified_state_bytes} B the image records")
 
     heap = VnvHeap(device, cache_size_bytes, max_modified_state_bytes,
                    tables.max_objects, tables)

@@ -111,6 +111,40 @@ def test_use_after_release_fails_loudly(heap):
         w.write(b"late")
 
 
+def test_a_guard_released_without_its_view_taken_refuses_every_use(heap):
+    h = heap.alloc(b"none")
+    for grant in (heap.get_ref, heap.get_mut):
+        g = grant(h)
+        g.release()
+        assert g.released and not heap.object_info(h).pinned
+        uses = [g.read, lambda: g.data, g.release, g.__enter__]
+        if grant is heap.get_mut:
+            uses.append(lambda: g.write(b"late"))
+        for use in uses:
+            with pytest.raises(GuardReleasedError):
+                use()
+        g.__exit__(None, None, None)  # a released guard's exit does nothing
+    assert heap.read(h) == b"none"
+
+
+def test_a_data_view_shows_the_writes_before_and_after_it_is_taken(heap):
+    n = heap.alloc(b"neighbour")
+    h = heap.alloc(b"0123456789")  # past the neighbour's block
+    assert heap.object_info(h).cache_offset > 0
+    with heap.get_mut(h) as w:
+        w.write(b"ab", offset=2)
+        view = w.data
+        assert view.tobytes() == b"01ab456789"
+        assert w.data is view  # taken once, kept
+        w.write(b"XY", offset=8)
+        assert view.tobytes() == b"01ab4567XY"
+        view[0:1] = b"!"
+        assert w.read() == b"!1ab4567XY"
+    with heap.get_ref(h) as r:
+        assert r.read(2, 2) == b"ab" and bytes(r.data) == b"!1ab4567XY"
+    assert heap.read(n) == b"neighbour"
+
+
 def test_stale_write_guard_view_cannot_touch_the_cache(heap):
     h = heap.alloc(b"safe")
     w = heap.get_mut(h)

@@ -29,6 +29,7 @@ from vnvheap import (
     words_for,
 )
 from vnvheap.freelist import align_up
+from vnvheap.layout import ENTRY_BYTES
 from vnvheap.oracle import check_indexes
 
 from traceutil import count_bytecodes, count_bytecodes_by_function, log_writes
@@ -73,18 +74,37 @@ def expected_dirty(heap):
 
 def test_config_rejects_nonsense():
     dev = SimulatedNvm(64 * 1024)
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match="cannot hold even a one-byte object"):
         VnvHeap(dev, cache_size_bytes=0)
     with pytest.raises(ConfigInvalidError):
         VnvHeap(dev, cache_size_bytes=1022)  # not word-aligned
-    with pytest.raises(ConfigInvalidError):
+    with pytest.raises(ConfigInvalidError, match="must be positive"):
         VnvHeap(dev, max_modified_state_bytes=0)
     with pytest.raises(ConfigInvalidError):
         VnvHeap(dev, cache_size_bytes=1024, max_modified_state_bytes=2048)
     with pytest.raises(ConfigInvalidError, match="fixed persist header"):
         VnvHeap(dev, max_modified_state_bytes=HEADER_CHARGE_BYTES - 4)
+    # A 4 B cache holds a one-byte object: only its limit, which must cover
+    # the header and fit the cache, cannot exist.
+    with pytest.raises(ConfigInvalidError, match="fixed persist header"):
+        VnvHeap(dev, cache_size_bytes=4, max_modified_state_bytes=4)
     with pytest.raises(ConfigInvalidError):
         VnvHeap(dev, max_objects=0)
+
+
+def test_config_accepts_each_bound_itself():
+    """Every bound admits its own value: a 16 B cache whose limit is the
+    whole cache and covers the persist header alone, with one metadata
+    slot."""
+    cfg = HeapConfig(cache_size_bytes=HEADER_CHARGE_BYTES,
+                     max_modified_state_bytes=HEADER_CHARGE_BYTES, max_objects=1)
+    assert (cfg.cache_size_bytes, cfg.max_modified_state_bytes, cfg.max_objects) == (16, 16, 1)
+    heap = make_heap(cache=16, dirty=16, max_objects=1)
+    with pytest.raises(DirtyBudgetUnsatisfiableError):
+        heap.alloc(b"a")  # the header leaves no room for a charge
+    heap = make_heap(cache=20, dirty=20, max_objects=1)
+    h = heap.alloc(b"a")  # the one slot
+    assert heap.read(h) == b"a"
 
 
 def test_config_rejects_device_too_small_for_tables():
@@ -127,6 +147,25 @@ def test_alloc_rejects_object_larger_than_cache():
     heap = make_heap(cache=4096, dirty=4096)
     with pytest.raises(ObjectTooLargeError):
         heap.alloc(bytes(4096))  # payload + metadata exceeds the cache
+
+
+def test_an_object_whose_block_is_the_whole_cache_is_cacheable():
+    """A 61 B object takes a 64 B block. In a 64 B cache it is not too
+    large to cache, but its charge and the header pass any limit that
+    cache allows, so an alloc is refused by the dirty budget. Restored
+    into that cache, it loads and reads."""
+    dev = SimulatedNvm(64 * 1024)
+    heap = VnvHeap(dev, cache_size_bytes=4096, max_modified_state_bytes=2048, max_objects=8)
+    h = heap.alloc(b"w" * 61)
+    persist(heap)
+    restored, handles = restore(dev.reopen(), cache_size_bytes=64, max_modified_state_bytes=64)
+    with restored.get_ref(handles[h.id]) as g:
+        assert g.read() == b"w" * 61
+    assert restored.stats().cache_free_bytes == 0
+    with pytest.raises(DirtyBudgetUnsatisfiableError):
+        restored.alloc(b"n" * 61)
+    with pytest.raises(ObjectTooLargeError):
+        restored.alloc(b"n" * 62)  # a 68 B block
 
 
 def test_alloc_rejects_object_that_can_never_be_dirty():
@@ -454,6 +493,20 @@ def test_dirty_pressure_syncs_oldest_modified_first():
     assert heap.dirty_bytes == expected_dirty(heap) <= 1024
 
 
+def test_dirty_victims_that_exactly_cover_the_charge_are_all_that_is_synced():
+    """A, B and C (100 B each) are modified: 16 + 300 of the 512 limit. A
+    296 B alloc is 100 B over it, which A's sync alone covers exactly, so
+    A is synced and B, the next in arrival order, stays modified."""
+    heap = make_heap(cache=4096, dirty=512)
+    a, b, c = (heap.alloc(bytes([i]) * 100) for i in range(3))
+    log = log_writes(heap.device)
+    d = heap.alloc(b"D" * 296)
+    assert log[0] == (a.nvm_offset, bytes([0]) * 100)
+    assert [offset for offset, _ in log[1:]] == [heap.tables.table_offset + 3 * ENTRY_BYTES]
+    assert [heap.object_info(h).modified for h in (a, b, c, d)] == [False, True, True, True]
+    assert heap.dirty_bytes == expected_dirty(heap) == 512
+
+
 def test_clean_residents_cost_the_dirty_budget_nothing():
     """Alloc and sync a 1-byte object 1024 times, every one left resident
     and clean: a persist would write its commit word alone, so no alloc is
@@ -575,6 +628,29 @@ def test_a_write_miss_counts_the_syncs_of_its_hole_as_dirty_room():
         assert log == [(heap.object_info(v).nvm_offset, b"V" * 200)], f"{name} wrote {log}"
         assert heap.object_info(o).modified
         assert heap.object_info(x).cache_offset == 104
+        assert heap.dirty_bytes == expected_dirty(heap) == 16 + 100 + 200
+
+
+def test_a_holes_modified_victims_that_exactly_cover_the_charge_sync_nothing_more():
+    """The heap of the test above at a 316 B limit, which O, C's sync and V
+    leave full. X's 200 B charge is over it by exactly V's 200, which V's
+    sync for the hole covers, so the dirty rule chooses no victim and O
+    stays modified."""
+    accesses = {"get_mut": lambda heap, x: heap.get_mut(x).release(),
+                "replace": lambda heap, x: heap.replace(x, b"Y" * 200)}
+    for name, access in accesses.items():
+        heap = make_heap(cache=512, dirty=316)
+        x = _swapped_out(heap, b"X" * 200, hits=2)
+        o = heap.alloc(b"O" * 100)
+        c = heap.alloc(b"C" * 196)
+        heap.sync_object(c)
+        v = heap.alloc(b"V" * 200)
+        heap.read(o)
+        assert heap.dirty_bytes == 316
+        log = log_writes(heap.device)
+        access(heap, x)
+        assert log == [(heap.object_info(v).nvm_offset, b"V" * 200)], f"{name} wrote {log}"
+        assert heap.object_info(o).modified
         assert heap.dirty_bytes == expected_dirty(heap) == 16 + 100 + 200
 
 
@@ -867,9 +943,9 @@ def test_dirty_pressure_cost_does_not_grow_with_clean_residents():
 # -- access cost -------------------------------------------------------------------
 
 @pytest.mark.parametrize("case, bound", [
-    ("first write", 171),   # get_mut charges a clean resident
-    ("write again", 147),   # the resident is modified already
-    ("read", 150),
+    ("first write", 166),   # get_mut charges a clean resident
+    ("write again", 142),   # the resident is modified already
+    ("read", 143),
     ("heap.read", 57),      # the kv store's get of a resident
     ("heap.replace", 99),   # the kv store's update of a clean resident
 ])

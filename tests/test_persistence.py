@@ -522,6 +522,23 @@ def test_an_alloc_past_the_last_handle_id_is_refused_before_it_takes_room():
                                                               before.cache_free_bytes)
 
 
+def test_the_last_handle_id_is_handed_out_once():
+    """With 2^32 - 2 the largest committed id, an alloc takes the last
+    one, 2^32 - 1, which commits and restores; only the alloc after it is
+    refused."""
+    dev, table = _committed_image([b"AAAAAAAA"])
+    dev.write(_entry_word(table, 0, ID_WORD), struct.pack("<I", 0xFFFFFFFE))
+    heap, _ = restore(dev)
+    last = heap.alloc(b"L" * 8)
+    assert last.id == 0xFFFFFFFF
+    with pytest.raises(OutOfNvmError, match="handle id"):
+        heap.alloc(b"n" * 8)
+    persist(heap)
+    restored, handles = restore(dev.reopen())
+    assert sorted(handles) == [0xFFFFFFFE, 0xFFFFFFFF]
+    assert restored.read(handles[0xFFFFFFFF]) == b"L" * 8
+
+
 @pytest.mark.parametrize("nvm_offset", [
     "overlap",       # slot 1's extent starts inside slot 0's
     "unaligned",     # 2 B past slot 1's own extent, off a word boundary
@@ -588,6 +605,21 @@ def test_an_image_with_a_guarded_object_restores_into_a_smaller_cache():
             assert g.read() == payload
 
 
+def test_a_one_word_object_region_holds_a_one_byte_object():
+    """A device of a superblock, one 20 B entry and one word, with up to 3
+    bytes to spare, has an object region of exactly one word; one byte
+    less leaves it none."""
+    for capacity in (SUPERBLOCK_BYTES + ENTRY_BYTES + 4, SUPERBLOCK_BYTES + ENTRY_BYTES + 7):
+        dev, heap = fresh(cache=20, dirty=20, max_objects=1, capacity=capacity)
+        assert heap.layout.object_bytes == 4
+        heap.alloc(b"z")
+        persist(heap)
+        restored, handles = restore(dev.reopen())
+        assert [restored.read(h) for h in handles.values()] == [b"z"]
+    with pytest.raises(ConfigInvalidError, match="leaves no object region"):
+        fresh(cache=20, dirty=20, max_objects=1, capacity=SUPERBLOCK_BYTES + ENTRY_BYTES + 3)
+
+
 def test_restore_rejects_an_image_of_another_layout_version():
     dev, _ = _committed_image([b"AAAAAAAA"])
     dev.write(4, (2).to_bytes(4, "little"))  # superblock version 2: two mirrored tables
@@ -601,6 +633,15 @@ def test_restore_of_a_device_smaller_than_a_superblock_reads_nothing(capacity):
     with pytest.raises(NoValidCheckpointError, match="no recognizable heap image"):
         restore(dev)
     assert dev.cost_meter.snapshot() == (0, 0)
+
+
+def test_restore_of_a_device_of_one_superblock_reads_it_and_refuses():
+    """A device exactly one superblock long has room to read one: its 7
+    words, all zero, are no heap image."""
+    dev = SimulatedNvm(SUPERBLOCK_BYTES)
+    with pytest.raises(NoValidCheckpointError, match="no recognizable heap image"):
+        restore(dev)
+    assert dev.cost_meter.snapshot() == (SUPERBLOCK_BYTES // 4, 0)
 
 
 @pytest.mark.parametrize("offset, value, error", [
@@ -654,6 +695,28 @@ def test_restore_refuses_an_override_cache_larger_than_the_device_before_it_writ
     assert dev.cost_meter.words_written == 0
     restored, handles = restore(dev, cache_size_bytes=64 * 1024)
     assert restored.config.cache_size_bytes == 64 * 1024 and len(handles) == 1
+    assert dev.cost_meter.words_written == 1  # the uncommitted birth's stamp, set back
+
+
+def test_restore_refuses_a_limit_above_the_recorded_one_before_it_writes():
+    """The recorded limit sizes every persist of the image, so a restore
+    may lower it but never raise it: a limit one byte over the record is
+    refused with :class:`ConfigInvalidError` before restore sets back any
+    stamp, and the record itself is accepted."""
+    dev, heap = fresh(cache=4096, dirty=512, max_objects=16)
+    heap.alloc(b"A" * 8)
+    persist(heap)
+    heap.alloc(b"B" * 8)  # born in an epoch that never commits
+    dev = dev.reopen()
+    image = bytes(dev._buf)
+    for limit in (513, 4096):
+        with pytest.raises(ConfigInvalidError, match=f"limit of {limit} B exceeds the 512 B"):
+            restore(dev, max_modified_state_bytes=limit)
+    assert dev.cost_meter.words_written == 0
+    assert bytes(dev._buf) == image
+    restored, handles = restore(dev, max_modified_state_bytes=512)
+    assert restored.config.max_modified_state_bytes == 512 and len(handles) == 1
+    assert persist_bound(restored.config) == 132
     assert dev.cost_meter.words_written == 1  # the uncommitted birth's stamp, set back
 
 
