@@ -142,9 +142,7 @@ class ManagedStatePool:
         """Write every dirty page plus the per-page metadata; returns words."""
         before = self.device.cost_meter.words_written
         for page in sorted(self._dirty):
-            lo = page * self.page_size
-            self.device.write(lo, self.ram[lo : lo + self.page_size])
-        self._dirty.clear()
+            self._write_back(page)
         self.device.write(self._meta_offset, bytes(self.page_count))
         return self.device.cost_meter.words_written - before
 

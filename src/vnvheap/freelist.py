@@ -19,23 +19,30 @@ _LENGTH = itemgetter(1)
 
 
 class FirstFitAllocator:
-    """Manages free extents of ``[start, start + size)`` in address order.
+    """Manages free extents of ``[start, start + size)``: a list of
+    ``[offset, length]`` in address order, disjoint and never touching. One
+    rule per operation:
 
-    ``alloc`` returns the lowest-addressed fit (deterministic). ``free``
-    merges the freed block with its free neighbours. A caller that would
-    free blocks until one fits plans first, with the free space untouched:
-    ``freed_span`` names the free extent that freeing a block would leave,
-    and ``claim_span`` then takes a whole planned span in one step. All
-    requests are rounded up to whole words, so callers must free with the
-    same length they allocated. The methods a cache access calls align
+    - ``alloc`` takes the lowest-addressed extent that fits (first fit, so
+      deterministic).
+    - ``free`` replaces the freed block's touching free neighbours with
+      their merge, in one slice store.
+    - ``freed_span`` names the free extent that freeing a block would leave,
+      and changes nothing: a caller that would free blocks until one fits
+      plans with it first.
+    - ``claim_span`` takes a whole planned span in one step: the free
+      extents inside it give way to the tail after the new block, in one
+      slice store.
+
+    All requests are rounded up to whole words, so callers must free with
+    the same length they allocated. The methods a cache access calls align
     inline: a call to :func:`align_up` would cost each access a frame.
 
     ``max_free`` is never less than the longest free extent, so a request
     longer than it fails without a scan, and a caller may test it before
-    calling ``alloc`` at all. ``free`` and ``claim_span`` raise it to any
-    extent they leave longer, and a scan that fails lowers it to the
-    longest extent there is: on a full cache, a failed probe is one
-    comparison.
+    calling ``alloc`` at all. ``free`` and ``claim_span`` raise it to the
+    extent they store, and a scan that fails lowers it to the longest
+    extent there is: on a full cache, a failed probe is one comparison.
     """
 
     def __init__(self, start: int, size: int, used: Iterable[tuple[int, int]] = ()) -> None:
@@ -90,58 +97,39 @@ class FirstFitAllocator:
         """Allocate ``nbytes`` at ``start`` of the span ``[start, end)``,
         whose allocated blocks the caller gives up without freeing them:
         the free extents inside the span give way to the tail after the new
-        block, the last of them taking its place. Returns ``start``."""
+        block. Returns ``start``."""
         need = (nbytes + WORD_BYTES - 1) & -WORD_BYTES
         free = self._free
         i = bisect_left(free, start, key=_START)
         j = bisect_left(free, end, i, key=_START)
         rest = end - start - need
+        free[i:j] = [[end - rest, rest]] if rest else []
         if rest > self.max_free:
             self.max_free = rest
-        if rest and j > i:
-            j -= 1
-            tail = free[j]
-            tail[0] = end - rest
-            tail[1] = rest
-            if j > i:
-                del free[i:j]
-        else:
-            free[i:j] = [[end - rest, rest]] if rest else []
         return start
 
     def free(self, offset: int, nbytes: int) -> None:
         """Return ``[offset, offset + nbytes)`` to the free space."""
         assert nbytes > 0
-        length = (nbytes + WORD_BYTES - 1) & -WORD_BYTES
-        end = offset + length
-        assert self.start <= offset and end <= self.start + self.size
+        start, end = offset, offset + ((nbytes + WORD_BYTES - 1) & -WORD_BYTES)
+        assert self.start <= start and end <= self.start + self.size
         free = self._free
-        i = bisect_left(free, offset, key=_START)
+        i = j = bisect_left(free, offset, key=_START)
         # The extents are sorted and disjoint, so only the two neighbours of
         # the insertion point can overlap the freed range or touch it.
-        nxt = free[i] if i < len(free) else None
-        assert nxt is None or end <= nxt[0], "double free"
         if i:
-            prev = free[i - 1]
-            prev_end = prev[0] + prev[1]
-            assert prev_end <= offset, "double free"
-            if prev_end == offset:
-                prev[1] += length
-                if nxt is not None and nxt[0] == end:
-                    prev[1] += nxt[1]
-                    del free[i]
-                if prev[1] > self.max_free:
-                    self.max_free = prev[1]
-                return
-        if nxt is not None and nxt[0] == end:
-            nxt[0] = offset
-            nxt[1] += length
-            if nxt[1] > self.max_free:
-                self.max_free = nxt[1]
-            return
-        free.insert(i, [offset, length])
-        if length > self.max_free:
-            self.max_free = length
+            prev_start, prev_length = free[i - 1]
+            assert prev_start + prev_length <= offset, "double free"
+            if prev_start + prev_length == offset:
+                i, start = i - 1, prev_start
+        if j < len(free):
+            next_start, next_length = free[j]
+            assert end <= next_start, "double free"
+            if next_start == end:
+                j, end = j + 1, end + next_length
+        free[i:j] = [[start, end - start]]
+        if end - start > self.max_free:
+            self.max_free = end - start
 
     def total_free(self) -> int:
         return sum(length for _, length in self._free)

@@ -164,6 +164,12 @@ class CheckpointTables:
         next commit cannot publish it. These writes change nothing that
         decoding at the epoch reads, so a restore cut among them and run
         again decodes the same entries.
+
+        The next handle id is one past the largest id word of any slot,
+        live, dead or an undone birth. A birth overwrites a slot's id word
+        only with a later, so larger, id, so no id that reached the device
+        is issued again, and a handle of an object deallocated before a
+        reboot stays stale after it.
         """
         epoch, max_objects = self.epoch, self.max_objects
         raw = self.device.read(SUPERBLOCK_BYTES, self.table_bytes)
@@ -203,7 +209,7 @@ class CheckpointTables:
             at = end
         for offset in undo:
             self._write_word(offset, ZERO_WORD)
-        self._start(free, used, max(ids, default=0) + 1)
+        self._start(free, used, max(words[1::ENTRY_WORDS], default=0) + 1)
         return live
 
     def _start(self, free: list[int], used: list[tuple[int, int]], next_id: int) -> None:

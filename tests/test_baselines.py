@@ -211,6 +211,27 @@ class TestModuleSwap:
         assert app.read(0, 0, 9) == bytes(range(8)) + b"\0"
 
 
+    @pytest.mark.parametrize("call", [
+        lambda app: app.read(2, 0, 1),
+        lambda app: app.write(-1, 0, b"x"),
+        lambda app: app.read(0, -1, 1),
+        lambda app: app.read(0, 1021, 4),
+        lambda app: app.write(0, -1, b"x"),
+        lambda app: app.write(0, 1021, b"four"),
+    ], ids=["read-module-past-last", "write-module-negative", "read-offset-negative",
+            "read-one-byte-past", "write-offset-negative", "write-one-byte-past"])
+    def test_an_access_outside_the_modules_is_refused_and_moves_nothing(self, call):
+        dev = SimulatedNvm(16384)
+        app = ModuleSwapApp(dev, module_count=2)
+        app.write(0, 1020, b"keep")
+        before = dev.cost_meter.snapshot()
+        with pytest.raises(OutOfRangeError):
+            call(app)
+        assert dev.cost_meter.snapshot() == before
+        assert app.active == 0
+        assert app.read(0, 1020, 4) == b"keep"
+
+
 class TestUnmanagedRam:
     def test_checkpoint_is_whole_ram(self):
         for ram in (4096, 8192, 10000):

@@ -51,6 +51,18 @@ def test_double_free_is_a_bug():
         a.free(off, 8)
 
 
+@pytest.mark.parametrize("request_zero", [
+    lambda a: a.alloc(0),
+    lambda a: a.free(0, 0),  # [0, 8) is allocated, [8, 32) free
+], ids=["alloc", "free"])
+def test_a_request_of_zero_bytes_is_a_bug(request_zero):
+    a = FirstFitAllocator(0, 32)
+    a.alloc(8)
+    with pytest.raises(AssertionError):
+        request_zero(a)
+    assert a.free_extents() == [(8, 24)]
+
+
 @pytest.mark.parametrize("offset", [
     4,   # [4, 12) runs one word into the free extent from below
     12,  # [12, 20) starts one word before the free extent ends

@@ -19,6 +19,7 @@ from vnvheap import (
     OutOfNvmError,
     PowerFailureInjected,
     SimulatedNvm,
+    StaleHandleError,
     VnvHeap,
     VnvHeapError,
     persist,
@@ -537,6 +538,35 @@ def test_the_last_handle_id_is_handed_out_once():
     restored, handles = restore(dev.reopen())
     assert sorted(handles) == [0xFFFFFFFE, 0xFFFFFFFF]
     assert restored.read(handles[0xFFFFFFFF]) == b"L" * 8
+
+
+@pytest.mark.parametrize("lost", [
+    "dealloc",      # id 3 deallocated, and the death committed
+    "transient",    # id 3 born and deallocated in the same epoch
+    "uncommitted",  # id 3 born after the last commit, then the power failed
+])
+def test_an_id_is_never_handed_out_again_after_a_restore(lost):
+    """The next id is one past every id that reached the table, so a handle
+    id of an object that is gone stays stale across a power cycle, as it was
+    before it."""
+    dev, heap = fresh()
+    heap.alloc(b"A" * 8)
+    heap.alloc(b"B" * 8)
+    persist(heap)
+    gone = heap.alloc(b"C" * 8)
+    assert gone.id == 3
+    if lost != "uncommitted":
+        if lost == "dealloc":
+            persist(heap)
+        heap.dealloc(gone)
+        persist(heap)
+    restored, handles = restore(dev.reopen())
+    assert sorted(handles) == [1, 2]
+    with pytest.raises(StaleHandleError):
+        restored.handle(3)
+    assert restored.alloc(b"D" * 8).id == 4
+    with pytest.raises(StaleHandleError):
+        restored.handle(3)
 
 
 @pytest.mark.parametrize("nvm_offset", [

@@ -73,6 +73,19 @@ def test_bounds_are_enforced():
         dev.read(-1, 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda dev: SimulatedNvm(0), "capacity must be positive"),
+    (lambda dev: SimulatedNvm(-4), "capacity must be positive"),
+    (lambda dev: dev.read(0, -1), "negative length"),
+    (lambda dev: dev.read(8, -4), "negative length"),  # ends inside, before it starts
+], ids=["capacity-0", "capacity-negative", "read-length-negative", "read-backwards-inside"])
+def test_a_size_below_zero_is_refused_and_moves_nothing(call, message):
+    dev = SimulatedNvm(64)
+    with pytest.raises(OutOfRangeError, match=message):
+        call(dev)
+    assert dev.cost_meter.snapshot() == (0, 0)
+
+
 def test_meter_reset_and_snapshot():
     dev = SimulatedNvm(64)
     dev.write(0, b"abcd")

@@ -143,10 +143,10 @@ def _fold_runs(digest, stream):
 
 # SHA-256 of the table-path trace below: the machine's writes and meter
 # totals, then each armed alloc/dealloc's writes and the tables it leaves.
-TABLE_TRAFFIC_SHA256 = "b2e4ce77fecd7d06da127b8bf5d1e6e6c62e25c94bbbea1929e0d677076c2bb7"
+TABLE_TRAFFIC_SHA256 = "f56c298c0ad1320aa9ce38521dc4135f5018bf0d60767e68d808d949c7fddbd5"
 # The machine's writes, then each armed run's, with the order inside each
 # commit's run dropped (see :func:`_fold_runs`).
-TABLE_RUNS_SHA256 = "dee9d230f609e71e97ac9e0c732fa06c44c6553461fc3ac0103a793705a53989"
+TABLE_RUNS_SHA256 = "278cf33fa64467cc3cb381b8b2fd9534020607d81f4d8bd2ea1bc1c9b90b5cc7"
 
 
 def _armed_steps(heap, handles):

@@ -446,6 +446,31 @@ class TestKvStore:
             store.get(3)
 
 
+def _device(store):
+    return store.heap.device if isinstance(store, VnvKvStore) else store.pool.device
+
+
+@pytest.mark.parametrize("make_store, call, error", [
+    (make_vnv_store, lambda store: store.put(0, b"again"), PreconditionError),
+    (make_vnv_store, lambda store: store.update(1, b"first"), KeyNotFoundError),
+    (make_vnv_store, lambda store: store.value_size(1), KeyNotFoundError),
+    (make_ms_store, lambda store: store.put(0, b"again"), PreconditionError),
+    # one byte more than the pool's RAM has left after the first value
+    (make_ms_store, lambda store: store.put(1, bytes(WORKLOAD_TOTAL_BYTES - 4)),
+     RamCapacityExceededError),
+], ids=["vnv-put-present", "vnv-update-missing", "vnv-value-size-missing",
+        "ms-put-present", "ms-put-past-the-ram"])
+def test_a_refused_kv_call_raises_its_type_and_changes_nothing(make_store, call, error):
+    store = make_store()
+    store.put(0, b"first")
+    index, words = dict(store._index), _device(store).cost_meter.snapshot()
+    with pytest.raises(error):
+        call(store)
+    assert store._index == index
+    assert _device(store).cost_meter.snapshot() == words
+    assert store.get(0) == b"first"
+
+
 def test_backends_agree_on_the_same_trace():
     vnv, ms = make_vnv_store(), make_ms_store()
     shadow_v = build_kv_store(vnv, seed=3)
