@@ -29,6 +29,12 @@ from .storage import StorageDevice, words_for
 MS_PAGE_SIZES = (32, 64, 128, 256, 512)
 
 
+def _check_region(offset: int, length: int, size: int, message: str) -> None:
+    """Refuse, with ``message``, a region that does not lie in ``[0, size)``."""
+    if offset < 0 or length < 0 or offset + length > size:
+        raise OutOfRangeError(message)
+
+
 @dataclass
 class MsToken:
     """Access token handed out by :meth:`ManagedStatePool.open`."""
@@ -47,8 +53,7 @@ class MsToken:
         self._check()
         if length is None:
             length = self.length - at
-        if at < 0 or length < 0 or at + length > self.length:
-            raise OutOfRangeError("read outside the opened region")
+        _check_region(at, length, self.length, "read outside the opened region")
         base = self.offset + at
         return bytes(self._pool.ram[base : base + length])
 
@@ -57,8 +62,7 @@ class MsToken:
         if not self.writable:
             raise PreconditionError("token was opened read-only")
         data = bytes(data)  # a slice store must not resize the pool's RAM
-        if at < 0 or at + len(data) > self.length:
-            raise OutOfRangeError("write outside the opened region")
+        _check_region(at, len(data), self.length, "write outside the opened region")
         base = self.offset + at
         self._pool.ram[base : base + len(data)] = data
 
@@ -111,8 +115,7 @@ class ManagedStatePool:
     def open(self, offset: int, length: int, mode: str = "read") -> MsToken:
         if mode not in ("read", "write"):
             raise PreconditionError(f"unknown access mode {mode!r}")
-        if offset < 0 or length < 0 or offset + length > len(self.ram):
-            raise OutOfRangeError("region outside the pool")
+        _check_region(offset, length, len(self.ram), "region outside the pool")
         if mode == "write" and length > 0:
             first = offset // self.page_size
             last = (offset + length - 1) // self.page_size
@@ -176,16 +179,14 @@ class ModuleSwapApp:
         self.active = module
 
     def read(self, module: int, offset: int, length: int) -> bytes:
+        _check_region(offset, length, self.MODULE_SIZE, "read outside the module")
         self.ensure_active(module)
-        if offset < 0 or offset + length > self.MODULE_SIZE:
-            raise OutOfRangeError("read outside the module")
         return bytes(self.ram[offset : offset + length])
 
     def write(self, module: int, offset: int, data: bytes | bytearray | memoryview) -> None:
-        self.ensure_active(module)
         data = bytes(data)  # a slice store must not resize the module
-        if offset < 0 or offset + len(data) > self.MODULE_SIZE:
-            raise OutOfRangeError("write outside the module")
+        _check_region(offset, len(data), self.MODULE_SIZE, "write outside the module")
+        self.ensure_active(module)
         self.ram[offset : offset + len(data)] = data
 
 

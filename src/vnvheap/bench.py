@@ -9,13 +9,14 @@ bit-for-bit from (benchmark, parameters, seed).
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass, field
 
 from .baselines import MS_PAGE_SIZES, ManagedStatePool, ModuleSwapApp, UnmanagedRam
 from .errors import PreconditionError
 from .heap import HEADER_CHARGE_BYTES, VnvHeap, persist
 from .oracle import TraceMachine
-from .storage import EnergyModel, SimulatedNvm
+from .storage import EnergyModel, SimulatedNvm, StorageDevice
 from .workloads import (
     MsKvStore,
     NvmQueue,
@@ -29,11 +30,17 @@ from .workloads import (
     unequal_weights,
 )
 
+# The axes each benchmark sweeps, in sweep order. The CLI's choices and
+# default sweeps, and each runner's refusals, read these declarations.
 ACCESS_SIZES = (32, 128, 512, 1024)
 ACCESS_CASES = ("best", "bad", "worst")
+ACCESS_SYSTEMS = ("vnv", "module")
+QUEUE_BACKENDS = ("ram", "nvm", "vnv")
+QUEUE_LENGTH_SWEEP = (4, 12, 20, 60)
+PERSIST_MODES = ("vary_ram", "vary_limit")
 PERSIST_RAM_SWEEP = (4096, 8192, 16384, 32768)
 PERSIST_LIMIT_SWEEP = (512, 1024, 2048, 4096)
-QUEUE_LENGTH_SWEEP = (4, 12, 20, 60)
+KVS_BACKENDS = ("vnv", "ms")
 KVS_CACHE_BYTES = 65536  # holds the whole 58 KiB working set
 KVS_DIRTY_BUDGET = WORKLOAD_TOTAL_BYTES // 5
 
@@ -49,6 +56,13 @@ class BenchRecord:
     @property
     def words_total(self) -> int:
         return self.words_read + self.words_written
+
+    @classmethod
+    def since(cls, benchmark: str, params: dict[str, object], device: StorageDevice,
+              before: tuple[int, int], reps: int = 1) -> "BenchRecord":
+        """The words ``device`` moved since its meter read ``before``."""
+        words_read, words_written = device.cost_meter.snapshot()
+        return cls(benchmark, params, words_read - before[0], words_written - before[1], reps)
 
 
 CSV_HEADER = ("benchmark", "params", "words_read", "words_written",
@@ -76,15 +90,6 @@ def write_csv(records: list[BenchRecord], model: EnergyModel, out) -> None:
 
 # -- object access latency (best / bad / worst case) ---------------------------
 
-def _access_heap():
-    # one object plus one 1 KiB eviction victim must be stageable; the cache
-    # and budget are sized so the worst case genuinely has to sync + load
-    dev = SimulatedNvm(64 * 1024)
-    heap = VnvHeap(dev, cache_size_bytes=1044, max_modified_state_bytes=1044,
-                   max_objects=8)
-    return dev, heap
-
-
 def run_access_bench(case: str, object_size: int, system: str) -> BenchRecord:
     """Measure one guarded access in the named staging. ``system`` is the
     heap ("vnv") or the whole-module swapping baseline ("module")."""
@@ -92,8 +97,14 @@ def run_access_bench(case: str, object_size: int, system: str) -> BenchRecord:
         raise PreconditionError(f"case must be one of {ACCESS_CASES}")
     if not 0 < object_size <= 1024:
         raise PreconditionError("object_size must be in (0, 1024]")
+    if system not in ACCESS_SYSTEMS:
+        raise PreconditionError(f"unknown system {system!r}")
+    dev = SimulatedNvm(64 * 1024)
     if system == "vnv":
-        dev, heap = _access_heap()
+        # one object plus one 1 KiB eviction victim must be stageable; the cache
+        # and budget are sized so the worst case genuinely has to sync + load
+        heap = VnvHeap(dev, cache_size_bytes=1044, max_modified_state_bytes=1044,
+                       max_objects=8)
         target = heap.alloc(bytes(object_size))
         if case in ("bad", "worst"):
             heap.sync_object(target)
@@ -103,21 +114,13 @@ def run_access_bench(case: str, object_size: int, system: str) -> BenchRecord:
         before = dev.cost_meter.snapshot()
         with heap.get_ref(target) as g:
             g.read(0, object_size)
-    elif system == "module":
-        dev = SimulatedNvm(64 * 1024)
+    else:
         app = ModuleSwapApp(dev, module_count=2)
         target_module = 0 if case == "best" else 1
         before = dev.cost_meter.snapshot()
         app.read(target_module, 0, object_size)
-    else:
-        raise PreconditionError(f"unknown system {system!r}")
-    read_after, written_after = dev.cost_meter.snapshot()
-    return BenchRecord(
-        benchmark="access",
-        params={"case": case, "object_size": object_size, "system": system},
-        words_read=read_after - before[0],
-        words_written=written_after - before[1],
-    )
+    return BenchRecord.since(
+        "access", {"case": case, "object_size": object_size, "system": system}, dev, before)
 
 
 # -- queue push+pop ------------------------------------------------------------------
@@ -127,51 +130,53 @@ def _element(i: int, size: int) -> bytes:
 
 
 def run_queue_bench(initial_len: int, backend: str, reps: int = 64) -> BenchRecord:
-    """Average storage cost of one push+pop at a steady queue length."""
+    """Average storage cost of one push+pop at a steady queue length. Every
+    pop must return what a FIFO shadow of the pushes holds."""
+    if backend not in QUEUE_BACKENDS:
+        raise PreconditionError(f"unknown queue backend {backend!r}")
     size = 256
+    dev = SimulatedNvm()  # the RAM backend never touches it
     if backend == "vnv":
-        dev = SimulatedNvm()
         heap = VnvHeap(dev, cache_size_bytes=4096, max_modified_state_bytes=4096,
                        max_objects=max(64, 2 * initial_len + 16))
         queue = VnvQueue(heap, size)
     elif backend == "nvm":
-        dev = SimulatedNvm()
         queue = NvmQueue(dev, capacity=max(64, 2 * initial_len), element_size=size)
-    elif backend == "ram":
-        dev = None
-        queue = RamQueue(4096, size)
     else:
-        raise PreconditionError(f"unknown queue backend {backend!r}")
+        queue = RamQueue(4096, size)
+    pushed: deque[bytes] = deque()
+
+    def push(i: int) -> None:
+        pushed.append(_element(i, size))
+        queue.push(pushed[-1])
+
+    def pop() -> None:
+        if queue.pop() != pushed.popleft():
+            raise AssertionError(f"the {backend} queue popped a payload it was not pushed")
 
     for i in range(initial_len):
-        queue.push(_element(i, size))
+        push(i)
     for i in range(4):  # settle into the steady state before metering
-        queue.push(_element(i, size))
-        queue.pop()
+        push(i)
+        pop()
 
-    before = dev.cost_meter.snapshot() if dev else (0, 0)
+    before = dev.cost_meter.snapshot()
     for i in range(reps):
-        queue.push(_element(i + initial_len, size))
-        got = queue.pop()
-        assert len(got) == size
-    after = dev.cost_meter.snapshot() if dev else (0, 0)
-    return BenchRecord(
-        benchmark="queue",
-        params={"backend": backend, "length": initial_len, "element_size": size},
-        words_read=after[0] - before[0],
-        words_written=after[1] - before[1],
-        reps=reps,
-    )
+        push(i + initial_len)
+        pop()
+    return BenchRecord.since(
+        "queue", {"backend": backend, "length": initial_len, "element_size": size},
+        dev, before, reps)
 
 
 # -- persist cost sweeps -----------------------------------------------------------
 
-def _max_persist_words(cache: int, dirty_limit: int) -> int:
+def _vnv_persist(mode: str, ram: int, dirty_limit: int) -> BenchRecord:
     """Largest checkpoint cost observed over three persists while a single
     object keeps the modified-state budget saturated: every byte beside the
     header is its payload."""
     dev = SimulatedNvm(64 * 1024)
-    heap = VnvHeap(dev, cache_size_bytes=cache,
+    heap = VnvHeap(dev, cache_size_bytes=ram,
                    max_modified_state_bytes=dirty_limit, max_objects=8)
     payload = bytes(dirty_limit - HEADER_CHARGE_BYTES)
     h = heap.alloc(payload)
@@ -180,68 +185,59 @@ def _max_persist_words(cache: int, dirty_limit: int) -> int:
         worst = max(worst, persist(heap).words_transferred)
         with heap.get_mut(h) as w:  # re-dirty the whole object
             w.write(payload)
-    return worst
+    return BenchRecord(
+        "persist", {"mode": mode, "ram": ram, "dirty_limit": dirty_limit, "system": "vnv"},
+        words_written=worst)
+
+
+def _unmanaged_persist(mode: str, ram: int) -> BenchRecord:
+    baseline = UnmanagedRam(SimulatedNvm(2 * ram), ram)
+    return BenchRecord("persist", {"mode": mode, "ram": ram, "system": "unmanaged"},
+                       words_written=baseline.checkpoint())
 
 
 def run_persist_bench(mode: str) -> list[BenchRecord]:
-    records = []
-    if mode == "vary_ram":
-        for ram in PERSIST_RAM_SWEEP:
-            words = _max_persist_words(cache=ram, dirty_limit=2048)
-            records.append(BenchRecord(
-                "persist", {"mode": mode, "ram": ram, "dirty_limit": 2048,
-                            "system": "vnv"},
-                words_written=words))
-            dev = SimulatedNvm(2 * ram)
-            baseline = UnmanagedRam(dev, ram)
-            records.append(BenchRecord(
-                "persist", {"mode": mode, "ram": ram, "system": "unmanaged"},
-                words_written=baseline.checkpoint()))
-    elif mode == "vary_limit":
-        for limit in PERSIST_LIMIT_SWEEP:
-            words = _max_persist_words(cache=4096, dirty_limit=limit)
-            records.append(BenchRecord(
-                "persist", {"mode": mode, "ram": 4096, "dirty_limit": limit,
-                            "system": "vnv"},
-                words_written=words))
-        dev = SimulatedNvm(8192)
-        baseline = UnmanagedRam(dev, 4096)
-        records.append(BenchRecord(
-            "persist", {"mode": mode, "ram": 4096, "system": "unmanaged"},
-            words_written=baseline.checkpoint()))
-    else:
+    """``vary_ram``: the heap at a 2048-byte limit beside the whole-RAM
+    checkpoint, per RAM size. ``vary_limit``: the heap in 4 KiB of RAM per
+    limit, then the one whole-RAM checkpoint of that RAM."""
+    if mode not in PERSIST_MODES:
         raise PreconditionError(f"unknown persist mode {mode!r}")
-    return records
+    if mode == "vary_ram":
+        return [record for ram in PERSIST_RAM_SWEEP
+                for record in (_vnv_persist(mode, ram, 2048), _unmanaged_persist(mode, ram))]
+    return [*(_vnv_persist(mode, 4096, limit) for limit in PERSIST_LIMIT_SWEEP),
+            _unmanaged_persist(mode, 4096)]
 
 
 # -- key-value store updates ----------------------------------------------------------
 
-def ms_dirty_page_limit(page_size: int, budget_bytes: int = KVS_DIRTY_BUDGET) -> int:
-    """Dirty pages the pool may hold under the same byte budget the heap
-    gets: page payloads plus their one-byte-per-page metadata must fit."""
+def ms_dirty_page_limit(page_size: int) -> int:
+    """Dirty pages the pool may hold under the byte budget the heap gets
+    (``KVS_DIRTY_BUDGET``): page payloads plus their one-byte-per-page
+    metadata must fit."""
     page_count = -(-WORKLOAD_TOTAL_BYTES // page_size)
-    return (budget_bytes - page_count) // page_size
+    return (KVS_DIRTY_BUDGET - page_count) // page_size
 
 
 def run_kvs_bench(backend: str, pattern: str, seed: int,
                   page_size: int | None = None, n_ops: int = 4096) -> BenchRecord:
-    """Per-update storage cost over the standard 256-object population."""
+    """Per-update storage cost over the standard 256-object population. The
+    store must then hold what the trace wrote."""
+    if backend not in KVS_BACKENDS:
+        raise PreconditionError(f"unknown kvs backend {backend!r}")
+    dev = SimulatedNvm()
     if backend == "vnv":
-        dev = SimulatedNvm()
         heap = VnvHeap(dev, cache_size_bytes=KVS_CACHE_BYTES,
                        max_modified_state_bytes=KVS_DIRTY_BUDGET, max_objects=512)
         store = VnvKvStore(heap)
         params: dict[str, object] = {"backend": backend}
-    elif backend == "ms":
+    else:
         if page_size not in MS_PAGE_SIZES:
             raise PreconditionError(f"page size must be one of {MS_PAGE_SIZES}")
-        dev = SimulatedNvm()
         pool = ManagedStatePool(dev, WORKLOAD_TOTAL_BYTES, page_size,
                                 dirty_page_limit=ms_dirty_page_limit(page_size))
         store = MsKvStore(pool)
         params = {"backend": backend, "page_size": page_size}
-    else:
-        raise PreconditionError(f"unknown kvs backend {backend!r}")
 
     shadow = build_kv_store(store, seed)
     keys = gen_access_sequence(pattern, WORKLOAD_KEYS, n_ops, seed + 1)
@@ -250,19 +246,14 @@ def run_kvs_bench(backend: str, pattern: str, seed: int,
         value = bytes([(i + key) % 256]) * store.value_size(key)
         store.update(key, value)
         shadow[key] = value
-    after = dev.cost_meter.snapshot()
-    for key, value in shadow.items():  # both backends must agree with the trace
-        assert store.get(key) == value, f"kvs state diverged at key {key}"
-
     params.update({"pattern": pattern, "seed": seed,
                    "metadata_bytes": store.metadata_bytes,
                    "total_bytes": WORKLOAD_TOTAL_BYTES})
-    return BenchRecord(
-        benchmark="kvs", params=params,
-        words_read=after[0] - before[0],
-        words_written=after[1] - before[1],
-        reps=n_ops,
-    )
+    record = BenchRecord.since("kvs", params, dev, before, n_ops)
+    for key, value in shadow.items():  # both backends must agree with the trace
+        if store.get(key) != value:
+            raise AssertionError(f"kvs state diverged at key {key}")
+    return record
 
 
 # -- crash / property suites ------------------------------------------------------------

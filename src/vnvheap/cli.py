@@ -55,24 +55,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=(*bench.ACCESS_CASES, "all"), default="all")
     p.add_argument("--object-size", type=int, default=0,
                    help=f"bytes; 0 sweeps {bench.ACCESS_SIZES}")
-    p.add_argument("--system", choices=("vnv", "module", "both"), default="both")
+    p.add_argument("--system", choices=(*bench.ACCESS_SYSTEMS, "both"), default="both")
     _add_csv_flags(p)
 
     p = sub.add_parser("queue", help="FIFO queue push+pop cost by backend")
-    p.add_argument("--backend", choices=("vnv", "nvm", "ram", "all"),
-                   default="all")
+    p.add_argument("--backend", choices=(*bench.QUEUE_BACKENDS, "all"), default="all")
     p.add_argument("--length", type=_count, default=0,
                    help=f"steady queue length; 0 sweeps {bench.QUEUE_LENGTH_SWEEP}")
     p.add_argument("--reps", type=_count, default=64)
     _add_csv_flags(p)
 
     p = sub.add_parser("persist", help="checkpoint cost sweeps")
-    p.add_argument("--mode", choices=("vary_ram", "vary_limit", "both"),
-                   default="both")
+    p.add_argument("--mode", choices=(*bench.PERSIST_MODES, "both"), default="both")
     _add_csv_flags(p)
 
     p = sub.add_parser("kvs", help="key-value store update cost by backend")
-    p.add_argument("--backend", choices=("vnv", "ms", "all"), default="all")
+    p.add_argument("--backend", choices=(*bench.KVS_BACKENDS, "all"), default="all")
     p.add_argument("--pattern", choices=(*PATTERNS, "all"), default="all")
     p.add_argument("--page-size", type=int, default=0,
                    help=f"ms backend page size; 0 sweeps {MS_PAGE_SIZES}")
@@ -92,44 +90,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sweep(value, axis: tuple) -> tuple:
+    """The one point a flag names, or the whole axis when it says all, both or 0."""
+    return axis if value in ("all", "both", 0) else (value,)
+
+
 def _run_benchmarks(args) -> list[bench.BenchRecord]:
     records: list[bench.BenchRecord] = []
     if args.command == "access":
-        cases = bench.ACCESS_CASES if args.case == "all" else (args.case,)
-        sizes = bench.ACCESS_SIZES if args.object_size == 0 else (args.object_size,)
-        systems = ("vnv", "module") if args.system == "both" else (args.system,)
-        for size in sizes:
-            for case in cases:
-                for system in systems:
+        for size in _sweep(args.object_size, bench.ACCESS_SIZES):
+            for case in _sweep(args.case, bench.ACCESS_CASES):
+                for system in _sweep(args.system, bench.ACCESS_SYSTEMS):
                     records.append(bench.run_access_bench(case, size, system))
     elif args.command == "queue":
-        backends = ("ram", "nvm", "vnv") if args.backend == "all" else (args.backend,)
-        lengths = bench.QUEUE_LENGTH_SWEEP if args.length == 0 else (args.length,)
         ram_capacity = RamQueue().capacity
-        for length in lengths:
-            for backend in backends:
+        for length in _sweep(args.length, bench.QUEUE_LENGTH_SWEEP):
+            for backend in _sweep(args.backend, bench.QUEUE_BACKENDS):
                 if (args.backend == "all" and backend == "ram"
-                        and length > ram_capacity):
-                    continue  # this backend cannot reach the operating point
+                        and length >= ram_capacity):
+                    continue  # a push+pop at length L holds L + 1 elements
                 records.append(bench.run_queue_bench(length, backend, reps=args.reps))
     elif args.command == "persist":
-        modes = ("vary_ram", "vary_limit") if args.mode == "both" else (args.mode,)
-        for mode in modes:
+        for mode in _sweep(args.mode, bench.PERSIST_MODES):
             records.extend(bench.run_persist_bench(mode))
     elif args.command == "kvs":
-        backends = ("vnv", "ms") if args.backend == "all" else (args.backend,)
-        patterns = PATTERNS if args.pattern == "all" else (args.pattern,)
-        for pattern in patterns:
-            for backend in backends:
-                if backend == "ms":
-                    page_sizes = (MS_PAGE_SIZES if args.page_size == 0
-                                  else (args.page_size,))
-                    for page in page_sizes:
-                        records.append(bench.run_kvs_bench(
-                            backend, pattern, args.seed, page_size=page, n_ops=args.n_ops))
-                else:
+        for pattern in _sweep(args.pattern, PATTERNS):
+            for backend in _sweep(args.backend, bench.KVS_BACKENDS):
+                pages = _sweep(args.page_size, MS_PAGE_SIZES) if backend == "ms" else (None,)
+                for page in pages:
                     records.append(bench.run_kvs_bench(
-                        backend, pattern, args.seed, n_ops=args.n_ops))
+                        backend, pattern, args.seed, page_size=page, n_ops=args.n_ops))
     return records
 
 
@@ -177,13 +167,11 @@ def _run(args) -> int:
             bench.write_csv(records, model, fh)
         return 0
 
-    ok = True
     for report in reports:
         print(report.line())
         for failure in report.failures[:20]:
             print(f"  {failure}")
-        ok = ok and report.ok
-    return 0 if ok else 1
+    return 0 if all(report.ok for report in reports) else 1
 
 
 if __name__ == "__main__":

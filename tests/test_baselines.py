@@ -254,3 +254,58 @@ def test_page_size_catalog():
         ManagedStatePool(dev, 1024, 48, dirty_page_limit=2)
     with pytest.raises(PreconditionError):
         ManagedStatePool(dev, 1024, 64, dirty_page_limit=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda app, pool: app.read(0, 0, -1), "read outside the module"),
+    (lambda app, pool: app.read(0, 10, -5), "read outside the module"),
+    (lambda app, pool: app.read(0, 1024, 1), "read outside the module"),
+    (lambda app, pool: app.write(0, 1024, b"x"), "write outside the module"),
+    (lambda app, pool: pool.open(0, -1), "region outside the pool"),
+    (lambda app, pool: pool.open(-1, 1), "region outside the pool"),
+    (lambda app, pool: pool.open(8, 8).read(4, -1), "read outside the opened region"),
+    (lambda app, pool: pool.open(8, 8).read(-1), "read outside the opened region"),
+    (lambda app, pool: pool.open(8, 8, "write").write(b"x", -1),
+     "write outside the opened region"),
+    (lambda app, pool: pool.open(8, 8, "write").write(b"x", 8),
+     "write outside the opened region"),
+], ids=["module-read-length-minus-1", "module-read-length-minus-5", "module-read-past-end",
+        "module-write-past-end", "pool-open-negative-length", "pool-open-negative-offset",
+        "token-read-negative-length", "token-read-negative-offset",
+        "token-write-negative-offset", "token-write-past-end"])
+def test_a_region_outside_its_range_is_refused_with_its_message(call, message):
+    """Every baseline refuses a negative offset, a negative length and a
+    region past its end alike, each with the message of the access."""
+    dev = SimulatedNvm(16384)
+    app = ModuleSwapApp(dev, module_count=2)
+    pool = ManagedStatePool(SimulatedNvm(8192), 1024, 64, dirty_page_limit=4)
+    with pytest.raises(OutOfRangeError, match=f"^{message}$"):
+        call(app, pool)
+
+
+def test_a_pool_may_hold_a_single_dirty_page():
+    """The least limit a pool accepts is one page: dirtying a second page
+    writes the first back."""
+    dev, pool = make_pool(limit=1)
+    with pool.open(0, 8, "write") as t:
+        t.write(b"a" * 8)
+    with pool.open(64, 8, "write") as t:
+        t.write(b"b" * 8)
+    assert pool.dirty_pages == [1]
+    assert dev.read(0, 8) == b"a" * 8
+
+
+@pytest.mark.parametrize("call", [
+    lambda app: app.read(1, 1021, 4),
+    lambda app: app.read(1, 0, -1),
+    lambda app: app.write(1, 1021, b"four"),
+], ids=["read-past-end", "read-negative-length", "write-past-end"])
+def test_a_refused_access_to_the_inactive_module_swaps_nothing(call):
+    """The range is checked before the swap, so a refused access to the
+    module that is not in RAM moves no word and keeps the active module."""
+    dev = SimulatedNvm(16384)
+    app = ModuleSwapApp(dev, module_count=2)
+    with pytest.raises(OutOfRangeError):
+        call(app)
+    assert dev.cost_meter.snapshot() == (0, 0)
+    assert app.active == 0

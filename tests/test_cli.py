@@ -4,13 +4,17 @@ import csv
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from vnvheap import bench
+from vnvheap import bench, oracle
 from vnvheap.cli import main
+from vnvheap.errors import PreconditionError
+from vnvheap.workloads import WORKLOAD_KEYS, RamQueue
 
 
 def run_cli(capsys, *argv):
@@ -319,3 +323,123 @@ def test_an_impossible_energy_model_fails_before_any_benchmark(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bench.run_access_bench("typical", 32, "vnv"), "case must be one of"),
+    (lambda: bench.run_access_bench("best", 0, "module"), "object_size must be in"),
+    (lambda: bench.run_access_bench("best", 1025, "module"), "object_size must be in"),
+    (lambda: bench.run_access_bench("best", 32, "ram"), "unknown system"),
+    (lambda: bench.run_queue_bench(4, "disk"), "unknown queue backend"),
+    (lambda: bench.run_persist_bench("both"), "unknown persist mode"),
+    (lambda: bench.run_kvs_bench("ms", "random", 1, page_size=48), "page size must be one of"),
+    (lambda: bench.run_kvs_bench("ms", "random", 1), "page size must be one of"),
+    (lambda: bench.run_kvs_bench("all", "random", 1), "unknown kvs backend"),
+], ids=["access-case", "access-size-0", "access-size-1025", "access-system", "queue-backend",
+        "persist-mode", "kvs-page-size", "kvs-no-page-size", "kvs-backend"])
+def test_a_point_off_the_declared_axes_is_refused(call, message):
+    """A runner refuses a point that is not on its axis, such as the CLI's
+    sweep words ``all`` and ``both``, before it measures anything."""
+    with pytest.raises(PreconditionError, match=f"^{message}"):
+        call()
+
+
+def test_a_failed_suite_prints_fail_and_its_failures_and_exits_1(capsys, monkeypatch):
+    """With the oracle's persist dry run wrong and a key stream that is
+    neither weighted nor reproducible, every suite fails: each prints a FAIL
+    line, then at most 20 of its failures."""
+    rng = random.Random(0)  # uniform, and a new stream on every call
+    monkeypatch.setattr(oracle, "persist_cost", lambda heap: -1)
+    monkeypatch.setattr(bench, "gen_access_sequence",
+                        lambda pattern, n_keys, n, seed: rng.choices(range(n_keys), k=n))
+
+    code, out = run_cli(capsys, "crash", "--iterations", "25")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL crash: checkpoint/restore round trips: 25 checks (25 failures)"
+    assert len(lines) == 1 + 20
+    assert all(line.startswith(f"  iteration {i} (seed {42000 + i}): AssertionError(")
+               for i, line in enumerate(lines[1:]))
+
+    code, out = run_cli(capsys, "check", "--quick")
+    assert code == 1
+    verdicts = [line for line in out.splitlines() if not line.startswith("  ")]
+    assert [v.split(":")[0] for v in verdicts] == [
+        "FAIL invariants", "FAIL crash", "FAIL access pattern"]
+    assert "\n  trace 0 op " in out
+    assert "\n  iteration 9 (seed 42009): AssertionError(" in out
+    assert "\n  total variation " in out
+    assert out.endswith("\n  sequence not deterministic for a fixed seed\n")
+
+
+def test_the_csv_benchmarks_check_their_results_under_python_O():
+    """``python -O`` strips assert statements; the queue and kvs benchmarks
+    still refuse a backend that hands back bytes it was not given."""
+    run = run_python("-O", "-c", """
+from vnvheap import bench, workloads
+
+def corrupt(method):
+    def wrong(self, *args):
+        got = method(self, *args)
+        return got[:-1] + bytes([got[-1] ^ 1])
+    return wrong
+
+for cls in (workloads.RamQueue, workloads.NvmQueue, workloads.VnvQueue):
+    cls.pop = corrupt(cls.pop)
+for cls in (workloads.VnvKvStore, workloads.MsKvStore):
+    cls.get = corrupt(cls.get)
+for call in (lambda: bench.run_queue_bench(4, "ram"),
+             lambda: bench.run_queue_bench(4, "nvm"),
+             lambda: bench.run_queue_bench(4, "vnv"),
+             lambda: bench.run_kvs_bench("vnv", "random", 1, n_ops=16),
+             lambda: bench.run_kvs_bench("ms", "random", 1, page_size=64, n_ops=16)):
+    try:
+        call()
+    except AssertionError as exc:
+        print("refused:", exc)
+    else:
+        print("ran")
+""")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 5
+    assert all(line.startswith("refused: ") for line in lines), lines
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (("crash", "--iterations", "0"), "PASS crash: checkpoint/restore round trips: 0 checks"),
+    (("kvs", "--backend", "vnv", "--pattern", "sequential", "--n-ops", "0", "--seed", "0"),
+     ",".join(bench.CSV_HEADER)),
+], ids=" ".join)
+def test_a_count_of_zero_is_accepted(capsys, argv, first_line):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("length, backends", [
+    (RamQueue().capacity - 1, ["ram", "nvm", "vnv"]),
+    (RamQueue().capacity, ["nvm", "vnv"]),
+], ids=["one-below-capacity", "at-capacity"])
+def test_the_default_queue_backends_skip_ram_where_a_push_would_overfill_it(
+        capsys, length, backends):
+    """A push+pop at steady length L holds L + 1 elements, so without
+    ``--backend`` the RAM queue runs below its capacity only."""
+    code, out = run_cli(capsys, "queue", "--length", str(length), "--reps", "1")
+    assert code == 0
+    assert [dict(kv.split("=") for kv in r["params"].split())["backend"]
+            for r in parse_csv(out)] == backends
+
+
+@pytest.mark.parametrize("second_weight, ok", [(0.02, False), (0.0199, True)])
+def test_the_pattern_suite_fails_from_one_percent_total_variation(monkeypatch,
+                                                                  second_weight, ok):
+    """Every draw is key 0, which has weight 1; key 1 has ``second_weight``,
+    so the total variation is half of it: exactly 1% fails."""
+    weights = np.zeros(WORKLOAD_KEYS)
+    weights[:2] = 1.0, second_weight
+    monkeypatch.setattr(bench, "unequal_weights", lambda n_keys: weights)
+    monkeypatch.setattr(bench, "gen_access_sequence", lambda pattern, n_keys, n, seed: [0] * n)
+    report = bench.run_pattern_suite(draws=1000)
+    assert report.ok == ok
+    assert report.failures == ([] if ok else ["total variation 0.0100 >= 0.01"])
